@@ -17,24 +17,14 @@ from typing import Sequence
 from .errors import DomainError, UsageError
 from .laurent import LaurentPoly
 from .scalars import ExtRat, ext_min, is_prime, p_adic_valuation
-from .surface import CellId, Params, Point3, cells_of, on_skeleton
-from .dynamics import Word, trop_vieta
-
-Matrix2 = tuple[tuple[int, int], tuple[int, int]]
+from .surface import CellId, Params, Point3, cell_has_interior, cells_of, on_skeleton
+from .dynamics import Matrix2, Word, mat_mul, trop_vieta
 
 
 def fatou_condition(params: Params) -> bool:
-    """d < min(0, 2a-d) + min(0, 2b-d) + min(0, 2c-d), infinity-aware."""
-    a, b, c, d = params.a, params.b, params.c, params.d
-    if d.is_infinite:
-        return False
-    zero = ExtRat(0)
-    rhs = (
-        ext_min((zero, 2 * a - d))
-        + ext_min((zero, 2 * b - d))
-        + ext_min((zero, 2 * c - d))
-    )
-    return d < rhs
+    """d < min(0, 2a-d) + min(0, 2b-d) + min(0, 2c-d), infinity-aware: the D cell
+    has nonempty interior."""
+    return cell_has_interior(params, CellId.D)
 
 
 def _midpoint(lo: Fraction, hi: Fraction) -> Fraction:
@@ -176,13 +166,6 @@ V_PLUS: Matrix2 = ((1, 1), (0, 1))
 V_MINUS: Matrix2 = ((1, 0), (1, 1))
 
 
-def _mul(a: Matrix2, b: Matrix2) -> Matrix2:
-    return (
-        (a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]),
-        (a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]),
-    )
-
-
 def v_partial_products(signs: Sequence[int]) -> list[Matrix2]:
     """Products V_{s_k} ... V_{s_1} for every prefix of the sign sequence."""
     out = []
@@ -190,7 +173,7 @@ def v_partial_products(signs: Sequence[int]) -> list[Matrix2]:
     for s in signs:
         if s not in (1, -1):
             raise UsageError(f"signs must be +1 or -1, got {s}")
-        acc = _mul(V_PLUS if s == 1 else V_MINUS, acc)
+        acc = mat_mul(V_PLUS if s == 1 else V_MINUS, acc)
         out.append(acc)
     return out
 

@@ -36,6 +36,7 @@ from .dynamics import (
     Word,
     gamma_of,
     greedy_path,
+    mat_mul,
     transit_matrix,
     u_coords,
 )
@@ -293,19 +294,8 @@ def farey_enumerate(depth: int) -> list[FareyTriple]:
     return out
 
 
-def _mat_mul(a: Matrix2, b: Matrix2) -> Matrix2:
-    return (
-        (a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]),
-        (a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]),
-    )
-
-
 def _mat_vec(a: Matrix2, v) -> tuple:
     return (a[0][0] * v[0] + a[0][1] * v[1], a[1][0] * v[0] + a[1][1] * v[1])
-
-
-_V_PLUS: Matrix2 = ((1, 1), (0, 1))
-_V_MINUS: Matrix2 = ((1, 0), (1, 1))
 
 
 def _factor_in_v_monoid(m: Matrix2) -> list[int]:
@@ -383,7 +373,7 @@ def table_orbit_triangles(d, depth: int) -> dict[int, list[tuple[Word, tuple[UVe
             out[cell].append((Word(tuple(reversed(applied))), verts))
             for delta in (1, -1):
                 nxt_frontier.append(
-                    (_mod3(cell + delta), _mat_mul(transit_matrix(delta), mat),
+                    (_mod3(cell + delta), mat_mul(transit_matrix(delta), mat),
                      applied + (_mod3(cell + delta),))
                 )
         frontier = nxt_frontier

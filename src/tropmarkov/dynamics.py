@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .errors import DomainError, UsageError
-from .scalars import ExtRat, ext_min, thomae_gcd
+from .scalars import ExtRat, thomae_gcd
 from .surface import (
     CELL_ORDER,
     CellId,
@@ -25,9 +25,10 @@ from .surface import (
     Point3,
     QUADRATIC_CELLS,
     SUBQUADRATIC_CELLS,
+    _monomial_values,
     cells_of,
+    linear_cell,
     nxt,
-    on_skeleton,
     prv,
     quadratic_cell,
 )
@@ -91,19 +92,17 @@ class Word:
 
 
 def trop_vieta(params: Params, i: int, x: Point3) -> Point3:
-    """Apply the i-th tropicalized involution.  Total on R^3; involutive."""
-    x1, x2, x3 = x
-    a, b, c, d = params.a, params.b, params.c, params.d
-    if i == 1:
-        m = ext_min((ExtRat(2 * x2), ExtRat(2 * x3), b + x2, c + x3, d)).finite
-        return (m - x1, x2, x3)
-    if i == 2:
-        m = ext_min((ExtRat(2 * x1), ExtRat(2 * x3), a + x1, c + x3, d)).finite
-        return (x1, m - x2, x3)
-    if i == 3:
-        m = ext_min((ExtRat(2 * x1), ExtRat(2 * x2), a + x1, b + x2, d)).finite
-        return (x1, x2, m - x3)
-    raise UsageError(f"generator index must be 1, 2 or 3, got {i}")
+    """Apply the i-th tropicalized involution.  Total on R^3; involutive.
+
+    x_i becomes the min of the monomials free of x_i, minus x_i.
+    """
+    if i not in (1, 2, 3):
+        raise UsageError(f"generator index must be 1, 2 or 3, got {i}")
+    own = (quadratic_cell(i), linear_cell(i))
+    m = min(v for cell, v in _monomial_values(params, x).items() if cell not in own)
+    y = list(x)
+    y[i - 1] = m - x[i - 1]
+    return tuple(y)
 
 
 def apply_word(params: Params, word: Word, x: Point3) -> Point3:
@@ -182,6 +181,14 @@ def transit_matrix(delta: int) -> Matrix2:
     raise UsageError(f"delta must be +1 or -1, got {delta}")
 
 
+def mat_mul(a: Matrix2, b: Matrix2) -> Matrix2:
+    """Product a*b of 2x2 integer matrices."""
+    return (
+        (a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]),
+        (a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]),
+    )
+
+
 # -- greedy reduction ------------------------------------------------------------
 
 
@@ -229,10 +236,11 @@ def _default_step_budget(params: Params, x: Point3) -> int:
 def greedy_path(params: Params, x: Point3, max_steps: int | None = None) -> GreedyTrace:
     """Follow the greedy itinerary: reflect by the unique containing quadratic
     cell until a subquadratic cell or a quadratic-quadratic intersection stops it."""
-    if not on_skeleton(params, x):
-        raise DomainError(f"greedy path requires a skeleton point, got {x}")
     if max_steps is None:
         max_steps = _default_step_budget(params, x)
+    elif max_steps < 0:
+        # The first cells_of call below is the skeleton check; it must run.
+        raise UsageError(f"max_steps must be nonnegative, got {max_steps}")
     applied: list[int] = []
     cur = x
     for step in range(max_steps + 1):

@@ -203,16 +203,6 @@ def partial_orbit_skeleton(n: int, bound: int = DEPTH_BOUND) -> list[CirclePoint
     return _skeleton_sorted(x for level in levels for x in level)
 
 
-def orbit_levels_boundary(n: int, bound: int = DEPTH_BOUND) -> list[set]:
-    _check_depth(n, bound)
-    return _orbit_levels(BOUNDARY_NETS, reflect_boundary, n)
-
-
-def orbit_levels_skeleton(n: int, bound: int = DEPTH_BOUND) -> list[set]:
-    _check_depth(n, bound)
-    return _orbit_levels(SKELETON_NETS, skeleton_direction_act, n)
-
-
 # -- arc statistics -----------------------------------------------------------------
 
 

@@ -33,7 +33,7 @@ class ExtRat:
             self._v = value._v
         elif isinstance(value, str):
             s = value.strip().lower()
-            self._v = None if s in ("inf", "+inf", "infinity") else Fraction(s)
+            self._v = None if s in ("inf", "+inf", "infinity") else parse_rational(s)
         elif isinstance(value, (int, Fraction)):
             self._v = Fraction(value)
         else:

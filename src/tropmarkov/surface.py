@@ -11,6 +11,10 @@ zero set of the level function f0 = min(seven non-cubic monomials) - (x1+x2+x3).
 This module provides membership tests, the cell decomposition of the skeleton,
 ray thresholds, the foliation of R^3 by level sets of f0, and the involutions'
 fixed-set parametrization.
+
++infinity enters only through the parameters, where it drops a monomial, so
+f0 and f are exact rationals at every point; ExtRat appears only in the
+formulas that combine parameters (thresholds, interiors, lifts, fixed sets).
 """
 
 from __future__ import annotations
@@ -112,29 +116,29 @@ class Params:
         return ",".join(str(v) for v in (self.a, self.b, self.c, self.d))
 
 
-def _monomial_values(params: Params, x: Point3) -> dict[CellId, ExtRat]:
+def _monomial_values(params: Params, x: Point3) -> dict[CellId, Fraction]:
+    """The finite non-cubic monomials of f at x, keyed by the cell each one ties.
+
+    The only place the polynomial is written.  An infinite coefficient drops
+    its monomial; the squares are always finite, so every minimum is rational.
+    """
     x1, x2, x3 = x
-    return {
-        CellId.X1SQ: ExtRat(2 * x1),
-        CellId.X2SQ: ExtRat(2 * x2),
-        CellId.X3SQ: ExtRat(2 * x3),
-        CellId.AX1: params.a + x1,
-        CellId.BX2: params.b + x2,
-        CellId.CX3: params.c + x3,
-        CellId.D: params.d,
-    }
+    values = {CellId.X1SQ: 2 * x1, CellId.X2SQ: 2 * x2, CellId.X3SQ: 2 * x3}
+    for cell, coeff, xi in ((CellId.AX1, params.a, x1), (CellId.BX2, params.b, x2),
+                            (CellId.CX3, params.c, x3), (CellId.D, params.d, 0)):
+        if not coeff.is_infinite:
+            values[cell] = coeff.finite + xi
+    return values
 
 
-def trop_poly_f(params: Params, x: Point3) -> ExtRat:
+def trop_poly_f(params: Params, x: Point3) -> Fraction:
     """The eight-term tropical polynomial of the Markov cubic at x."""
-    values = list(_monomial_values(params, x).values())
-    values.append(ExtRat(sum(x)))
-    return ext_min(values)
+    return min(*_monomial_values(params, x).values(), sum(x))
 
 
-def f0(params: Params, x: Point3) -> ExtRat:
+def f0(params: Params, x: Point3) -> Fraction:
     """Skeleton level function: min of the seven non-cubic monomials minus x1+x2+x3."""
-    return ext_min(_monomial_values(params, x).values()) - sum(x)
+    return min(_monomial_values(params, x).values()) - sum(x)
 
 
 def on_skeleton(params: Params, x: Point3) -> bool:
@@ -143,18 +147,16 @@ def on_skeleton(params: Params, x: Point3) -> bool:
 
 def in_tropicalization(params: Params, x: Point3) -> bool:
     """Kapranov membership: the tropical minimum is attained by at least two monomials."""
-    values = list(_monomial_values(params, x).values())
-    values.append(ExtRat(sum(x)))
-    m = ext_min(values)
-    return sum(1 for v in values if v == m) >= 2
+    values = [*_monomial_values(params, x).values(), sum(x)]
+    return values.count(min(values)) >= 2
 
 
 def cells_of(params: Params, x: Point3) -> set[CellId]:
     """Cells of the skeleton containing x (nonempty; singleton iff x is interior)."""
-    if not on_skeleton(params, x):
-        raise DomainError(f"point {x} is not on the skeleton of {params}")
     s = sum(x)
     values = _monomial_values(params, x)
+    if min(values.values()) != s:
+        raise DomainError(f"point {x} is not on the skeleton of {params}")
     return {cell for cell, v in values.items() if v == s}
 
 

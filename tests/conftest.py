@@ -6,8 +6,64 @@ functions they are used to check.
 
 from fractions import Fraction
 
-from tropmarkov.surface import QUADRATIC_CELLS, cells_of, on_boundary_ray
+from tropmarkov.errors import DomainError, UsageError
+from tropmarkov.scalars import ExtRat, ext_min
+from tropmarkov.surface import CellId, QUADRATIC_CELLS, cells_of, on_boundary_ray
 from tropmarkov.dynamics import trop_vieta
+
+
+# -- the tropical Markov polynomial over ExtRat, monomial by monomial ------------
+
+
+def oracle_monomials(params, x) -> dict:
+    """All seven non-cubic monomials as ExtRat, +infinity included."""
+    x1, x2, x3 = x
+    return {
+        CellId.X1SQ: ExtRat(2 * x1),
+        CellId.X2SQ: ExtRat(2 * x2),
+        CellId.X3SQ: ExtRat(2 * x3),
+        CellId.AX1: params.a + x1,
+        CellId.BX2: params.b + x2,
+        CellId.CX3: params.c + x3,
+        CellId.D: params.d,
+    }
+
+
+def oracle_trop_poly_f(params, x) -> ExtRat:
+    return ext_min([*oracle_monomials(params, x).values(), ExtRat(sum(x))])
+
+
+def oracle_f0(params, x) -> ExtRat:
+    return ext_min(oracle_monomials(params, x).values()) - sum(x)
+
+
+def oracle_in_tropicalization(params, x) -> bool:
+    values = [*oracle_monomials(params, x).values(), ExtRat(sum(x))]
+    m = ext_min(values)
+    return sum(1 for v in values if v == m) >= 2
+
+
+def oracle_cells_of(params, x) -> set:
+    if oracle_f0(params, x) != 0:
+        raise DomainError(f"point {x} is not on the skeleton of {params}")
+    s = sum(x)
+    return {cell for cell, v in oracle_monomials(params, x).items() if v == s}
+
+
+def oracle_trop_vieta(params, i, x):
+    """trop(s_i) with the five monomials free of x_i written out per generator."""
+    x1, x2, x3 = x
+    a, b, c, d = params.a, params.b, params.c, params.d
+    if i == 1:
+        m = ext_min((ExtRat(2 * x2), ExtRat(2 * x3), b + x2, c + x3, d)).finite
+        return (m - x1, x2, x3)
+    if i == 2:
+        m = ext_min((ExtRat(2 * x1), ExtRat(2 * x3), a + x1, c + x3, d)).finite
+        return (x1, m - x2, x3)
+    if i == 3:
+        m = ext_min((ExtRat(2 * x1), ExtRat(2 * x2), a + x1, b + x2, d)).finite
+        return (x1, x2, m - x3)
+    raise UsageError(f"generator index must be 1, 2 or 3, got {i}")
 
 
 def orbit_reaches_ray(params, x, budget=4000) -> bool:

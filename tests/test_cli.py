@@ -30,8 +30,15 @@ class TestClassifyCommand:
         assert "error" in err
 
     def test_usage_error_exit_code(self, capsys):
-        code, _, err = run_cli(capsys, "classify", "--params", "inf,inf,inf")
-        assert code == 3
+        for argv in (
+            ("classify", "--params", "inf,inf,inf"),
+            ("fatou", "--params", "1/0,0,0,-1"),
+            ("fatou", "--params", "abc,0,0,-1"),
+            ("reduce", "--params", "inf,inf,inf,-2", "--point", "-2,-3,-5", "--max-steps", "-1"),
+        ):
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 3, argv
+            assert "usage error" in err
 
 
 class TestPingpongCommand:

@@ -188,6 +188,12 @@ class TestGreedyPath:
     def test_off_skeleton_rejected(self):
         with pytest.raises(DomainError):
             greedy_path(PT, pt(1, 1, 1))
+        with pytest.raises(DomainError):
+            greedy_path(PT, pt(1, 1, 1), max_steps=0)
+
+    def test_negative_budget_rejected(self):
+        with pytest.raises(UsageError):
+            greedy_path(PT, pt(-2, -3, -5), max_steps=-1)
 
     def test_exhausted_with_tiny_budget(self):
         trace = greedy_path(PT, pt(-20, -30, -50), max_steps=1)

@@ -52,6 +52,11 @@ class TestExtRat:
         assert str(INF) == "inf"
         assert str(ExtRat(Fraction(-3, 2))) == "-3/2"
 
+    @pytest.mark.parametrize("text", ["abc", "1/0", ""])
+    def test_malformed_string_is_usage_error(self, text):
+        with pytest.raises(UsageError):
+            ExtRat(text)
+
     @given(rationals, rationals)
     def test_order_matches_fractions(self, x, y):
         assert (ExtRat(x) < ExtRat(y)) == (x < y)

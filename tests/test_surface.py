@@ -28,6 +28,14 @@ from tropmarkov.surface import (
 )
 from tropmarkov.dynamics import trop_vieta
 
+from conftest import (
+    oracle_cells_of,
+    oracle_f0,
+    oracle_in_tropicalization,
+    oracle_trop_poly_f,
+    oracle_trop_vieta,
+)
+
 F = Fraction
 PT = Params.parse("inf,inf,inf,-2")  # punctured-torus style parameters
 
@@ -59,6 +67,36 @@ class TestTropPolynomial:
         assert in_tropicalization(PT, x)
         assert not on_skeleton(PT, x)
         assert not in_tropicalization(PT, pt(1, 1, 1))
+
+
+class TestAgainstExtRatOracle:
+    """The finite-monomial evaluators against the seven-ExtRat-monomial oracle.
+
+    The involution law alone cannot catch a dropped or extra monomial: any
+    x_i -> m - x_i with m free of x_i is an involution.
+    """
+
+    small = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+    @given(st.integers(min_value=0, max_value=2**16), small, small, small)
+    @settings(max_examples=200)
+    def test_evaluators_on_r3(self, seed, x1, x2, x3):
+        params = random_params(random.Random(seed))
+        x = (x1, x2, x3)
+        level, poly = f0(params, x), trop_poly_f(params, x)
+        assert type(level) is Fraction and level == oracle_f0(params, x)
+        assert type(poly) is Fraction and poly == oracle_trop_poly_f(params, x)
+        assert in_tropicalization(params, x) == oracle_in_tropicalization(params, x)
+        assert on_skeleton(params, x) == (oracle_f0(params, x) == 0)
+        for i in (1, 2, 3):
+            assert trop_vieta(params, i, x) == oracle_trop_vieta(params, i, x)
+
+    @given(st.integers(min_value=0, max_value=2**16), small, small)
+    @settings(max_examples=200)
+    def test_cells_on_skeleton(self, seed, v1, v2):
+        params = random_params(random.Random(seed))
+        x = lift_from_plane(params, 0, plane_point(v1, v2))
+        assert cells_of(params, x) == oracle_cells_of(params, x)
 
 
 class TestCells:
