@@ -7,7 +7,7 @@ pinned in tests/test_acceptance.py.
 
 import argparse
 
-from tropmarkov.hyperbolic import partial_orbit_boundary, partial_orbit_skeleton, partition_stats
+from tropmarkov.hyperbolic import partition_table
 
 
 def main():
@@ -15,16 +15,13 @@ def main():
     parser.add_argument("--depth", type=int, default=10)
     args = parser.parse_args()
 
-    for side, orbit in (("boundary", partial_orbit_boundary),
-                        ("skeleton", partial_orbit_skeleton)):
+    for side in ("boundary", "skeleton"):
         print(f"# {side}")
         print("n,count,delta,Delta")
-        bigs = []
-        for n in range(args.depth + 1):
-            delta, big = partition_stats(n, side)
-            bigs.append(big)
-            print(f"{n},{len(orbit(n))},{delta:.12f},{big:.12f}")
-        print(f"# Delta({args.depth})/Delta(0) = {bigs[-1] / bigs[0]!r}")
+        table = partition_table(args.depth, side)
+        for n, (count, delta, big) in enumerate(table):
+            print(f"{n},{count},{delta:.12f},{big:.12f}")
+        print(f"# Delta({args.depth})/Delta(0) = {table[-1][2] / table[0][2]!r}")
         print()
 
 

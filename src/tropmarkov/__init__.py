@@ -61,6 +61,7 @@ from .hyperbolic import (
     partial_orbit_boundary,
     partial_orbit_skeleton,
     partition_stats,
+    partition_table,
     reduce_to_nets,
     reflect_boundary,
 )

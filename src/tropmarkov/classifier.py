@@ -16,17 +16,11 @@ from fractions import Fraction
 from .errors import DomainError, UsageError
 from .scalars import ExtRat, continued_fraction, thomae_gcd
 from .surface import (
-    CELL_ORDER,
     CellId,
     Params,
     Point3,
-    QUADRATIC_CELLS,
-    SUBQUADRATIC_CELLS,
-    cells_of,
     is_meromorphic,
     nxt,
-    on_boundary_ray,
-    on_skeleton,
     quadratic_cell,
     thresholds,
 )
@@ -151,39 +145,32 @@ def _mod3(i: int) -> int:
 
 def classify(params: Params, x: Point3) -> ClassifyReport:
     """Decide membership of x in the dense orbit U of the central table."""
-    if not on_skeleton(params, x):
-        raise DomainError(f"point {x} is not on the skeleton of {params}")
     if not is_meromorphic(params):
         raise DomainError("the exception set is a meromorphic-parameter object")
+    trace = greedy_path(params, x)  # its first cells_of is the skeleton check
     gamma = gamma_of(x)
-    for i in (1, 2, 3):
-        if on_boundary_ray(params, i, x):
-            t = x[1] if i == 1 else x[0]
-            return ClassifyReport(
-                cell=quadratic_cell(nxt(i)), slope=ExtRat.infinity(), gamma=gamma,
-                delta=None, relevant_ray=i, in_U=False, certificate=Word(),
-                ray_parameter=t,
-            )
-    cells = cells_of(params, x)
-    sub = [c for c in CELL_ORDER if c in cells and c in SUBQUADRATIC_CELLS]
-    if sub:
+    if trace.word.is_identity and trace.kind == "ray":
+        i = trace.ray_index
+        t = x[1] if i == 1 else x[0]
         return ClassifyReport(
-            cell=sub[0], slope=None, gamma=gamma, delta=None, relevant_ray=None,
+            cell=quadratic_cell(nxt(i)), slope=ExtRat.infinity(), gamma=gamma,
+            delta=None, relevant_ray=i, in_U=False, certificate=Word(),
+            ray_parameter=t,
+        )
+    if trace.word.is_identity:
+        return ClassifyReport(
+            cell=trace.cell, slope=None, gamma=gamma, delta=None, relevant_ray=None,
             in_U=True, certificate=Word(),
         )
-    quads = [c for c in cells if c in QUADRATIC_CELLS]
-    assert len(quads) == 1, "multi-quadratic points are ray points"
-    i = QUADRATIC_CELLS.index(quads[0]) + 1
+    i = trace.word.letters[-1]  # the reflection of the quadratic cell holding x
     u1, u2 = u_coords(i, x)
     m = u2 / u1
     delta = index_shift_cf(m)
     ray = _mod3(i + delta - 1)
     theta = thresholds(params)[ray - 1]
-    in_u = gamma < -theta.finite
-    cert = greedy_path(params, x).word
     return ClassifyReport(
-        cell=quads[0], slope=ExtRat(m), gamma=gamma, delta=delta,
-        relevant_ray=ray, in_U=in_u, certificate=cert,
+        cell=quadratic_cell(i), slope=ExtRat(m), gamma=gamma, delta=delta,
+        relevant_ray=ray, in_U=gamma < -theta.finite, certificate=trace.word,
     )
 
 
@@ -214,6 +201,8 @@ def exception_rays_punctured(d, height: int) -> list[Point3]:
     d = Fraction(d)
     if d >= 0:
         raise DomainError("punctured-torus parameters require d < 0")
+    if height < 0:
+        raise UsageError(f"height must be nonnegative, got {height}")
     half = d / 2
     seen: set[Point3] = set()
     for p, q in _coprime_pairs(height):

@@ -217,14 +217,9 @@ def _cmd_tessellation(args) -> str:
 
 def _cmd_pingpong(args) -> str:
     if args.stats:
-        rows = []
-        for n in range(args.depth + 1):
-            if args.side == "boundary":
-                count = len(hyperbolic.partial_orbit_boundary(n))
-            else:
-                count = len(hyperbolic.partial_orbit_skeleton(n))
-            delta, big_delta = hyperbolic.partition_stats(n, args.side)
-            rows.append([n, count, f"{delta:.12f}", f"{big_delta:.12f}"])
+        table = hyperbolic.partition_table(args.depth, args.side)
+        rows = [[n, count, f"{delta:.12f}", f"{big_delta:.12f}"]
+                for n, (count, delta, big_delta) in enumerate(table)]
         return _csv_text(["n", "count", "delta", "Delta"], rows)
     if args.side == "boundary":
         rows = [[p, q] for p, q in hyperbolic.partial_orbit_boundary(args.depth)]

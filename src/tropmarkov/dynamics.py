@@ -255,6 +255,8 @@ def greedy_path(params: Params, x: Point3, max_steps: int | None = None) -> Gree
         if sub:
             return GreedyTrace(x, Word(tuple(reversed(applied))), cur, "subquadratic",
                                cell=sub[0], steps=step)
+        if step == max_steps:
+            break
         i = QUADRATIC_CELLS.index(next(iter(quads))) + 1
         applied.append(i)
         cur = trop_vieta(params, i, cur)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cmp_to_key
 from typing import Callable, Iterable
 
 from .errors import DomainError, ResourceError, UsageError
@@ -114,20 +113,23 @@ def reduce_to_nets(x: BPoint) -> tuple[Word, BPoint]:
 # -- partial orbits ----------------------------------------------------------------
 
 
-def _orbit_levels(nets: dict[int, object], act: Callable, n: int) -> list[set]:
-    """Level sets of the partial orbits: new points reached at each word length."""
-    seen = set(nets.values())
-    levels = [set(nets.values())]
+def _tower(nets: dict[int, object], act: Callable, n: int) -> list:
+    """Orbit points of the labels of length <= n, in label order.
+
+    A label is a net i and a word applied to it, reduced modulo the net's
+    stabiliser (the two other reflections): the word is empty or starts with
+    i, and no letter repeats the one before it.  Labels are listed by length,
+    then by net and letters, so the first 3 * 2^k points are the labels of
+    length <= k and two towers list the same label at the same position.
+    Each point costs one ``act`` on its parent's point.
+    """
+    frontier = [((i,), nets[i]) for i in (1, 2, 3)]  # (next letters, point)
+    points = [x for _, x in frontier]
     for _ in range(n):
-        fresh = set()
-        for x in levels[-1]:
-            for i in (1, 2, 3):
-                y = act(i, x)
-                if y not in seen:
-                    fresh.add(y)
-                    seen.add(y)
-        levels.append(fresh)
-    return levels
+        frontier = [(tuple(h for h in (1, 2, 3) if h != g), act(g, x))
+                    for letters, x in frontier for g in letters]
+        points.extend(x for _, x in frontier)
+    return points
 
 
 def _check_depth(n: int, bound: int):
@@ -148,9 +150,7 @@ def partial_orbit_boundary(n: int, bound: int = DEPTH_BOUND) -> list[BPoint]:
     """The 3 * 2^n distinct orbit points of the nets under words of length <= n,
     in circular order on the boundary circle."""
     _check_depth(n, bound)
-    levels = _orbit_levels(BOUNDARY_NETS, reflect_boundary, n)
-    points = [x for level in levels for x in level]
-    return sorted(points, key=_boundary_cyclic_key)
+    return sorted(set(_tower(BOUNDARY_NETS, reflect_boundary, n)), key=_boundary_cyclic_key)
 
 
 CirclePointS = tuple[Fraction, Fraction, Fraction]
@@ -180,27 +180,22 @@ def _plane_xy(x: CirclePointS) -> tuple[Fraction, Fraction]:
     return (e[0] - e[1], e[0] + e[1] - 2 * e[2])
 
 
-def _angular_cmp(u, v) -> int:
-    up, uq = u
-    vp, vq = v
-    uh = 0 if (uq > 0 or (uq == 0 and up > 0)) else 1
-    vh = 0 if (vq > 0 or (vq == 0 and vp > 0)) else 1
-    if uh != vh:
-        return -1 if uh < vh else 1
-    cross = up * vq - uq * vp
-    return 0 if cross == 0 else (-1 if cross > 0 else 1)
+def _skeleton_key(x: CirclePointS):
+    """Exact angle order of the plane image (p, q): half-plane [0, pi) first,
+    then the point on the p-axis, then decreasing cotangent p/q."""
+    p, q = _plane_xy(x)
+    return (0 if q > 0 or (q == 0 and p > 0) else 1, q != 0, -p / q if q else 0)
 
 
 def _skeleton_sorted(points: Iterable[CirclePointS]) -> list[CirclePointS]:
-    return sorted(points, key=cmp_to_key(lambda a, b: _angular_cmp(_plane_xy(a), _plane_xy(b))))
+    return sorted(points, key=_skeleton_key)
 
 
 def partial_orbit_skeleton(n: int, bound: int = DEPTH_BOUND) -> list[CirclePointS]:
     """Orbit of the ray directions on the circle of directions of the fully
     degenerate skeleton, in circular order."""
     _check_depth(n, bound)
-    levels = _orbit_levels(SKELETON_NETS, skeleton_direction_act, n)
-    return _skeleton_sorted(x for level in levels for x in level)
+    return _skeleton_sorted(set(_tower(SKELETON_NETS, skeleton_direction_act, n)))
 
 
 # -- arc statistics -----------------------------------------------------------------
@@ -223,53 +218,31 @@ def _gap_lengths(angles: list[float]) -> list[float]:
     return gaps
 
 
-def partition_stats(n: int, side: str, bound: int = DEPTH_BOUND) -> tuple[float, float]:
-    """(min, max) arc length between adjacent orbit points at depth n."""
+def partition_table(n: int, side: str,
+                    bound: int = DEPTH_BOUND) -> list[tuple[int, float, float]]:
+    """Rows (count, min, max) of the arc lengths between adjacent orbit points
+    at depths k = 0..n, all read from one depth-n tower."""
     if side == "boundary":
-        angles = [boundary_angle(x) for x in partial_orbit_boundary(n, bound)]
+        nets, act, angle = BOUNDARY_NETS, reflect_boundary, boundary_angle
     elif side == "skeleton":
-        angles = [skeleton_angle(x) for x in partial_orbit_skeleton(n, bound)]
+        nets, act, angle = SKELETON_NETS, skeleton_direction_act, skeleton_angle
     else:
         raise UsageError(f"side must be 'boundary' or 'skeleton', got {side!r}")
-    gaps = _gap_lengths(angles)
-    return (min(gaps), max(gaps))
+    _check_depth(n, bound)
+    angles = [angle(x) for x in _tower(nets, act, n)]
+    rows = []
+    for k in range(n + 1):
+        gaps = _gap_lengths(angles[:3 << k])  # the depth-k orbit
+        rows.append((3 << k, min(gaps), max(gaps)))
+    return rows
+
+
+def partition_stats(n: int, side: str, bound: int = DEPTH_BOUND) -> tuple[float, float]:
+    """(min, max) arc length between adjacent orbit points at depth n."""
+    return partition_table(n, side, bound)[-1][1:]
 
 
 # -- order comparison ----------------------------------------------------------------
-
-
-Label = tuple[int, tuple[int, ...]]
-
-
-def _labels(n: int) -> list[Label]:
-    """Canonical labels (net index, word in applied order) of the depth-n orbit.
-
-    Words are reduced modulo the net's stabiliser: empty, or starting with the
-    net's own reflection index.
-    """
-    out: list[Label] = [(i, ()) for i in (1, 2, 3)]
-    frontier = out[:]
-    for _ in range(n):
-        fresh = []
-        for i, word in frontier:
-            last = word[-1] if word else None
-            for g in (1, 2, 3):
-                if word == () and g != i:
-                    continue  # stabiliser letters act trivially on the net
-                if g == last:
-                    continue
-                fresh.append((i, word + (g,)))
-        out.extend(fresh)
-        frontier = fresh
-    return out
-
-
-def _realise(label: Label, nets: dict[int, object], act: Callable):
-    i, word = label
-    x = nets[i]
-    for g in word:
-        x = act(g, x)
-    return x
 
 
 def _cyclic_match(seq_a: list, seq_b: list) -> bool:
@@ -292,13 +265,12 @@ def order_isomorphism_check(n: int, net_order: tuple[int, int, int] = (1, 2, 3),
     cyclic-order isomorphism.  ``net_order`` permutes which skeleton net each
     boundary net is matched with; the identity is the faithful pairing."""
     _check_depth(n, bound)
-    labels = _labels(n)
     skel_nets = {i: SKELETON_NETS[net_order[i - 1]] for i in (1, 2, 3)}
-    bnd = {lab: _realise(lab, BOUNDARY_NETS, reflect_boundary) for lab in labels}
-    skl = {lab: _realise(lab, skel_nets, skeleton_direction_act) for lab in labels}
-    if len(set(bnd.values())) != len(labels) or len(set(skl.values())) != len(labels):
+    # Both towers list the labels in one order, so a position is a label.
+    bnd = _tower(BOUNDARY_NETS, reflect_boundary, n)
+    skl = _tower(skel_nets, skeleton_direction_act, n)
+    if len(set(bnd)) != len(bnd) or len(set(skl)) != len(skl):
         return False
-    seq_b = sorted(labels, key=lambda lab: _boundary_cyclic_key(bnd[lab]))
-    order_s = {pt: k for k, pt in enumerate(_skeleton_sorted(skl.values()))}
-    seq_s = sorted(labels, key=lambda lab: order_s[skl[lab]])
+    seq_b = sorted(range(len(bnd)), key=lambda k: _boundary_cyclic_key(bnd[k]))
+    seq_s = sorted(range(len(skl)), key=lambda k: _skeleton_key(skl[k]))
     return _cyclic_match(seq_b, seq_s)

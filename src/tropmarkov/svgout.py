@@ -9,7 +9,7 @@ from fractions import Fraction
 from .errors import UsageError
 from .surface import CellId, Params, lift_from_plane, cells_of, plane_point
 from .classifier import table_orbit_triangles
-from .hyperbolic import BOUNDARY_NETS, boundary_angle, reflect_boundary
+from .hyperbolic import BOUNDARY_NETS, DEPTH_BOUND, _check_depth, boundary_angle, reflect_boundary
 
 _CELL_COLORS = {
     CellId.X1SQ: "#c6dbef",
@@ -129,6 +129,7 @@ def _geodesic_points(th1: float, th2: float, radius: float, center: float,
 def tessellation_svg(depth: int) -> str:
     """Orbit of the ideal triangle with vertices 0, 1, infinity, drawn in the
     unit disk via the inverse stereographic chart."""
+    _check_depth(depth, DEPTH_BOUND)
     size = 480.0
     center = size / 2
     radius = size / 2 - 10

@@ -5,6 +5,7 @@ functions they are used to check.
 """
 
 from fractions import Fraction
+from itertools import product
 
 from tropmarkov.errors import DomainError, UsageError
 from tropmarkov.scalars import ExtRat, ext_min
@@ -64,6 +65,40 @@ def oracle_trop_vieta(params, i, x):
         m = ext_min((ExtRat(2 * x1), ExtRat(2 * x2), a + x1, b + x2, d)).finite
         return (x1, x2, m - x3)
     raise UsageError(f"generator index must be 1, 2 or 3, got {i}")
+
+
+# -- orbit labels and circle order, as the seed built them ------------------------
+
+
+def oracle_angular_cmp(u, v) -> int:
+    """Three-way angle comparison of plane vectors, counterclockwise from the
+    positive first axis, by half-plane and then the sign of the cross product."""
+    up, uq = u
+    vp, vq = v
+    uh = 0 if (uq > 0 or (uq == 0 and up > 0)) else 1
+    vh = 0 if (vq > 0 or (vq == 0 and vp > 0)) else 1
+    if uh != vh:
+        return -1 if uh < vh else 1
+    cross = up * vq - uq * vp
+    return 0 if cross == 0 else (-1 if cross > 0 else 1)
+
+
+def oracle_labels(n: int) -> list:
+    """Labels (net i, word in applied order) of length <= n: the word is empty
+    or starts with i, and no letter repeats the one before it; listed by
+    length, then net, then letters."""
+    return [(i, word) for k in range(n + 1) for i in (1, 2, 3)
+            for word in product((1, 2, 3), repeat=k)
+            if (not word or word[0] == i) and all(a != b for a, b in zip(word, word[1:]))]
+
+
+def oracle_realise(label, nets: dict, act):
+    """Replay a label's word from its net, one act per letter."""
+    i, word = label
+    x = nets[i]
+    for g in word:
+        x = act(g, x)
+    return x
 
 
 def orbit_reaches_ray(params, x, budget=4000) -> bool:

@@ -29,16 +29,27 @@ class TestClassifyCommand:
         assert code == 2
         assert "error" in err
 
-    def test_usage_error_exit_code(self, capsys):
+    def test_usage_error_exit_code(self, capsys, tmp_path):
         for argv in (
             ("classify", "--params", "inf,inf,inf"),
             ("fatou", "--params", "1/0,0,0,-1"),
             ("fatou", "--params", "abc,0,0,-1"),
             ("reduce", "--params", "inf,inf,inf,-2", "--point", "-2,-3,-5", "--max-steps", "-1"),
+            ("tessellation", "--depth", "-1", "--svg", str(tmp_path / "t.svg")),
+            ("rays", "--d", "-2", "--height", "-1"),
         ):
-            code, _, err = run_cli(capsys, *argv)
+            code, out, err = run_cli(capsys, *argv)
             assert code == 3, argv
-            assert "usage error" in err
+            assert "usage error" in err and out == ""
+        assert not (tmp_path / "t.svg").exists()
+
+
+    def test_resource_error_exit_code(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys, "tessellation", "--depth", "17", "--svg", str(tmp_path / "t.svg"))
+        assert code == 2
+        assert "exceeds the configured bound" in err
+        assert not (tmp_path / "t.svg").exists()
 
 
 class TestPingpongCommand:
@@ -83,6 +94,15 @@ class TestOrbitAndReduce:
         assert payload["kind"] == "ray"
         assert payload["ray_index"] == 1
         assert payload["word"] == "s1 s2 s3"
+
+    def test_reduce_budget(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "reduce", "--params", "inf,inf,inf,-2", "--point", "-2,-3,-5",
+            "--max-steps", "1")
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["kind"] == "exhausted"
+        assert payload["word"] == "s3" and payload["steps"] == 1
 
 
 class TestDataCommands:

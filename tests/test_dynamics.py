@@ -195,6 +195,14 @@ class TestGreedyPath:
         with pytest.raises(UsageError):
             greedy_path(PT, pt(-2, -3, -5), max_steps=-1)
 
+    def test_budget_bounds_reflections(self):
+        for k in (0, 1, 2):
+            trace = greedy_path(PT, pt(-2, -3, -5), max_steps=k)
+            assert trace.kind == "exhausted"
+            assert len(trace.word) == trace.steps <= k
+            assert apply_word(PT, trace.word, trace.start) == trace.terminal
+        assert greedy_path(PT, pt(-2, -3, -5), max_steps=3).kind == "ray"
+
     def test_exhausted_with_tiny_budget(self):
         trace = greedy_path(PT, pt(-20, -30, -50), max_steps=1)
         assert trace.kind == "exhausted"

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,6 +11,7 @@ from tropmarkov.hyperbolic import (
     BOUNDARY_NETS,
     SKELETON_NETS,
     apply_reflection_word,
+    boundary_angle,
     bpoint,
     bpoint_from_rational,
     height,
@@ -17,12 +19,18 @@ from tropmarkov.hyperbolic import (
     partial_orbit_boundary,
     partial_orbit_skeleton,
     partition_stats,
+    partition_table,
     reduce_to_nets,
     reflect_boundary,
+    skeleton_angle,
     skeleton_direction_act,
     _boundary_cyclic_key,
+    _plane_xy,
     _skeleton_sorted,
+    _tower,
 )
+
+from conftest import oracle_angular_cmp, oracle_labels, oracle_realise
 
 F = Fraction
 
@@ -184,3 +192,56 @@ class TestOrderIsomorphism:
         # Counting alone pins injectivity of the label realisation.
         assert len(partial_orbit_boundary(8)) == 3 * 2**8
         assert len(partial_orbit_skeleton(8)) == 3 * 2**8
+
+
+def _direction(a, b):
+    """The circle point whose plane image is a multiple of the difference
+    from the centre (-1/3, -1/3, -1/3) by (a, b, -a-b)."""
+    third = F(-1, 3)
+    return (third + a, third + b, third - a - b)
+
+
+def _oracle_skeleton_sorted(points):
+    return sorted(points, key=cmp_to_key(
+        lambda u, v: oracle_angular_cmp(_plane_xy(u), _plane_xy(v))))
+
+
+class TestAgainstSlowPaths:
+    """The labelled tower and the exact sort key against the seed's routes:
+    per-label word replay and the cross-product comparator."""
+
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+    def test_skeleton_order_on_orbits(self):
+        for n in range(7):
+            points = list(set(_tower(SKELETON_NETS, skeleton_direction_act, n)))
+            assert _skeleton_sorted(points) == _oracle_skeleton_sorted(points)
+
+    @given(st.lists(st.tuples(small, small).filter(lambda ab: ab != (0, 0)), max_size=30),
+           st.fractions(min_value=F(1, 6), max_value=3, max_denominator=6))
+    def test_skeleton_order_on_random_directions(self, pairs, t):
+        # (t, -t) and (-t, t) lie on the first plane axis (q == 0), on either
+        # side of the centre; the doubled pairs repeat a direction.
+        points = [_direction(a, b) for a, b in pairs]
+        points += [_direction(t, -t), _direction(-t, t)]
+        points += [_direction(2 * a, 2 * b) for a, b in pairs[:3]]
+        assert _skeleton_sorted(points) == _oracle_skeleton_sorted(points)
+
+    def test_tower_replays_labels(self):
+        for nets, act in ((BOUNDARY_NETS, reflect_boundary),
+                          (SKELETON_NETS, skeleton_direction_act)):
+            for n in range(7):
+                expected = [oracle_realise(label, nets, act) for label in oracle_labels(n)]
+                assert _tower(nets, act, n) == expected
+
+    def test_partition_table_matches_orbits(self):
+        for side, orbit, angle in (("boundary", partial_orbit_boundary, boundary_angle),
+                                   ("skeleton", partial_orbit_skeleton, skeleton_angle)):
+            rows = []
+            for k in range(9):
+                angles = sorted(angle(x) for x in orbit(k))
+                gaps = [b - a for a, b in zip(angles, angles[1:])]
+                gaps.append(2 * math.pi - (angles[-1] - angles[0]))
+                rows.append((3 * 2**k, min(gaps), max(gaps)))
+            for n in range(9):
+                assert partition_table(n, side) == rows[:n + 1]

@@ -19,10 +19,14 @@ from tropmarkov.surface import (
     is_meromorphic,
     level_set_shift,
     lift_from_plane,
+    nxt,
     on_boundary_ray,
     on_skeleton,
     plane_point,
     project_to_plane,
+    prv,
+    quadratic_cell,
+    ray_point,
     thresholds,
     trop_poly_f,
 )
@@ -220,6 +224,20 @@ class TestThresholdsAndRays:
         params = Params.parse("-4,inf,1/2,-2")
         t = thresholds(params)[2].finite - 1
         assert on_boundary_ray(params, 3, pt(t, t, 0))
+
+    @given(st.integers(min_value=0, max_value=2**16), st.sampled_from((1, 2, 3)),
+           st.fractions(min_value=0, max_value=6, max_denominator=4))
+    @settings(max_examples=200)
+    def test_ray_iff_both_other_squares(self, seed, i, below):
+        # classify reads ray membership off the cells through greedy_path.
+        rng = random.Random(seed)
+        params = random_params(rng)
+        t = thresholds(params)[i - 1].finite - below
+        for x in (ray_point(i, t), random_skeleton_point(rng, params)):
+            cells = cells_of(params, x)
+            for j in (1, 2, 3):
+                pair = {quadratic_cell(nxt(j)), quadratic_cell(prv(j))}
+                assert on_boundary_ray(params, j, x) == (pair <= cells)
 
     def test_ray_points_lie_on_skeleton(self):
         rng = random.Random(3)
