@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DomainError, UsageError
+from .errors import DomainError, ResourceError, UsageError
 from .laurent import LaurentPoly
 from .scalars import ExtRat, ext_min, is_prime, p_adic_valuation
 from .surface import CellId, Params, Point3, cell_has_interior, cells_of, on_skeleton
@@ -189,6 +189,10 @@ def matrix_divergence(signs: Sequence[int]) -> list[int]:
 
 # -- Z[1/p]-points on the compact component ------------------------------------------
 
+# Largest half-width of the integer box |n_i| <= nmax that enumerate_zp_points
+# searches; its loop is cubic in nmax.  256 admits K = 14 at p = 2 (nmax 221).
+ZP_BOX_BOUND = 256
+
 
 @dataclass(frozen=True)
 class ZpPoint:
@@ -222,6 +226,7 @@ def enumerate_zp_points(p: int, D) -> list[ZpPoint]:
     denominator p^K with K = -v_p(D); the surface equation scaled by p^(3K)
     becomes the integer identity p^K (n1^2+n2^2+n3^2) + n1 n2 n3 = D p^(3K),
     and the exponent box is equivalent to n_i nonzero and p^K not dividing n_i.
+    A box half-width beyond ZP_BOX_BOUND raises ResourceError.
     """
     if not is_prime(p):
         raise UsageError(f"{p} is not prime")
@@ -237,6 +242,9 @@ def enumerate_zp_points(p: int, D) -> list[ZpPoint]:
     nmax = math.isqrt(ball)
     if nmax * nmax >= ball:
         nmax -= 1
+    if nmax > ZP_BOX_BOUND:
+        raise ResourceError(
+            f"enumeration box half-width {nmax} exceeds the configured bound {ZP_BOX_BOUND}")
     allowed = [n for n in range(-nmax, nmax + 1) if n != 0 and n % pk != 0]
     out = []
     for n1 in allowed:

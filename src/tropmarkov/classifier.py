@@ -34,6 +34,7 @@ from .dynamics import (
     transit_matrix,
     u_coords,
 )
+from .hyperbolic import DEPTH_BOUND, _check_depth
 
 _STEP_GUARD = 8
 
@@ -86,7 +87,7 @@ def _finite_positive_slope(m, op: str) -> Fraction:
 def stopping_time(m) -> int:
     """Least j > 0 with T^j(m) equal to 0 or infinity; equals the sum of the
     continued-fraction terms of m."""
-    return len(_t_orbit(_finite_positive_slope(m, "stopping time")))
+    return sum(continued_fraction(_finite_positive_slope(m, "stopping time")).terms)
 
 
 def index_shift_bruteforce(m) -> int:
@@ -102,11 +103,8 @@ def _sign_pow(exponent: int) -> int:
 def index_shift_cf(m) -> int:
     """Index shift by the continued-fraction formula
     1 + parity(A'(l)) + sum_{k<l} (-1)^(A'(k)) with A'(k) the partial sums of
-    (a_j - 1); delegates m = 1 (and bad inputs) to the brute force."""
-    v = _finite_positive_slope(m, "index shift")
-    if v == 1:
-        return index_shift_bruteforce(v)
-    cf = continued_fraction(v)
+    (a_j - 1)."""
+    cf = continued_fraction(_finite_positive_slope(m, "index shift"))
     aprime = []
     acc = 0
     for a in cf.terms:
@@ -177,12 +175,18 @@ def classify(params: Params, x: Point3) -> ClassifyReport:
 # -- punctured-torus specialisations ---------------------------------------------
 
 
-def punctured_torus_in_U(d, x: Point3) -> bool:
-    """For parameters (inf, inf, inf, d) with d < 0: x is in U iff the gcd of
-    its difference coordinates is below |d|/2."""
+def _punctured_d(d) -> Fraction:
+    """The parameter d of (inf, inf, inf, d), which must be negative."""
     d = Fraction(d)
     if d >= 0:
         raise DomainError("punctured-torus parameters require d < 0")
+    return d
+
+
+def punctured_torus_in_U(d, x: Point3) -> bool:
+    """For parameters (inf, inf, inf, d) with d < 0: x is in U iff the gcd of
+    its difference coordinates is below |d|/2."""
+    d = _punctured_d(d)
     return gamma_of(x) < abs(d) / 2
 
 
@@ -198,9 +202,7 @@ def _coprime_pairs(height: int):
 def exception_rays_punctured(d, height: int) -> list[Point3]:
     """Primitive generators (d/2)(q,p,p+q) and cyclic patterns over coprime
     pairs with max(p,q) <= height, deduplicated and sorted."""
-    d = Fraction(d)
-    if d >= 0:
-        raise DomainError("punctured-torus parameters require d < 0")
+    d = _punctured_d(d)
     if height < 0:
         raise UsageError(f"height must be nonnegative, got {height}")
     half = d / 2
@@ -213,9 +215,7 @@ def exception_rays_punctured(d, height: int) -> list[Point3]:
 
 def matches_exception_ray(d, x: Point3) -> bool:
     """Whether x lies on some ray R>=1 * (d/2) * pattern of the exception set."""
-    d = Fraction(d)
-    if d >= 0:
-        raise DomainError("punctured-torus parameters require d < 0")
+    d = _punctured_d(d)
     if all(c == 0 for c in x):
         return False
     half = abs(d) / 2
@@ -269,9 +269,11 @@ FAREY_ROOT = FareyTriple((0, 1), (1, 1), (1, 0))
 
 def farey_enumerate(depth: int) -> list[FareyTriple]:
     """All triples reachable from ((0,1),(1,1),(1,0)) by at most ``depth``
-    mediant subdivisions, in breadth-first order; 2^(depth+1) - 1 in total."""
+    mediant subdivisions, in breadth-first order; 2^(depth+1) - 1 in total.
+    A depth beyond DEPTH_BOUND raises ResourceError."""
     if depth < 0:
         raise UsageError("depth must be nonnegative")
+    _check_depth(depth, DEPTH_BOUND)
     out = [FAREY_ROOT]
     level = [FAREY_ROOT]
     for _ in range(depth):
@@ -309,9 +311,7 @@ def _factor_in_v_monoid(m: Matrix2) -> list[int]:
 def farey_triangle(triple: FareyTriple, i: int, d) -> tuple[Word, tuple[UVec, UVec, UVec]]:
     """Word whose image of the D cell is the u^i-triangle with vertices
     |d|/2 * (left, mid, right), together with those vertices."""
-    d = Fraction(d)
-    if d >= 0:
-        raise DomainError("punctured-torus parameters require d < 0")
+    d = _punctured_d(d)
     if i not in (1, 2, 3):
         raise UsageError(f"cell index must be 1, 2 or 3, got {i}")
     (al, be), (p, q), (ga, de) = triple.left, triple.mid, triple.right
@@ -343,12 +343,12 @@ _BASE_TRIANGLE = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)),
 
 def table_orbit_triangles(d, depth: int) -> dict[int, list[tuple[Word, tuple[UVec, UVec, UVec]]]]:
     """Images of the D-cell triangle under words of length <= depth, reported
-    per quadratic cell in the u-coordinates of the cell containing each image."""
-    d = Fraction(d)
-    if d >= 0:
-        raise DomainError("punctured-torus parameters require d < 0")
+    per quadratic cell in the u-coordinates of the cell containing each image.
+    A depth beyond DEPTH_BOUND raises ResourceError."""
+    d = _punctured_d(d)
     if depth < 1:
         raise UsageError("depth must be at least 1")
+    _check_depth(depth, DEPTH_BOUND)
     scale = abs(d) / 2
     out: dict[int, list] = {1: [], 2: [], 3: []}
     identity: Matrix2 = ((1, 0), (0, 1))

@@ -19,7 +19,7 @@ from fractions import Fraction
 from . import arithmetic, classifier, dynamics, hyperbolic, surface, svgout
 from .errors import DomainError, ResourceError, UsageError
 from .laurent import LaurentPoly
-from .scalars import ExtRat, parse_rational
+from .scalars import parse_rational
 from .surface import Params
 
 SCHEMA_VERSION = 1
@@ -36,11 +36,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _scalar_json(value):
-    if isinstance(value, ExtRat):
-        return str(value)
-    if isinstance(value, Fraction):
-        return str(value)
-    return value
+    return None if value is None else str(value)
 
 
 def _point_json(point):
@@ -68,13 +64,15 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 
 
 # -- subcommand bodies -----------------------------------------------------------
+# JSON bodies return their payload and main adds schema_version and command;
+# CSV and SVG bodies return text; bodies that write a file return None.
 
 
 def _grid_values(grid: int, span: Fraction) -> list[Fraction]:
     return [-span + 2 * span * Fraction(k, grid - 1) for k in range(grid)]
 
 
-def _cmd_skeleton_sample(args) -> str:
+def _cmd_skeleton_sample(args) -> dict | str:
     params = Params.parse(args.params)
     span = parse_rational(args.range)
     if args.grid < 2:
@@ -86,22 +84,13 @@ def _cmd_skeleton_sample(args) -> str:
             cells = sorted(c.value for c in surface.cells_of(params, x))
             rows.append((v1, v2, x, cells))
     if args.format == "json":
-        return _json_text(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "command": "skeleton-sample",
-                "params": str(params),
-                "rows": [
-                    {
-                        "v1": str(v1),
-                        "v2": str(v2),
-                        "point": _point_json(x),
-                        "cells": cells,
-                    }
-                    for v1, v2, x, cells in rows
-                ],
-            }
-        )
+        return {
+            "params": str(params),
+            "rows": [
+                {"v1": str(v1), "v2": str(v2), "point": _point_json(x), "cells": cells}
+                for v1, v2, x, cells in rows
+            ],
+        }
     return _csv_text(
         ["v1", "v2", "x1", "x2", "x3", "cells"],
         [[str(v1), str(v2), *(str(c) for c in x), "|".join(cells)]
@@ -114,7 +103,7 @@ def _cmd_skeleton_svg(args) -> str:
     return svgout.skeleton_svg(params, args.grid, parse_rational(args.range))
 
 
-def _cmd_orbit(args) -> str:
+def _cmd_orbit(args) -> dict:
     params = Params.parse(args.params)
     x = surface.parse_point(args.point)
     word = dynamics.Word.parse(args.word)
@@ -123,26 +112,20 @@ def _cmd_orbit(args) -> str:
     for g in word.applied_order():
         cur = dynamics.trop_vieta(params, g, cur)
         steps.append({"generator": f"s{g}", "point": _point_json(cur)})
-    return _json_text(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "command": "orbit",
-            "params": str(params),
-            "start": _point_json(x),
-            "word": str(word),
-            "steps": steps,
-            "final": _point_json(cur),
-        }
-    )
+    return {
+        "params": str(params),
+        "start": _point_json(x),
+        "word": str(word),
+        "steps": steps,
+        "final": _point_json(cur),
+    }
 
 
-def _cmd_reduce(args) -> str:
+def _cmd_reduce(args) -> dict:
     params = Params.parse(args.params)
     x = surface.parse_point(args.point)
     trace = dynamics.greedy_path(params, x, args.max_steps)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "reduce",
+    return {
         "params": str(params),
         "start": _point_json(trace.start),
         "word": str(trace.word),
@@ -152,29 +135,24 @@ def _cmd_reduce(args) -> str:
         "ray_index": trace.ray_index,
         "steps": trace.steps,
     }
-    return _json_text(payload)
 
 
-def _cmd_classify(args) -> str:
+def _cmd_classify(args) -> dict:
     params = Params.parse(args.params)
     x = surface.parse_point(args.point)
     report = classifier.classify(params, x)
-    return _json_text(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "command": "classify",
-            "params": str(params),
-            "point": _point_json(x),
-            "cell": report.cell.value,
-            "slope": _scalar_json(report.slope),
-            "gamma": str(report.gamma),
-            "delta": report.delta,
-            "relevant_ray": report.relevant_ray,
-            "in_U": report.in_U,
-            "certificate": str(report.certificate),
-            "ray_parameter": _scalar_json(report.ray_parameter),
-        }
-    )
+    return {
+        "params": str(params),
+        "point": _point_json(x),
+        "cell": report.cell.value,
+        "slope": _scalar_json(report.slope),
+        "gamma": str(report.gamma),
+        "delta": report.delta,
+        "relevant_ray": report.relevant_ray,
+        "in_U": report.in_U,
+        "certificate": str(report.certificate),
+        "ray_parameter": _scalar_json(report.ray_parameter),
+    }
 
 
 def _cmd_rays(args) -> str:
@@ -183,11 +161,11 @@ def _cmd_rays(args) -> str:
     return _csv_text(["g1", "g2", "g3"], [[str(c) for c in g] for g in gens])
 
 
-def _cmd_farey(args) -> str:
+def _cmd_farey(args) -> dict | None:
     d = parse_rational(args.d)
     if args.svg:
         _emit(svgout.farey_svg(d, args.depth), args.svg)
-        return ""
+        return None
     triples = classifier.farey_enumerate(args.depth)
     entries = []
     for t in triples:
@@ -199,20 +177,11 @@ def _cmd_farey(args) -> str:
                 "vertices": [[str(v[0]), str(v[1])] for v in verts],
             }
         )
-    return _json_text(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "command": "farey",
-            "d": str(d),
-            "cell": args.cell,
-            "triples": entries,
-        }
-    )
+    return {"d": str(d), "cell": args.cell, "triples": entries}
 
 
-def _cmd_tessellation(args) -> str:
+def _cmd_tessellation(args) -> None:
     _emit(svgout.tessellation_svg(args.depth), args.svg)
-    return ""
 
 
 def _cmd_pingpong(args) -> str:
@@ -228,22 +197,18 @@ def _cmd_pingpong(args) -> str:
     return _csv_text(["x1", "x2", "x3"], rows)
 
 
-def _cmd_fatou(args) -> str:
+def _cmd_fatou(args) -> dict:
     params = Params.parse(args.params)
     condition = arithmetic.fatou_condition(params)
     witness = arithmetic.fatou_witness(params) if condition else None
-    return _json_text(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "command": "fatou",
-            "params": str(params),
-            "condition": condition,
-            "witness": _point_json(witness) if witness else None,
-        }
-    )
+    return {
+        "params": str(params),
+        "condition": condition,
+        "witness": _point_json(witness) if witness else None,
+    }
 
 
-def _cmd_lift_check(args) -> str:
+def _cmd_lift_check(args) -> dict:
     seeds = [LaurentPoly.parse(part) for part in args.seed.split(",")]
     if len(seeds) != 3:
         raise UsageError("--seed needs exactly 3 comma-separated Laurent polynomials")
@@ -253,142 +218,110 @@ def _cmd_lift_check(args) -> str:
     point = arithmetic.surface_from_seed(*seeds, *abc)
     word = dynamics.Word.parse(args.word)
     report = arithmetic.lift_consistency(point, word)
-    return _json_text(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "command": "lift-check",
-            "word": str(word),
-            "derived_D": str(point.D),
-            "ok": report.ok,
-            "precondition_ok": report.precondition_ok,
-            "steps": [
-                {
-                    "prefix": str(step.prefix),
-                    "exact_valuations": [_scalar_json(v) for v in step.exact_valuations],
-                    "tropical": _point_json(step.tropical),
-                    "match": step.match,
-                }
-                for step in report.steps
-            ],
-        }
-    )
+    return {
+        "word": str(word),
+        "derived_D": str(point.D),
+        "ok": report.ok,
+        "precondition_ok": report.precondition_ok,
+        "steps": [
+            {
+                "prefix": str(step.prefix),
+                "exact_valuations": [_scalar_json(v) for v in step.exact_valuations],
+                "tropical": _point_json(step.tropical),
+                "match": step.match,
+            }
+            for step in report.steps
+        ],
+    }
 
 
-def _cmd_enumerate_zp(args) -> str:
+def _cmd_enumerate_zp(args) -> dict:
     d = parse_rational(args.D)
     points = arithmetic.enumerate_zp_points(args.p, d)
-    return _json_text(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "command": "enumerate-zp",
-            "p": args.p,
-            "D": str(d),
-            "points": [
-                {"coords": _point_json(z.coords), "exponents": list(z.exponents)}
-                for z in points
-            ],
-        }
-    )
+    return {
+        "p": args.p,
+        "D": str(d),
+        "points": [
+            {"coords": _point_json(z.coords), "exponents": list(z.exponents)}
+            for z in points
+        ],
+    }
 
 
 # -- parser wiring -----------------------------------------------------------------
 
 
+def _flag(name: str, **spec):
+    return name, spec
+
+
+_PARAMS = _flag("--params", required=True)
+_POINT = _flag("--point", required=True)
+_WORD = _flag("--word", required=True)
+_DEPTH = _flag("--depth", type=int, required=True)
+_RANGE = _flag("--range", default="4")
+_OUT = _flag("--out")
+
+# (command path, help, handler, flags); a row without a handler is a group
+# whose subcommands follow it.
+_COMMANDS = (
+    (("skeleton",), "skeleton sampling and rendering", None, ()),
+    (("skeleton", "sample"), "sample the skeleton over a plane grid", _cmd_skeleton_sample,
+     (_PARAMS, _flag("--grid", type=int, default=9), _RANGE,
+      _flag("--format", choices=("csv", "json"), default="csv"), _OUT)),
+    (("skeleton", "svg"), "shaded plane projection", _cmd_skeleton_svg,
+     (_PARAMS, _flag("--grid", type=int, default=64), _RANGE, _OUT)),
+    (("orbit",), "apply a word, printing the stepwise trace", _cmd_orbit,
+     (_PARAMS, _POINT, _WORD, _OUT)),
+    (("reduce",), "greedy reduction trace", _cmd_reduce,
+     (_PARAMS, _POINT, _flag("--max-steps", type=int), _OUT)),
+    (("classify",), "exception-set membership report", _cmd_classify,
+     (_PARAMS, _POINT, _OUT)),
+    (("rays",), "exception-ray generators as CSV", _cmd_rays,
+     (_flag("--d", required=True), _flag("--height", type=int, required=True), _OUT)),
+    (("farey",), "mediant triples and their orbit words", _cmd_farey,
+     (_DEPTH, _flag("--d", default="-2"),
+      _flag("--cell", type=int, default=1, choices=(1, 2, 3)), _flag("--svg"), _OUT)),
+    (("tessellation",), "ideal-triangle tessellation of the disk", _cmd_tessellation,
+     (_DEPTH, _flag("--svg", required=True))),
+    (("pingpong",), "partial-orbit counts and arc statistics", _cmd_pingpong,
+     (_DEPTH, _flag("--side", choices=("boundary", "skeleton"), required=True),
+      _flag("--stats", action="store_true"), _OUT)),
+    (("fatou",), "Fatou condition and witness", _cmd_fatou, (_PARAMS, _OUT)),
+    (("lift-check",), "valuation consistency of an exact orbit", _cmd_lift_check,
+     (_flag("--seed", required=True), _flag("--abc", default="0,0,0"), _WORD, _OUT)),
+    (("enumerate-zp",), "points with prime-power denominators", _cmd_enumerate_zp,
+     (_flag("--p", type=int, required=True), _flag("--D", required=True), _OUT)),
+)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="tropmarkov",
                      description="exact min-plus dynamics on tropical Markov cubics")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    skeleton = sub.add_parser("skeleton", help="skeleton sampling and rendering")
-    skel_sub = skeleton.add_subparsers(dest="skeleton_command", required=True)
-    sample = skel_sub.add_parser("sample", help="sample the skeleton over a plane grid")
-    sample.add_argument("--params", required=True)
-    sample.add_argument("--grid", type=int, default=9)
-    sample.add_argument("--range", default="4")
-    sample.add_argument("--format", choices=("csv", "json"), default="csv")
-    sample.add_argument("--out")
-    sample.set_defaults(func=_cmd_skeleton_sample)
-    svg = skel_sub.add_parser("svg", help="shaded plane projection")
-    svg.add_argument("--params", required=True)
-    svg.add_argument("--grid", type=int, default=64)
-    svg.add_argument("--range", default="4")
-    svg.add_argument("--out")
-    svg.set_defaults(func=_cmd_skeleton_svg)
-
-    orbit = sub.add_parser("orbit", help="apply a word, printing the stepwise trace")
-    orbit.add_argument("--params", required=True)
-    orbit.add_argument("--point", required=True)
-    orbit.add_argument("--word", required=True)
-    orbit.add_argument("--out")
-    orbit.set_defaults(func=_cmd_orbit)
-
-    reduce_cmd = sub.add_parser("reduce", help="greedy reduction trace")
-    reduce_cmd.add_argument("--params", required=True)
-    reduce_cmd.add_argument("--point", required=True)
-    reduce_cmd.add_argument("--max-steps", type=int, default=None)
-    reduce_cmd.add_argument("--out")
-    reduce_cmd.set_defaults(func=_cmd_reduce)
-
-    classify_cmd = sub.add_parser("classify", help="exception-set membership report")
-    classify_cmd.add_argument("--params", required=True)
-    classify_cmd.add_argument("--point", required=True)
-    classify_cmd.add_argument("--out")
-    classify_cmd.set_defaults(func=_cmd_classify)
-
-    rays = sub.add_parser("rays", help="exception-ray generators as CSV")
-    rays.add_argument("--d", required=True)
-    rays.add_argument("--height", type=int, required=True)
-    rays.add_argument("--out")
-    rays.set_defaults(func=_cmd_rays)
-
-    farey = sub.add_parser("farey", help="mediant triples and their orbit words")
-    farey.add_argument("--depth", type=int, required=True)
-    farey.add_argument("--d", default="-2")
-    farey.add_argument("--cell", type=int, default=1, choices=(1, 2, 3))
-    farey.add_argument("--svg")
-    farey.add_argument("--out")
-    farey.set_defaults(func=_cmd_farey)
-
-    tess = sub.add_parser("tessellation", help="ideal-triangle tessellation of the disk")
-    tess.add_argument("--depth", type=int, required=True)
-    tess.add_argument("--svg", required=True)
-    tess.set_defaults(func=_cmd_tessellation)
-
-    pingpong = sub.add_parser("pingpong", help="partial-orbit counts and arc statistics")
-    pingpong.add_argument("--depth", type=int, required=True)
-    pingpong.add_argument("--side", choices=("boundary", "skeleton"), required=True)
-    pingpong.add_argument("--stats", action="store_true")
-    pingpong.add_argument("--out")
-    pingpong.set_defaults(func=_cmd_pingpong)
-
-    fatou = sub.add_parser("fatou", help="Fatou condition and witness")
-    fatou.add_argument("--params", required=True)
-    fatou.add_argument("--out")
-    fatou.set_defaults(func=_cmd_fatou)
-
-    lift = sub.add_parser("lift-check", help="valuation consistency of an exact orbit")
-    lift.add_argument("--seed", required=True)
-    lift.add_argument("--abc", default="0,0,0")
-    lift.add_argument("--word", required=True)
-    lift.add_argument("--out")
-    lift.set_defaults(func=_cmd_lift_check)
-
-    zp = sub.add_parser("enumerate-zp", help="points with prime-power denominators")
-    zp.add_argument("--p", type=int, required=True)
-    zp.add_argument("--D", required=True)
-    zp.add_argument("--out")
-    zp.set_defaults(func=_cmd_enumerate_zp)
-
+    groups = {(): parser.add_subparsers(dest="command", required=True)}
+    for path, help_text, handler, flags in _COMMANDS:
+        cmd = groups[path[:-1]].add_parser(path[-1], help=help_text)
+        if handler is None:
+            groups[path] = cmd.add_subparsers(dest=f"{path[-1]}_command", required=True)
+            continue
+        for name, spec in flags:
+            cmd.add_argument(name, **spec)
+        cmd.set_defaults(func=handler, command_path=path)
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        text = args.func(args)
-        if text:
-            _emit(text, getattr(args, "out", None))
+        args = _PARSER.parse_args(argv)
+        result = args.func(args)
+        if isinstance(result, dict):
+            result = _json_text({"schema_version": SCHEMA_VERSION,
+                                 "command": "-".join(args.command_path), **result})
+        if result is not None:
+            _emit(result, getattr(args, "out", None))
         return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

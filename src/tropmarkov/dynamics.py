@@ -219,12 +219,8 @@ def _ray_index_of(quads: set[CellId]) -> int:
     raise DomainError(f"no ray matches the quadratic cells {quads}")
 
 
-def _default_step_budget(params: Params, x: Point3) -> int:
-    cells = cells_of(params, x)
-    quads = [c for c in cells if c in QUADRATIC_CELLS]
-    if len(quads) != 1 or any(c in SUBQUADRATIC_CELLS for c in cells):
-        return 16
-    i = QUADRATIC_CELLS.index(quads[0]) + 1
+def _default_step_budget(i: int, x: Point3) -> int:
+    """Budget for a start point in the quadratic cell i alone."""
     u1, u2 = u_coords(i, x)
     if u1 == 0 or u2 == 0:
         return 16
@@ -236,14 +232,13 @@ def _default_step_budget(params: Params, x: Point3) -> int:
 def greedy_path(params: Params, x: Point3, max_steps: int | None = None) -> GreedyTrace:
     """Follow the greedy itinerary: reflect by the unique containing quadratic
     cell until a subquadratic cell or a quadratic-quadratic intersection stops it."""
-    if max_steps is None:
-        max_steps = _default_step_budget(params, x)
-    elif max_steps < 0:
+    if max_steps is not None and max_steps < 0:
         # The first cells_of call below is the skeleton check; it must run.
         raise UsageError(f"max_steps must be nonnegative, got {max_steps}")
     applied: list[int] = []
     cur = x
-    for step in range(max_steps + 1):
+    step = 0
+    while True:
         cells = cells_of(params, cur)
         quads = {c for c in cells if c in QUADRATIC_CELLS}
         # Ray has priority: junction points of subquadratic cells and rays
@@ -255,12 +250,14 @@ def greedy_path(params: Params, x: Point3, max_steps: int | None = None) -> Gree
         if sub:
             return GreedyTrace(x, Word(tuple(reversed(applied))), cur, "subquadratic",
                                cell=sub[0], steps=step)
-        if step == max_steps:
-            break
         i = QUADRATIC_CELLS.index(next(iter(quads))) + 1
+        if max_steps is None:
+            max_steps = _default_step_budget(i, x)
+        if step == max_steps:
+            return GreedyTrace(x, Word(tuple(reversed(applied))), cur, "exhausted", steps=step)
         applied.append(i)
         cur = trop_vieta(params, i, cur)
-    return GreedyTrace(x, Word(tuple(reversed(applied))), cur, "exhausted", steps=max_steps)
+        step += 1
 
 
 def u_slope(i: int, x: Point3) -> ExtRat:

@@ -45,11 +45,17 @@ class TestClassifyCommand:
 
 
     def test_resource_error_exit_code(self, capsys, tmp_path):
-        code, _, err = run_cli(
-            capsys, "tessellation", "--depth", "17", "--svg", str(tmp_path / "t.svg"))
-        assert code == 2
-        assert "exceeds the configured bound" in err
-        assert not (tmp_path / "t.svg").exists()
+        # Only the bound checks run: each size is rejected before anything is built.
+        for argv in (
+            ("tessellation", "--depth", "17", "--svg", str(tmp_path / "t.svg")),
+            ("farey", "--depth", "17"),
+            ("farey", "--depth", "17", "--svg", str(tmp_path / "f.svg")),
+            ("enumerate-zp", "--p", "2", "--D", "1/1099511627776"),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2, argv
+            assert "exceeds the configured bound" in err and out == ""
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestPingpongCommand:
@@ -175,6 +181,30 @@ class TestSvgCommands:
             capsys, "tessellation", "--depth", "2", "--svg", str(tess_file))
         assert code == 0
         assert "<circle" in tess_file.read_text()
+
+
+class TestEnvelope:
+    @pytest.mark.parametrize(
+        "command, argv",
+        [
+            ("skeleton-sample", ("skeleton", "sample", "--params", "0,0,0,0", "--grid", "2",
+                                 "--format", "json")),
+            ("orbit", ("orbit", "--params", "inf,inf,inf,-2", "--point", "-2,-3,-5",
+                       "--word", "s1")),
+            ("reduce", ("reduce", "--params", "inf,inf,inf,-2", "--point", "-2,-3,-5")),
+            ("classify", ("classify", "--params", "inf,inf,inf,-2", "--point", "-2,-3,-5")),
+            ("farey", ("farey", "--depth", "1")),
+            ("fatou", ("fatou", "--params", "0,0,0,-1")),
+            ("lift-check", ("lift-check", "--seed", "t^-1,t^-1,t^-1", "--word", "s1")),
+            ("enumerate-zp", ("enumerate-zp", "--p", "2", "--D", "1/4")),
+        ],
+    )
+    def test_schema_version_and_command(self, capsys, command, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["schema_version"] == 1
+        assert payload["command"] == command
 
 
 class TestDeterminism:

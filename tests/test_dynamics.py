@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tropmarkov import dynamics
 from tropmarkov.errors import DomainError, UsageError
 from tropmarkov.sampling import random_params, random_skeleton_point, random_word
 from tropmarkov.scalars import thomae_gcd
@@ -202,6 +203,25 @@ class TestGreedyPath:
             assert len(trace.word) == trace.steps <= k
             assert apply_word(PT, trace.word, trace.start) == trace.terminal
         assert greedy_path(PT, pt(-2, -3, -5), max_steps=3).kind == "ray"
+
+    @pytest.mark.parametrize(
+        "params, start, kind",
+        [
+            (PT, (-2, -3, -5), "ray"),
+            (Params.parse("inf,inf,inf,-3"), (-8, -5, -13), "subquadratic"),
+        ],
+    )
+    def test_one_cells_of_per_visited_point(self, monkeypatch, params, start, kind):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return cells_of(*args)
+
+        monkeypatch.setattr(dynamics, "cells_of", counted)
+        trace = greedy_path(params, pt(*start))
+        assert trace.kind == kind and trace.steps >= 3
+        assert len(calls) == trace.steps + 1
 
     def test_exhausted_with_tiny_budget(self):
         trace = greedy_path(PT, pt(-20, -30, -50), max_steps=1)
