@@ -251,47 +251,43 @@ def _cmd_enumerate_zp(args) -> dict:
 # -- parser wiring -----------------------------------------------------------------
 
 
-def _flag(name: str, **spec):
-    return name, spec
-
-
-_PARAMS = _flag("--params", required=True)
-_POINT = _flag("--point", required=True)
-_WORD = _flag("--word", required=True)
-_DEPTH = _flag("--depth", type=int, required=True)
-_RANGE = _flag("--range", default="4")
-_OUT = _flag("--out")
+_PARAMS = ("--params", {"required": True})
+_POINT = ("--point", {"required": True})
+_WORD = ("--word", {"required": True})
+_DEPTH = ("--depth", {"type": int, "required": True})
+_RANGE = ("--range", {"default": "4"})
+_OUT = ("--out", {})
 
 # (command path, help, handler, flags); a row without a handler is a group
 # whose subcommands follow it.
 _COMMANDS = (
     (("skeleton",), "skeleton sampling and rendering", None, ()),
     (("skeleton", "sample"), "sample the skeleton over a plane grid", _cmd_skeleton_sample,
-     (_PARAMS, _flag("--grid", type=int, default=9), _RANGE,
-      _flag("--format", choices=("csv", "json"), default="csv"), _OUT)),
+     (_PARAMS, ("--grid", {"type": int, "default": 9}), _RANGE,
+      ("--format", {"choices": ("csv", "json"), "default": "csv"}), _OUT)),
     (("skeleton", "svg"), "shaded plane projection", _cmd_skeleton_svg,
-     (_PARAMS, _flag("--grid", type=int, default=64), _RANGE, _OUT)),
+     (_PARAMS, ("--grid", {"type": int, "default": 64}), _RANGE, _OUT)),
     (("orbit",), "apply a word, printing the stepwise trace", _cmd_orbit,
      (_PARAMS, _POINT, _WORD, _OUT)),
     (("reduce",), "greedy reduction trace", _cmd_reduce,
-     (_PARAMS, _POINT, _flag("--max-steps", type=int), _OUT)),
+     (_PARAMS, _POINT, ("--max-steps", {"type": int}), _OUT)),
     (("classify",), "exception-set membership report", _cmd_classify,
      (_PARAMS, _POINT, _OUT)),
     (("rays",), "exception-ray generators as CSV", _cmd_rays,
-     (_flag("--d", required=True), _flag("--height", type=int, required=True), _OUT)),
+     (("--d", {"required": True}), ("--height", {"type": int, "required": True}), _OUT)),
     (("farey",), "mediant triples and their orbit words", _cmd_farey,
-     (_DEPTH, _flag("--d", default="-2"),
-      _flag("--cell", type=int, default=1, choices=(1, 2, 3)), _flag("--svg"), _OUT)),
+     (_DEPTH, ("--d", {"default": "-2"}),
+      ("--cell", {"type": int, "default": 1, "choices": (1, 2, 3)}), ("--svg", {}), _OUT)),
     (("tessellation",), "ideal-triangle tessellation of the disk", _cmd_tessellation,
-     (_DEPTH, _flag("--svg", required=True))),
+     (_DEPTH, ("--svg", {"required": True}))),
     (("pingpong",), "partial-orbit counts and arc statistics", _cmd_pingpong,
-     (_DEPTH, _flag("--side", choices=("boundary", "skeleton"), required=True),
-      _flag("--stats", action="store_true"), _OUT)),
+     (_DEPTH, ("--side", {"choices": ("boundary", "skeleton"), "required": True}),
+      ("--stats", {"action": "store_true"}), _OUT)),
     (("fatou",), "Fatou condition and witness", _cmd_fatou, (_PARAMS, _OUT)),
     (("lift-check",), "valuation consistency of an exact orbit", _cmd_lift_check,
-     (_flag("--seed", required=True), _flag("--abc", default="0,0,0"), _WORD, _OUT)),
+     (("--seed", {"required": True}), ("--abc", {"default": "0,0,0"}), _WORD, _OUT)),
     (("enumerate-zp",), "points with prime-power denominators", _cmd_enumerate_zp,
-     (_flag("--p", type=int, required=True), _flag("--D", required=True), _OUT)),
+     (("--p", {"type": int, "required": True}), ("--D", {"required": True}), _OUT)),
 )
 
 

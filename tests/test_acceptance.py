@@ -27,6 +27,7 @@ from tropmarkov.surface import (
 )
 from tropmarkov.dynamics import apply_word, euc, trop_vieta, u_coords
 from tropmarkov.classifier import (
+    _t_orbit,
     classify,
     exception_rays_punctured,
     farey_enumerate,
@@ -111,7 +112,7 @@ def test_criterion_03_index_shift_formula():
                 continue
             m = F(p, q)
             assert index_shift_cf(m) == index_shift_bruteforce(m)
-            assert stopping_time(m) == sum(continued_fraction(m).terms)
+            assert stopping_time(m) == len(_t_orbit(m)) == sum(continued_fraction(m).terms)
             cases += 1
     _report(3, cases > 7000,
             f"closed formula matches brute force on {cases} reduced slopes up to 120")

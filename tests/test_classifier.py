@@ -10,6 +10,7 @@ from tropmarkov.scalars import continued_fraction
 from tropmarkov.surface import CellId, Params, on_skeleton
 from tropmarkov.dynamics import Word, apply_word, u_coords
 from tropmarkov.classifier import (
+    _t_orbit,
     FAREY_ROOT,
     FareyTriple,
     classify,
@@ -72,7 +73,7 @@ class TestSlopeTransformation:
                     continue
                 m = F(p, q)
                 assert index_shift_cf(m) == index_shift_bruteforce(m)
-                assert stopping_time(m) == sum(continued_fraction(m).terms)
+                assert stopping_time(m) == len(_t_orbit(m)) == sum(continued_fraction(m).terms)
 
 
 class TestClassify:
