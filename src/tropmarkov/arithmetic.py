@@ -57,7 +57,7 @@ def fatou_witness(params: Params) -> Point3:
 # -- exact Vieta dynamics over Laurent polynomials ---------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SurfacePointL:
     """A Laurent-polynomial point (X1, X2, X3) on the surface with coefficients
     (A, B, C, D); construction enforces the on-surface identity."""
@@ -111,7 +111,7 @@ def vieta_exact(i: int, point: SurfacePointL) -> SurfacePointL:
     return SurfacePointL(X1, X2, X3, point.A, point.B, point.C, point.D)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LiftStep:
     prefix: Word
     exact_valuations: tuple[ExtRat, ExtRat, ExtRat]
@@ -119,7 +119,7 @@ class LiftStep:
     match: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LiftReport:
     ok: bool
     precondition_ok: bool
@@ -194,7 +194,7 @@ def matrix_divergence(signs: Sequence[int]) -> list[int]:
 ZP_BOX_BOUND = 256
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ZpPoint:
     """A representative point with denominators a power of p; exponents are the
     p-adic valuations of the coordinates."""

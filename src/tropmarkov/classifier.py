@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, UsageError
+from .errors import DomainError, ResourceError, UsageError
 from .scalars import ExtRat, continued_fraction, thomae_gcd
 from .surface import (
     CellId,
@@ -117,7 +117,7 @@ def index_shift_cf(m) -> int:
 # -- the classifier --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClassifyReport:
     """Decision record for one skeleton point under meromorphic parameters.
 
@@ -199,12 +199,20 @@ def _coprime_pairs(height: int):
                 yield p, q
 
 
+# Largest height exception_rays_punctured accepts; it lists about 1.8 h^2
+# generators, about 120k (6 s) at 256.
+HEIGHT_BOUND = 256
+
+
 def exception_rays_punctured(d, height: int) -> list[Point3]:
     """Primitive generators (d/2)(q,p,p+q) and cyclic patterns over coprime
-    pairs with max(p,q) <= height, deduplicated and sorted."""
+    pairs with max(p,q) <= height, deduplicated and sorted.  A height beyond
+    HEIGHT_BOUND raises ResourceError."""
     d = _punctured_d(d)
     if height < 0:
         raise UsageError(f"height must be nonnegative, got {height}")
+    if height > HEIGHT_BOUND:
+        raise ResourceError(f"height {height} exceeds the configured bound {HEIGHT_BOUND}")
     half = d / 2
     seen: set[Point3] = set()
     for p, q in _coprime_pairs(height):
@@ -235,7 +243,7 @@ def matches_exception_ray(d, x: Point3) -> bool:
 # -- Farey triples and orbit triangles --------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FareyTriple:
     """Coprime pairs (left, mid, right) with mid the mediant and unimodular ends."""
 
@@ -346,8 +354,6 @@ def table_orbit_triangles(d, depth: int) -> dict[int, list[tuple[Word, tuple[UVe
     per quadratic cell in the u-coordinates of the cell containing each image.
     A depth beyond DEPTH_BOUND raises ResourceError."""
     d = _punctured_d(d)
-    if depth < 1:
-        raise UsageError("depth must be at least 1")
     _check_depth(depth, DEPTH_BOUND)
     scale = abs(d) / 2
     out: dict[int, list] = {1: [], 2: [], 3: []}

@@ -14,7 +14,6 @@ import io
 import json
 import re
 import sys
-from fractions import Fraction
 
 from . import arithmetic, classifier, dynamics, hyperbolic, surface, svgout
 from .errors import DomainError, ResourceError, UsageError
@@ -68,18 +67,12 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 # CSV and SVG bodies return text; bodies that write a file return None.
 
 
-def _grid_values(grid: int, span: Fraction) -> list[Fraction]:
-    return [-span + 2 * span * Fraction(k, grid - 1) for k in range(grid)]
-
-
 def _cmd_skeleton_sample(args) -> dict | str:
     params = Params.parse(args.params)
-    span = parse_rational(args.range)
-    if args.grid < 2:
-        raise UsageError("--grid needs at least 2 nodes")
+    values = surface.plane_grid(args.grid, parse_rational(args.range))
     rows = []
-    for v2 in _grid_values(args.grid, span):
-        for v1 in _grid_values(args.grid, span):
+    for v2 in values:
+        for v1 in values:
             x = surface.lift_from_plane(params, 0, surface.plane_point(v1, v2))
             cells = sorted(c.value for c in surface.cells_of(params, x))
             rows.append((v1, v2, x, cells))

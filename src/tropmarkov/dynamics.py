@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .errors import DomainError, UsageError
+from .errors import DomainError, ResourceError, UsageError
 from .scalars import ExtRat, thomae_gcd
 from .surface import (
     CELL_ORDER,
@@ -36,8 +36,14 @@ from .surface import (
 UVec = tuple[Fraction, Fraction]
 Matrix2 = tuple[tuple[int, int], tuple[int, int]]
 
+# Most reflections greedy_path applies; it raises ResourceError before the
+# next one.  A rational point's itinerary ends within the sum of the
+# continued-fraction terms of its slope, at most numerator + denominator, and
+# the word it returns is that long.
+STEP_BOUND = 2**20
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class Word:
     """A reduced word over s1, s2, s3, applied right-to-left.
 
@@ -192,14 +198,14 @@ def mat_mul(a: Matrix2, b: Matrix2) -> Matrix2:
 # -- greedy reduction ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GreedyTrace:
     """Outcome of the greedy reflection itinerary started at ``start``.
 
     kind is "subquadratic" (stopped inside a subquadratic cell), "ray"
-    (stopped on a quadratic-quadratic intersection) or "exhausted" (step
-    budget ran out; does not happen for rational points with the default
-    budget).  ``word`` applied to ``start`` reproduces ``terminal``.
+    (stopped on a quadratic-quadratic intersection) or "exhausted" (an
+    explicit step budget ran out).  ``word`` applied to ``start`` reproduces
+    ``terminal``.
     """
 
     start: Point3
@@ -219,22 +225,71 @@ def _ray_index_of(quads: set[CellId]) -> int:
     raise DomainError(f"no ray matches the quadratic cells {quads}")
 
 
-def _default_step_budget(i: int, x: Point3) -> int:
-    """Budget for a start point in the quadratic cell i alone."""
-    u1, u2 = u_coords(i, x)
-    if u1 == 0 or u2 == 0:
-        return 16
-    m = u2 / u1
-    # Subtractive Euclid takes up to numerator+denominator steps on the slope.
-    return 4 * (m.numerator + m.denominator) + 16
+def _run_continues(applied: list[int], i: int) -> bool:
+    """Whether the letters j, i, j just applied start a run that i continues.
+
+    A longer run was already taken in one jump, so it does not count again.
+    """
+    return (len(applied) >= 3 and applied[-2] == i and applied[-3] == applied[-1]
+            and (len(applied) == 3 or applied[-4] != i))
+
+
+def _run_point(x: Point3, i: int, j: int, t: int) -> Point3:
+    """The point t steps into the alternating run i, j, i, ... from x.
+
+    The third coordinate x_l stays fixed and each reflection adds -2 x_l to
+    the coordinate it reflects: x_i gains ceil(t/2) such steps, x_j floor(t/2).
+    """
+    delta = -2 * x[5 - i - j]
+    y = list(x)
+    y[i - 1] += delta * ((t + 1) // 2)
+    y[j - 1] += delta * (t // 2)
+    return (y[0], y[1], y[2])
+
+
+def _run_length(params: Params, x: Point3, i: int, j: int, cap: int) -> int:
+    """Number of reflections i, j, i, ... the step loop takes from x, at most cap.
+
+    x is interior to the quadratic cell i.  The loop reflects at the t-th run
+    point exactly while it is interior to its expected cell (i for even t, j
+    for odd t), i.e. while every other monomial exceeds that cell's one; if
+    the next run point is interior too, trop_vieta lands on it.  Within a
+    parity class each monomial is affine in t, with the same growth per two
+    steps in both classes, so the tables at t = 0, 1, 2 and one floor
+    division per monomial give the first t that fails; the conditions are
+    strict and affine, so no t before it fails.  t = 1 is checked first, as
+    many runs end there.
+    """
+    cell_i, cell_j = quadratic_cell(i), quadratic_cell(j)
+    odd = _monomial_values(params, _run_point(x, i, j, 1))
+    if any(v <= odd[cell_j] for c, v in odd.items() if c is not cell_j):
+        return 0
+    even = _monomial_values(params, x)
+    later = _monomial_values(params, _run_point(x, i, j, 2))
+    growth = {c: later[c] - v for c, v in even.items()}
+    first_out = []
+    for t0, base, cell in ((0, even, cell_i), (1, odd, cell_j)):
+        last = cap  # the largest s with t0 + 2s' interior for every s' <= s
+        for c, value in base.items():
+            slope = growth[c] - growth[cell]
+            if slope < 0:
+                last = min(last, -((value - base[cell]) // slope) - 1)
+        first_out.append(t0 + 2 * last + 2)
+    return min(min(first_out) - 1, cap)
 
 
 def greedy_path(params: Params, x: Point3, max_steps: int | None = None) -> GreedyTrace:
     """Follow the greedy itinerary: reflect by the unique containing quadratic
-    cell until a subquadratic cell or a quadratic-quadratic intersection stops it."""
+    cell until a subquadratic cell or a quadratic-quadratic intersection stops it.
+
+    Each run of alternating reflections (one partial quotient of the slope) is
+    taken in one exact jump.  ``max_steps`` caps the reflections and gives
+    kind "exhausted"; past STEP_BOUND reflections ResourceError is raised.
+    """
     if max_steps is not None and max_steps < 0:
         # The first cells_of call below is the skeleton check; it must run.
         raise UsageError(f"max_steps must be nonnegative, got {max_steps}")
+    room = STEP_BOUND + 1 if max_steps is None else min(max_steps, STEP_BOUND + 1)
     applied: list[int] = []
     cur = x
     step = 0
@@ -251,13 +306,23 @@ def greedy_path(params: Params, x: Point3, max_steps: int | None = None) -> Gree
             return GreedyTrace(x, Word(tuple(reversed(applied))), cur, "subquadratic",
                                cell=sub[0], steps=step)
         i = QUADRATIC_CELLS.index(next(iter(quads))) + 1
-        if max_steps is None:
-            max_steps = _default_step_budget(i, x)
         if step == max_steps:
             return GreedyTrace(x, Word(tuple(reversed(applied))), cur, "exhausted", steps=step)
-        applied.append(i)
-        cur = trop_vieta(params, i, cur)
-        step += 1
+        t = 0
+        if _run_continues(applied, i):
+            j = applied[-1]
+            t = _run_length(params, cur, i, j, room - step)
+        if step + max(t, 1) > STEP_BOUND:
+            raise ResourceError(
+                f"greedy itinerary exceeds the configured bound of {STEP_BOUND} reflections")
+        if t:
+            applied.extend((i, j) * (t // 2) + (i,) * (t % 2))
+            cur = _run_point(cur, i, j, t)
+        else:
+            applied.append(i)
+            cur = trop_vieta(params, i, cur)
+            t = 1
+        step += t
 
 
 def u_slope(i: int, x: Point3) -> ExtRat:

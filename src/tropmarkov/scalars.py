@@ -209,7 +209,7 @@ def thomae_gcd(a: RationalLike, b: RationalLike) -> Fraction:
 # -- continued fractions -----------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CF:
     """Canonical continued fraction [a0; a1, ..., al] of a nonnegative rational.
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .errors import DomainError, UsageError
+from .errors import DomainError, ResourceError, UsageError
 from .scalars import ExtRat, ext_min, parse_rational
 
 Point3 = tuple[Fraction, Fraction, Fraction]
@@ -88,7 +88,7 @@ def prv(i: int) -> int:
     return (i + 1) % 3 + 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Params:
     """Coefficient valuations (a, b, c, d); each may be +infinity."""
 
@@ -241,6 +241,24 @@ def plane_point(v1, v2, v3=None) -> PlanePoint:
     if v1 + v2 + v3 != 0:
         raise UsageError("plane points must have zero coordinate sum")
     return (v1, v2, v3)
+
+
+# Most nodes per axis of a plane grid; skeleton sampling and rendering lift
+# grid^2 points, 65,536 (about 11 s for the SVG) at 256.
+GRID_BOUND = 256
+
+
+def plane_grid(grid: int, span) -> list[Fraction]:
+    """grid equally spaced values from -span to span, one grid axis.
+
+    Fewer than 2 nodes is a UsageError, more than GRID_BOUND a ResourceError.
+    """
+    if grid < 2:
+        raise UsageError("grid needs at least 2 nodes per axis")
+    if grid > GRID_BOUND:
+        raise ResourceError(f"grid {grid} exceeds the configured bound {GRID_BOUND}")
+    span = Fraction(span)
+    return [-span + 2 * span * Fraction(k, grid - 1) for k in range(grid)]
 
 
 def lift_from_plane(params: Params, w, v: PlanePoint) -> Point3:

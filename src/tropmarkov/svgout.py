@@ -6,8 +6,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import UsageError
-from .surface import CellId, Params, lift_from_plane, cells_of, plane_point
+from .surface import CellId, Params, lift_from_plane, cells_of, plane_grid, plane_point
 from .classifier import table_orbit_triangles
 from .hyperbolic import BOUNDARY_NETS, DEPTH_BOUND, _check_depth, boundary_angle, reflect_boundary
 
@@ -39,16 +38,13 @@ def _document(width: float, height: float, body: list[str]) -> str:
 
 def skeleton_svg(params: Params, grid: int, span) -> str:
     """Shaded plane projection: one square per grid node, coloured by cell."""
-    if grid < 2:
-        raise UsageError("grid needs at least 2 nodes per axis")
+    values = plane_grid(grid, span)
     span = Fraction(span)
     size = 480.0
     cell_px = size / grid
     body = [f'<rect width="{_fmt(size)}" height="{_fmt(size)}" fill="#ffffff"/>']
-    for iy in range(grid):
-        for ix in range(grid):
-            v1 = -span + 2 * span * Fraction(ix, grid - 1)
-            v2 = -span + 2 * span * Fraction(iy, grid - 1)
+    for v2 in values:
+        for v1 in values:
             x = lift_from_plane(params, 0, plane_point(v1, v2))
             cells = cells_of(params, x)
             color = _CELL_COLORS[next(iter(cells))] if len(cells) == 1 else _MIXED_COLOR

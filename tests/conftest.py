@@ -9,8 +9,15 @@ from itertools import product
 
 from tropmarkov.errors import DomainError, UsageError
 from tropmarkov.scalars import ExtRat, ext_min
-from tropmarkov.surface import CellId, QUADRATIC_CELLS, cells_of, on_boundary_ray
-from tropmarkov.dynamics import trop_vieta
+from tropmarkov.surface import (
+    CELL_ORDER,
+    CellId,
+    QUADRATIC_CELLS,
+    SUBQUADRATIC_CELLS,
+    cells_of,
+    on_boundary_ray,
+)
+from tropmarkov.dynamics import GreedyTrace, Word, _ray_index_of, trop_vieta, u_coords
 
 
 # -- the tropical Markov polynomial over ExtRat, monomial by monomial ------------
@@ -65,6 +72,50 @@ def oracle_trop_vieta(params, i, x):
         m = ext_min((ExtRat(2 * x1), ExtRat(2 * x2), a + x1, b + x2, d)).finite
         return (x1, x2, m - x3)
     raise UsageError(f"generator index must be 1, 2 or 3, got {i}")
+
+
+# -- the greedy itinerary, one cells_of and one trop_vieta per reflection ----------
+
+
+def _oracle_default_step_budget(i, x) -> int:
+    """Budget for a start point in the quadratic cell i alone."""
+    u1, u2 = u_coords(i, x)
+    if u1 == 0 or u2 == 0:
+        return 16
+    m = u2 / u1
+    # Subtractive Euclid takes up to numerator+denominator steps on the slope.
+    return 4 * (m.numerator + m.denominator) + 16
+
+
+def oracle_greedy_path(params, x, max_steps=None) -> GreedyTrace:
+    """The greedy itinerary taken one reflection at a time, as the library
+    took it before runs were jumped."""
+    if max_steps is not None and max_steps < 0:
+        # The first cells_of call below is the skeleton check; it must run.
+        raise UsageError(f"max_steps must be nonnegative, got {max_steps}")
+    applied: list[int] = []
+    cur = x
+    step = 0
+    while True:
+        cells = cells_of(params, cur)
+        quads = {c for c in cells if c in QUADRATIC_CELLS}
+        # Ray has priority: junction points of subquadratic cells and rays
+        # count as ray terminals.
+        if len(quads) >= 2:
+            return GreedyTrace(x, Word(tuple(reversed(applied))), cur, "ray",
+                               ray_index=_ray_index_of(quads), steps=step)
+        sub = [c for c in CELL_ORDER if c in cells and c in SUBQUADRATIC_CELLS]
+        if sub:
+            return GreedyTrace(x, Word(tuple(reversed(applied))), cur, "subquadratic",
+                               cell=sub[0], steps=step)
+        i = QUADRATIC_CELLS.index(next(iter(quads))) + 1
+        if max_steps is None:
+            max_steps = _oracle_default_step_budget(i, x)
+        if step == max_steps:
+            return GreedyTrace(x, Word(tuple(reversed(applied))), cur, "exhausted", steps=step)
+        applied.append(i)
+        cur = trop_vieta(params, i, cur)
+        step += 1
 
 
 # -- orbit labels and circle order, as the seed built them ------------------------

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from tropmarkov.errors import DomainError
+from tropmarkov.errors import DomainError, UsageError
 from tropmarkov.sampling import random_params, random_skeleton_point
 from tropmarkov.scalars import continued_fraction
 from tropmarkov.surface import CellId, Params, on_skeleton
@@ -227,6 +227,11 @@ class TestFarey:
 
 
 class TestTableOrbit:
+    def test_depth_zero_and_negative(self):
+        assert table_orbit_triangles(F(-2), 0) == {1: [], 2: [], 3: []}
+        with pytest.raises(UsageError):
+            table_orbit_triangles(F(-2), -1)
+
     def test_depth_one(self):
         tri = table_orbit_triangles(F(-2), 1)
         for cell in (1, 2, 3):

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from tropmarkov.classifier import HEIGHT_BOUND
 from tropmarkov.cli import main
+from tropmarkov.surface import GRID_BOUND
 
 
 def run_cli(capsys, *argv):
@@ -46,11 +48,21 @@ class TestClassifyCommand:
 
     def test_resource_error_exit_code(self, capsys, tmp_path):
         # Only the bound checks run: each size is rejected before anything is built.
+        # The point has slope [1; 10^9], about 10^9 reflections past STEP_BOUND.
+        long_run = ("--params", "inf,inf,inf,-2", "--point", "-1000000001,-1000000000,-2000000001")
         for argv in (
             ("tessellation", "--depth", "17", "--svg", str(tmp_path / "t.svg")),
             ("farey", "--depth", "17"),
             ("farey", "--depth", "17", "--svg", str(tmp_path / "f.svg")),
             ("enumerate-zp", "--p", "2", "--D", "1/1099511627776"),
+            ("reduce", *long_run),
+            ("reduce", *long_run, "--max-steps", str(10**12)),
+            ("classify", *long_run),
+            ("rays", "--d", "-2", "--height", str(HEIGHT_BOUND + 1)),
+            ("skeleton", "sample", "--params", "inf,inf,inf,-2", "--grid", str(GRID_BOUND + 1),
+             "--out", str(tmp_path / "s.csv")),
+            ("skeleton", "svg", "--params", "inf,inf,inf,-2", "--grid", str(GRID_BOUND + 1),
+             "--out", str(tmp_path / "s.svg")),
         ):
             code, out, err = run_cli(capsys, *argv)
             assert code == 2, argv
@@ -170,6 +182,14 @@ class TestSvgCommands:
         body = out_file.read_text()
         assert body.startswith('<?xml version="1.0"')
         assert 'version="1.1"' in body
+
+    def test_farey_depth_zero(self, tmp_path, capsys):
+        code, out, _ = run_cli(capsys, "farey", "--depth", "0")
+        assert code == 0 and len(json.loads(out)["triples"]) == 1
+        farey_file = tmp_path / "farey.svg"
+        code, out, _ = run_cli(capsys, "farey", "--depth", "0", "--svg", str(farey_file))
+        assert code == 0 and out == ""
+        assert "<polygon" not in farey_file.read_text()
 
     def test_farey_svg_and_tessellation(self, tmp_path, capsys):
         farey_file = tmp_path / "farey.svg"

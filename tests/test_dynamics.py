@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import oracle_greedy_path
 from tropmarkov import dynamics
-from tropmarkov.errors import DomainError, UsageError
+from tropmarkov.errors import DomainError, ResourceError, UsageError
 from tropmarkov.sampling import random_params, random_skeleton_point, random_word
-from tropmarkov.scalars import thomae_gcd
+from tropmarkov.scalars import CF, continued_fraction, thomae_gcd
 from tropmarkov.surface import (
     CellId,
     Params,
@@ -20,6 +21,7 @@ from tropmarkov.surface import (
     quadratic_cell,
 )
 from tropmarkov.dynamics import (
+    STEP_BOUND,
     Word,
     apply_word,
     euc,
@@ -264,6 +266,95 @@ class TestGreedyPath:
                 from tropmarkov.surface import on_boundary_ray
 
                 assert on_boundary_ray(params, trace.ray_index, trace.terminal)
+
+
+def _outcome(greedy, params, x, budget):
+    try:
+        return greedy(params, x, budget)
+    except DomainError:
+        return DomainError
+
+
+_ENTRY = st.one_of(st.just("inf"), st.fractions(min_value=-6, max_value=6, max_denominator=4))
+_PARAMS = st.builds(Params.make, _ENTRY, _ENTRY, _ENTRY, _ENTRY)
+# Budgets 0 and 1, and cuts of either parity inside a run.
+_BUDGETS = st.one_of(st.none(), st.just(0), st.just(1), st.integers(min_value=2, max_value=400))
+# One or several large partial quotients among small ones, in any order.
+_CFS = st.builds(
+    lambda large, small: large + small,
+    st.lists(st.integers(min_value=8, max_value=120), min_size=1, max_size=3),
+    st.lists(st.integers(min_value=1, max_value=4), max_size=3),
+).flatmap(st.permutations).filter(lambda t: len(t) == 1 or t[-1] > 1).map(
+    lambda t: CF(tuple(t)))
+
+
+class TestGreedyJumps:
+    """greedy_path takes each alternating run in one jump; the step loop in
+    conftest takes one cells_of and one trop_vieta per reflection."""
+
+    @given(
+        _PARAMS,
+        _CFS,
+        st.booleans(),
+        st.fractions(min_value=F(1, 60), max_value=12, max_denominator=60),
+        st.sampled_from((1, 2, 3)),
+        _BUDGETS,
+    )
+    @settings(max_examples=250, deadline=None)
+    def test_matches_step_loop_on_runs(self, params, cf, flip, scale, chart, budget):
+        m = cf.value()
+        u = (scale * m.numerator, scale * m.denominator) if flip else (
+            scale * m.denominator, scale * m.numerator)
+        x = u_inverse(chart, u)
+        assert (_outcome(greedy_path, params, x, budget)
+                == _outcome(oracle_greedy_path, params, x, budget))
+
+    @given(_PARAMS, st.integers(min_value=0, max_value=2**32), _BUDGETS)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_step_loop_on_skeleton_points(self, params, seed, budget):
+        x = random_skeleton_point(random.Random(seed), params, span=40, max_den=6)
+        assert greedy_path(params, x, budget) == oracle_greedy_path(params, x, budget)
+
+    @pytest.mark.parametrize(
+        "params, m, scale, kind, steps",
+        [
+            (PT, F(10**6, 10**6 + 1), 1, "ray", 10**6 + 1),
+            (PT, F(10**6), 1, "ray", 10**6),
+            # Finite parameters: the run ends inside the BX2 cell.
+            (Params.parse("4,-12,2,12"), F(10**6 + 1, 10**6), F(1, 50), "subquadratic", 999_403),
+        ],
+    )
+    def test_cells_of_per_partial_quotient(self, monkeypatch, params, m, scale, kind, steps):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return cells_of(*args)
+
+        monkeypatch.setattr(dynamics, "cells_of", counted)
+        trace = greedy_path(params, u_inverse(1, (scale * m.denominator, scale * m.numerator)))
+        assert trace.kind == kind and trace.steps == len(trace.word) == steps
+        assert len(calls) <= 4 * len(continued_fraction(m).terms) + 4
+
+    def test_step_bound(self):
+        # Slope [1; 10^9]: the bound check runs, the run is never expanded.
+        x = u_inverse(3, (10**9, 10**9 + 1))
+        for budget in (None, STEP_BOUND + 1, 10**12):
+            with pytest.raises(ResourceError):
+                greedy_path(PT, x, budget)
+        trace = greedy_path(PT, x, max_steps=10)
+        assert trace.kind == "exhausted" and trace.steps == 10
+
+    def test_step_bound_edges(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "STEP_BOUND", 100)
+        assert greedy_path(PT, u_inverse(3, (1, 100))).steps == 100
+        longer = u_inverse(3, (1, 101))
+        with pytest.raises(ResourceError):
+            greedy_path(PT, longer)
+        with pytest.raises(ResourceError):
+            greedy_path(PT, longer, max_steps=101)
+        trace = greedy_path(PT, longer, max_steps=100)
+        assert trace.kind == "exhausted" and trace.steps == 100
 
 
 class TestCellAtlas:
