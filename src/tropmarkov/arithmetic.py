@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .errors import DomainError, ResourceError, UsageError
 from .laurent import LaurentPoly
-from .scalars import ExtRat, ext_min, is_prime, p_adic_valuation
+from .scalars import ExtRat, _int_valuation, ext_min, is_prime
 from .surface import CellId, Params, Point3, cell_has_interior, cells_of, on_skeleton
 from .dynamics import Matrix2, Word, mat_mul, trop_vieta
 
@@ -190,7 +190,9 @@ def matrix_divergence(signs: Sequence[int]) -> list[int]:
 # -- Z[1/p]-points on the compact component ------------------------------------------
 
 # Largest half-width of the integer box |n_i| <= nmax that enumerate_zp_points
-# searches; its loop is cubic in nmax.  256 admits K = 14 at p = 2 (nmax 221).
+# searches; its loop is quadratic in nmax, over the pairs (n1, n2).  256 admits
+# K = 14 at p = 2 (nmax 221).  Every p above ZP_BOX_BOUND^2 exceeds it: D = m/p^K
+# with K >= 1 makes the ball 3 m p^K at least 3p, so nmax >= sqrt(3p) - 1 > 256.
 ZP_BOX_BOUND = 256
 
 
@@ -211,13 +213,6 @@ def compact_radius(D) -> Fraction:
     return 3 * D
 
 
-def _is_p_power_denominator(x: Fraction, p: int) -> bool:
-    den = x.denominator
-    while den % p == 0:
-        den //= p
-    return den == 1
-
-
 def enumerate_zp_points(p: int, D) -> list[ZpPoint]:
     """All surface points with coordinates m_i p^(x_i), p not dividing m_i,
     exponents in [v_p(D), -1], and coordinate square-sum below 3D.
@@ -226,19 +221,28 @@ def enumerate_zp_points(p: int, D) -> list[ZpPoint]:
     denominator p^K with K = -v_p(D); the surface equation scaled by p^(3K)
     becomes the integer identity p^K (n1^2+n2^2+n3^2) + n1 n2 n3 = D p^(3K),
     and the exponent box is equivalent to n_i nonzero and p^K not dividing n_i.
-    A box half-width beyond ZP_BOX_BOUND raises ResourceError.
+    For each pair (n1, n2) the identity is a quadratic in n3, solved exactly
+    with an integer square root, so the cost is O(nmax^2) for the box
+    half-width nmax.  A half-width beyond ZP_BOX_BOUND, or any p above
+    ZP_BOX_BOUND^2, raises ResourceError.
     """
+    if p > ZP_BOX_BOUND ** 2:
+        # Checked before is_prime, whose trial division is slow for huge p.
+        raise ResourceError(
+            f"p = {p} exceeds the configured bound {ZP_BOX_BOUND ** 2}: its enumeration "
+            f"box half-width would exceed {ZP_BOX_BOUND}")
+    # Also rejects p < 2, for which dividing D's denominator by p never ends.
     if not is_prime(p):
         raise UsageError(f"{p} is not prime")
     D = Fraction(D)
-    if not _is_p_power_denominator(D, p):
+    pk = D.denominator
+    K = _int_valuation(pk, p)
+    if p ** K != pk:
         raise DomainError(f"{D} is not in Z[1/{p}]")
     if not 0 < D < Fraction(1, 3):
         raise DomainError(f"enumeration requires 0 < D < 1/3, got {D}")
-    K = -int(p_adic_valuation(D, p).finite)
-    pk = p ** K
-    rhs = int(D * pk ** 3)
-    ball = 3 * int(D * pk) * pk  # n1^2+n2^2+n3^2 < 3 D p^(2K)
+    rhs = D.numerator * pk * pk  # D p^(3K)
+    ball = 3 * D.numerator * pk  # n1^2+n2^2+n3^2 < 3 D p^(2K)
     nmax = math.isqrt(ball)
     if nmax * nmax >= ball:
         nmax -= 1
@@ -253,14 +257,22 @@ def enumerate_zp_points(p: int, D) -> list[ZpPoint]:
             s2 = s1 + n2 * n2
             if s2 >= ball:
                 continue
-            n12 = n1 * n2
-            for n3 in allowed:
-                if s2 + n3 * n3 >= ball:
+            # pk n3^2 + b n3 + c = 0 with b = n1 n2 and c = pk s2 - rhs.
+            b = n1 * n2
+            disc = b * b - 4 * pk * (pk * s2 - rhs)
+            if disc < 0:
+                continue
+            r = math.isqrt(disc)
+            if r * r != disc:
+                continue
+            for num in {-b + r, -b - r}:
+                n3, rem = divmod(num, 2 * pk)
+                # pk | n3 covers n3 = 0.
+                if rem or n3 % pk == 0 or s2 + n3 * n3 >= ball:
                     continue
-                if pk * (s2 + n3 * n3) + n12 * n3 == rhs:
-                    coords = (Fraction(n1, pk), Fraction(n2, pk), Fraction(n3, pk))
-                    exps = tuple(int(p_adic_valuation(c, p).finite) for c in coords)
-                    out.append(ZpPoint(coords, exps))
+                coords = (Fraction(n1, pk), Fraction(n2, pk), Fraction(n3, pk))
+                exps = tuple(_int_valuation(n, p) - K for n in (n1, n2, n3))
+                out.append(ZpPoint(coords, exps))
     return sorted(out, key=lambda z: z.coords)
 
 

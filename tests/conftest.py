@@ -4,11 +4,13 @@ These deliberately re-derive results along routes independent of the library
 functions they are used to check.
 """
 
+import math
 from fractions import Fraction
 from itertools import product
 
-from tropmarkov.errors import DomainError, UsageError
-from tropmarkov.scalars import ExtRat, ext_min
+from tropmarkov.arithmetic import ZP_BOX_BOUND, ZpPoint
+from tropmarkov.errors import DomainError, ResourceError, UsageError
+from tropmarkov.scalars import ExtRat, ext_min, is_prime, p_adic_valuation
 from tropmarkov.surface import (
     CELL_ORDER,
     CellId,
@@ -184,22 +186,24 @@ def brute_force_zp_points(p: int, D: Fraction) -> list:
     """Grid search over X_i = n / p^K with |X_i| <= 1, keeping exact surface
     points inside the ball of squared radius 3D whose coordinate valuations
     lie in [v_p(D), -1]."""
-    from tropmarkov.scalars import p_adic_valuation
-
     nu_d = int(p_adic_valuation(D, p).finite)
     K = max(2, -nu_d)
     den = p**K
     radius_sq = 3 * D
     grid = [Fraction(n, den) for n in range(-den, den + 1)]
+    squares = [x * x for x in grid]
     out = []
-    for x1 in grid:
-        for x2 in grid:
-            if x1 * x1 + x2 * x2 >= radius_sq:
+    for x1, sq1 in zip(grid, squares):
+        for x2, sq2 in zip(grid, squares):
+            s12 = sq1 + sq2
+            if s12 >= radius_sq:
                 continue
-            for x3 in grid:
-                if x1 * x1 + x2 * x2 + x3 * x3 >= radius_sq:
+            x12 = x1 * x2
+            for x3, sq3 in zip(grid, squares):
+                s123 = s12 + sq3
+                if s123 >= radius_sq:
                     continue
-                if x1 * x1 + x2 * x2 + x3 * x3 + x1 * x2 * x3 != D:
+                if s123 + x12 * x3 != D:
                     continue
                 vals = [p_adic_valuation(c, p) for c in (x1, x2, x3)]
                 if any(v.is_infinite for v in vals):
@@ -207,3 +211,45 @@ def brute_force_zp_points(p: int, D: Fraction) -> list:
                 if all(nu_d <= int(v.finite) <= -1 for v in vals):
                     out.append(((x1, x2, x3), tuple(int(v.finite) for v in vals)))
     return sorted(out)
+
+
+def oracle_zp_points_cubic(p: int, D) -> list:
+    """The Z[1/p] enumerator as the library ran it before the quadratic in n3
+    was solved: the whole integer box, one n3 at a time."""
+    if not is_prime(p):
+        raise UsageError(f"{p} is not prime")
+    D = Fraction(D)
+    den = D.denominator
+    while den % p == 0:
+        den //= p
+    if den != 1:
+        raise DomainError(f"{D} is not in Z[1/{p}]")
+    if not 0 < D < Fraction(1, 3):
+        raise DomainError(f"enumeration requires 0 < D < 1/3, got {D}")
+    K = -int(p_adic_valuation(D, p).finite)
+    pk = p ** K
+    rhs = int(D * pk ** 3)
+    ball = 3 * int(D * pk) * pk  # n1^2+n2^2+n3^2 < 3 D p^(2K)
+    nmax = math.isqrt(ball)
+    if nmax * nmax >= ball:
+        nmax -= 1
+    if nmax > ZP_BOX_BOUND:
+        raise ResourceError(
+            f"enumeration box half-width {nmax} exceeds the configured bound {ZP_BOX_BOUND}")
+    allowed = [n for n in range(-nmax, nmax + 1) if n != 0 and n % pk != 0]
+    out = []
+    for n1 in allowed:
+        s1 = n1 * n1
+        for n2 in allowed:
+            s2 = s1 + n2 * n2
+            if s2 >= ball:
+                continue
+            n12 = n1 * n2
+            for n3 in allowed:
+                if s2 + n3 * n3 >= ball:
+                    continue
+                if pk * (s2 + n3 * n3) + n12 * n3 == rhs:
+                    coords = (Fraction(n1, pk), Fraction(n2, pk), Fraction(n3, pk))
+                    exps = tuple(int(p_adic_valuation(c, p).finite) for c in coords)
+                    out.append(ZpPoint(coords, exps))
+    return sorted(out, key=lambda z: z.coords)

@@ -1,7 +1,10 @@
+import math
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tropmarkov.errors import DomainError
 from tropmarkov.laurent import LaurentPoly
@@ -167,6 +170,22 @@ class TestMatrixDivergence:
             assert all(b >= a for a, b in zip(mins, mins[1:]))
 
 
+def _zp_cases(max_nmax):
+    """Every (p, D = m/p^K) with p in {2, 3, 5, 7}, p not dividing m, D < 1/3
+    and enumeration box half-width nmax = isqrt(3 m p^K - 1) at most max_nmax."""
+    cases = []
+    for p in (2, 3, 5, 7):
+        pk = p
+        while 3 * pk <= (max_nmax + 1) ** 2:
+            cases += [(p, F(m, pk)) for m in range(1, pk)
+                      if m % p and 3 * m < pk and math.isqrt(3 * m * pk - 1) <= max_nmax]
+            pk *= p
+    return cases
+
+
+_SIGN_FLIPS = ((1, 1, 1), (-1, -1, 1), (-1, 1, -1), (1, -1, -1))
+
+
 class TestZpEnumeration:
     def test_empty_cases(self):
         assert enumerate_zp_points(2, F(1, 4)) == []
@@ -205,6 +224,46 @@ class TestZpEnumeration:
         for p, D in ((2, F(1, 4)), (2, F(5, 16)), (2, F(11, 64)), (3, F(1, 9))):
             ours = [(z.coords, z.exponents) for z in enumerate_zp_points(p, D)]
             assert ours == brute_force_zp_points(p, D)
+
+    @given(st.sampled_from(_zp_cases(40)))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_cubic_box_scan(self, case):
+        from conftest import oracle_zp_points_cubic
+
+        p, D = case
+        assert enumerate_zp_points(p, D) == oracle_zp_points_cubic(p, D)
+
+    @given(st.sampled_from(_zp_cases(128)))
+    @settings(max_examples=100, deadline=None)
+    def test_closed_under_permutations_and_sign_pairs(self, case):
+        # Both maps preserve x1^2+x2^2+x3^2, x1 x2 x3 and every |x_i|.
+        p, D = case
+        points = {z.coords: z.exponents for z in enumerate_zp_points(p, D)}
+        for coords, exps in points.items():
+            for order in permutations(range(3)):
+                for signs in _SIGN_FLIPS:
+                    image = tuple(s * coords[k] for s, k in zip(signs, order))
+                    assert points.get(image) == tuple(exps[k] for k in order)
+
+    def test_benchmark_anchors(self):
+        from conftest import oracle_zp_points_cubic
+
+        for p, D, count in ((7, F(2, 49), 12), (2, F(5, 256), 24)):
+            pts = enumerate_zp_points(p, D)
+            assert len(pts) == count
+            assert pts == oracle_zp_points_cubic(p, D)
+
+    def test_double_roots_listed_once(self):
+        # At D = 79/256 the quadratic in n3 has a double root for eight pairs
+        # (n1, n2): the points with 2 x3 + x1 x2 = 0, fixed by the third
+        # Vieta involution.  264 is the cubic box scan's count (nmax 246).
+        D = F(79, 256)
+        pts = enumerate_zp_points(2, D)
+        coords = [z.coords for z in pts]
+        assert len(coords) == len(set(coords)) == 264
+        tangent = [x for x in coords if 2 * x[2] + x[0] * x[1] == 0]
+        assert len(tangent) == 8
+        assert (F(-1, 2), F(-1, 4), F(-1, 16)) in tangent
 
 
 class TestCompactRadius:

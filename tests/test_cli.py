@@ -39,6 +39,9 @@ class TestClassifyCommand:
             ("reduce", "--params", "inf,inf,inf,-2", "--point", "-2,-3,-5", "--max-steps", "-1"),
             ("tessellation", "--depth", "-1", "--svg", str(tmp_path / "t.svg")),
             ("rays", "--d", "-2", "--height", "-1"),
+            ("enumerate-zp", "--p", "1", "--D", "1/2"),
+            ("enumerate-zp", "--p", "-3", "--D", "1/9"),
+            ("enumerate-zp", "--p", "65536", "--D", "1/2"),
         ):
             code, out, err = run_cli(capsys, *argv)
             assert code == 3, argv
@@ -55,6 +58,7 @@ class TestClassifyCommand:
             ("farey", "--depth", "17"),
             ("farey", "--depth", "17", "--svg", str(tmp_path / "f.svg")),
             ("enumerate-zp", "--p", "2", "--D", "1/1099511627776"),
+            ("enumerate-zp", "--p", "1000000000000000003", "--D", "1/2"),
             ("reduce", *long_run),
             ("reduce", *long_run, "--max-steps", str(10**12)),
             ("classify", *long_run),
