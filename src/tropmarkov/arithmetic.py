@@ -10,6 +10,7 @@ surface x1^2+x2^2+x3^2+x1x2x3 = D.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -253,10 +254,9 @@ def enumerate_zp_points(p: int, D) -> list[ZpPoint]:
     out = []
     for n1 in allowed:
         s1 = n1 * n1
-        for n2 in allowed:
+        r2 = math.isqrt(ball - 1 - s1)  # the largest |n2| inside the ball
+        for n2 in allowed[bisect_left(allowed, -r2):bisect_right(allowed, r2)]:
             s2 = s1 + n2 * n2
-            if s2 >= ball:
-                continue
             # pk n3^2 + b n3 + c = 0 with b = n1 n2 and c = pk s2 - rhs.
             b = n1 * n2
             disc = b * b - 4 * pk * (pk * s2 - rhs)

@@ -15,8 +15,9 @@ normalised to coordinate sum -1.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable
 
 from .errors import DomainError, ResourceError, UsageError
 from .dynamics import Word, trop_vieta
@@ -64,6 +65,7 @@ def apply_reflection_word(word: Word, x: BPoint) -> BPoint:
 
 
 BOUNDARY_NETS: dict[int, BPoint] = {1: (0, 1), 2: (1, 0), 3: (1, 1)}
+BOUNDARY_CCW = (1, 3, 2)  # 0, 1, inf
 
 
 def height(x: BPoint) -> int:
@@ -113,23 +115,31 @@ def reduce_to_nets(x: BPoint) -> tuple[Word, BPoint]:
 # -- partial orbits ----------------------------------------------------------------
 
 
-def _tower(nets: dict[int, object], act: Callable, n: int) -> list:
-    """Orbit points of the labels of length <= n, in label order.
+def _orbit_cycle(nets: dict[int, object], act: Callable, ccw: tuple[int, int, int],
+                 n: int) -> list:
+    """Orbit points of the labels of length <= n (a net and a reduced word
+    modulo the net's stabiliser), in cyclic order with no comparison.
 
-    A label is a net i and a word applied to it, reduced modulo the net's
-    stabiliser (the two other reflections): the word is empty or starts with
-    i, and no letter repeats the one before it.  Labels are listed by length,
-    then by net and letters, so the first 3 * 2^k points are the labels of
-    length <= k and two towers list the same label at the same position.
-    Each point costs one ``act`` on its parent's point.
+    With the nets a, b, c in the order ``ccw`` the circle reads a, arc c, b,
+    arc a, c, arc b, where arc g holds the points with outermost letter g.
+    Each level puts one point in each gap (criterion 7), and r_g maps the rest
+    of the circle onto arc g reversing orientation: the new points of arc g,
+    at its even positions, are the r_g images of the last level's points in
+    the arcs beside net g, reversed.  The slice with step 2^(n-k) is the
+    depth-k cycle; cycles built with one ``ccw`` hold a label at one position.
     """
-    frontier = [((i,), nets[i]) for i in (1, 2, 3)]  # (next letters, point)
-    points = [x for _, x in frontier]
+    a, b, c = ccw
+    sides = {a: (b, c), b: (c, a), c: (a, b)}  # the arcs before and after net g
+    arcs = {g: [] for g in ccw}
+    sources = {g: [nets[g]] for g in ccw}  # points r_g maps to the next level
     for _ in range(n):
-        frontier = [(tuple(h for h in (1, 2, 3) if h != g), act(g, x))
-                    for letters, x in frontier for g in letters]
-        points.extend(x for _, x in frontier)
-    return points
+        fresh = {g: [act(g, x) for x in sources[g]] for g in ccw}
+        for g in ccw:
+            arc = [None] * (2 * len(fresh[g]) - 1)
+            arc[::2], arc[1::2] = fresh[g], arcs[g]
+            arcs[g] = arc
+        sources = {g: (fresh[h] + fresh[k])[::-1] for g, (h, k) in sides.items()}
+    return [nets[a], *arcs[c], nets[b], *arcs[a], nets[c], *arcs[b]]
 
 
 def _check_depth(n: int, bound: int):
@@ -139,18 +149,13 @@ def _check_depth(n: int, bound: int):
         raise ResourceError(f"orbit depth {n} exceeds the configured bound {bound}")
 
 
-def _boundary_cyclic_key(x: BPoint):
-    p, q = x
-    if q == 0:
-        return (1, Fraction(0))
-    return (0, Fraction(p, q))
-
-
 def partial_orbit_boundary(n: int, bound: int = DEPTH_BOUND) -> list[BPoint]:
     """The 3 * 2^n distinct orbit points of the nets under words of length <= n,
-    in circular order on the boundary circle."""
+    in circular order on the boundary circle, ending with inf."""
     _check_depth(n, bound)
-    return sorted(set(_tower(BOUNDARY_NETS, reflect_boundary, n)), key=_boundary_cyclic_key)
+    cycle = _orbit_cycle(BOUNDARY_NETS, reflect_boundary, BOUNDARY_CCW, n)
+    cut = (2 << n) + 1  # just after inf, the third net
+    return cycle[cut:] + cycle[:cut]
 
 
 CirclePointS = tuple[Fraction, Fraction, Fraction]
@@ -168,6 +173,7 @@ SKELETON_NETS: dict[int, CirclePointS] = {
     2: (Fraction(-1, 2), Fraction(0), Fraction(-1, 2)),
     3: (Fraction(-1, 2), Fraction(-1, 2), Fraction(0)),
 }
+SKELETON_CCW = (1, 2, 3)  # at 45, 135 and 270 degrees
 
 
 def skeleton_direction_act(i: int, x: CirclePointS) -> CirclePointS:
@@ -175,27 +181,25 @@ def skeleton_direction_act(i: int, x: CirclePointS) -> CirclePointS:
 
 
 def _plane_xy(x: CirclePointS) -> tuple[Fraction, Fraction]:
-    third = Fraction(-1, 3)
-    e = (x[0] - third, x[1] - third, x[2] - third)
-    return (e[0] - e[1], e[0] + e[1] - 2 * e[2])
+    return (x[0] - x[1], x[0] + x[1] - 2 * x[2])
 
 
-def _skeleton_key(x: CirclePointS):
-    """Exact angle order of the plane image (p, q): half-plane [0, pi) first,
-    then the point on the p-axis, then decreasing cotangent p/q."""
-    p, q = _plane_xy(x)
-    return (0 if q > 0 or (q == 0 and p > 0) else 1, q != 0, -p / q if q else 0)
-
-
-def _skeleton_sorted(points: Iterable[CirclePointS]) -> list[CirclePointS]:
-    return sorted(points, key=_skeleton_key)
+def _plane_vector(x: CirclePointS) -> tuple[bool, int, int]:
+    """Whether the plane image of x has its angle in [0, pi), and an integer
+    positive multiple (p, q) of that image."""
+    d = math.lcm(*(c.denominator for c in x))
+    p, q = _plane_xy([c.numerator * (d // c.denominator) for c in x])
+    return (q > 0 or (q == 0 and p > 0), p, q)
 
 
 def partial_orbit_skeleton(n: int, bound: int = DEPTH_BOUND) -> list[CirclePointS]:
     """Orbit of the ray directions on the circle of directions of the fully
-    degenerate skeleton, in circular order."""
+    degenerate skeleton, in circular order from angle 0."""
     _check_depth(n, bound)
-    return _skeleton_sorted(set(_tower(SKELETON_NETS, skeleton_direction_act, n)))
+    cycle = _orbit_cycle(SKELETON_NETS, skeleton_direction_act, SKELETON_CCW, n)
+    # Angle 0 lies in arc 2, the last one, which runs from 270 to 45 degrees.
+    cut = bisect_left(cycle, True, (2 << n) + 1, key=lambda x: _plane_vector(x)[0])
+    return cycle[cut:] + cycle[:cut]
 
 
 # -- arc statistics -----------------------------------------------------------------
@@ -221,18 +225,18 @@ def _gap_lengths(angles: list[float]) -> list[float]:
 def partition_table(n: int, side: str,
                     bound: int = DEPTH_BOUND) -> list[tuple[int, float, float]]:
     """Rows (count, min, max) of the arc lengths between adjacent orbit points
-    at depths k = 0..n, all read from one depth-n tower."""
+    at depths k = 0..n, all read from one depth-n orbit cycle."""
     if side == "boundary":
-        nets, act, angle = BOUNDARY_NETS, reflect_boundary, boundary_angle
+        nets, act, ccw, angle = BOUNDARY_NETS, reflect_boundary, BOUNDARY_CCW, boundary_angle
     elif side == "skeleton":
-        nets, act, angle = SKELETON_NETS, skeleton_direction_act, skeleton_angle
+        nets, act, ccw, angle = SKELETON_NETS, skeleton_direction_act, SKELETON_CCW, skeleton_angle
     else:
         raise UsageError(f"side must be 'boundary' or 'skeleton', got {side!r}")
     _check_depth(n, bound)
-    angles = [angle(x) for x in _tower(nets, act, n)]
+    angles = [angle(x) for x in _orbit_cycle(nets, act, ccw, n)]
     rows = []
     for k in range(n + 1):
-        gaps = _gap_lengths(angles[:3 << k])  # the depth-k orbit
+        gaps = _gap_lengths(angles[::1 << (n - k)])  # the depth-k orbit
         rows.append((3 << k, min(gaps), max(gaps)))
     return rows
 
@@ -245,18 +249,11 @@ def partition_stats(n: int, side: str, bound: int = DEPTH_BOUND) -> tuple[float,
 # -- order comparison ----------------------------------------------------------------
 
 
-def _cyclic_match(seq_a: list, seq_b: list) -> bool:
-    if len(seq_a) != len(seq_b):
-        return False
-    if not seq_a:
-        return True
-    doubled = seq_a + seq_a
-    for candidate in (seq_b, seq_b[::-1]):
-        first = candidate[0]
-        for k in range(len(seq_a)):
-            if doubled[k] == first and doubled[k:k + len(candidate)] == candidate:
-                return True
-    return False
+def _angle_step(u: tuple[bool, int, int], v: tuple[bool, int, int]) -> int:
+    """A number with the sign of angle(v) - angle(u), angles taken in [0, 2pi)."""
+    if u[0] != v[0]:
+        return u[0] - v[0]
+    return u[1] * v[2] - u[2] * v[1]
 
 
 def order_isomorphism_check(n: int, net_order: tuple[int, int, int] = (1, 2, 3),
@@ -266,11 +263,13 @@ def order_isomorphism_check(n: int, net_order: tuple[int, int, int] = (1, 2, 3),
     boundary net is matched with; the identity is the faithful pairing."""
     _check_depth(n, bound)
     skel_nets = {i: SKELETON_NETS[net_order[i - 1]] for i in (1, 2, 3)}
-    # Both towers list the labels in one order, so a position is a label.
-    bnd = _tower(BOUNDARY_NETS, reflect_boundary, n)
-    skl = _tower(skel_nets, skeleton_direction_act, n)
-    if len(set(bnd)) != len(bnd) or len(set(skl)) != len(skl):
-        return False
-    seq_b = sorted(range(len(bnd)), key=lambda k: _boundary_cyclic_key(bnd[k]))
-    seq_s = sorted(range(len(skl)), key=lambda k: _skeleton_key(skl[k]))
-    return _cyclic_match(seq_b, seq_s)
+    # Both cycles use the boundary's layout, so a position is a label.
+    bnd = _orbit_cycle(BOUNDARY_NETS, reflect_boundary, BOUNDARY_CCW, n)
+    skl = [_plane_vector(x) for x in
+           _orbit_cycle(skel_nets, skeleton_direction_act, BOUNDARY_CCW, n)]
+    # Strict cyclic order: exactly one step is not an ascent (or, reversed, not a
+    # descent); ties count both ways, so a repeated point fails.  Comparing r*q
+    # with p*s puts inf = (1, 0) above every finite p/q.
+    descents_b = sum(r * q <= p * s for (p, q), (r, s) in zip(bnd, bnd[1:] + bnd[:1]))
+    steps_s = [_angle_step(u, v) for u, v in zip(skl, skl[1:] + skl[:1])]
+    return descents_b == 1 and 1 in (sum(t <= 0 for t in steps_s), sum(t >= 0 for t in steps_s))

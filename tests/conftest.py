@@ -10,6 +10,13 @@ from itertools import product
 
 from tropmarkov.arithmetic import ZP_BOX_BOUND, ZpPoint
 from tropmarkov.errors import DomainError, ResourceError, UsageError
+from tropmarkov.hyperbolic import (
+    BOUNDARY_NETS,
+    SKELETON_NETS,
+    _plane_xy,
+    reflect_boundary,
+    skeleton_direction_act,
+)
 from tropmarkov.scalars import ExtRat, ext_min, is_prime, p_adic_valuation
 from tropmarkov.surface import (
     CELL_ORDER,
@@ -152,6 +159,65 @@ def oracle_realise(label, nets: dict, act):
     for g in word:
         x = act(g, x)
     return x
+
+
+def oracle_tower(nets: dict, act, n: int) -> list:
+    """Orbit points of the labels of length <= n in ``oracle_labels`` order,
+    each one ``act`` on its parent's point, by breadth-first search."""
+    frontier = [((i,), nets[i]) for i in (1, 2, 3)]  # (next letters, point)
+    points = [x for _, x in frontier]
+    for _ in range(n):
+        frontier = [(tuple(h for h in (1, 2, 3) if h != g), act(g, x))
+                    for letters, x in frontier for g in letters]
+        points.extend(x for _, x in frontier)
+    return points
+
+
+def oracle_boundary_key(x):
+    """Sort key of the boundary circle cut just after inf: p/q, then inf."""
+    p, q = x
+    if q == 0:
+        return (1, Fraction(0))
+    return (0, Fraction(p, q))
+
+
+def oracle_skeleton_key(x):
+    """Exact angle order of the plane image (p, q): half-plane [0, pi) first,
+    then the point on the p-axis, then decreasing cotangent p/q."""
+    p, q = _plane_xy(x)
+    return (0 if q > 0 or (q == 0 and p > 0) else 1, q != 0, -p / q if q else 0)
+
+
+def oracle_skeleton_sorted(points) -> list:
+    return sorted(points, key=oracle_skeleton_key)
+
+
+def oracle_cyclic_match(seq_a: list, seq_b: list) -> bool:
+    """Whether seq_b is a rotation of seq_a or of its reversal."""
+    if len(seq_a) != len(seq_b):
+        return False
+    if not seq_a:
+        return True
+    doubled = seq_a + seq_a
+    for candidate in (seq_b, seq_b[::-1]):
+        first = candidate[0]
+        for k in range(len(seq_a)):
+            if doubled[k] == first and doubled[k:k + len(candidate)] == candidate:
+                return True
+    return False
+
+
+def oracle_order_isomorphism_check(n: int, net_order=(1, 2, 3)) -> bool:
+    """Both towers list the labels in one order, so a position is a label:
+    sort the positions by each circle's key and match the two cycles."""
+    skel_nets = {i: SKELETON_NETS[net_order[i - 1]] for i in (1, 2, 3)}
+    bnd = oracle_tower(BOUNDARY_NETS, reflect_boundary, n)
+    skl = oracle_tower(skel_nets, skeleton_direction_act, n)
+    if len(set(bnd)) != len(bnd) or len(set(skl)) != len(skl):
+        return False
+    seq_b = sorted(range(len(bnd)), key=lambda k: oracle_boundary_key(bnd[k]))
+    seq_s = sorted(range(len(skl)), key=lambda k: oracle_skeleton_key(skl[k]))
+    return oracle_cyclic_match(seq_b, seq_s)
 
 
 def orbit_reaches_ray(params, x, budget=4000) -> bool:

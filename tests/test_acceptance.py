@@ -9,7 +9,12 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-from conftest import brute_force_zp_points, orbit_reaches_ray
+from conftest import (
+    brute_force_zp_points,
+    oracle_boundary_key,
+    oracle_skeleton_sorted,
+    orbit_reaches_ray,
+)
 
 from tropmarkov.sampling import random_params, random_skeleton_point, random_word
 from tropmarkov.scalars import continued_fraction, thomae_gcd
@@ -47,8 +52,6 @@ from tropmarkov.hyperbolic import (
     partial_orbit_skeleton,
     partition_stats,
     reduce_to_nets,
-    _boundary_cyclic_key,
-    _skeleton_sorted,
 )
 from tropmarkov.arithmetic import (
     enumerate_zp_points,
@@ -193,17 +196,17 @@ def test_criterion_06_euc_gcd_law():
 
 def test_criterion_07_pingpong_counts_and_refinement():
     for n in range(11):
-        assert len(partial_orbit_boundary(n)) == 3 * 2**n
-        assert len(partial_orbit_skeleton(n)) == 3 * 2**n
+        assert len(set(partial_orbit_boundary(n))) == 3 * 2**n
+        assert len(set(partial_orbit_skeleton(n))) == 3 * 2**n
     for n in range(10):
         cur = partial_orbit_boundary(n)
         fresh = sorted(set(partial_orbit_boundary(n + 1)) - set(cur),
-                       key=_boundary_cyclic_key)
-        merged = sorted(cur + fresh, key=_boundary_cyclic_key)
+                       key=oracle_boundary_key)
+        merged = sorted(cur + fresh, key=oracle_boundary_key)
         _assert_alternating(merged, set(cur))
         cur_s = partial_orbit_skeleton(n)
         fresh_s = set(partial_orbit_skeleton(n + 1)) - set(cur_s)
-        merged_s = _skeleton_sorted(list(fresh_s) + list(cur_s))
+        merged_s = oracle_skeleton_sorted(list(fresh_s) + list(cur_s))
         _assert_alternating(merged_s, set(cur_s))
     for n in range(9):
         assert order_isomorphism_check(n)

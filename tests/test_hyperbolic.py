@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 from functools import cmp_to_key
@@ -8,7 +9,9 @@ from hypothesis import given, strategies as st
 from tropmarkov.errors import ResourceError
 from tropmarkov.dynamics import Word
 from tropmarkov.hyperbolic import (
+    BOUNDARY_CCW,
     BOUNDARY_NETS,
+    SKELETON_CCW,
     SKELETON_NETS,
     apply_reflection_word,
     boundary_angle,
@@ -24,13 +27,19 @@ from tropmarkov.hyperbolic import (
     reflect_boundary,
     skeleton_angle,
     skeleton_direction_act,
-    _boundary_cyclic_key,
+    _orbit_cycle,
     _plane_xy,
-    _skeleton_sorted,
-    _tower,
 )
 
-from conftest import oracle_angular_cmp, oracle_labels, oracle_realise
+from conftest import (
+    oracle_angular_cmp,
+    oracle_boundary_key,
+    oracle_labels,
+    oracle_order_isomorphism_check,
+    oracle_realise,
+    oracle_skeleton_sorted,
+    oracle_tower,
+)
 
 F = Fraction
 
@@ -105,8 +114,8 @@ class TestPartialOrbits:
 
     def test_counts(self):
         for n in range(8):
-            assert len(partial_orbit_boundary(n)) == 3 * 2**n
-            assert len(partial_orbit_skeleton(n)) == 3 * 2**n
+            assert len(set(partial_orbit_boundary(n))) == 3 * 2**n
+            assert len(set(partial_orbit_skeleton(n))) == 3 * 2**n
 
     def test_depth_bound(self):
         with pytest.raises(ResourceError):
@@ -123,17 +132,17 @@ def _boundary_interval_refinement(n):
     cur = partial_orbit_boundary(n)
     nxt = partial_orbit_boundary(n + 1)
     fresh = set(nxt) - set(cur)
-    keys = [_boundary_cyclic_key(x) for x in cur]
+    keys = [oracle_boundary_key(x) for x in cur]
     counts = []
     for k in range(len(cur)):
         lo = keys[k]
         hi = keys[(k + 1) % len(cur)]
         if k + 1 < len(cur):
-            inside = sum(1 for y in fresh if lo < _boundary_cyclic_key(y) < hi)
+            inside = sum(1 for y in fresh if lo < oracle_boundary_key(y) < hi)
         else:
             inside = sum(
                 1 for y in fresh
-                if _boundary_cyclic_key(y) > lo or _boundary_cyclic_key(y) < hi
+                if oracle_boundary_key(y) > lo or oracle_boundary_key(y) < hi
             )
         counts.append(inside)
     return counts
@@ -142,7 +151,7 @@ def _boundary_interval_refinement(n):
 def _skeleton_interval_refinement(n):
     cur = partial_orbit_skeleton(n)
     fresh = set(partial_orbit_skeleton(n + 1)) - set(cur)
-    merged = _skeleton_sorted(list(fresh) + list(cur))
+    merged = oracle_skeleton_sorted(list(fresh) + list(cur))
     positions = [k for k, x in enumerate(merged) if x in set(cur)]
     counts = []
     for a, b in zip(positions, positions[1:] + [positions[0] + len(merged)]):
@@ -189,9 +198,10 @@ class TestOrderIsomorphism:
         assert not order_isomorphism_check(4, net_order=(1, 3, 2))
 
     def test_orbit_distinctness_depth8(self):
-        # Counting alone pins injectivity of the label realisation.
-        assert len(partial_orbit_boundary(8)) == 3 * 2**8
-        assert len(partial_orbit_skeleton(8)) == 3 * 2**8
+        # The listings have 3 * 2^n entries by construction; distinct entries
+        # pin injectivity of the label realisation.
+        assert len(set(partial_orbit_boundary(8))) == 3 * 2**8
+        assert len(set(partial_orbit_skeleton(8))) == 3 * 2**8
 
 
 def _direction(a, b):
@@ -201,21 +211,22 @@ def _direction(a, b):
     return (third + a, third + b, third - a - b)
 
 
-def _oracle_skeleton_sorted(points):
+def _comparator_sorted(points):
     return sorted(points, key=cmp_to_key(
         lambda u, v: oracle_angular_cmp(_plane_xy(u), _plane_xy(v))))
 
 
 class TestAgainstSlowPaths:
-    """The labelled tower and the exact sort key against the seed's routes:
-    per-label word replay and the cross-product comparator."""
+    """The arc-by-arc orbit cycle against the sorted label tower, and the
+    tower and its exact sort key against the seed's routes: per-label word
+    replay and the cross-product comparator."""
 
     small = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 
     def test_skeleton_order_on_orbits(self):
         for n in range(7):
-            points = list(set(_tower(SKELETON_NETS, skeleton_direction_act, n)))
-            assert _skeleton_sorted(points) == _oracle_skeleton_sorted(points)
+            points = list(set(oracle_tower(SKELETON_NETS, skeleton_direction_act, n)))
+            assert oracle_skeleton_sorted(points) == _comparator_sorted(points)
 
     @given(st.lists(st.tuples(small, small).filter(lambda ab: ab != (0, 0)), max_size=30),
            st.fractions(min_value=F(1, 6), max_value=3, max_denominator=6))
@@ -225,14 +236,49 @@ class TestAgainstSlowPaths:
         points = [_direction(a, b) for a, b in pairs]
         points += [_direction(t, -t), _direction(-t, t)]
         points += [_direction(2 * a, 2 * b) for a, b in pairs[:3]]
-        assert _skeleton_sorted(points) == _oracle_skeleton_sorted(points)
+        assert oracle_skeleton_sorted(points) == _comparator_sorted(points)
 
     def test_tower_replays_labels(self):
         for nets, act in ((BOUNDARY_NETS, reflect_boundary),
                           (SKELETON_NETS, skeleton_direction_act)):
             for n in range(7):
                 expected = [oracle_realise(label, nets, act) for label in oracle_labels(n)]
-                assert _tower(nets, act, n) == expected
+                assert oracle_tower(nets, act, n) == expected
+
+    def test_boundary_listing_matches_sorted_tower(self):
+        for n in range(12):
+            tower = oracle_tower(BOUNDARY_NETS, reflect_boundary, n)
+            assert partial_orbit_boundary(n) == sorted(set(tower), key=oracle_boundary_key)
+
+    def test_skeleton_listing_matches_sorted_tower(self):
+        for n in range(9):
+            tower = oracle_tower(SKELETON_NETS, skeleton_direction_act, n)
+            assert partial_orbit_skeleton(n) == oracle_skeleton_sorted(set(tower))
+
+    def test_order_check_matches_sorted_towers(self):
+        # A repeated net repeats points, which must fail the check.
+        for net_order in [*itertools.permutations((1, 2, 3)), (1, 1, 2), (3, 3, 3)]:
+            for n in range(8):
+                assert (order_isomorphism_check(n, net_order)
+                        == oracle_order_isomorphism_check(n, net_order))
+
+    def test_arcs_hold_the_labels_by_outermost_letter(self):
+        for nets, act, ccw in ((BOUNDARY_NETS, reflect_boundary, BOUNDARY_CCW),
+                               (SKELETON_NETS, skeleton_direction_act, SKELETON_CCW)):
+            a, b, c = ccw
+            for n in range(7):
+                cycle = _orbit_cycle(nets, act, ccw, n)
+                m = 2**n - 1
+                # The circle reads a, arc c, b, arc a, c, arc b.
+                assert [cycle[0], cycle[m + 1], cycle[2 * m + 2]] == [nets[a], nets[b], nets[c]]
+                arcs = {c: cycle[1:m + 1], a: cycle[m + 2:2 * m + 2], b: cycle[2 * m + 3:]}
+                for g, arc in arcs.items():
+                    expected = {oracle_realise((i, word), nets, act)
+                                for i, word in oracle_labels(n) if word and word[-1] == g}
+                    assert len(arc) == len(set(arc)) == len(expected)
+                    assert set(arc) == expected
+                for k in range(n + 1):
+                    assert cycle[::2**(n - k)] == _orbit_cycle(nets, act, ccw, k)
 
     def test_partition_table_matches_orbits(self):
         for side, orbit, angle in (("boundary", partial_orbit_boundary, boundary_angle),
