@@ -34,7 +34,6 @@ from .dynamics import (
     Word,
     apply_word,
     euc,
-    euc_limit,
     greedy_path,
     sk_norm,
     transit_matrix,

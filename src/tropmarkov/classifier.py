@@ -34,7 +34,7 @@ from .dynamics import (
     transit_matrix,
     u_coords,
 )
-from .hyperbolic import DEPTH_BOUND, _check_depth
+from .hyperbolic import _check_depth, _tessellation_triangles
 
 _STEP_GUARD = 8
 
@@ -263,14 +263,6 @@ class FareyTriple:
         if al * de - be * ga != -1:
             raise DomainError(f"pairs {self.left}, {self.right} are not unimodular neighbours")
 
-    def children(self) -> tuple["FareyTriple", "FareyTriple"]:
-        ls = tuple(a + b for a, b in zip(self.left, self.mid))
-        rs = tuple(a + b for a, b in zip(self.mid, self.right))
-        return (
-            FareyTriple(self.left, ls, self.mid),
-            FareyTriple(self.mid, rs, self.right),
-        )
-
 
 FAREY_ROOT = FareyTriple((0, 1), (1, 1), (1, 0))
 
@@ -278,19 +270,13 @@ FAREY_ROOT = FareyTriple((0, 1), (1, 1), (1, 0))
 def farey_enumerate(depth: int) -> list[FareyTriple]:
     """All triples reachable from ((0,1),(1,1),(1,0)) by at most ``depth``
     mediant subdivisions, in breadth-first order; 2^(depth+1) - 1 in total.
-    A depth beyond DEPTH_BOUND raises ResourceError."""
+    They are the tessellation triangles on the arc 0 -> 1 -> inf, each new
+    point the mediant of its older neighbours.  A depth beyond DEPTH_BOUND
+    raises ResourceError."""
     if depth < 0:
         raise UsageError("depth must be nonnegative")
-    _check_depth(depth, DEPTH_BOUND)
-    out = [FAREY_ROOT]
-    level = [FAREY_ROOT]
-    for _ in range(depth):
-        nxt_level = []
-        for t in level:
-            nxt_level.extend(t.children())
-        out.extend(nxt_level)
-        level = nxt_level
-    return out
+    _check_depth(depth)
+    return [FareyTriple(*t) for t in _tessellation_triangles(depth) if t[1][0] >= 0]
 
 
 def _mat_vec(a: Matrix2, v) -> tuple:
@@ -354,7 +340,7 @@ def table_orbit_triangles(d, depth: int) -> dict[int, list[tuple[Word, tuple[UVe
     per quadratic cell in the u-coordinates of the cell containing each image.
     A depth beyond DEPTH_BOUND raises ResourceError."""
     d = _punctured_d(d)
-    _check_depth(depth, DEPTH_BOUND)
+    _check_depth(depth)
     scale = abs(d) / 2
     out: dict[int, list] = {1: [], 2: [], 3: []}
     identity: Matrix2 = ((1, 0), (0, 1))

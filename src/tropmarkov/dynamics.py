@@ -154,25 +154,6 @@ def euc(u: UVec) -> UVec:
     return (u2 - u1, u1)
 
 
-def euc_limit(u: UVec) -> Fraction:
-    """Limit of the euc iteration, reached exactly for rational inputs.
-
-    Iterates until the orbit oscillates between (g,0) and (0,g); the value g
-    equals the Thomae gcd of the inputs.
-    """
-    u1, u2 = Fraction(u[0]), Fraction(u[1])
-    if u1 == 0 and u2 == 0:
-        return Fraction(0)
-    scale = u1.denominator * u2.denominator
-    budget = int(u1 * scale + u2 * scale) + 4
-    cur = (u1, u2)
-    for _ in range(budget):
-        if 0 in cur:
-            return max(cur)
-        cur = euc(cur)
-    raise DomainError(f"euc iteration did not settle within {budget} steps for ({u1},{u2})")
-
-
 def sk_norm(x: Point3) -> Fraction:
     """One-norm |x1|+|x2|+|x3|; on the skeleton this equals -(x1+x2+x3)."""
     return abs(x[0]) + abs(x[1]) + abs(x[2])

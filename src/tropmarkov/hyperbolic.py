@@ -142,20 +142,36 @@ def _orbit_cycle(nets: dict[int, object], act: Callable, ccw: tuple[int, int, in
     return [nets[a], *arcs[c], nets[b], *arcs[a], nets[c], *arcs[b]]
 
 
-def _check_depth(n: int, bound: int):
+def _check_depth(n: int):
     if n < 0:
         raise UsageError("orbit depth must be nonnegative")
-    if n > bound:
-        raise ResourceError(f"orbit depth {n} exceeds the configured bound {bound}")
+    if n > DEPTH_BOUND:
+        raise ResourceError(f"orbit depth {n} exceeds the configured bound {DEPTH_BOUND}")
 
 
-def partial_orbit_boundary(n: int, bound: int = DEPTH_BOUND) -> list[BPoint]:
+def partial_orbit_boundary(n: int) -> list[BPoint]:
     """The 3 * 2^n distinct orbit points of the nets under words of length <= n,
     in circular order on the boundary circle, ending with inf."""
-    _check_depth(n, bound)
+    _check_depth(n)
     cycle = _orbit_cycle(BOUNDARY_NETS, reflect_boundary, BOUNDARY_CCW, n)
     cut = (2 << n) + 1  # just after inf, the third net
     return cycle[cut:] + cycle[:cut]
+
+
+def _tessellation_triangles(n: int) -> list[tuple[BPoint, BPoint, BPoint]]:
+    """The 3 * 2^n - 2 ideal triangles of the orbit of (0, 1, inf) under words
+    of length <= n: the root (0, 1, inf), then level by level in cyclic order.
+
+    Each depth-k point is the third vertex over the gap its two older
+    neighbours span (criterion 7), so its triangle is (older, new, older).
+    """
+    cycle = _orbit_cycle(BOUNDARY_NETS, reflect_boundary, BOUNDARY_CCW, n)
+    triangles = [(cycle[0], cycle[1 << n], cycle[2 << n])]
+    for k in range(1, n + 1):
+        level = cycle[::1 << (n - k)]  # the depth-k cycle; its odd positions are new
+        triangles += [(level[j - 1], level[j], level[(j + 1) % len(level)])
+                      for j in range(1, len(level), 2)]
+    return triangles
 
 
 CirclePointS = tuple[Fraction, Fraction, Fraction]
@@ -192,10 +208,10 @@ def _plane_vector(x: CirclePointS) -> tuple[bool, int, int]:
     return (q > 0 or (q == 0 and p > 0), p, q)
 
 
-def partial_orbit_skeleton(n: int, bound: int = DEPTH_BOUND) -> list[CirclePointS]:
+def partial_orbit_skeleton(n: int) -> list[CirclePointS]:
     """Orbit of the ray directions on the circle of directions of the fully
     degenerate skeleton, in circular order from angle 0."""
-    _check_depth(n, bound)
+    _check_depth(n)
     cycle = _orbit_cycle(SKELETON_NETS, skeleton_direction_act, SKELETON_CCW, n)
     # Angle 0 lies in arc 2, the last one, which runs from 270 to 45 degrees.
     cut = bisect_left(cycle, True, (2 << n) + 1, key=lambda x: _plane_vector(x)[0])
@@ -222,8 +238,7 @@ def _gap_lengths(angles: list[float]) -> list[float]:
     return gaps
 
 
-def partition_table(n: int, side: str,
-                    bound: int = DEPTH_BOUND) -> list[tuple[int, float, float]]:
+def partition_table(n: int, side: str) -> list[tuple[int, float, float]]:
     """Rows (count, min, max) of the arc lengths between adjacent orbit points
     at depths k = 0..n, all read from one depth-n orbit cycle."""
     if side == "boundary":
@@ -232,7 +247,7 @@ def partition_table(n: int, side: str,
         nets, act, ccw, angle = SKELETON_NETS, skeleton_direction_act, SKELETON_CCW, skeleton_angle
     else:
         raise UsageError(f"side must be 'boundary' or 'skeleton', got {side!r}")
-    _check_depth(n, bound)
+    _check_depth(n)
     angles = [angle(x) for x in _orbit_cycle(nets, act, ccw, n)]
     rows = []
     for k in range(n + 1):
@@ -241,9 +256,9 @@ def partition_table(n: int, side: str,
     return rows
 
 
-def partition_stats(n: int, side: str, bound: int = DEPTH_BOUND) -> tuple[float, float]:
+def partition_stats(n: int, side: str) -> tuple[float, float]:
     """(min, max) arc length between adjacent orbit points at depth n."""
-    return partition_table(n, side, bound)[-1][1:]
+    return partition_table(n, side)[-1][1:]
 
 
 # -- order comparison ----------------------------------------------------------------
@@ -256,12 +271,14 @@ def _angle_step(u: tuple[bool, int, int], v: tuple[bool, int, int]) -> int:
     return u[1] * v[2] - u[2] * v[1]
 
 
-def order_isomorphism_check(n: int, net_order: tuple[int, int, int] = (1, 2, 3),
-                            bound: int = DEPTH_BOUND) -> bool:
+def order_isomorphism_check(n: int, net_order: tuple[int, int, int] = (1, 2, 3)) -> bool:
     """Whether the label bijection between the two depth-n orbits is a
     cyclic-order isomorphism.  ``net_order`` permutes which skeleton net each
-    boundary net is matched with; the identity is the faithful pairing."""
-    _check_depth(n, bound)
+    boundary net is matched with; the identity is the faithful pairing, and a
+    repeated net is allowed (it repeats points, so the check fails)."""
+    _check_depth(n)
+    if len(net_order) != 3 or not set(net_order) <= {1, 2, 3}:
+        raise UsageError(f"net_order must be three net indices from 1, 2, 3, got {net_order}")
     skel_nets = {i: SKELETON_NETS[net_order[i - 1]] for i in (1, 2, 3)}
     # Both cycles use the boundary's layout, so a position is a label.
     bnd = _orbit_cycle(BOUNDARY_NETS, reflect_boundary, BOUNDARY_CCW, n)

@@ -33,11 +33,11 @@ def random_skeleton_point(rng: random.Random, params: Params,
 
 
 def random_params(rng: random.Random, meromorphic: bool | None = None,
-                  inf_chance: float = 0.3, span: int = 4, max_den: int = 4) -> Params:
+                  span: int = 4, max_den: int = 4) -> Params:
     while True:
         entries = []
         for _ in range(4):
-            if rng.random() < inf_chance:
+            if rng.random() < 0.3:  # each entry is +inf with chance 0.3
                 entries.append(ExtRat("inf"))
             else:
                 entries.append(ExtRat(random_fraction(rng, span, max_den)))

@@ -67,17 +67,6 @@ def linear_cell(i: int) -> CellId:
     return SUBQUADRATIC_CELLS[i - 1]
 
 
-def cell_index(cell: CellId) -> int:
-    """Coordinate index of a quadratic or linear cell."""
-    try:
-        return {
-            CellId.X1SQ: 1, CellId.X2SQ: 2, CellId.X3SQ: 3,
-            CellId.AX1: 1, CellId.BX2: 2, CellId.CX3: 3,
-        }[cell]
-    except KeyError:
-        raise UsageError(f"cell {cell} has no coordinate index") from None
-
-
 def nxt(i: int) -> int:
     """Cyclic successor of a coordinate index: 1->2->3->1."""
     return i % 3 + 1

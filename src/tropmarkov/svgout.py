@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from .surface import CellId, Params, lift_from_plane, cells_of, plane_grid, plane_point
 from .classifier import table_orbit_triangles
-from .hyperbolic import BOUNDARY_NETS, DEPTH_BOUND, _check_depth, boundary_angle, reflect_boundary
+from .hyperbolic import _check_depth, _tessellation_triangles, boundary_angle
 
 _CELL_COLORS = {
     CellId.X1SQ: "#c6dbef",
@@ -99,8 +99,9 @@ def _disk_xy(theta: float, radius: float, center: float) -> tuple[float, float]:
     return (center + radius * math.cos(theta), center - radius * math.sin(theta))
 
 
-def _geodesic_points(th1: float, th2: float, radius: float, center: float,
-                     segments: int = 24) -> list[tuple[float, float]]:
+def _geodesic_points(th1: float, th2: float, radius: float,
+                     center: float) -> list[tuple[float, float]]:
+    segments = 24  # polyline pieces per circular arc
     gap = math.remainder(th2 - th1, 2 * math.pi)
     if abs(abs(gap) - math.pi) < 1e-12:
         return [_disk_xy(th1, radius, center), _disk_xy(th2, radius, center)]
@@ -125,28 +126,16 @@ def _geodesic_points(th1: float, th2: float, radius: float, center: float,
 def tessellation_svg(depth: int) -> str:
     """Orbit of the ideal triangle with vertices 0, 1, infinity, drawn in the
     unit disk via the inverse stereographic chart."""
-    _check_depth(depth, DEPTH_BOUND)
+    _check_depth(depth)
     size = 480.0
     center = size / 2
     radius = size / 2 - 10
-    base = tuple(sorted(BOUNDARY_NETS.values()))
-    triangles = {base}
-    frontier = [base]
-    for _ in range(depth):
-        fresh = []
-        for tri in frontier:
-            for i in (1, 2, 3):
-                img = tuple(sorted(reflect_boundary(i, v) for v in tri))
-                if img not in triangles:
-                    triangles.add(img)
-                    fresh.append(img)
-        frontier = fresh
     body = [
         f'<rect width="{_fmt(size)}" height="{_fmt(size)}" fill="#ffffff"/>',
         f'<circle cx="{_fmt(center)}" cy="{_fmt(center)}" r="{_fmt(radius)}" '
         'fill="none" stroke="#000000" stroke-width="1"/>',
     ]
-    for tri in sorted(triangles):
+    for tri in sorted(tuple(sorted(t)) for t in _tessellation_triangles(depth)):
         angles = [boundary_angle(v) for v in tri]
         for k in range(3):
             pts = _geodesic_points(angles[k], angles[(k + 1) % 3], radius, center)

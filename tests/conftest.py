@@ -9,6 +9,7 @@ from fractions import Fraction
 from itertools import product
 
 from tropmarkov.arithmetic import ZP_BOX_BOUND, ZpPoint
+from tropmarkov.classifier import FAREY_ROOT, FareyTriple
 from tropmarkov.errors import DomainError, ResourceError, UsageError
 from tropmarkov.hyperbolic import (
     BOUNDARY_NETS,
@@ -26,7 +27,7 @@ from tropmarkov.surface import (
     cells_of,
     on_boundary_ray,
 )
-from tropmarkov.dynamics import GreedyTrace, Word, _ray_index_of, trop_vieta, u_coords
+from tropmarkov.dynamics import GreedyTrace, Word, _ray_index_of, euc, trop_vieta, u_coords
 
 
 # -- the tropical Markov polynomial over ExtRat, monomial by monomial ------------
@@ -218,6 +219,60 @@ def oracle_order_isomorphism_check(n: int, net_order=(1, 2, 3)) -> bool:
     seq_b = sorted(range(len(bnd)), key=lambda k: oracle_boundary_key(bnd[k]))
     seq_s = sorted(range(len(skl)), key=lambda k: oracle_skeleton_key(skl[k]))
     return oracle_cyclic_match(seq_b, seq_s)
+
+
+# -- the Farey tessellation by breadth-first search, as the library built it ------
+
+
+def oracle_tessellation_triangles(n: int) -> set:
+    """Vertex-sorted ideal triangles reached from (0, 1, inf) by at most n
+    reflections: reflect the newest triangles and drop the repeats."""
+    base = tuple(sorted(BOUNDARY_NETS.values()))
+    triangles = {base}
+    frontier = [base]
+    for _ in range(n):
+        fresh = []
+        for tri in frontier:
+            for i in (1, 2, 3):
+                img = tuple(sorted(reflect_boundary(i, v) for v in tri))
+                if img not in triangles:
+                    triangles.add(img)
+                    fresh.append(img)
+        frontier = fresh
+    return triangles
+
+
+def _oracle_farey_children(t):
+    ls = tuple(a + b for a, b in zip(t.left, t.mid))
+    rs = tuple(a + b for a, b in zip(t.mid, t.right))
+    return (FareyTriple(t.left, ls, t.mid), FareyTriple(t.mid, rs, t.right))
+
+
+def oracle_farey_triples(depth: int) -> list:
+    """Triples from the root by at most ``depth`` mediant subdivisions,
+    breadth first, each triple's left child before its right."""
+    out = [FAREY_ROOT]
+    level = [FAREY_ROOT]
+    for _ in range(depth):
+        level = [child for t in level for child in _oracle_farey_children(t)]
+        out.extend(level)
+    return out
+
+
+def oracle_euc_limit(u) -> Fraction:
+    """Limit of the euc iteration, reached exactly for rational inputs:
+    iterate until the orbit oscillates between (g,0) and (0,g)."""
+    u1, u2 = Fraction(u[0]), Fraction(u[1])
+    if u1 == 0 and u2 == 0:
+        return Fraction(0)
+    scale = u1.denominator * u2.denominator
+    budget = int(u1 * scale + u2 * scale) + 4
+    cur = (u1, u2)
+    for _ in range(budget):
+        if 0 in cur:
+            return max(cur)
+        cur = euc(cur)
+    raise DomainError(f"euc iteration did not settle within {budget} steps for ({u1},{u2})")
 
 
 def orbit_reaches_ray(params, x, budget=4000) -> bool:

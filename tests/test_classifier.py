@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import oracle_farey_triples
 from tropmarkov.errors import DomainError, UsageError
 from tropmarkov.sampling import random_params, random_skeleton_point
 from tropmarkov.scalars import continued_fraction
@@ -188,6 +189,10 @@ class TestFarey:
         for n in range(5):
             assert len(farey_enumerate(n)) == 2 ** (n + 1) - 1
 
+    def test_enumerate_matches_mediant_bfs(self):
+        for n in range(10):
+            assert farey_enumerate(n) == oracle_farey_triples(n)
+
     def test_invalid_triples_rejected(self):
         with pytest.raises(DomainError):
             FareyTriple((0, 1), (1, 2), (1, 0))  # mediant law broken
@@ -253,6 +258,18 @@ class TestTableOrbit:
         for cell in (1, 2, 3):
             for n in range(1, 6):
                 assert sum(1 for w, _ in tri[cell] if len(w) == n) == 2 ** (n - 1)
+
+    def test_orbit_triangles_are_the_farey_triangles(self):
+        # The Farey-orbit correspondence: the words of length <= D that end in
+        # cell i are the words of the depth-(D-1) triples in that cell.
+        for d in (F(-2), F(-3), F(-1, 2), F(-7, 3)):
+            for depth in range(1, 8):
+                tri = table_orbit_triangles(d, depth)
+                triples = farey_enumerate(depth - 1)
+                for cell in (1, 2, 3):
+                    expected = {(str(w), frozenset(v))
+                                for w, v in (farey_triangle(t, cell, d) for t in triples)}
+                    assert {(str(w), frozenset(v)) for w, v in tri[cell]} == expected
 
     def test_words_verified_by_dynamics(self):
         d = F(-2)

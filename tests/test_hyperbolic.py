@@ -6,7 +6,7 @@ from functools import cmp_to_key
 import pytest
 from hypothesis import given, strategies as st
 
-from tropmarkov.errors import ResourceError
+from tropmarkov.errors import ResourceError, UsageError
 from tropmarkov.dynamics import Word
 from tropmarkov.hyperbolic import (
     BOUNDARY_CCW,
@@ -29,6 +29,7 @@ from tropmarkov.hyperbolic import (
     skeleton_direction_act,
     _orbit_cycle,
     _plane_xy,
+    _tessellation_triangles,
 )
 
 from conftest import (
@@ -38,6 +39,7 @@ from conftest import (
     oracle_order_isomorphism_check,
     oracle_realise,
     oracle_skeleton_sorted,
+    oracle_tessellation_triangles,
     oracle_tower,
 )
 
@@ -197,6 +199,12 @@ class TestOrderIsomorphism:
         assert not order_isomorphism_check(3, net_order=(2, 1, 3))
         assert not order_isomorphism_check(4, net_order=(1, 3, 2))
 
+    def test_net_order_must_name_three_nets(self):
+        for net_order in ((4, 5, 6), (1, 2), (0, 1, 2), (1, 2, 3, 1)):
+            with pytest.raises(UsageError):
+                order_isomorphism_check(2, net_order)
+        assert not order_isomorphism_check(2, (1, 1, 2))
+
     def test_orbit_distinctness_depth8(self):
         # The listings have 3 * 2^n entries by construction; distinct entries
         # pin injectivity of the label realisation.
@@ -279,6 +287,12 @@ class TestAgainstSlowPaths:
                     assert set(arc) == expected
                 for k in range(n + 1):
                     assert cycle[::2**(n - k)] == _orbit_cycle(nets, act, ccw, k)
+
+    def test_tessellation_matches_reflection_bfs(self):
+        for n in range(9):
+            triangles = [tuple(sorted(t)) for t in _tessellation_triangles(n)]
+            assert len(set(triangles)) == len(triangles) == 3 * 2**n - 2
+            assert set(triangles) == oracle_tessellation_triangles(n)
 
     def test_partition_table_matches_orbits(self):
         for side, orbit, angle in (("boundary", partial_orbit_boundary, boundary_angle),
