@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .errors import DomainError, ResourceError, UsageError
 from .scalars import ExtRat, continued_fraction, thomae_gcd
@@ -191,8 +192,6 @@ def punctured_torus_in_U(d, x: Point3) -> bool:
 
 
 def _coprime_pairs(height: int):
-    from math import gcd
-
     for p in range(height + 1):
         for q in range(height + 1):
             if gcd(p, q) == 1:
@@ -252,8 +251,6 @@ class FareyTriple:
     right: tuple[int, int]
 
     def __post_init__(self):
-        from math import gcd
-
         for pair in (self.left, self.mid, self.right):
             if min(pair) < 0 or gcd(pair[0], pair[1]) != 1:
                 raise DomainError(f"{pair} is not a coprime pair of nonnegative integers")
@@ -273,9 +270,6 @@ def farey_enumerate(depth: int) -> list[FareyTriple]:
     They are the tessellation triangles on the arc 0 -> 1 -> inf, each new
     point the mediant of its older neighbours.  A depth beyond DEPTH_BOUND
     raises ResourceError."""
-    if depth < 0:
-        raise UsageError("depth must be nonnegative")
-    _check_depth(depth)
     return [FareyTriple(*t) for t in _tessellation_triangles(depth) if t[1][0] >= 0]
 
 

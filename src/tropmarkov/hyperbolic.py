@@ -9,7 +9,8 @@ p/q in Q union {inf}; the three reflections act by
 The nets 0, inf, 1 (for r1, r2, r3 respectively) generate the full rational
 boundary under the group, by strict height descent.  On the skeleton side the
 nets are the three boundary-ray directions of the fully degenerate skeleton,
-normalised to coordinate sum -1.
+kept as primitive integer vectors; `partial_orbit_skeleton` and
+`skeleton_direction_act` alone return Fractions (coordinate sum -1).
 """
 
 from __future__ import annotations
@@ -20,11 +21,9 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import DomainError, ResourceError, UsageError
-from .dynamics import Word, trop_vieta
-from .surface import Params, Point3
+from .dynamics import Word
 
 BPoint = tuple[int, int]
-SK_INF = Params.make("inf", "inf", "inf", "inf")
 
 DEPTH_BOUND = 16
 
@@ -78,32 +77,21 @@ def reduce_to_nets(x: BPoint) -> tuple[Word, BPoint]:
     The displayed word lists the reflections in the order they were applied
     to x (leftmost first), which is the reverse of their action order on n.
     """
-    x = bpoint(*x)
+    cur = bpoint(*x)
     moves: list[int] = []
-    cur = x
-
-    def push(*letters: int):
-        nonlocal cur
-        for i in letters:
-            cur = reflect_boundary(i, cur)
-            moves.append(i)
-
-    while True:
+    while cur[1] != 0 and cur not in ((0, 1), (1, 1)):
         p, q = cur
-        if q == 0 or (p, q) in ((0, 1), (1, 1)):
-            break
-        if (p, q) == (-1, 1):
-            push(3)
-            break
-        if abs(p) > q:
-            if p > 0:
-                push(1, 3)  # z -> z - 2
-            else:
-                push(3, 1)  # z -> z + 2
+        if cur == (-1, 1):
+            step = (3,)  # -1 -> 1, a net
+        elif abs(p) > q:
+            step = (1, 3) if p > 0 else (3, 1)  # z -> z - 2, or z -> z + 2
         elif p < 0:
-            push(3, 2)  # z -> z / (2z + 1), lowering the height
+            step = (3, 2)  # z -> z / (2z + 1), lowering the height
         else:
-            push(2, 3)  # z -> z / (2z - 1) then negate, lowering the height
+            step = (2, 3)  # z -> z / (2z - 1) then negate, lowering the height
+        for i in step:
+            cur = reflect_boundary(i, cur)
+        moves += step
     word = Word.reduce(moves)
     stab = {i for i in (1, 2, 3) if reflect_boundary(i, cur) == cur}
     letters = word.letters
@@ -127,7 +115,9 @@ def _orbit_cycle(nets: dict[int, object], act: Callable, ccw: tuple[int, int, in
     at its even positions, are the r_g images of the last level's points in
     the arcs beside net g, reversed.  The slice with step 2^(n-k) is the
     depth-k cycle; cycles built with one ``ccw`` hold a label at one position.
+    The depth is checked against DEPTH_BOUND before anything is built.
     """
+    _check_depth(n)
     a, b, c = ccw
     sides = {a: (b, c), b: (c, a), c: (a, b)}  # the arcs before and after net g
     arcs = {g: [] for g in ccw}
@@ -152,7 +142,6 @@ def _check_depth(n: int):
 def partial_orbit_boundary(n: int) -> list[BPoint]:
     """The 3 * 2^n distinct orbit points of the nets under words of length <= n,
     in circular order on the boundary circle, ending with inf."""
-    _check_depth(n)
     cycle = _orbit_cycle(BOUNDARY_NETS, reflect_boundary, BOUNDARY_CCW, n)
     cut = (2 << n) + 1  # just after inf, the third net
     return cycle[cut:] + cycle[:cut]
@@ -175,46 +164,60 @@ def _tessellation_triangles(n: int) -> list[tuple[BPoint, BPoint, BPoint]]:
 
 
 CirclePointS = tuple[Fraction, Fraction, Fraction]
+Direction = tuple[int, int, int]  # an integer vector on the ray; primitive in the orbit
 
 
-def _normalise_direction(x: Point3) -> CirclePointS:
-    s = x[0] + x[1] + x[2]
-    if s >= 0:
-        raise DomainError(f"{x} does not generate a skeleton direction")
-    return (x[0] / (-s), x[1] / (-s), x[2] / (-s))
+def _direction_act(i: int, n: Direction) -> Direction:
+    """r_i on an integer direction: n_i becomes 2 min(n_j, n_k) - n_i, an
+    integer involution of determinant -1 on each piece, so no gcd is needed."""
+    n1, n2, n3 = n
+    if i == 1:
+        n1 = 2 * (n2 if n2 < n3 else n3) - n1
+    elif i == 2:
+        n2 = 2 * (n1 if n1 < n3 else n3) - n2
+    elif i == 3:
+        n3 = 2 * (n1 if n1 < n2 else n2) - n3
+    else:
+        raise UsageError(f"generator index must be 1, 2 or 3, got {i}")
+    if n1 + n2 + n3 >= 0:
+        raise DomainError(f"{(n1, n2, n3)} does not generate a skeleton direction")
+    return (n1, n2, n3)
 
 
-SKELETON_NETS: dict[int, CirclePointS] = {
-    1: (Fraction(0), Fraction(-1, 2), Fraction(-1, 2)),
-    2: (Fraction(-1, 2), Fraction(0), Fraction(-1, 2)),
-    3: (Fraction(-1, 2), Fraction(-1, 2), Fraction(0)),
-}
+def _circle_point(n: Direction) -> CirclePointS:
+    s = -(n[0] + n[1] + n[2])
+    return (Fraction(n[0], s), Fraction(n[1], s), Fraction(n[2], s))
+
+
+SKELETON_DIRECTIONS: dict[int, Direction] = {1: (0, -1, -1), 2: (-1, 0, -1), 3: (-1, -1, 0)}
+SKELETON_NETS = {i: _circle_point(n) for i, n in SKELETON_DIRECTIONS.items()}
 SKELETON_CCW = (1, 2, 3)  # at 45, 135 and 270 degrees
 
 
 def skeleton_direction_act(i: int, x: CirclePointS) -> CirclePointS:
-    return _normalise_direction(trop_vieta(SK_INF, i, x))
+    """r_i on any rational triple, scaled to an integer one (r_i is positively homogeneous)."""
+    d = math.lcm(*(c.denominator for c in x))
+    return _circle_point(_direction_act(i, tuple(c.numerator * (d // c.denominator) for c in x)))
 
 
-def _plane_xy(x: CirclePointS) -> tuple[Fraction, Fraction]:
+def _plane_xy(x: CirclePointS | Direction) -> tuple:
     return (x[0] - x[1], x[0] + x[1] - 2 * x[2])
 
 
-def _plane_vector(x: CirclePointS) -> tuple[bool, int, int]:
-    """Whether the plane image of x has its angle in [0, pi), and an integer
-    positive multiple (p, q) of that image."""
-    d = math.lcm(*(c.denominator for c in x))
-    p, q = _plane_xy([c.numerator * (d // c.denominator) for c in x])
+def _plane_vector(n: Direction) -> tuple[bool, int, int]:
+    """Whether the plane image of n has its angle in [0, pi), and that image."""
+    p, q = _plane_xy(n)
     return (q > 0 or (q == 0 and p > 0), p, q)
 
 
 def partial_orbit_skeleton(n: int) -> list[CirclePointS]:
     """Orbit of the ray directions on the circle of directions of the fully
     degenerate skeleton, in circular order from angle 0."""
-    _check_depth(n)
-    cycle = _orbit_cycle(SKELETON_NETS, skeleton_direction_act, SKELETON_CCW, n)
+    cycle = _orbit_cycle(SKELETON_DIRECTIONS, _direction_act, SKELETON_CCW, n)
     # Angle 0 lies in arc 2, the last one, which runs from 270 to 45 degrees.
     cut = bisect_left(cycle, True, (2 << n) + 1, key=lambda x: _plane_vector(x)[0])
+    for k, x in enumerate(cycle):
+        cycle[k] = _circle_point(x)  # frees each integer direction as it goes
     return cycle[cut:] + cycle[:cut]
 
 
@@ -226,9 +229,11 @@ def boundary_angle(x: BPoint) -> float:
     return 2.0 * math.atan2(x[0], x[1])
 
 
-def skeleton_angle(x: CirclePointS) -> float:
+def skeleton_angle(x: CirclePointS | Direction) -> float:
+    """Angle of the plane image; one rounding, so a direction and its circle point agree."""
+    s = -(x[0] + x[1] + x[2])
     p, q = _plane_xy(x)
-    return math.atan2(float(q), float(p))
+    return math.atan2(q / s, p / s)
 
 
 def _gap_lengths(angles: list[float]) -> list[float]:
@@ -244,10 +249,9 @@ def partition_table(n: int, side: str) -> list[tuple[int, float, float]]:
     if side == "boundary":
         nets, act, ccw, angle = BOUNDARY_NETS, reflect_boundary, BOUNDARY_CCW, boundary_angle
     elif side == "skeleton":
-        nets, act, ccw, angle = SKELETON_NETS, skeleton_direction_act, SKELETON_CCW, skeleton_angle
+        nets, act, ccw, angle = SKELETON_DIRECTIONS, _direction_act, SKELETON_CCW, skeleton_angle
     else:
         raise UsageError(f"side must be 'boundary' or 'skeleton', got {side!r}")
-    _check_depth(n)
     angles = [angle(x) for x in _orbit_cycle(nets, act, ccw, n)]
     rows = []
     for k in range(n + 1):
@@ -276,14 +280,12 @@ def order_isomorphism_check(n: int, net_order: tuple[int, int, int] = (1, 2, 3))
     cyclic-order isomorphism.  ``net_order`` permutes which skeleton net each
     boundary net is matched with; the identity is the faithful pairing, and a
     repeated net is allowed (it repeats points, so the check fails)."""
-    _check_depth(n)
     if len(net_order) != 3 or not set(net_order) <= {1, 2, 3}:
         raise UsageError(f"net_order must be three net indices from 1, 2, 3, got {net_order}")
-    skel_nets = {i: SKELETON_NETS[net_order[i - 1]] for i in (1, 2, 3)}
+    skel_nets = {i: SKELETON_DIRECTIONS[net_order[i - 1]] for i in (1, 2, 3)}
     # Both cycles use the boundary's layout, so a position is a label.
     bnd = _orbit_cycle(BOUNDARY_NETS, reflect_boundary, BOUNDARY_CCW, n)
-    skl = [_plane_vector(x) for x in
-           _orbit_cycle(skel_nets, skeleton_direction_act, BOUNDARY_CCW, n)]
+    skl = [_plane_vector(x) for x in _orbit_cycle(skel_nets, _direction_act, BOUNDARY_CCW, n)]
     # Strict cyclic order: exactly one step is not an ascent (or, reversed, not a
     # descent); ties count both ways, so a repeated point fails.  Comparing r*q
     # with p*s puts inf = (1, 0) above every finite p/q.

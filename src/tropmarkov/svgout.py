@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from .surface import CellId, Params, lift_from_plane, cells_of, plane_grid, plane_point
 from .classifier import table_orbit_triangles
-from .hyperbolic import _check_depth, _tessellation_triangles, boundary_angle
+from .hyperbolic import _tessellation_triangles, boundary_angle
 
 _CELL_COLORS = {
     CellId.X1SQ: "#c6dbef",
@@ -126,7 +126,6 @@ def _geodesic_points(th1: float, th2: float, radius: float,
 def tessellation_svg(depth: int) -> str:
     """Orbit of the ideal triangle with vertices 0, 1, infinity, drawn in the
     unit disk via the inverse stereographic chart."""
-    _check_depth(depth)
     size = 480.0
     center = size / 2
     radius = size / 2 - 10

@@ -11,17 +11,12 @@ from itertools import product
 from tropmarkov.arithmetic import ZP_BOX_BOUND, ZpPoint
 from tropmarkov.classifier import FAREY_ROOT, FareyTriple
 from tropmarkov.errors import DomainError, ResourceError, UsageError
-from tropmarkov.hyperbolic import (
-    BOUNDARY_NETS,
-    SKELETON_NETS,
-    _plane_xy,
-    reflect_boundary,
-    skeleton_direction_act,
-)
+from tropmarkov.hyperbolic import BOUNDARY_NETS, SKELETON_NETS, _plane_xy, reflect_boundary
 from tropmarkov.scalars import ExtRat, ext_min, is_prime, p_adic_valuation
 from tropmarkov.surface import (
     CELL_ORDER,
     CellId,
+    Params,
     QUADRATIC_CELLS,
     SUBQUADRATIC_CELLS,
     cells_of,
@@ -131,6 +126,19 @@ def oracle_greedy_path(params, x, max_steps=None) -> GreedyTrace:
 # -- orbit labels and circle order, as the seed built them ------------------------
 
 
+SK_INF = Params.make("inf", "inf", "inf", "inf")
+
+
+def oracle_skeleton_direction_act(i, x):
+    """r_i on the circle of directions through the general route: trop_vieta
+    on the all-infinite parameters, then an exact rescaling to coordinate sum -1."""
+    y = trop_vieta(SK_INF, i, x)
+    s = y[0] + y[1] + y[2]
+    if s >= 0:
+        raise DomainError(f"{y} does not generate a skeleton direction")
+    return (y[0] / (-s), y[1] / (-s), y[2] / (-s))
+
+
 def oracle_angular_cmp(u, v) -> int:
     """Three-way angle comparison of plane vectors, counterclockwise from the
     positive first axis, by half-plane and then the sign of the cross product."""
@@ -213,7 +221,7 @@ def oracle_order_isomorphism_check(n: int, net_order=(1, 2, 3)) -> bool:
     sort the positions by each circle's key and match the two cycles."""
     skel_nets = {i: SKELETON_NETS[net_order[i - 1]] for i in (1, 2, 3)}
     bnd = oracle_tower(BOUNDARY_NETS, reflect_boundary, n)
-    skl = oracle_tower(skel_nets, skeleton_direction_act, n)
+    skl = oracle_tower(skel_nets, oracle_skeleton_direction_act, n)
     if len(set(bnd)) != len(bnd) or len(set(skl)) != len(skl):
         return False
     seq_b = sorted(range(len(bnd)), key=lambda k: oracle_boundary_key(bnd[k]))

@@ -42,11 +42,17 @@ class TestClassifyCommand:
             ("enumerate-zp", "--p", "1", "--D", "1/2"),
             ("enumerate-zp", "--p", "-3", "--D", "1/9"),
             ("enumerate-zp", "--p", "65536", "--D", "1/2"),
+            ("farey", "--depth", "-1"),
         ):
             code, out, err = run_cli(capsys, *argv)
             assert code == 3, argv
             assert "usage error" in err and out == ""
         assert not (tmp_path / "t.svg").exists()
+        # One wording for a negative depth, whichever command reads it.
+        farey = run_cli(capsys, "farey", "--depth", "-1")
+        tessellation = run_cli(capsys, "tessellation", "--depth", "-1",
+                               "--svg", str(tmp_path / "t.svg"))
+        assert farey == tessellation and farey[0] == 3
 
 
     def test_resource_error_exit_code(self, capsys, tmp_path):

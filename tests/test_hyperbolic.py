@@ -4,14 +4,15 @@ from fractions import Fraction
 from functools import cmp_to_key
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from tropmarkov.errors import ResourceError, UsageError
+from tropmarkov.errors import DomainError, ResourceError, UsageError
 from tropmarkov.dynamics import Word
 from tropmarkov.hyperbolic import (
     BOUNDARY_CCW,
     BOUNDARY_NETS,
     SKELETON_CCW,
+    SKELETON_DIRECTIONS,
     SKELETON_NETS,
     apply_reflection_word,
     boundary_angle,
@@ -27,6 +28,8 @@ from tropmarkov.hyperbolic import (
     reflect_boundary,
     skeleton_angle,
     skeleton_direction_act,
+    _circle_point,
+    _direction_act,
     _orbit_cycle,
     _plane_xy,
     _tessellation_triangles,
@@ -38,6 +41,7 @@ from conftest import (
     oracle_labels,
     oracle_order_isomorphism_check,
     oracle_realise,
+    oracle_skeleton_direction_act,
     oracle_skeleton_sorted,
     oracle_tessellation_triangles,
     oracle_tower,
@@ -233,7 +237,7 @@ class TestAgainstSlowPaths:
 
     def test_skeleton_order_on_orbits(self):
         for n in range(7):
-            points = list(set(oracle_tower(SKELETON_NETS, skeleton_direction_act, n)))
+            points = list(set(oracle_tower(SKELETON_NETS, oracle_skeleton_direction_act, n)))
             assert oracle_skeleton_sorted(points) == _comparator_sorted(points)
 
     @given(st.lists(st.tuples(small, small).filter(lambda ab: ab != (0, 0)), max_size=30),
@@ -248,7 +252,7 @@ class TestAgainstSlowPaths:
 
     def test_tower_replays_labels(self):
         for nets, act in ((BOUNDARY_NETS, reflect_boundary),
-                          (SKELETON_NETS, skeleton_direction_act)):
+                          (SKELETON_NETS, oracle_skeleton_direction_act)):
             for n in range(7):
                 expected = [oracle_realise(label, nets, act) for label in oracle_labels(n)]
                 assert oracle_tower(nets, act, n) == expected
@@ -260,7 +264,7 @@ class TestAgainstSlowPaths:
 
     def test_skeleton_listing_matches_sorted_tower(self):
         for n in range(9):
-            tower = oracle_tower(SKELETON_NETS, skeleton_direction_act, n)
+            tower = oracle_tower(SKELETON_NETS, oracle_skeleton_direction_act, n)
             assert partial_orbit_skeleton(n) == oracle_skeleton_sorted(set(tower))
 
     def test_order_check_matches_sorted_towers(self):
@@ -271,22 +275,29 @@ class TestAgainstSlowPaths:
                         == oracle_order_isomorphism_check(n, net_order))
 
     def test_arcs_hold_the_labels_by_outermost_letter(self):
-        for nets, act, ccw in ((BOUNDARY_NETS, reflect_boundary, BOUNDARY_CCW),
-                               (SKELETON_NETS, skeleton_direction_act, SKELETON_CCW)):
+        # The skeleton cycle runs on integer directions; its circle points are
+        # checked against the words replayed through the trop_vieta route.
+        for nets, act, ccw, point, oracle_nets, oracle_act in (
+                (BOUNDARY_NETS, reflect_boundary, BOUNDARY_CCW, tuple,
+                 BOUNDARY_NETS, reflect_boundary),
+                (SKELETON_DIRECTIONS, _direction_act, SKELETON_CCW, _circle_point,
+                 SKELETON_NETS, oracle_skeleton_direction_act)):
             a, b, c = ccw
             for n in range(7):
-                cycle = _orbit_cycle(nets, act, ccw, n)
+                raw = _orbit_cycle(nets, act, ccw, n)
+                cycle = [point(x) for x in raw]
                 m = 2**n - 1
                 # The circle reads a, arc c, b, arc a, c, arc b.
-                assert [cycle[0], cycle[m + 1], cycle[2 * m + 2]] == [nets[a], nets[b], nets[c]]
+                assert ([cycle[0], cycle[m + 1], cycle[2 * m + 2]]
+                        == [oracle_nets[a], oracle_nets[b], oracle_nets[c]])
                 arcs = {c: cycle[1:m + 1], a: cycle[m + 2:2 * m + 2], b: cycle[2 * m + 3:]}
                 for g, arc in arcs.items():
-                    expected = {oracle_realise((i, word), nets, act)
+                    expected = {oracle_realise((i, word), oracle_nets, oracle_act)
                                 for i, word in oracle_labels(n) if word and word[-1] == g}
                     assert len(arc) == len(set(arc)) == len(expected)
                     assert set(arc) == expected
                 for k in range(n + 1):
-                    assert cycle[::2**(n - k)] == _orbit_cycle(nets, act, ccw, k)
+                    assert raw[::2**(n - k)] == _orbit_cycle(nets, act, ccw, k)
 
     def test_tessellation_matches_reflection_bfs(self):
         for n in range(9):
@@ -305,3 +316,39 @@ class TestAgainstSlowPaths:
                 rows.append((3 * 2**k, min(gaps), max(gaps)))
             for n in range(9):
                 assert partition_table(n, side) == rows[:n + 1]
+
+
+class TestDirectionKernel:
+    """The integer act on skeleton directions against the trop_vieta route."""
+
+    rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+    triples = st.one_of(
+        st.tuples(rationals, rationals, rationals),
+        st.tuples(rationals, rationals).map(lambda ab: (ab[0], ab[1], -ab[0] - ab[1])),
+    )
+
+    @given(st.sampled_from((1, 2, 3, 0, 4)), triples)
+    @example(1, (F(1), F(0), F(0)))  # positive sum, image (-1, 0, 0)
+    @example(1, (F(0), F(0), F(0)))  # zero image sum
+    @example(3, (F(1), F(1), F(-1, 2)))  # positive image sum
+    def test_public_act_matches_oracle(self, i, x):
+        try:
+            expected = oracle_skeleton_direction_act(i, x)
+        except (DomainError, UsageError) as exc:
+            with pytest.raises(type(exc)):
+                skeleton_direction_act(i, x)
+            return
+        got = skeleton_direction_act(i, x)
+        assert got == expected and all(type(c) is F for c in got)
+
+    def test_public_act_examples(self):
+        assert skeleton_direction_act(1, (F(1), F(0), F(0))) == (-1, 0, 0)
+        assert skeleton_direction_act(1, SKELETON_NETS[1]) == (F(-1, 2), F(-1, 4), F(-1, 4))
+
+    def test_orbit_directions_are_primitive_involution_points(self):
+        # The depth-10 cycle holds every orbit point of depth <= 10.
+        for x in _orbit_cycle(SKELETON_DIRECTIONS, _direction_act, SKELETON_CCW, 10):
+            assert all(type(c) is int for c in x)
+            assert math.gcd(*x) == 1 and sum(x) < 0
+            for i in (1, 2, 3):
+                assert _direction_act(i, _direction_act(i, x)) == x
