@@ -270,7 +270,13 @@ def farey_enumerate(depth: int) -> list[FareyTriple]:
     They are the tessellation triangles on the arc 0 -> 1 -> inf, each new
     point the mediant of its older neighbours.  A depth beyond DEPTH_BOUND
     raises ResourceError."""
-    return [FareyTriple(*t) for t in _tessellation_triangles(depth) if t[1][0] >= 0]
+    # Triples read off the cycle are valid by construction: skip FareyTriple's checks.
+    triangles = [t for t in _tessellation_triangles(depth) if t[1][0] >= 0]
+    triples = [object.__new__(FareyTriple) for _ in triangles]
+    for k, slot in enumerate((FareyTriple.left, FareyTriple.mid, FareyTriple.right)):
+        for triple, t in zip(triples, triangles):
+            slot.__set__(triple, t[k])
+    return triples
 
 
 def _mat_vec(a: Matrix2, v) -> tuple:

@@ -9,8 +9,6 @@ resource errors, 3 usage errors.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import re
 import sys
@@ -54,12 +52,11 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _csv_text(header: tuple[str, ...], rows) -> str:
+    # One line per tuple; every field is an int, a p/q rational, a float or
+    # |-joined cell names, none of which a CSV writer would quote.
+    line = ",".join(["%s"] * len(header)) + "\n"
+    return "".join([line % row for row in [header, *rows]])
 
 
 # -- subcommand bodies -----------------------------------------------------------
@@ -84,11 +81,8 @@ def _cmd_skeleton_sample(args) -> dict | str:
                 for v1, v2, x, cells in rows
             ],
         }
-    return _csv_text(
-        ["v1", "v2", "x1", "x2", "x3", "cells"],
-        [[str(v1), str(v2), *(str(c) for c in x), "|".join(cells)]
-         for v1, v2, x, cells in rows],
-    )
+    return _csv_text(("v1", "v2", "x1", "x2", "x3", "cells"),
+                     [(v1, v2, *x, "|".join(cells)) for v1, v2, x, cells in rows])
 
 
 def _cmd_skeleton_svg(args) -> str:
@@ -149,9 +143,8 @@ def _cmd_classify(args) -> dict:
 
 
 def _cmd_rays(args) -> str:
-    d = parse_rational(args.d)
-    gens = classifier.exception_rays_punctured(d, args.height)
-    return _csv_text(["g1", "g2", "g3"], [[str(c) for c in g] for g in gens])
+    gens = classifier.exception_rays_punctured(parse_rational(args.d), args.height)
+    return _csv_text(("g1", "g2", "g3"), gens)
 
 
 def _cmd_farey(args) -> dict | None:
@@ -180,14 +173,13 @@ def _cmd_tessellation(args) -> None:
 def _cmd_pingpong(args) -> str:
     if args.stats:
         table = hyperbolic.partition_table(args.depth, args.side)
-        rows = [[n, count, f"{delta:.12f}", f"{big_delta:.12f}"]
+        rows = [(n, count, f"{delta:.12f}", f"{big_delta:.12f}")
                 for n, (count, delta, big_delta) in enumerate(table)]
-        return _csv_text(["n", "count", "delta", "Delta"], rows)
+        return _csv_text(("n", "count", "delta", "Delta"), rows)
     if args.side == "boundary":
-        rows = [[p, q] for p, q in hyperbolic.partial_orbit_boundary(args.depth)]
-        return _csv_text(["p", "q"], rows)
-    rows = [[str(c) for c in x] for x in hyperbolic.partial_orbit_skeleton(args.depth)]
-    return _csv_text(["x1", "x2", "x3"], rows)
+        return _csv_text(("p", "q"), hyperbolic.partial_orbit_boundary(args.depth))
+    return _csv_text(("x1", "x2", "x3"),
+                     map(hyperbolic._circle_text, hyperbolic._skeleton_cycle(args.depth)))
 
 
 def _cmd_fatou(args) -> dict:

@@ -7,10 +7,11 @@ p/q in Q union {inf}; the three reflections act by
     r1: p/q -> (2q-p)/q,   r2: p/q -> p/(2p-q),   r3: p/q -> -p/q.
 
 The nets 0, inf, 1 (for r1, r2, r3 respectively) generate the full rational
-boundary under the group, by strict height descent.  On the skeleton side the
-nets are the three boundary-ray directions of the fully degenerate skeleton,
-kept as primitive integer vectors; `partial_orbit_skeleton` and
-`skeleton_direction_act` alone return Fractions (coordinate sum -1).
+boundary under the group, by strict height descent.  Each r_i has determinant
+-1, so the orbit stays coprime with no gcd (`_boundary_act`); `bpoint` works
+only at the API edges.  The skeleton nets are the fully degenerate skeleton's
+boundary-ray directions as primitive integer vectors; `partial_orbit_skeleton`
+and `skeleton_direction_act` alone return Fractions (coordinate sum -1).
 """
 
 from __future__ import annotations
@@ -46,15 +47,23 @@ def bpoint_from_rational(value: Fraction | int | str) -> BPoint:
     return bpoint(f.numerator, f.denominator)
 
 
-def reflect_boundary(i: int, x: BPoint) -> BPoint:
+def _boundary_act(i: int, x: BPoint) -> BPoint:
+    """r_i (i in 1, 2, 3) on a normalised pair, with no gcd: r_i has determinant
+    -1, so the image stays coprime and needs at most a sign fix."""
     p, q = x
-    if i == 1:
-        return bpoint(2 * q - p, q)
     if i == 2:
-        return bpoint(p, 2 * p - q)
-    if i == 3:
-        return bpoint(-p, q)
-    raise UsageError(f"reflection index must be 1, 2 or 3, got {i}")
+        q = 2 * p - q
+        return (p, q) if q > 0 or (q == 0 and p > 0) else (-p, -q)
+    if q == 0:
+        return x  # r1 and r3 fix inf
+    return (2 * q - p, q) if i == 1 else (-p, q)
+
+
+def reflect_boundary(i: int, x: BPoint) -> BPoint:
+    """r_i on any projective pair, normalised; the index is checked."""
+    if i not in (1, 2, 3):
+        raise UsageError(f"reflection index must be 1, 2 or 3, got {i}")
+    return _boundary_act(i, bpoint(*x))
 
 
 def apply_reflection_word(word: Word, x: BPoint) -> BPoint:
@@ -142,7 +151,7 @@ def _check_depth(n: int):
 def partial_orbit_boundary(n: int) -> list[BPoint]:
     """The 3 * 2^n distinct orbit points of the nets under words of length <= n,
     in circular order on the boundary circle, ending with inf."""
-    cycle = _orbit_cycle(BOUNDARY_NETS, reflect_boundary, BOUNDARY_CCW, n)
+    cycle = _orbit_cycle(BOUNDARY_NETS, _boundary_act, BOUNDARY_CCW, n)
     cut = (2 << n) + 1  # just after inf, the third net
     return cycle[cut:] + cycle[:cut]
 
@@ -154,7 +163,7 @@ def _tessellation_triangles(n: int) -> list[tuple[BPoint, BPoint, BPoint]]:
     Each depth-k point is the third vertex over the gap its two older
     neighbours span (criterion 7), so its triangle is (older, new, older).
     """
-    cycle = _orbit_cycle(BOUNDARY_NETS, reflect_boundary, BOUNDARY_CCW, n)
+    cycle = _orbit_cycle(BOUNDARY_NETS, _boundary_act, BOUNDARY_CCW, n)
     triangles = [(cycle[0], cycle[1 << n], cycle[2 << n])]
     for k in range(1, n + 1):
         level = cycle[::1 << (n - k)]  # the depth-k cycle; its odd positions are new
@@ -189,6 +198,12 @@ def _circle_point(n: Direction) -> CirclePointS:
     return (Fraction(n[0], s), Fraction(n[1], s), Fraction(n[2], s))
 
 
+def _circle_text(n: Direction) -> tuple[str, str, str]:
+    """The coordinates of _circle_point(n) as str prints them, one gcd each."""
+    s = -(n[0] + n[1] + n[2])
+    return tuple([str(c // g) if (g := math.gcd(c, s)) == s else f"{c // g}/{s // g}" for c in n])
+
+
 SKELETON_DIRECTIONS: dict[int, Direction] = {1: (0, -1, -1), 2: (-1, 0, -1), 3: (-1, -1, 0)}
 SKELETON_NETS = {i: _circle_point(n) for i, n in SKELETON_DIRECTIONS.items()}
 SKELETON_CCW = (1, 2, 3)  # at 45, 135 and 270 degrees
@@ -210,15 +225,21 @@ def _plane_vector(n: Direction) -> tuple[bool, int, int]:
     return (q > 0 or (q == 0 and p > 0), p, q)
 
 
-def partial_orbit_skeleton(n: int) -> list[CirclePointS]:
-    """Orbit of the ray directions on the circle of directions of the fully
-    degenerate skeleton, in circular order from angle 0."""
+def _skeleton_cycle(n: int) -> list[Direction]:
+    """The depth-n skeleton orbit as integer directions, in circular order from angle 0."""
     cycle = _orbit_cycle(SKELETON_DIRECTIONS, _direction_act, SKELETON_CCW, n)
     # Angle 0 lies in arc 2, the last one, which runs from 270 to 45 degrees.
     cut = bisect_left(cycle, True, (2 << n) + 1, key=lambda x: _plane_vector(x)[0])
+    return cycle[cut:] + cycle[:cut]
+
+
+def partial_orbit_skeleton(n: int) -> list[CirclePointS]:
+    """Orbit of the ray directions on the circle of directions of the fully
+    degenerate skeleton, in circular order from angle 0."""
+    cycle = _skeleton_cycle(n)
     for k, x in enumerate(cycle):
         cycle[k] = _circle_point(x)  # frees each integer direction as it goes
-    return cycle[cut:] + cycle[:cut]
+    return cycle
 
 
 # -- arc statistics -----------------------------------------------------------------
@@ -247,7 +268,7 @@ def partition_table(n: int, side: str) -> list[tuple[int, float, float]]:
     """Rows (count, min, max) of the arc lengths between adjacent orbit points
     at depths k = 0..n, all read from one depth-n orbit cycle."""
     if side == "boundary":
-        nets, act, ccw, angle = BOUNDARY_NETS, reflect_boundary, BOUNDARY_CCW, boundary_angle
+        nets, act, ccw, angle = BOUNDARY_NETS, _boundary_act, BOUNDARY_CCW, boundary_angle
     elif side == "skeleton":
         nets, act, ccw, angle = SKELETON_DIRECTIONS, _direction_act, SKELETON_CCW, skeleton_angle
     else:
@@ -284,7 +305,7 @@ def order_isomorphism_check(n: int, net_order: tuple[int, int, int] = (1, 2, 3))
         raise UsageError(f"net_order must be three net indices from 1, 2, 3, got {net_order}")
     skel_nets = {i: SKELETON_DIRECTIONS[net_order[i - 1]] for i in (1, 2, 3)}
     # Both cycles use the boundary's layout, so a position is a label.
-    bnd = _orbit_cycle(BOUNDARY_NETS, reflect_boundary, BOUNDARY_CCW, n)
+    bnd = _orbit_cycle(BOUNDARY_NETS, _boundary_act, BOUNDARY_CCW, n)
     skl = [_plane_vector(x) for x in _orbit_cycle(skel_nets, _direction_act, BOUNDARY_CCW, n)]
     # Strict cyclic order: exactly one step is not an ascent (or, reversed, not a
     # descent); ties count both ways, so a repeated point fails.  Comparing r*q

@@ -4,6 +4,8 @@ These deliberately re-derive results along routes independent of the library
 functions they are used to check.
 """
 
+import csv
+import io
 import math
 from fractions import Fraction
 from itertools import product
@@ -11,7 +13,7 @@ from itertools import product
 from tropmarkov.arithmetic import ZP_BOX_BOUND, ZpPoint
 from tropmarkov.classifier import FAREY_ROOT, FareyTriple
 from tropmarkov.errors import DomainError, ResourceError, UsageError
-from tropmarkov.hyperbolic import BOUNDARY_NETS, SKELETON_NETS, _plane_xy, reflect_boundary
+from tropmarkov.hyperbolic import BOUNDARY_NETS, SKELETON_NETS, _plane_xy, bpoint
 from tropmarkov.scalars import ExtRat, ext_min, is_prime, p_adic_valuation
 from tropmarkov.surface import (
     CELL_ORDER,
@@ -129,6 +131,18 @@ def oracle_greedy_path(params, x, max_steps=None) -> GreedyTrace:
 SK_INF = Params.make("inf", "inf", "inf", "inf")
 
 
+def oracle_reflect_boundary(i, x):
+    """r_i on a projective pair by its formula, normalised by bpoint's gcd."""
+    p, q = x
+    if i == 1:
+        return bpoint(2 * q - p, q)
+    if i == 2:
+        return bpoint(p, 2 * p - q)
+    if i == 3:
+        return bpoint(-p, q)
+    raise UsageError(f"reflection index must be 1, 2 or 3, got {i}")
+
+
 def oracle_skeleton_direction_act(i, x):
     """r_i on the circle of directions through the general route: trop_vieta
     on the all-infinite parameters, then an exact rescaling to coordinate sum -1."""
@@ -220,7 +234,7 @@ def oracle_order_isomorphism_check(n: int, net_order=(1, 2, 3)) -> bool:
     """Both towers list the labels in one order, so a position is a label:
     sort the positions by each circle's key and match the two cycles."""
     skel_nets = {i: SKELETON_NETS[net_order[i - 1]] for i in (1, 2, 3)}
-    bnd = oracle_tower(BOUNDARY_NETS, reflect_boundary, n)
+    bnd = oracle_tower(BOUNDARY_NETS, oracle_reflect_boundary, n)
     skl = oracle_tower(skel_nets, oracle_skeleton_direction_act, n)
     if len(set(bnd)) != len(bnd) or len(set(skl)) != len(skl):
         return False
@@ -242,7 +256,7 @@ def oracle_tessellation_triangles(n: int) -> set:
         fresh = []
         for tri in frontier:
             for i in (1, 2, 3):
-                img = tuple(sorted(reflect_boundary(i, v) for v in tri))
+                img = tuple(sorted(oracle_reflect_boundary(i, v) for v in tri))
                 if img not in triangles:
                     triangles.add(img)
                     fresh.append(img)
@@ -382,3 +396,15 @@ def oracle_zp_points_cubic(p: int, D) -> list:
                     exps = tuple(int(p_adic_valuation(c, p).finite) for c in coords)
                     out.append(ZpPoint(coords, exps))
     return sorted(out, key=lambda z: z.coords)
+
+
+# -- CSV text through the standard library's writer ---------------------------
+
+
+def oracle_csv_text(header, rows) -> str:
+    """The CLI's CSV text as csv.writer writes it, newline-terminated."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()

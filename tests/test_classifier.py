@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -190,8 +191,17 @@ class TestFarey:
             assert len(farey_enumerate(n)) == 2 ** (n + 1) - 1
 
     def test_enumerate_matches_mediant_bfs(self):
-        for n in range(10):
+        for n in range(11):
             assert farey_enumerate(n) == oracle_farey_triples(n)
+
+    def test_enumerated_triples_pass_the_checks(self):
+        # farey_enumerate builds its triples past __post_init__; each must be
+        # one the public constructor accepts, and behave as a frozen value.
+        triples = farey_enumerate(10)
+        assert [FareyTriple(t.left, t.mid, t.right) for t in triples] == triples
+        assert len(set(triples)) == len(triples)
+        with pytest.raises(FrozenInstanceError):
+            triples[0].mid = (2, 1)
 
     def test_invalid_triples_rejected(self):
         with pytest.raises(DomainError):
@@ -200,6 +210,8 @@ class TestFarey:
             FareyTriple((1, 0), (1, 1), (0, 1))  # determinant +1, not -1
         with pytest.raises(DomainError):
             FareyTriple((2, 2), (3, 3), (1, 1))  # not coprime
+        with pytest.raises(DomainError):
+            FareyTriple((-1, 1), (-1, 2), (0, 1))  # mediant and unimodular, but negative
 
     def test_root_triangle(self):
         word, verts = farey_triangle(FAREY_ROOT, 1, F(-2))

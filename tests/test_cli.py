@@ -1,10 +1,16 @@
+import hashlib
 import json
 
 import pytest
 
-from tropmarkov.classifier import HEIGHT_BOUND
+from tropmarkov import surface
+from tropmarkov.classifier import HEIGHT_BOUND, exception_rays_punctured
 from tropmarkov.cli import main
-from tropmarkov.surface import GRID_BOUND
+from tropmarkov.hyperbolic import partial_orbit_boundary, partial_orbit_skeleton, partition_table
+from tropmarkov.scalars import parse_rational
+from tropmarkov.surface import GRID_BOUND, Params
+
+from conftest import oracle_csv_text
 
 
 def run_cli(capsys, *argv):
@@ -88,6 +94,59 @@ class TestPingpongCommand:
         rows = out.strip().splitlines()
         assert rows[0] == "n,count,delta,Delta"
         assert rows[-1].startswith("3,24,")
+
+
+class TestCsvBytes:
+    """Every CSV the CLI writes against csv.writer on the public functions' results."""
+
+    def test_pingpong_listings(self, capsys):
+        for n in range(11):
+            _, out, _ = run_cli(capsys, "pingpong", "--depth", str(n), "--side", "boundary")
+            assert out == oracle_csv_text(["p", "q"], partial_orbit_boundary(n))
+            _, out, _ = run_cli(capsys, "pingpong", "--depth", str(n), "--side", "skeleton")
+            rows = [[str(c) for c in x] for x in partial_orbit_skeleton(n)]
+            assert out == oracle_csv_text(["x1", "x2", "x3"], rows)
+
+    def test_pingpong_depth_ten_digests(self, capsys):
+        # sha256 of the listings as csv.writer wrote them.
+        for side, digest in (
+                ("boundary", "52190335ad5f2fbcd12175dbd5a1ce2448c3ecb30937d3f3d7536e25392c0747"),
+                ("skeleton", "f33554460934821d54d36740781a63f886e73334aab66a2a3cf94ef1d1819fa3")):
+            _, out, _ = run_cli(capsys, "pingpong", "--depth", "10", "--side", side)
+            assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_pingpong_stats(self, capsys):
+        for side in ("boundary", "skeleton"):
+            for n in range(11):
+                _, out, _ = run_cli(capsys, "pingpong", "--depth", str(n), "--side", side,
+                                    "--stats")
+                rows = [[k, count, f"{delta:.12f}", f"{big:.12f}"]
+                        for k, (count, delta, big) in enumerate(partition_table(n, side))]
+                assert out == oracle_csv_text(["n", "count", "delta", "Delta"], rows)
+
+    def test_rays(self, capsys):
+        for d in ("-2", "-3", "-1/2", "-7/3"):
+            for height in range(5):
+                _, out, _ = run_cli(capsys, "rays", "--d", d, "--height", str(height))
+                gens = exception_rays_punctured(parse_rational(d), height)
+                assert out == oracle_csv_text(["g1", "g2", "g3"],
+                                              [[str(c) for c in g] for g in gens])
+
+    @pytest.mark.parametrize("params, grid, span", [
+        ("inf,inf,inf,-2", 3, "2"), ("1/2,inf,-1,-2", 5, "3"), ("0,0,0,0", 4, "5/2"),
+        ("-1,2,3,-5/2", 7, "4")])
+    def test_skeleton_sample(self, capsys, params, grid, span):
+        _, out, _ = run_cli(capsys, "skeleton", "sample", "--params", params,
+                            "--grid", str(grid), "--range", span, "--format", "csv")
+        p = Params.parse(params)
+        values = surface.plane_grid(grid, parse_rational(span))
+        rows = []
+        for v2 in values:
+            for v1 in values:
+                x = surface.lift_from_plane(p, 0, surface.plane_point(v1, v2))
+                cells = sorted(c.value for c in surface.cells_of(p, x))
+                rows.append([str(v1), str(v2), *(str(c) for c in x), "|".join(cells)])
+        assert out == oracle_csv_text(["v1", "v2", "x1", "x2", "x3", "cells"], rows)
 
 
 class TestFatouCommand:

@@ -28,10 +28,13 @@ from tropmarkov.hyperbolic import (
     reflect_boundary,
     skeleton_angle,
     skeleton_direction_act,
+    _boundary_act,
     _circle_point,
+    _circle_text,
     _direction_act,
     _orbit_cycle,
     _plane_xy,
+    _skeleton_cycle,
     _tessellation_triangles,
 )
 
@@ -41,6 +44,7 @@ from conftest import (
     oracle_labels,
     oracle_order_isomorphism_check,
     oracle_realise,
+    oracle_reflect_boundary,
     oracle_skeleton_direction_act,
     oracle_skeleton_sorted,
     oracle_tessellation_triangles,
@@ -251,7 +255,7 @@ class TestAgainstSlowPaths:
         assert oracle_skeleton_sorted(points) == _comparator_sorted(points)
 
     def test_tower_replays_labels(self):
-        for nets, act in ((BOUNDARY_NETS, reflect_boundary),
+        for nets, act in ((BOUNDARY_NETS, oracle_reflect_boundary),
                           (SKELETON_NETS, oracle_skeleton_direction_act)):
             for n in range(7):
                 expected = [oracle_realise(label, nets, act) for label in oracle_labels(n)]
@@ -259,7 +263,7 @@ class TestAgainstSlowPaths:
 
     def test_boundary_listing_matches_sorted_tower(self):
         for n in range(12):
-            tower = oracle_tower(BOUNDARY_NETS, reflect_boundary, n)
+            tower = oracle_tower(BOUNDARY_NETS, oracle_reflect_boundary, n)
             assert partial_orbit_boundary(n) == sorted(set(tower), key=oracle_boundary_key)
 
     def test_skeleton_listing_matches_sorted_tower(self):
@@ -278,8 +282,8 @@ class TestAgainstSlowPaths:
         # The skeleton cycle runs on integer directions; its circle points are
         # checked against the words replayed through the trop_vieta route.
         for nets, act, ccw, point, oracle_nets, oracle_act in (
-                (BOUNDARY_NETS, reflect_boundary, BOUNDARY_CCW, tuple,
-                 BOUNDARY_NETS, reflect_boundary),
+                (BOUNDARY_NETS, _boundary_act, BOUNDARY_CCW, tuple,
+                 BOUNDARY_NETS, oracle_reflect_boundary),
                 (SKELETON_DIRECTIONS, _direction_act, SKELETON_CCW, _circle_point,
                  SKELETON_NETS, oracle_skeleton_direction_act)):
             a, b, c = ccw
@@ -352,3 +356,68 @@ class TestDirectionKernel:
             assert math.gcd(*x) == 1 and sum(x) < 0
             for i in (1, 2, 3):
                 assert _direction_act(i, _direction_act(i, x)) == x
+
+
+class TestBoundaryKernel:
+    """The gcd-free act on normalised pairs against the validating public act,
+    and both against the reflection formulas normalised by a gcd."""
+
+    pairs = st.tuples(st.integers(min_value=-200, max_value=200),
+                      st.integers(min_value=-200, max_value=200))
+
+    @given(st.sampled_from((1, 2, 3)), projective_points)
+    @example(1, (1, 0))  # r1 and r3 fix inf
+    @example(3, (1, 0))
+    @example(2, (1, 2))  # r2 maps 1/2 to inf
+    @example(2, (-1, 1))
+    def test_act_matches_public_act(self, i, x):
+        assert _boundary_act(i, x) == reflect_boundary(i, x) == oracle_reflect_boundary(i, x)
+
+    @given(st.sampled_from((1, 2, 3, 0, 4)), pairs)
+    @example(1, (0, 0))
+    @example(2, (-3, 0))
+    def test_public_act_on_any_pair(self, i, x):
+        try:
+            expected = oracle_reflect_boundary(i, x)
+        except UsageError:
+            with pytest.raises(UsageError):
+                reflect_boundary(i, x)
+            return
+        assert reflect_boundary(i, x) == expected
+
+    def test_cycle_matches_public_act(self):
+        for n in range(11):
+            cycle = _orbit_cycle(BOUNDARY_NETS, _boundary_act, BOUNDARY_CCW, n)
+            assert cycle == _orbit_cycle(BOUNDARY_NETS, reflect_boundary, BOUNDARY_CCW, n)
+        # The depth-10 cycle holds every orbit point of depth <= 10.
+        for x in cycle:
+            assert x == bpoint(*x)
+            for i in (1, 2, 3):
+                assert _boundary_act(i, _boundary_act(i, x)) == x
+
+
+class TestSkeletonText:
+    """The coordinates printed from integer directions against str of the
+    Fractions they stand for."""
+
+    @staticmethod
+    def fraction_text(x):
+        s = -sum(x)
+        return tuple(str(Fraction(c, s)) for c in x)
+
+    def test_orbit_points(self):
+        for n in range(11):
+            cycle = _skeleton_cycle(n)
+            assert [_circle_text(x) for x in cycle] == [self.fraction_text(x) for x in cycle]
+            if n <= 8:
+                assert partial_orbit_skeleton(n) == [_circle_point(x) for x in cycle]
+
+    @given(st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6),
+                     st.integers(-10**6, 10**6)).filter(lambda x: sum(x) < 0))
+    @example((0, -1, -1))
+    @example((0, 0, -7))
+    @example((-6, 4, -2))  # -3/2, 1, -1/2
+    @example((3, -9, 0))  # 1/2, -3/2, 0
+    def test_integer_triples(self, x):
+        assert _circle_text(x) == self.fraction_text(x)
+
