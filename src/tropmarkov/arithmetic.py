@@ -147,16 +147,14 @@ def lift_consistency(point: SurfacePointL, word: Word) -> LiftReport:
     steps: list[LiftStep] = []
     cur_exact = point
     cur_trop: Point3 = x0
-    letters: list[int] = []
     ok = True
-    for g in word.applied_order():
+    for g, prefix in zip(word.applied_order(), word.applied_prefixes()):
         cur_exact = vieta_exact(g, cur_exact)
         cur_trop = trop_vieta(params, g, cur_trop)
-        letters.insert(0, g)
         exact_vals = cur_exact.valuation_vector()
         match = all(ev == tv for ev, tv in zip(exact_vals, cur_trop))
         ok = ok and match
-        steps.append(LiftStep(Word(tuple(letters)), exact_vals, cur_trop, match))
+        steps.append(LiftStep(prefix, exact_vals, cur_trop, match))
     return LiftReport(ok=ok and pre_ok, precondition_ok=pre_ok, steps=tuple(steps))
 
 

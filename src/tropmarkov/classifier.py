@@ -161,7 +161,7 @@ def classify(params: Params, x: Point3) -> ClassifyReport:
             cell=trace.cell, slope=None, gamma=gamma, delta=None, relevant_ray=None,
             in_U=True, certificate=Word(),
         )
-    i = trace.word.letters[-1]  # the reflection of the quadratic cell holding x
+    i = trace.word.first_applied  # the reflection of the quadratic cell holding x
     u1, u2 = u_coords(i, x)
     m = u2 / u1
     delta = index_shift_cf(m)

@@ -25,8 +25,10 @@ SCHEMA_VERSION = 1
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # Accept values like "-2,-3,-5" or "-3/2" after value-taking flags.
-        self._negative_number_matcher = re.compile(r"^-\d[\d/,.\-]*$")
+        # Take a dash word holding a digit or one of ",/^." for a value, not
+        # a flag: "-2,-3,-5", "-3/2", "-1,inf,inf,inf", "-t^-1,t^-1,t^-1".
+        # No flag of this CLI holds one of them.
+        self._negative_number_matcher = re.compile(r"^-(?!-)\S*[\d,/^.]")
 
     def error(self, message):
         raise UsageError(message)

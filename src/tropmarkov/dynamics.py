@@ -29,12 +29,14 @@ from .surface import (
     cells_of,
     linear_cell,
     nxt,
+    point_text,
     prv,
     quadratic_cell,
 )
 
 UVec = tuple[Fraction, Fraction]
 Matrix2 = tuple[tuple[int, int], tuple[int, int]]
+Run = tuple[int, int, int]
 
 # Most reflections greedy_path applies; it raises ResourceError before the
 # next one.  A rational point's itinerary ends within the sum of the
@@ -43,23 +45,91 @@ Matrix2 = tuple[tuple[int, int], tuple[int, int]]
 STEP_BOUND = 2**20
 
 
-@dataclass(frozen=True, slots=True)
+def _push(runs: list[list[int]], g: int) -> None:
+    """Append the letter g, applied after the others, to ``runs``.
+
+    ``runs`` holds a word in applied order as maximal alternating runs: each
+    [a, b, n] is the n letters a, b, a, ... in the order they act, cut
+    greedily from the first letter applied.  A letter extends the last run
+    when it repeats the letter two back; a lone letter [g, 0, 1] takes any
+    next letter.
+    """
+    if g not in (1, 2, 3):
+        raise UsageError(f"generator index must be 1, 2 or 3, got {g}")
+    if not runs:
+        runs.append([g, 0, 1])
+        return
+    run = runs[-1]
+    a, b, n = run
+    last, before = (a, b) if n % 2 else (b, a)
+    if g == last:
+        raise UsageError(f"word is not reduced: s{g} follows s{g}")
+    if n == 1:
+        run[1:] = [g, 2]
+    elif g == before:
+        run[2] = n + 1
+    else:
+        runs.append([g, 0, 1])
+
+
+def _extend(runs: list[list[int]], a: int, b: int, t: int) -> None:
+    """Append the t letters a, b, a, ... (in applied order) to ``runs``.
+
+    Once the last run ends in a, b the rest continue it, so at most three
+    letters are pushed one by one.
+    """
+    pushed = 0
+    while pushed < t and (pushed < 2 or runs[-1][2] == 1):
+        _push(runs, b if pushed % 2 else a)
+        pushed += 1
+    if pushed < t:
+        runs[-1][2] += t - pushed
+
+
+def _display(runs: list[list[int]]) -> tuple[Run, ...]:
+    """Applied-order runs as display-order runs: the last run first, each reversed."""
+    return tuple((a, b, n) if n % 2 else (b, a, n) for a, b, n in reversed(runs))
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Word:
     """A reduced word over s1, s2, s3, applied right-to-left.
 
-    ``letters`` holds generator indices in display order, so the leftmost
-    letter acts last; "s3 s2 s1" means s3 is applied last.
+    Display order puts the letter that acts last on the left: "s3 s2 s1"
+    applies s1 first.  The word is stored as its maximal alternating runs:
+    ``runs`` lists (i, j, n) in display order, each the n letters i, j, i, ...
+    read left to right, cut greedily from the rightmost letter.  So two
+    Words with the same letters have the same runs, and only the leftmost
+    run can be a lone letter, written (i, 0, 1).  Length, printing and the
+    first-applied letter take one step per run; ``letters`` expands them.
     """
 
-    letters: tuple[int, ...] = ()
+    runs: tuple[Run, ...]
 
-    def __post_init__(self):
-        for g in self.letters:
-            if g not in (1, 2, 3):
-                raise UsageError(f"generator index must be 1, 2 or 3, got {g}")
-        for left, right in zip(self.letters, self.letters[1:]):
-            if left == right:
-                raise UsageError(f"word {self.letters} is not reduced")
+    def __init__(self, letters: Iterable[int] = ()):
+        runs: list[list[int]] = []
+        for g in reversed(tuple(letters)):
+            _push(runs, g)
+        object.__setattr__(self, "runs", _display(runs))
+
+    @classmethod
+    def _of_runs(cls, runs: tuple[Run, ...]) -> "Word":
+        """A Word on runs already maximal and in display order, unchecked."""
+        word = object.__new__(cls)
+        object.__setattr__(word, "runs", runs)
+        return word
+
+    @classmethod
+    def from_runs(cls, runs: Iterable[Run]) -> "Word":
+        """The word of the display-order runs (i, j, n), each the n >= 1
+        letters i, j, i, ...; the runs need not be maximal, and j of a lone
+        letter may be 0.  One step per run."""
+        applied: list[list[int]] = []
+        for i, j, n in reversed(tuple(runs)):
+            if not (isinstance(n, int) and n >= 1 and j != i and j in (0, 1, 2, 3)):
+                raise UsageError(f"run {(i, j, n)} is not n >= 1 alternating letters i, j")
+            _extend(applied, *((i, j) if n % 2 else (j, i)), n)
+        return cls._of_runs(_display(applied))
 
     @classmethod
     def reduce(cls, letters: Iterable[int]) -> "Word":
@@ -83,18 +153,50 @@ class Word:
         return cls.reduce(letters)
 
     @property
+    def letters(self) -> tuple[int, ...]:
+        """Generator indices in display order, one per reflection."""
+        out: list[int] = []
+        for i, j, n in self.runs:
+            out += (i, j) * (n // 2) + (i,) * (n % 2)
+        return tuple(out)
+
+    @property
     def is_identity(self) -> bool:
-        return not self.letters
+        return not self.runs
+
+    @property
+    def first_applied(self) -> int:
+        """The rightmost letter, which acts first."""
+        if not self.runs:
+            raise UsageError("the identity word applies no generator")
+        i, j, n = self.runs[-1]
+        return i if n % 2 else j
 
     def applied_order(self) -> Iterator[int]:
         """Generator indices in the order they act (rightmost first)."""
         return reversed(self.letters)
 
+    def applied_prefixes(self) -> Iterator["Word"]:
+        """The words of the first 1, 2, ... letters applied, from the runs.
+
+        Runs are cut from the right, so a prefix keeps the runs to the right
+        of its cut and the cut run's last letters.
+        """
+        runs = self.runs
+        for k in range(len(runs) - 1, -1, -1):
+            i, j, n = runs[k]
+            rest = runs[k + 1:]
+            for c in range(1, n + 1):
+                head, other = (i, j) if (n - c) % 2 == 0 else (j, i)
+                yield self._of_runs(((head, other if c > 1 else 0, c),) + rest)
+
     def __len__(self):
-        return len(self.letters)
+        return sum(n for _, _, n in self.runs)
 
     def __str__(self):
-        return " ".join(f"s{g}" for g in self.letters)
+        # One string repetition per run; each piece ends in a space.
+        return "".join(f"s{i} s{j} " * (n // 2) + (f"s{i} " if n % 2 else "")
+                       for i, j, n in self.runs)[:-1]
 
 
 def trop_vieta(params: Params, i: int, x: Point3) -> Point3:
@@ -128,7 +230,8 @@ def u_coords(i: int, x: Point3) -> UVec:
         raise UsageError(f"generator index must be 1, 2 or 3, got {i}")
     u1, u2 = coords[i]
     if u1 < 0 or u2 < 0:
-        raise DomainError(f"point {x} is outside the quadratic cell {i}: u = ({u1},{u2})")
+        raise DomainError(
+            f"point {point_text(x)} is outside the quadratic cell {i}: u = ({u1},{u2})")
     return (u1, u2)
 
 
@@ -209,6 +312,7 @@ def _ray_index_of(quads: set[CellId]) -> int:
 def _run_continues(applied: list[int], i: int) -> bool:
     """Whether the letters j, i, j just applied start a run that i continues.
 
+    ``applied`` ends with the letters applied so far, at least the last four.
     A longer run was already taken in one jump, so it does not count again.
     """
     return (len(applied) >= 3 and applied[-2] == i and applied[-3] == applied[-1]
@@ -271,7 +375,8 @@ def greedy_path(params: Params, x: Point3, max_steps: int | None = None) -> Gree
         # The first cells_of call below is the skeleton check; it must run.
         raise UsageError(f"max_steps must be nonnegative, got {max_steps}")
     room = STEP_BOUND + 1 if max_steps is None else min(max_steps, STEP_BOUND + 1)
-    applied: list[int] = []
+    runs: list[list[int]] = []  # the word so far, as maximal runs in applied order
+    recent: list[int] = []  # the last letters applied, as many as _run_continues reads
     cur = x
     step = 0
     while True:
@@ -280,29 +385,32 @@ def greedy_path(params: Params, x: Point3, max_steps: int | None = None) -> Gree
         # Ray has priority: junction points of subquadratic cells and rays
         # count as ray terminals.
         if len(quads) >= 2:
-            return GreedyTrace(x, Word(tuple(reversed(applied))), cur, "ray",
+            return GreedyTrace(x, Word._of_runs(_display(runs)), cur, "ray",
                                ray_index=_ray_index_of(quads), steps=step)
         sub = [c for c in CELL_ORDER if c in cells and c in SUBQUADRATIC_CELLS]
         if sub:
-            return GreedyTrace(x, Word(tuple(reversed(applied))), cur, "subquadratic",
+            return GreedyTrace(x, Word._of_runs(_display(runs)), cur, "subquadratic",
                                cell=sub[0], steps=step)
         i = QUADRATIC_CELLS.index(next(iter(quads))) + 1
         if step == max_steps:
-            return GreedyTrace(x, Word(tuple(reversed(applied))), cur, "exhausted", steps=step)
+            return GreedyTrace(x, Word._of_runs(_display(runs)), cur, "exhausted", steps=step)
         t = 0
-        if _run_continues(applied, i):
-            j = applied[-1]
+        if _run_continues(recent, i):
+            j = recent[-1]
             t = _run_length(params, cur, i, j, room - step)
         if step + max(t, 1) > STEP_BOUND:
             raise ResourceError(
                 f"greedy itinerary exceeds the configured bound of {STEP_BOUND} reflections")
         if t:
-            applied.extend((i, j) * (t // 2) + (i,) * (t % 2))
+            _extend(runs, i, j, t)
+            recent += [(i, j)[k % 2] for k in range(max(t - 4, 0), t)]
             cur = _run_point(cur, i, j, t)
         else:
-            applied.append(i)
+            _push(runs, i)
+            recent.append(i)
             cur = trop_vieta(params, i, cur)
             t = 1
+        del recent[:-4]
         step += t
 
 

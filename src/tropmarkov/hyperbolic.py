@@ -85,28 +85,47 @@ def reduce_to_nets(x: BPoint) -> tuple[Word, BPoint]:
 
     The displayed word lists the reflections in the order they were applied
     to x (leftmost first), which is the reverse of their action order on n.
+    Each run of one move, z -> z - 2 or z + 2 in the chart z or 1/z (one
+    partial quotient of x), is taken in one jump, so the cost grows with
+    the number of partial quotients, not with the height.
     """
     cur = bpoint(*x)
-    moves: list[int] = []
+    runs: list[list[int]] = []  # display order, [a, b, n] the letters a, b, a, ...
     while cur[1] != 0 and cur not in ((0, 1), (1, 1)):
         p, q = cur
         if cur == (-1, 1):
-            step = (3,)  # -1 -> 1, a net
+            move, cur = [3, 0, 1], (1, 1)  # -1 -> 1, a net
         elif abs(p) > q:
-            step = (1, 3) if p > 0 else (3, 1)  # z -> z - 2, or z -> z + 2
-        elif p < 0:
-            step = (3, 2)  # z -> z / (2z + 1), lowering the height
+            # z -> z - 2 (r1 then r3) or z + 2 (r3 then r1) while |z| > 1
+            k = (abs(p) + q - 1) // (2 * q)
+            move = [1, 3, 2 * k] if p > 0 else [3, 1, 2 * k]
+            cur = (p - 2 * k * q if p > 0 else p + 2 * k * q, q)
         else:
-            step = (2, 3)  # z -> z / (2z - 1) then negate, lowering the height
-        for i in step:
-            cur = reflect_boundary(i, cur)
-        moves += step
-    word = Word.reduce(moves)
+            # 1/z -> 1/z - 2 (r2 then r3) or 1/z + 2 (r3 then r2) while |z| < 1
+            k = (q + abs(p) - 1) // (2 * abs(p))
+            move = [2, 3, 2 * k] if p > 0 else [3, 2, 2 * k]
+            r = q - 2 * k * abs(p)
+            cur = (p, r) if r > 0 or (r == 0 and p > 0) else (-p, -r)
+        while runs and move[2] and _last_letter(runs) == move[0]:
+            _drop_last(runs)  # s_i s_i cancels
+            move = [move[1], move[0], move[2] - 1]
+        if move[2]:
+            runs.append(move)
     stab = {i for i in (1, 2, 3) if reflect_boundary(i, cur) == cur}
-    letters = word.letters
-    while letters and letters[-1] in stab:
-        letters = letters[:-1]  # the first letter applied to the net acts trivially
-    return Word(letters), cur
+    while runs and _last_letter(runs) in stab:
+        _drop_last(runs)  # the first letter applied to the net acts trivially
+    return Word.from_runs(runs), cur
+
+
+def _last_letter(runs: list[list[int]]) -> int:
+    a, b, n = runs[-1]
+    return a if n % 2 else b
+
+
+def _drop_last(runs: list[list[int]]) -> None:
+    runs[-1][2] -= 1
+    if not runs[-1][2]:
+        runs.pop()
 
 
 # -- partial orbits ----------------------------------------------------------------

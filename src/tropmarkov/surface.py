@@ -41,6 +41,11 @@ def parse_point(text: str) -> Point3:
     return as_point(parse_rational(part) for part in text.split(","))
 
 
+def point_text(x: Point3) -> str:
+    """A point as the command line writes it, e.g. "0,-1/2,3"."""
+    return ",".join(map(str, x))
+
+
 class CellId(Enum):
     """The seven cells of a skeleton, named by the monomial that ties x1+x2+x3."""
 
@@ -145,7 +150,7 @@ def cells_of(params: Params, x: Point3) -> set[CellId]:
     s = sum(x)
     values = _monomial_values(params, x)
     if min(values.values()) != s:
-        raise DomainError(f"point {x} is not on the skeleton of {params}")
+        raise DomainError(f"point {point_text(x)} is not on the skeleton of {params}")
     return {cell for cell, v in values.items() if v == s}
 
 

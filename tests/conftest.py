@@ -7,13 +7,20 @@ functions they are used to check.
 import csv
 import io
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
 from tropmarkov.arithmetic import ZP_BOX_BOUND, ZpPoint
 from tropmarkov.classifier import FAREY_ROOT, FareyTriple
 from tropmarkov.errors import DomainError, ResourceError, UsageError
-from tropmarkov.hyperbolic import BOUNDARY_NETS, SKELETON_NETS, _plane_xy, bpoint
+from tropmarkov.hyperbolic import (
+    BOUNDARY_NETS,
+    SKELETON_NETS,
+    _plane_xy,
+    bpoint,
+    reflect_boundary,
+)
 from tropmarkov.scalars import ExtRat, ext_min, is_prime, p_adic_valuation
 from tropmarkov.surface import (
     CELL_ORDER,
@@ -23,8 +30,34 @@ from tropmarkov.surface import (
     SUBQUADRATIC_CELLS,
     cells_of,
     on_boundary_ray,
+    point_text,
 )
 from tropmarkov.dynamics import GreedyTrace, Word, _ray_index_of, euc, trop_vieta, u_coords
+
+
+# -- words one letter per reflection, as the library stored them before runs -----
+
+
+@dataclass(frozen=True)
+class OracleWord:
+    """A reduced word as a tuple of letters in display order, checked and
+    printed letter by letter."""
+
+    letters: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        for g in self.letters:
+            if g not in (1, 2, 3):
+                raise UsageError(f"generator index must be 1, 2 or 3, got {g}")
+        for left, right in zip(self.letters, self.letters[1:]):
+            if left == right:
+                raise UsageError(f"word {self.letters} is not reduced")
+
+    def __len__(self):
+        return len(self.letters)
+
+    def __str__(self):
+        return " ".join(f"s{g}" for g in self.letters)
 
 
 # -- the tropical Markov polynomial over ExtRat, monomial by monomial ------------
@@ -60,7 +93,7 @@ def oracle_in_tropicalization(params, x) -> bool:
 
 def oracle_cells_of(params, x) -> set:
     if oracle_f0(params, x) != 0:
-        raise DomainError(f"point {x} is not on the skeleton of {params}")
+        raise DomainError(f"point {point_text(x)} is not on the skeleton of {params}")
     s = sum(x)
     return {cell for cell, v in oracle_monomials(params, x).items() if v == s}
 
@@ -141,6 +174,31 @@ def oracle_reflect_boundary(i, x):
     if i == 3:
         return bpoint(-p, q)
     raise UsageError(f"reflection index must be 1, 2 or 3, got {i}")
+
+
+def oracle_reduce_to_nets(x):
+    """Height reduction to a net one move at a time, two reflections per
+    unit of height, as the library took it before runs were jumped."""
+    cur = bpoint(*x)
+    moves: list[int] = []
+    while cur[1] != 0 and cur not in ((0, 1), (1, 1)):
+        p, q = cur
+        if cur == (-1, 1):
+            step = (3,)  # -1 -> 1, a net
+        elif abs(p) > q:
+            step = (1, 3) if p > 0 else (3, 1)  # z -> z - 2, or z -> z + 2
+        elif p < 0:
+            step = (3, 2)  # z -> z / (2z + 1), lowering the height
+        else:
+            step = (2, 3)  # z -> z / (2z - 1) then negate, lowering the height
+        for i in step:
+            cur = reflect_boundary(i, cur)
+        moves += step
+    letters = Word.reduce(moves).letters
+    stab = {i for i in (1, 2, 3) if reflect_boundary(i, cur) == cur}
+    while letters and letters[-1] in stab:
+        letters = letters[:-1]  # the first letter applied to the net acts trivially
+    return Word(letters), cur
 
 
 def oracle_skeleton_direction_act(i, x):

@@ -106,6 +106,15 @@ class TestLiftConsistency:
         assert report.ok
         assert all(s.match for s in report.steps)
 
+    def test_prefixes_are_the_letters_applied_so_far(self):
+        P = seed_point("t^-1", "t^-1", "t^-1")
+        word = Word.parse("s2 s1 s3 s1 s3 s2 s1 s2 s1")
+        report = lift_consistency(P, word)
+        letters = word.letters
+        assert [s.prefix for s in report.steps] == [
+            Word(letters[len(letters) - k:]) for k in range(1, len(letters) + 1)]
+        assert [str(s.prefix) for s in report.steps][:3] == ["s1", "s2 s1", "s1 s2 s1"]
+
     def test_boundary_seed_flags_precondition(self):
         # Valuation vector (-1,-1,-2) lands on the boundary of the D cell.
         P = seed_point("t^-1", "t^-1", "t^-2")

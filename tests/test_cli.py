@@ -86,6 +86,44 @@ class TestClassifyCommand:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestDashValues:
+    """A value that starts with "-" after a flag is a value, whatever letters
+    it holds, and parses as it does in the --flag=value form."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (("classify", "--params", "-1,inf,inf,inf", "--point", "0,0,0"), 2),
+        (("fatou", "--params", "-1,2,3,inf"), 0),
+        (("lift-check", "--seed", "-t^-1,t^-1,t^-1", "--word", "s1"), 0),
+        (("lift-check", "--seed", "t^-1,t^-1,t^-1", "--abc", "-t,0,0", "--word", "s1"), 0),
+        (("reduce", "--params", "inf,inf,inf,-2", "--point", "-2,-3,-5"), 0),
+        (("rays", "--d", "-1/2", "--height", "2"), 0),
+    ])
+    def test_dash_values(self, capsys, argv, code):
+        result = run_cli(capsys, *argv)
+        assert result[0] == code, result[2]
+        joined = []
+        for arg in argv:
+            if arg.startswith("-") and not arg.startswith("--"):
+                joined[-1] += "=" + arg
+            else:
+                joined.append(arg)
+        assert run_cli(capsys, *joined) == result
+
+    def test_dash_word_without_digit_or_sign_is_a_flag(self, capsys):
+        code, out, err = run_cli(
+            capsys, "reduce", "--params", "inf,inf,inf,-2", "--point", "-2,-3,-5", "-x")
+        assert code == 3 and out == "" and "unrecognized arguments: -x" in err
+
+    def test_points_in_errors_print_as_on_the_command_line(self, capsys):
+        code, out, err = run_cli(
+            capsys, "classify", "--params", "inf,inf,inf,-2", "--point", "0,0,0")
+        assert code == 2 and out == ""
+        assert err == "error: point 0,0,0 is not on the skeleton of inf,inf,inf,-2\n"
+        code, _, err = run_cli(
+            capsys, "reduce", "--params", "inf,inf,inf,-2", "--point", "-1/2,1/3,0")
+        assert code == 2 and "point -1/2,1/3,0 is not" in err
+
+
 class TestPingpongCommand:
     def test_counts(self, capsys):
         code, out, _ = run_cli(

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import oracle_euc_limit, oracle_greedy_path
+from conftest import OracleWord, oracle_cells_of, oracle_euc_limit, oracle_greedy_path
 from tropmarkov import dynamics
 from tropmarkov.errors import DomainError, ResourceError, UsageError
 from tropmarkov.sampling import random_params, random_skeleton_point, random_word
@@ -55,10 +55,123 @@ class TestWord:
         assert Word.reduce([1, 2, 2, 1]).is_identity
 
     def test_unreduced_constructor_rejected(self):
-        with pytest.raises(UsageError):
-            Word((1, 1, 2))
+        for letters in ((1, 1, 2), (1, 2, 2), (0,), (1, 4), (3, 3)):
+            with pytest.raises(UsageError):
+                Word(letters)
         with pytest.raises(UsageError):
             Word.parse("s4")
+
+
+def _dedupe(letters) -> tuple[int, ...]:
+    """Drop each letter equal to the one before it, leaving a reduced word."""
+    out: list[int] = []
+    for g in letters:
+        if not out or out[-1] != g:
+            out.append(g)
+    return tuple(out)
+
+
+_PAIRS = ((1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2))
+# Short words of any shape, and words of a few long alternating runs.
+_LETTERS = st.one_of(
+    st.lists(st.sampled_from((1, 2, 3)), max_size=30),
+    st.lists(st.tuples(st.sampled_from(_PAIRS), st.integers(min_value=1, max_value=60)),
+             max_size=5).map(
+        lambda runs: [(i, j)[k % 2] for (i, j), n in runs for k in range(n)]),
+).map(_dedupe)
+
+
+def _pieces(letters, cuts) -> list[tuple[int, int, int]]:
+    """Cut reduced letters into alternating runs (i, j, n), starting a new
+    run before letter k where the run cannot go on or cuts[k] says so."""
+    pieces: list[list[int]] = []
+    for k, g in enumerate(letters):
+        last = pieces[-1] if pieces else None
+        if last and not cuts[k] and (len(last) < 2 or last[-2] == g):
+            last.append(g)
+        else:
+            pieces.append([g])
+    return [(p[0], p[1] if len(p) > 1 else 0, len(p)) for p in pieces]
+
+
+class TestWordRuns:
+    """Word keeps maximal alternating runs; OracleWord in conftest keeps one
+    letter per reflection."""
+
+    @given(_LETTERS)
+    @settings(max_examples=300)
+    def test_matches_the_letters(self, letters):
+        w, ref = Word(letters), OracleWord(letters)
+        assert w.letters == ref.letters
+        assert len(w) == len(ref) and str(w) == str(ref)
+        assert w.is_identity == (not letters)
+        assert list(w.applied_order()) == list(reversed(letters))
+        assert Word.parse(str(w)) == w and Word.from_runs(w.runs) == w
+        if letters:
+            assert w.first_applied == letters[-1]
+        assert list(w.applied_prefixes()) == [Word(letters[len(letters) - k:])
+                                               for k in range(1, len(letters) + 1)]
+
+    @given(_LETTERS, st.data())
+    @settings(max_examples=300)
+    def test_runs_are_maximal_and_canonical(self, letters, data):
+        w = Word(letters)
+        # Cut greedily from the right: only the leftmost run is a lone letter
+        # (i, 0, 1), and no run takes the letter on its left.
+        for k, (i, j, n) in enumerate(w.runs):
+            assert i in (1, 2, 3) and j in ((0,) if n == 1 else (1, 2, 3)) and j != i
+            assert n >= 2 or k == 0
+            if k:
+                a, b, m = w.runs[k - 1]
+                assert (a if m % 2 else b) != j
+        cuts = data.draw(st.lists(st.booleans(), min_size=len(letters), max_size=len(letters)))
+        other = Word.from_runs(_pieces(letters, cuts))
+        assert other == w and hash(other) == hash(w) and other.runs == w.runs
+
+    @given(_LETTERS, _LETTERS)
+    def test_equality_and_hash_follow_the_letters(self, a, b):
+        assert (Word(a) == Word(b)) == (a == b)
+        assert hash(Word(a)) == hash(Word.reduce(list(a))) == hash(Word.parse(str(Word(a))))
+
+    @pytest.mark.parametrize("runs", [
+        ((1, 1, 2),), ((1, 2, 0),), ((1, 0, 2),), ((4, 0, 1),), ((1, 4, 2),), ((1, 1, 1),), ((1, 7, 1),),
+        ((1, 2, 3), (1, 3, 1)),  # s1 s2 s1 s1
+        ((2, 3, 2), (3, 1, 5)),  # s2 s3 s3 ...
+        ((1, 2, F(3)),),
+    ])
+    def test_run_constructor_rejects_invalid_runs(self, runs):
+        with pytest.raises(UsageError):
+            Word.from_runs(runs)
+
+    def test_run_constructor_merges_runs(self):
+        assert Word.from_runs(((1, 2, 2), (1, 2, 3))) == Word((1, 2, 1, 2, 1))
+        assert Word.from_runs(((1, 2, 2), (1, 2, 3))).runs == ((1, 2, 5),)
+        assert Word.from_runs(((3, 2, 1), (1, 2, 2))).runs == ((3, 0, 1), (1, 2, 2))
+        assert Word.from_runs(((3, 1, 2), (3, 1, 1))).runs == ((3, 1, 3),)
+        assert Word.from_runs(()) == Word() and str(Word()) == ""
+        with pytest.raises(UsageError):
+            Word().first_applied
+
+    def test_long_greedy_word(self):
+        # Slope 10^6/(10^6+1): 10^6 + 1 reflections in two runs.
+        trace = greedy_path(PT, u_inverse(1, (10**6 + 1, 10**6)))
+        assert len(trace.word) == trace.steps == 10**6 + 1
+        assert len(trace.word.runs) <= 3
+        assert str(trace.word) == str(OracleWord(trace.word.letters))
+        assert Word.from_runs(trace.word.runs) == trace.word
+
+
+class TestErrorText:
+    def test_points_print_as_on_the_command_line(self):
+        x = pt(-2, F(-7, 2), -5)
+        with pytest.raises(DomainError, match=r"^point -2,-7/2,-5 is outside the quadratic cell 1"):
+            u_coords(1, x)
+        messages = []
+        for cells in (cells_of, oracle_cells_of):
+            with pytest.raises(DomainError) as exc:
+                cells(PT, pt(0, 0, 0))
+            messages.append(str(exc.value))
+        assert messages == ["point 0,0,0 is not on the skeleton of inf,inf,inf,-2"] * 2
 
 
 class TestInvolutions:
@@ -313,6 +426,20 @@ class TestGreedyJumps:
     def test_matches_step_loop_on_skeleton_points(self, params, seed, budget):
         x = random_skeleton_point(random.Random(seed), params, span=40, max_den=6)
         assert greedy_path(params, x, budget) == oracle_greedy_path(params, x, budget)
+
+    @given(_PARAMS, _CFS, st.sampled_from((1, 2, 3)))
+    @settings(max_examples=100, deadline=None)
+    def test_words_built_from_runs_equal_words_built_from_letters(self, params, cf, chart):
+        # greedy_path builds its word run by run, the step loop letter by letter.
+        m = cf.value()
+        x = u_inverse(chart, (m.denominator, m.numerator))
+        try:
+            word = greedy_path(params, x).word
+        except DomainError:
+            return
+        ref = oracle_greedy_path(params, x).word
+        assert word == ref and hash(word) == hash(ref) and word.runs == ref.runs
+        assert str(word) == str(OracleWord(ref.letters))
 
     @pytest.mark.parametrize(
         "params, m, scale, kind, steps",

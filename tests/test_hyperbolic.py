@@ -44,6 +44,7 @@ from conftest import (
     oracle_labels,
     oracle_order_isomorphism_check,
     oracle_realise,
+    oracle_reduce_to_nets,
     oracle_reflect_boundary,
     oracle_skeleton_direction_act,
     oracle_skeleton_sorted,
@@ -106,6 +107,50 @@ class TestReduction:
                 assert len(word) <= 2 * height(x)
                 assert apply_reflection_word(word, net) == x
                 assert net in ((0, 1), (1, 1), (1, 0))
+
+
+def _from_terms(terms, sign) -> tuple[int, int]:
+    """The pair p/q of the continued fraction [t0; t1, ...] with the sign."""
+    p, q = terms[-1], 1
+    for t in reversed(terms[:-1]):
+        p, q = t * p + q, p
+    return (sign * p, q)
+
+
+class TestReductionRuns:
+    """reduce_to_nets jumps each run of one move; the move loop in conftest
+    takes two reflections per unit of height."""
+
+    @given(st.integers(min_value=-3000, max_value=3000),
+           st.integers(min_value=0, max_value=3000))
+    @example(-1, 1)
+    @example(1, 2)
+    @example(-1, 2)
+    @example(1, 0)
+    @example(0, 1)
+    def test_matches_move_loop_on_pairs(self, p, q):
+        if (p, q) == (0, 0):
+            return
+        assert reduce_to_nets((p, q)) == oracle_reduce_to_nets((p, q))
+
+    @given(st.lists(st.integers(min_value=1, max_value=400), min_size=1, max_size=5),
+           st.sampled_from((1, -1)), st.booleans())
+    def test_matches_move_loop_on_partial_quotients(self, terms, sign, invert):
+        p, q = _from_terms(terms, sign)
+        x = bpoint(q * sign, abs(p)) if invert else (p, q)
+        word, net = reduce_to_nets(x)
+        assert (word, net) == oracle_reduce_to_nets(x)
+        assert apply_reflection_word(word, net) == bpoint(*x)
+
+    def test_one_run_per_partial_quotient(self):
+        word, net = reduce_to_nets((10**9, 1))
+        assert net == (0, 1) and len(word) == 10**9 - 1 and len(word.runs) == 1
+        small, small_net = oracle_reduce_to_nets((10**3, 1))
+        assert reduce_to_nets((10**3, 1)) == (small, small_net) and len(small) == 10**3 - 1
+        # [0; 10^6, 10^6, 10^6]: a few runs for three huge partial quotients.
+        x = _from_terms([10**6, 10**6, 10**6], 1)
+        word, net = reduce_to_nets((x[1], x[0]))
+        assert len(word.runs) <= 6 and len(word) <= 2 * height(x)
 
 
 class TestPartialOrbits:
