@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Sequence
 
@@ -77,6 +77,14 @@ class SurfacePointL:
         if lhs != rhs:
             raise DomainError("coordinates do not satisfy the surface equation")
 
+    @classmethod
+    def _unchecked(cls, *values: LaurentPoly) -> "SurfacePointL":
+        """A point known to be on the surface, built without the identity check."""
+        point = object.__new__(cls)
+        for field, value in zip(fields(cls), values, strict=True):
+            object.__setattr__(point, field.name, value)
+        return point
+
     def coordinates(self) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly]:
         return (self.X1, self.X2, self.X3)
 
@@ -99,7 +107,11 @@ def surface_from_seed(X1: LaurentPoly, X2: LaurentPoly, X3: LaurentPoly,
 
 
 def vieta_exact(i: int, point: SurfacePointL) -> SurfacePointL:
-    """Exact Vieta involution: s1 replaces X1 by A - X1 - X2*X3, and cyclically."""
+    """Exact Vieta involution: s1 replaces X1 by A - X1 - X2*X3, and cyclically.
+
+    The new X1 is the other root of the surface equation as a quadratic in
+    X1, so the image is on the surface by construction and is not rechecked.
+    """
     X1, X2, X3 = point.X1, point.X2, point.X3
     if i == 1:
         X1 = point.A - X1 - X2 * X3
@@ -109,7 +121,7 @@ def vieta_exact(i: int, point: SurfacePointL) -> SurfacePointL:
         X3 = point.C - X3 - X1 * X2
     else:
         raise UsageError(f"generator index must be 1, 2 or 3, got {i}")
-    return SurfacePointL(X1, X2, X3, point.A, point.B, point.C, point.D)
+    return SurfacePointL._unchecked(X1, X2, X3, point.A, point.B, point.C, point.D)
 
 
 @dataclass(frozen=True, slots=True)

@@ -20,10 +20,10 @@ from .surface import (
     CellId,
     Params,
     Point3,
+    _threshold,
     is_meromorphic,
     nxt,
     quadratic_cell,
-    thresholds,
 )
 from .dynamics import (
     Matrix2,
@@ -166,10 +166,9 @@ def classify(params: Params, x: Point3) -> ClassifyReport:
     m = u2 / u1
     delta = index_shift_cf(m)
     ray = _mod3(i + delta - 1)
-    theta = thresholds(params)[ray - 1]
     return ClassifyReport(
         cell=quadratic_cell(i), slope=ExtRat(m), gamma=gamma, delta=delta,
-        relevant_ray=ray, in_U=gamma < -theta.finite, certificate=trace.word,
+        relevant_ray=ray, in_U=gamma < -_threshold(params, ray), certificate=trace.word,
     )
 
 

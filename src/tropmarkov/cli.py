@@ -72,7 +72,7 @@ def _cmd_skeleton_sample(args) -> dict | str:
     rows = []
     for v2 in values:
         for v1 in values:
-            x = surface.lift_from_plane(params, 0, surface.plane_point(v1, v2))
+            x = surface.lift_from_plane(params, 0, (v1, v2, -v1 - v2))
             cells = sorted(c.value for c in surface.cells_of(params, x))
             rows.append((v1, v2, x, cells))
     if args.format == "json":

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import DomainError, ResourceError, UsageError
-from .dynamics import Word
+from .dynamics import Matrix2, Word, mat_mul
 
 BPoint = tuple[int, int]
 
@@ -66,10 +66,42 @@ def reflect_boundary(i: int, x: BPoint) -> BPoint:
     return _boundary_act(i, bpoint(*x))
 
 
+# r1, r2, r3 as integer matrices on the column (p, q).  A product of two of
+# them has trace +-2 and determinant 1, so it is +-(I + N) with N^2 = 0, and
+# its k-th power is +-(I + kN).
+_REFLECTION_MATRICES: dict[int, Matrix2] = {
+    1: ((-1, 2), (0, 1)), 2: ((1, 0), (2, -1)), 3: ((-1, 0), (0, 1))}
+
+
+def _pair_nilpotent(a: int, b: int) -> Matrix2:
+    """N with r_b r_a (r_a acting first) equal to +-(I + N)."""
+    (m00, m01), (m10, m11) = mat_mul(_REFLECTION_MATRICES[b], _REFLECTION_MATRICES[a])
+    s = 1 if m00 + m11 == 2 else -1
+    return ((s * m00 - 1, s * m01), (s * m10, s * m11 - 1))
+
+
+_PAIR_NILPOTENTS = {(a, b): _pair_nilpotent(a, b)
+                    for a in (1, 2, 3) for b in (1, 2, 3) if a != b}
+
+
 def apply_reflection_word(word: Word, x: BPoint) -> BPoint:
-    for i in word.applied_order():
-        x = reflect_boundary(i, x)
-    return x
+    """The word applied to a projective pair, normalised, one step per run.
+
+    A run applies r_a, r_b, r_a, ...: its k pairs act as I + kN and an odd
+    run ends with one more r_a.  The signs the pairs drop leave the
+    projective point unchanged and are fixed once, at the end.
+    """
+    p, q = bpoint(*x)
+    for i, j, n in reversed(word.runs):
+        a, b = (i, j) if n % 2 else (j, i)  # r_a acts first
+        k = n // 2
+        if k:
+            (n00, n01), (n10, n11) = _PAIR_NILPOTENTS[a, b]
+            p, q = p + k * (n00 * p + n01 * q), q + k * (n10 * p + n11 * q)
+        if n % 2:
+            (r00, r01), (r10, r11) = _REFLECTION_MATRICES[a]
+            p, q = r00 * p + r01 * q, r10 * p + r11 * q
+    return (p, q) if q > 0 or (q == 0 and p > 0) else (-p, -q)
 
 
 BOUNDARY_NETS: dict[int, BPoint] = {1: (0, 1), 2: (1, 0), 3: (1, 1)}

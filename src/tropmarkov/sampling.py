@@ -10,8 +10,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .scalars import ExtRat
-from .surface import Params, Point3, lift_from_plane, plane_point
+from .scalars import INF, ExtRat
+from .surface import Params, PlanePoint, Point3, lift_from_plane
 from .dynamics import Word
 
 
@@ -21,10 +21,10 @@ def random_fraction(rng: random.Random, span: int = 6, max_den: int = 8) -> Frac
     return Fraction(num, den)
 
 
-def random_plane_point(rng: random.Random, span: int = 6, max_den: int = 8):
+def random_plane_point(rng: random.Random, span: int = 6, max_den: int = 8) -> PlanePoint:
     v1 = random_fraction(rng, span, max_den)
     v2 = random_fraction(rng, span, max_den)
-    return plane_point(v1, v2)
+    return (v1, v2, -v1 - v2)
 
 
 def random_skeleton_point(rng: random.Random, params: Params,
@@ -34,21 +34,20 @@ def random_skeleton_point(rng: random.Random, params: Params,
 
 def random_params(rng: random.Random, meromorphic: bool | None = None,
                   span: int = 4, max_den: int = 4) -> Params:
+    """Each entry is +inf with chance 0.3; meromorphic True or False redraws
+    until some finite entry is, or none is, negative."""
     while True:
         entries = []
+        negative = False
         for _ in range(4):
-            if rng.random() < 0.3:  # each entry is +inf with chance 0.3
-                entries.append(ExtRat("inf"))
+            if rng.random() < 0.3:
+                entries.append(INF)
             else:
-                entries.append(ExtRat(random_fraction(rng, span, max_den)))
-        params = Params(*entries)
-        low = min(entries)
-        if meromorphic is None:
-            return params
-        if meromorphic and low < 0:
-            return params
-        if not meromorphic and low >= 0:
-            return params
+                value = random_fraction(rng, span, max_den)
+                negative = negative or value < 0
+                entries.append(ExtRat(value))
+        if meromorphic is None or negative == bool(meromorphic):
+            return Params(*entries)
 
 
 def random_word(rng: random.Random, length: int) -> Word:

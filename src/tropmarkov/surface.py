@@ -13,8 +13,10 @@ ray thresholds, the foliation of R^3 by level sets of f0, and the involutions'
 fixed-set parametrization.
 
 +infinity enters only through the parameters, where it drops a monomial, so
-f0 and f are exact rationals at every point; ExtRat appears only in the
-formulas that combine parameters (thresholds, interiors, lifts, fixed sets).
+f0 and f are exact rationals at every point.  Lifts, ray thresholds and the
+meromorphic test read the finite parameters directly; ExtRat appears only in
+the formulas that combine parameters with +infinity (interiors, fixed sets)
+and in the public `thresholds` tuple.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 
 from .errors import DomainError, ResourceError, UsageError
 from .scalars import ExtRat, ext_min, parse_rational
@@ -180,27 +183,36 @@ def cell_has_interior(params: Params, cell: CellId) -> bool:
     return own < _min0(other1 - own) + _min0(other2 - own) and 2 * own < d
 
 
+def _finite_values(params: Params) -> tuple[Fraction | None, ...]:
+    """(a, b, c, d) as Fractions, None where the parameter is +infinity."""
+    return tuple(None if e.is_infinite else e.finite
+                 for e in (params.a, params.b, params.c, params.d))
+
+
+def _threshold(params: Params, i: int) -> Fraction:
+    """Truncation bound of the ray R_i: min(0, a, b, c, d/2) with the i-th of
+    a, b, c halved; an infinite parameter drops its term."""
+    terms = [Fraction(0)]
+    for k, e in enumerate(_finite_values(params), 1):
+        if e is not None:
+            terms.append(e / 2 if k in (i, 4) else e)
+    return min(terms)
+
+
 def thresholds(params: Params) -> tuple[ExtRat, ExtRat, ExtRat]:
     """Truncation bounds of the three boundary rays."""
-    a, b, c, d = params.a, params.b, params.c, params.d
-    zero = ExtRat(0)
-    return (
-        ext_min((zero, a / 2, b, c, d / 2)),
-        ext_min((zero, a, b / 2, c, d / 2)),
-        ext_min((zero, a, b, c / 2, d / 2)),
-    )
+    return tuple(ExtRat(_threshold(params, i)) for i in (1, 2, 3))
 
 
 def on_boundary_ray(params: Params, i: int, x: Point3) -> bool:
     """Membership in the ray R_i: (0,t,t), (t,0,t) or (t,t,0) with t below the threshold."""
     x1, x2, x3 = x
-    theta = thresholds(params)[i - 1]
     if i == 1:
-        return x1 == 0 and x2 == x3 and theta >= x2
+        return x1 == 0 and x2 == x3 and _threshold(params, 1) >= x2
     if i == 2:
-        return x2 == 0 and x1 == x3 and theta >= x1
+        return x2 == 0 and x1 == x3 and _threshold(params, 2) >= x1
     if i == 3:
-        return x3 == 0 and x1 == x2 and theta >= x1
+        return x3 == 0 and x1 == x2 and _threshold(params, 3) >= x1
     raise UsageError(f"ray index must be 1, 2 or 3, got {i}")
 
 
@@ -238,7 +250,8 @@ def plane_point(v1, v2, v3=None) -> PlanePoint:
 
 
 # Most nodes per axis of a plane grid; skeleton sampling and rendering lift
-# grid^2 points, 65,536 (about 11 s for the SVG) at 256.
+# grid^2 points, 65,536 at 256: about 4.2 s for the SVG or the CSV, best of 3
+# in-process on a shared 2-vCPU VM with Python 3.11.
 GRID_BOUND = 256
 
 
@@ -256,22 +269,35 @@ def plane_grid(grid: int, span) -> list[Fraction]:
 
 
 def lift_from_plane(params: Params, w, v: PlanePoint) -> Point3:
-    """The unique point of the level set {f0 = w} projecting onto v."""
+    """The unique point of the level set {f0 = w} projecting onto v.
+
+    The point is v + alpha(1,1,1) with alpha the least of 2v_i - w,
+    (a + v1 - w)/2, (b + v2 - w)/2, (c + v3 - w)/2 and (d - w)/3; an infinite
+    parameter drops its term.  With L the lcm of the denominators of v, w and
+    the finite parameters, every candidate times 6L is an integer, so alpha
+    is one integer min over the lattice (1/6L)Z.
+    """
     w = Fraction(w)
-    v1, v2, v3 = plane_point(*v)
-    a, b, c, d = params.a, params.b, params.c, params.d
-    alpha = ext_min(
-        (
-            ExtRat(2 * v1 - w),
-            ExtRat(2 * v2 - w),
-            ExtRat(2 * v3 - w),
-            (a + (v1 - w)) / 2,
-            (b + (v2 - w)) / 2,
-            (c + (v3 - w)) / 2,
-            (d - w) / 3,
-        )
-    ).finite
-    return (alpha + v1, alpha + v2, alpha + v3)
+    v = plane_point(*v)
+    coeffs = _finite_values(params)
+    # v3 = -v1 - v2, so its denominator divides the lcm of the other two.
+    scale = lcm(w.denominator, v[0].denominator, v[1].denominator,
+                *(e.denominator for e in coeffs if e is not None))
+
+    def lattice(f: Fraction) -> int:
+        return f.numerator * (scale // f.denominator)
+
+    wl = lattice(w)
+    n = [lattice(v[0]), lattice(v[1])]
+    n.append(-n[0] - n[1])
+    alphas = [12 * ni - 6 * wl for ni in n]
+    for e, ni in zip(coeffs[:3], n):
+        if e is not None:
+            alphas.append(3 * (lattice(e) + ni - wl))
+    if coeffs[3] is not None:
+        alphas.append(2 * (lattice(coeffs[3]) - wl))
+    m = min(alphas)
+    return tuple(Fraction(m + 6 * ni, 6 * scale) for ni in n)
 
 
 # -- fixed sets of the involutions ---------------------------------------------
@@ -316,7 +342,7 @@ def fixed_set_point(params: Params, i: int, w, u) -> Point3:
 
 def is_meromorphic(params: Params) -> bool:
     """min(a,b,c,d) < 0; decides whether the central table is fat or degenerate."""
-    return ext_min((params.a, params.b, params.c, params.d)) < 0
+    return any(e is not None and e < 0 for e in _finite_values(params))
 
 
 def level_set_shift(params: Params, w) -> Params:

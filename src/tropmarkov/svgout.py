@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .surface import CellId, Params, lift_from_plane, cells_of, plane_grid, plane_point
+from .surface import CellId, Params, lift_from_plane, cells_of, plane_grid
 from .classifier import table_orbit_triangles
 from .hyperbolic import _tessellation_triangles, boundary_angle
 
@@ -45,7 +45,7 @@ def skeleton_svg(params: Params, grid: int, span) -> str:
     body = [f'<rect width="{_fmt(size)}" height="{_fmt(size)}" fill="#ffffff"/>']
     for v2 in values:
         for v1 in values:
-            x = lift_from_plane(params, 0, plane_point(v1, v2))
+            x = lift_from_plane(params, 0, (v1, v2, -v1 - v2))
             cells = cells_of(params, x)
             color = _CELL_COLORS[next(iter(cells))] if len(cells) == 1 else _MIXED_COLOR
             px = (float(v1) + float(span)) / (2 * float(span)) * (size - cell_px)

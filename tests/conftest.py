@@ -30,6 +30,7 @@ from tropmarkov.surface import (
     SUBQUADRATIC_CELLS,
     cells_of,
     on_boundary_ray,
+    plane_point,
     point_text,
 )
 from tropmarkov.dynamics import GreedyTrace, Word, _ray_index_of, euc, trop_vieta, u_coords
@@ -75,6 +76,33 @@ def oracle_monomials(params, x) -> dict:
         CellId.CX3: params.c + x3,
         CellId.D: params.d,
     }
+
+
+def oracle_lift_from_plane(params, w, v):
+    """The level-set lift through ExtRat: alpha is the ext_min of all seven
+    candidates, an infinite parameter's candidate being +infinity."""
+    w = Fraction(w)
+    v1, v2, v3 = plane_point(*v)
+    a, b, c, d = params.a, params.b, params.c, params.d
+    alpha = ext_min((
+        ExtRat(2 * v1 - w), ExtRat(2 * v2 - w), ExtRat(2 * v3 - w),
+        (a + (v1 - w)) / 2, (b + (v2 - w)) / 2, (c + (v3 - w)) / 2, (d - w) / 3,
+    )).finite
+    return (alpha + v1, alpha + v2, alpha + v3)
+
+
+def oracle_thresholds(params) -> tuple:
+    a, b, c, d = params.a, params.b, params.c, params.d
+    zero = ExtRat(0)
+    return (
+        ext_min((zero, a / 2, b, c, d / 2)),
+        ext_min((zero, a, b / 2, c, d / 2)),
+        ext_min((zero, a, b, c / 2, d / 2)),
+    )
+
+
+def oracle_is_meromorphic(params) -> bool:
+    return ext_min((params.a, params.b, params.c, params.d)) < 0
 
 
 def oracle_trop_poly_f(params, x) -> ExtRat:
@@ -158,6 +186,16 @@ def oracle_greedy_path(params, x, max_steps=None) -> GreedyTrace:
         step += 1
 
 
+# -- the Laurent surface identity, rechecked where the library trusts it ---------
+
+
+def oracle_on_surface(point) -> bool:
+    """X1^2 + X2^2 + X3^2 + X1X2X3 == A X1 + B X2 + C X3 + D, recomputed."""
+    X1, X2, X3 = point.X1, point.X2, point.X3
+    lhs = X1 * X1 + X2 * X2 + X3 * X3 + X1 * X2 * X3
+    return lhs == point.A * X1 + point.B * X2 + point.C * X3 + point.D
+
+
 # -- orbit labels and circle order, as the seed built them ------------------------
 
 
@@ -174,6 +212,13 @@ def oracle_reflect_boundary(i, x):
     if i == 3:
         return bpoint(-p, q)
     raise UsageError(f"reflection index must be 1, 2 or 3, got {i}")
+
+
+def oracle_apply_reflection_word(word, x):
+    """A word replayed one reflection per letter, then normalised."""
+    for i in word.applied_order():
+        x = reflect_boundary(i, x)
+    return bpoint(*x)
 
 
 def oracle_reduce_to_nets(x):

@@ -25,8 +25,15 @@ from tropmarkov.arithmetic import (
     vieta_exact,
 )
 
+from conftest import oracle_on_surface
+
 F = Fraction
 ZERO = LaurentPoly.zero()
+
+laurent_polys = st.dictionaries(
+    st.integers(min_value=-3, max_value=3),
+    st.fractions(min_value=-4, max_value=4, max_denominator=3), max_size=3,
+).map(LaurentPoly)
 
 
 def seed_point(*vals):
@@ -82,6 +89,18 @@ class TestExactVieta:
         assert Q.X1 * P.X1 == (
             P.X2.square() + P.X3.square() - P.B * P.X2 - P.C * P.X3 - P.D
         )
+        assert Q == SurfacePointL(Q.X1, Q.X2, Q.X3, Q.A, Q.B, Q.C, Q.D)
+
+    @given(st.lists(laurent_polys, min_size=6, max_size=6),
+           st.lists(st.sampled_from((1, 2, 3)), max_size=5))
+    @settings(deadline=None)
+    def test_every_prefix_stays_on_the_surface(self, polys, letters):
+        # vieta_exact skips the identity check; recheck it after every letter.
+        point = surface_from_seed(*polys)
+        assert oracle_on_surface(point)
+        for g in Word.reduce(letters).applied_order():
+            point = vieta_exact(g, point)
+            assert oracle_on_surface(point)
 
     def test_surface_invariant_enforced(self):
         with pytest.raises(DomainError):

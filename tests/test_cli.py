@@ -187,6 +187,31 @@ class TestCsvBytes:
         assert out == oracle_csv_text(["v1", "v2", "x1", "x2", "x3", "cells"], rows)
 
 
+class TestSkeletonDigests:
+    """sha256 of `skeleton sample` (CSV and JSON) and `skeleton svg` at grid 33."""
+
+    DIGESTS = {
+    ('inf,inf,inf,-2', 'sample', 'csv'): "dd9eb99b74e69349e3120c4f5fd71f4728b268275ea0fe30988c4b83f54cad6b",
+    ('inf,inf,inf,-2', 'sample', 'json'): "c92f6ac25b161246a800413f39bef37682624b53fcd84c876245caa155800a85",
+    ('inf,inf,inf,-2', 'svg', 'svg'): "3603fa1a18d1e13583d4cba936d37858e2ce2a0fee0dda930aa1c4ec8f133de7",
+    ('1,-2,inf,3', 'sample', 'csv'): "b134b3ec7d9b68b961a9cae6b7f6dd6136bb4682a08d630891d7aa52468dae00",
+    ('1,-2,inf,3', 'sample', 'json'): "f911d143f0cb61fff80c3dfb5f8cc876e1fa66da7c95089033897f1c286e6c13",
+    ('1,-2,inf,3', 'svg', 'svg'): "a78273828ba04c0344340408e5a30fad769971d4e59f8a6f8f6d479b90a3b964",
+    ('1/2,-5/3,inf,-7/4', 'sample', 'csv'): "676035e09d5c2d63905c0ab6b5f4381435911507afedd611c3530336ed0e46f4",
+    ('1/2,-5/3,inf,-7/4', 'sample', 'json'): "ec165f41c24f93a53c45dc631b013b428aff1d5b4cdbfd87f0865f855cfcf1e8",
+    ('1/2,-5/3,inf,-7/4', 'svg', 'svg'): "64245db9ecb4dcaca6caec66aafa0a57e4eed5d1877f2085b6b2ab07422efc1d",
+    }
+
+    @pytest.mark.parametrize("params, command, fmt", sorted(DIGESTS))
+    def test_output_is_pinned(self, capsys, params, command, fmt):
+        argv = ["skeleton", command, "--params", params, "--grid", "33"]
+        if command == "sample":
+            argv += ["--format", fmt]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[params, command, fmt]
+
+
 class TestFatouCommand:
     def test_condition_true(self, capsys):
         code, out, _ = run_cli(capsys, "fatou", "--params", "0,0,0,-1")

@@ -40,6 +40,7 @@ from tropmarkov.hyperbolic import (
 
 from conftest import (
     oracle_angular_cmp,
+    oracle_apply_reflection_word,
     oracle_boundary_key,
     oracle_labels,
     oracle_order_isomorphism_check,
@@ -151,6 +152,42 @@ class TestReductionRuns:
         x = _from_terms([10**6, 10**6, 10**6], 1)
         word, net = reduce_to_nets((x[1], x[0]))
         assert len(word.runs) <= 6 and len(word) <= 2 * height(x)
+
+
+class TestReplayByRuns:
+    """apply_reflection_word takes one step per run; conftest replays letters."""
+
+    # Runs as (first letter, second letter, length); long runs on purpose.
+    runs = st.lists(st.tuples(st.sampled_from(list(itertools.permutations((1, 2, 3), 2))),
+                              st.integers(min_value=1, max_value=300)), max_size=6)
+
+    @given(runs, st.tuples(st.integers(min_value=-10**6, max_value=10**6),
+                           st.integers(min_value=-10**6, max_value=10**6)))
+    @example([], (2, 4))
+    @example([], (-3, -6))
+    @example([((1, 3), 5)], (1, 0))
+    @example([((2, 3), 4)], (-1, 0))
+    def test_matches_letter_replay(self, runs, x):
+        if x == (0, 0):
+            return
+        letters = [pair[k % 2] for pair, n in runs for k in range(n)]
+        word = Word.reduce(letters)
+        assert apply_reflection_word(word, x) == oracle_apply_reflection_word(word, x)
+
+    def test_identity_word_normalises(self):
+        assert apply_reflection_word(Word(), (2, 4)) == (1, 2)
+        assert apply_reflection_word(Word(), (-2, 0)) == (1, 0)
+        with pytest.raises(UsageError):
+            apply_reflection_word(Word(), (0, 0))
+        with pytest.raises(UsageError):
+            apply_reflection_word(Word((1, 2)), (0, 0))
+
+    def test_billion_letter_word_replays(self):
+        word, net = reduce_to_nets((10**9, 1))
+        assert apply_reflection_word(word, net) == (10**9, 1)
+        x = _from_terms([10**6, 10**6, 10**6], -1)
+        word, net = reduce_to_nets(x)
+        assert apply_reflection_word(word, net) == x
 
 
 class TestPartialOrbits:

@@ -2,9 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from tropmarkov.errors import DomainError
+from tropmarkov.errors import DomainError, UsageError
 from tropmarkov.sampling import random_params, random_skeleton_point
 from tropmarkov.scalars import ExtRat
 from tropmarkov.surface import (
@@ -29,6 +29,7 @@ from tropmarkov.surface import (
     ray_point,
     thresholds,
     trop_poly_f,
+    _threshold,
 )
 from tropmarkov.dynamics import trop_vieta
 
@@ -36,6 +37,9 @@ from conftest import (
     oracle_cells_of,
     oracle_f0,
     oracle_in_tropicalization,
+    oracle_is_meromorphic,
+    oracle_lift_from_plane,
+    oracle_thresholds,
     oracle_trop_poly_f,
     oracle_trop_vieta,
 )
@@ -46,6 +50,11 @@ PT = Params.parse("inf,inf,inf,-2")  # punctured-torus style parameters
 
 def pt(*coords):
     return tuple(F(c) for c in coords)
+
+
+rationals = st.fractions(min_value=-9, max_value=9, max_denominator=40)
+params_with_inf = st.lists(st.one_of(st.just("inf"), rationals), min_size=4, max_size=4).map(
+    lambda entries: Params.make(*entries))
 
 
 class TestTropPolynomial:
@@ -296,6 +305,37 @@ class TestFoliation:
             assert w + x2 <= -abs(x3 - x1)
             assert w + x3 <= -abs(x1 - x2)
             assert all(c <= 0 for c in x)
+
+
+class TestLatticeLift:
+    """The integer lift, the one-threshold helper and is_meromorphic against
+    the ExtRat formulas they replace (conftest)."""
+
+    @given(params_with_inf, rationals, rationals, rationals)
+    @settings(max_examples=200)
+    @example(PT, F(0), F(0), F(0))
+    @example(Params.parse("inf,inf,inf,inf"), F(1, 3), F(-2, 7), F(5, 2))
+    def test_lift_matches_extrat_formula(self, params, v1, v2, w):
+        v = plane_point(v1, v2)
+        x = lift_from_plane(params, w, v)
+        assert x == oracle_lift_from_plane(params, w, v)
+        assert all(type(c) is Fraction for c in x)
+
+    @given(params_with_inf)
+    @settings(max_examples=150)
+    @example(Params.parse("inf,inf,inf,inf"))
+    @example(Params.parse("0,inf,inf,inf"))
+    def test_threshold_and_mode_match_extrat_formulas(self, params):
+        assert thresholds(params) == oracle_thresholds(params)
+        assert [_threshold(params, i) for i in (1, 2, 3)] == [
+            t.finite for t in oracle_thresholds(params)]
+        assert is_meromorphic(params) == oracle_is_meromorphic(params)
+
+    def test_bad_input_raises_usage_error(self):
+        with pytest.raises(UsageError):
+            lift_from_plane(PT, 0, (F(1), F(1), F(1)))
+        with pytest.raises(UsageError):
+            on_boundary_ray(PT, 4, pt(0, -1, -1))
 
 
 class TestFixedSets:
