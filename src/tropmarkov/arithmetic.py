@@ -139,13 +139,23 @@ class LiftReport:
     steps: tuple[LiftStep, ...]
 
 
+# Longest word lift_consistency replays.  Each vieta_exact multiplies Laurent
+# polynomials whose degree grows with the word, so the cost grows exponentially
+# with its length: from t^-1, t^-1, t^-1 about 2.4x per letter past 8 letters.
+LIFT_WORD_BOUND = 12
+
+
 def lift_consistency(point: SurfacePointL, word: Word) -> LiftReport:
     """Compare t-adic valuations of the exact Vieta orbit against the
     tropicalized orbit, prefix by prefix.
 
     The agreement is guaranteed when the seed's valuation vector is interior
-    to the D cell; a violated precondition is reported, not fatal.
+    to the D cell; a violated precondition is reported, not fatal.  A word
+    longer than LIFT_WORD_BOUND raises ResourceError before any step.
     """
+    if len(word) > LIFT_WORD_BOUND:
+        raise ResourceError(
+            f"word length {len(word)} exceeds the configured bound {LIFT_WORD_BOUND}")
     params = point.params()
     vals = point.valuation_vector()
     pre_ok = False

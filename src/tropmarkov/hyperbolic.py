@@ -9,17 +9,15 @@ p/q in Q union {inf}; the three reflections act by
 The nets 0, inf, 1 (for r1, r2, r3 respectively) generate the full rational
 boundary under the group, by strict height descent.  Each r_i has determinant
 -1, so the orbit stays coprime with no gcd (`_boundary_act`); `bpoint` works
-only at the API edges.  The skeleton nets are the fully degenerate skeleton's
-boundary-ray directions as primitive integer vectors; `partial_orbit_skeleton`
-and `skeleton_direction_act` alone return Fractions (coordinate sum -1).
+only at the API edges.  The skeleton orbit, of the fully degenerate skeleton's
+boundary-ray directions, is the image of the boundary orbit under `_phi`;
+`partial_orbit_skeleton` and `skeleton_direction_act` alone return Fractions.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from fractions import Fraction
-from typing import Callable
 
 from .errors import DomainError, ResourceError, UsageError
 from .dynamics import Matrix2, Word, mat_mul
@@ -163,28 +161,27 @@ def _drop_last(runs: list[list[int]]) -> None:
 # -- partial orbits ----------------------------------------------------------------
 
 
-def _orbit_cycle(nets: dict[int, object], act: Callable, ccw: tuple[int, int, int],
-                 n: int) -> list:
-    """Orbit points of the labels of length <= n (a net and a reduced word
-    modulo the net's stabiliser), in cyclic order with no comparison.
+def _orbit_cycle(n: int, nets: dict[int, BPoint] = BOUNDARY_NETS) -> list[BPoint]:
+    """Boundary orbit points of the labels of length <= n (a net and a reduced
+    word modulo the net's stabiliser), in cyclic order with no comparison.
 
-    With the nets a, b, c in the order ``ccw`` the circle reads a, arc c, b,
-    arc a, c, arc b, where arc g holds the points with outermost letter g.
-    Each level puts one point in each gap (criterion 7), and r_g maps the rest
-    of the circle onto arc g reversing orientation: the new points of arc g,
-    at its even positions, are the r_g images of the last level's points in
+    The circle reads a, arc c, b, arc a, c, arc b for the nets a, b, c = 0, 1,
+    inf (``BOUNDARY_CCW``), where arc g holds the points with outermost letter
+    g.  Each level puts one point in each gap (criterion 7), and r_g maps the
+    rest of the circle onto arc g reversing orientation: the new points of arc
+    g, at its even positions, are the r_g images of the last level's points in
     the arcs beside net g, reversed.  The slice with step 2^(n-k) is the
-    depth-k cycle; cycles built with one ``ccw`` hold a label at one position.
-    The depth is checked against DEPTH_BOUND before anything is built.
+    depth-k cycle.  Other ``nets`` keep the layout, so a label has one position
+    in every cycle.  The depth is checked against DEPTH_BOUND first.
     """
     _check_depth(n)
-    a, b, c = ccw
+    a, b, c = BOUNDARY_CCW
     sides = {a: (b, c), b: (c, a), c: (a, b)}  # the arcs before and after net g
-    arcs = {g: [] for g in ccw}
-    sources = {g: [nets[g]] for g in ccw}  # points r_g maps to the next level
+    arcs = {g: [] for g in BOUNDARY_CCW}
+    sources = {g: [nets[g]] for g in BOUNDARY_CCW}  # points r_g maps to the next level
     for _ in range(n):
-        fresh = {g: [act(g, x) for x in sources[g]] for g in ccw}
-        for g in ccw:
+        fresh = {g: [_boundary_act(g, x) for x in sources[g]] for g in BOUNDARY_CCW}
+        for g in BOUNDARY_CCW:
             arc = [None] * (2 * len(fresh[g]) - 1)
             arc[::2], arc[1::2] = fresh[g], arcs[g]
             arcs[g] = arc
@@ -202,7 +199,7 @@ def _check_depth(n: int):
 def partial_orbit_boundary(n: int) -> list[BPoint]:
     """The 3 * 2^n distinct orbit points of the nets under words of length <= n,
     in circular order on the boundary circle, ending with inf."""
-    cycle = _orbit_cycle(BOUNDARY_NETS, _boundary_act, BOUNDARY_CCW, n)
+    cycle = _orbit_cycle(n)
     cut = (2 << n) + 1  # just after inf, the third net
     return cycle[cut:] + cycle[:cut]
 
@@ -214,7 +211,7 @@ def _tessellation_triangles(n: int) -> list[tuple[BPoint, BPoint, BPoint]]:
     Each depth-k point is the third vertex over the gap its two older
     neighbours span (criterion 7), so its triangle is (older, new, older).
     """
-    cycle = _orbit_cycle(BOUNDARY_NETS, _boundary_act, BOUNDARY_CCW, n)
+    cycle = _orbit_cycle(n)
     triangles = [(cycle[0], cycle[1 << n], cycle[2 << n])]
     for k in range(1, n + 1):
         level = cycle[::1 << (n - k)]  # the depth-k cycle; its odd positions are new
@@ -257,7 +254,13 @@ def _circle_text(n: Direction) -> tuple[str, str, str]:
 
 SKELETON_DIRECTIONS: dict[int, Direction] = {1: (0, -1, -1), 2: (-1, 0, -1), 3: (-1, -1, 0)}
 SKELETON_NETS = {i: _circle_point(n) for i, n in SKELETON_DIRECTIONS.items()}
-SKELETON_CCW = (1, 2, 3)  # at 45, 135 and 270 degrees
+
+
+def _phi(x: BPoint) -> Direction:
+    """The conjugacy -(|p|, q, |p - q|): coordinate i is -|det(b_i, x)| for the net b_i,
+    which every r_j but r_i fixes, so r_i changes coordinate i alone, as on the skeleton."""
+    p, q = x
+    return (-abs(p), -q, -abs(p - q))
 
 
 def skeleton_direction_act(i: int, x: CirclePointS) -> CirclePointS:
@@ -277,11 +280,11 @@ def _plane_vector(n: Direction) -> tuple[bool, int, int]:
 
 
 def _skeleton_cycle(n: int) -> list[Direction]:
-    """The depth-n skeleton orbit as integer directions, in circular order from angle 0."""
-    cycle = _orbit_cycle(SKELETON_DIRECTIONS, _direction_act, SKELETON_CCW, n)
-    # Angle 0 lies in arc 2, the last one, which runs from 270 to 45 degrees.
-    cut = bisect_left(cycle, True, (2 << n) + 1, key=lambda x: _plane_vector(x)[0])
-    return cycle[cut:] + cycle[:cut]
+    """The depth-n skeleton orbit as integer directions, in circular order from
+    angle 0: _phi reverses the boundary cycle, read back from 1/3 (0 at n <= 1)."""
+    cycle = _orbit_cycle(n)
+    cut = (1 << n) >> 2
+    return [_phi(x) for x in cycle[cut::-1] + cycle[:cut:-1]]
 
 
 def partial_orbit_skeleton(n: int) -> list[CirclePointS]:
@@ -308,26 +311,20 @@ def skeleton_angle(x: CirclePointS | Direction) -> float:
     return math.atan2(q / s, p / s)
 
 
-def _gap_lengths(angles: list[float]) -> list[float]:
-    angles = sorted(angles)
-    gaps = [b - a for a, b in zip(angles, angles[1:])]
-    gaps.append(2.0 * math.pi - (angles[-1] - angles[0]))
-    return gaps
-
-
 def partition_table(n: int, side: str) -> list[tuple[int, float, float]]:
     """Rows (count, min, max) of the arc lengths between adjacent orbit points
     at depths k = 0..n, all read from one depth-n orbit cycle."""
     if side == "boundary":
-        nets, act, ccw, angle = BOUNDARY_NETS, _boundary_act, BOUNDARY_CCW, boundary_angle
+        angles = [boundary_angle(x) for x in _orbit_cycle(n)]
     elif side == "skeleton":
-        nets, act, ccw, angle = SKELETON_DIRECTIONS, _direction_act, SKELETON_CCW, skeleton_angle
+        angles = [skeleton_angle(_phi(x)) for x in _orbit_cycle(n)]
     else:
         raise UsageError(f"side must be 'boundary' or 'skeleton', got {side!r}")
-    angles = [angle(x) for x in _orbit_cycle(nets, act, ccw, n)]
     rows = []
     for k in range(n + 1):
-        gaps = _gap_lengths(angles[::1 << (n - k)])  # the depth-k orbit
+        level = sorted(angles[::1 << (n - k)])  # the depth-k orbit
+        gaps = [b - a for a, b in zip(level, level[1:])]
+        gaps.append(2.0 * math.pi - (level[-1] - level[0]))
         rows.append((3 << k, min(gaps), max(gaps)))
     return rows
 
@@ -352,12 +349,14 @@ def order_isomorphism_check(n: int, net_order: tuple[int, int, int] = (1, 2, 3))
     cyclic-order isomorphism.  ``net_order`` permutes which skeleton net each
     boundary net is matched with; the identity is the faithful pairing, and a
     repeated net is allowed (it repeats points, so the check fails)."""
+    net_order = tuple(net_order)
     if len(net_order) != 3 or not set(net_order) <= {1, 2, 3}:
         raise UsageError(f"net_order must be three net indices from 1, 2, 3, got {net_order}")
-    skel_nets = {i: SKELETON_DIRECTIONS[net_order[i - 1]] for i in (1, 2, 3)}
-    # Both cycles use the boundary's layout, so a position is a label.
-    bnd = _orbit_cycle(BOUNDARY_NETS, _boundary_act, BOUNDARY_CCW, n)
-    skl = [_plane_vector(x) for x in _orbit_cycle(skel_nets, _direction_act, BOUNDARY_CCW, n)]
+    # One layout, so a position is a label: (i, w) is w s_j = _phi(w b_j), j = net_order[i].
+    nets = {i: BOUNDARY_NETS[j] for i, j in zip((1, 2, 3), net_order)}
+    bnd = _orbit_cycle(n)
+    moved = bnd if nets == BOUNDARY_NETS else _orbit_cycle(n, nets)
+    skl = [_plane_vector(_phi(x)) for x in moved]
     # Strict cyclic order: exactly one step is not an ascent (or, reversed, not a
     # descent); ties count both ways, so a repeated point fails.  Comparing r*q
     # with p*s puts inf = (1, 0) above every finite p/q.

@@ -7,6 +7,7 @@ functions they are used to check.
 import csv
 import io
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -16,7 +17,9 @@ from tropmarkov.classifier import FAREY_ROOT, FareyTriple
 from tropmarkov.errors import DomainError, ResourceError, UsageError
 from tropmarkov.hyperbolic import (
     BOUNDARY_NETS,
+    SKELETON_DIRECTIONS,
     SKELETON_NETS,
+    _direction_act,
     _plane_xy,
     bpoint,
     reflect_boundary,
@@ -344,6 +347,42 @@ def oracle_order_isomorphism_check(n: int, net_order=(1, 2, 3)) -> bool:
     seq_b = sorted(range(len(bnd)), key=lambda k: oracle_boundary_key(bnd[k]))
     seq_s = sorted(range(len(skl)), key=lambda k: oracle_skeleton_key(skl[k]))
     return oracle_cyclic_match(seq_b, seq_s)
+
+
+# -- both orbits built directly, arc by arc, as the library built them before _phi --
+
+
+ORACLE_SKELETON_CCW = (1, 2, 3)  # the skeleton nets at 45, 135 and 270 degrees
+
+
+def oracle_orbit_cycle(nets: dict, act, ccw: tuple, n: int) -> list:
+    """Orbit points of the labels of length <= n in cyclic order, for any nets
+    and act: with the nets a, b, c in the order ``ccw`` the circle reads a,
+    arc c, b, arc a, c, arc b, and each level's new points of arc g are the
+    r_g images of the last level's new points beside net g, reversed."""
+    a, b, c = ccw
+    sides = {a: (b, c), b: (c, a), c: (a, b)}
+    arcs = {g: [] for g in ccw}
+    sources = {g: [nets[g]] for g in ccw}
+    for _ in range(n):
+        fresh = {g: [act(g, x) for x in sources[g]] for g in ccw}
+        for g in ccw:
+            arc = [None] * (2 * len(fresh[g]) - 1)
+            arc[::2], arc[1::2] = fresh[g], arcs[g]
+            arcs[g] = arc
+        sources = {g: (fresh[h] + fresh[k])[::-1] for g, (h, k) in sides.items()}
+    return [nets[a], *arcs[c], nets[b], *arcs[a], nets[c], *arcs[b]]
+
+
+def oracle_skeleton_cycle(n: int) -> list:
+    """The skeleton orbit built by the integer direction act in its own
+    counterclockwise layout, cut at angle 0 by bisection: angle 0 lies in
+    arc 2, the last one, which runs from 270 to 45 degrees."""
+    cycle = oracle_orbit_cycle(SKELETON_DIRECTIONS, _direction_act, ORACLE_SKELETON_CCW, n)
+    p_q = [_plane_xy(x) for x in cycle]
+    upper = [q > 0 or (q == 0 and p > 0) for p, q in p_q]
+    cut = bisect_left(upper, True, (2 << n) + 1)
+    return cycle[cut:] + cycle[:cut]
 
 
 # -- the Farey tessellation by breadth-first search, as the library built it ------

@@ -6,12 +6,13 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tropmarkov.errors import DomainError
+from tropmarkov.errors import DomainError, ResourceError
 from tropmarkov.laurent import LaurentPoly
 from tropmarkov.sampling import random_params, random_word
 from tropmarkov.surface import CellId, Params, cell_has_interior, cells_of, on_skeleton
 from tropmarkov.dynamics import Word
 from tropmarkov.arithmetic import (
+    LIFT_WORD_BOUND,
     SurfacePointL,
     compact_radius,
     enumerate_zp_points,
@@ -133,6 +134,18 @@ class TestLiftConsistency:
         assert [s.prefix for s in report.steps] == [
             Word(letters[len(letters) - k:]) for k in range(1, len(letters) + 1)]
         assert [str(s.prefix) for s in report.steps][:3] == ["s1", "s2 s1", "s1 s2 s1"]
+
+    def test_word_length_bound(self):
+        # The length is checked before any step, so even a billion-letter word
+        # fails at once.  At the bound, a constant seed keeps the replay cheap.
+        P = seed_point("t^-1", "t^-1", "t^-1")
+        for word in (Word.from_runs([(1, 2, LIFT_WORD_BOUND + 1)]),
+                     Word.from_runs([(1, 2, 10**9)])):
+            with pytest.raises(ResourceError, match="exceeds the configured bound"):
+                lift_consistency(P, word)
+        at_bound = Word.from_runs([(1, 2, LIFT_WORD_BOUND)])
+        report = lift_consistency(seed_point("1", "1", "1"), at_bound)
+        assert len(report.steps) == LIFT_WORD_BOUND
 
     def test_boundary_seed_flags_precondition(self):
         # Valuation vector (-1,-1,-2) lands on the boundary of the D cell.

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from tropmarkov import surface
+from tropmarkov.arithmetic import LIFT_WORD_BOUND
 from tropmarkov.classifier import HEIGHT_BOUND, exception_rays_punctured
 from tropmarkov.cli import main
 from tropmarkov.hyperbolic import partial_orbit_boundary, partial_orbit_skeleton, partition_table
@@ -65,6 +66,7 @@ class TestClassifyCommand:
         # Only the bound checks run: each size is rejected before anything is built.
         # The point has slope [1; 10^9], about 10^9 reflections past STEP_BOUND.
         long_run = ("--params", "inf,inf,inf,-2", "--point", "-1000000001,-1000000000,-2000000001")
+        long_word = " ".join(f"s{1 + k % 3}" for k in range(LIFT_WORD_BOUND + 1))
         for argv in (
             ("tessellation", "--depth", "17", "--svg", str(tmp_path / "t.svg")),
             ("farey", "--depth", "17"),
@@ -75,6 +77,8 @@ class TestClassifyCommand:
             ("reduce", *long_run, "--max-steps", str(10**12)),
             ("classify", *long_run),
             ("rays", "--d", "-2", "--height", str(HEIGHT_BOUND + 1)),
+            ("lift-check", "--seed", "t^-1,t^-1,t^-1", "--word", long_word,
+             "--out", str(tmp_path / "l.json")),
             ("skeleton", "sample", "--params", "inf,inf,inf,-2", "--grid", str(GRID_BOUND + 1),
              "--out", str(tmp_path / "s.csv")),
             ("skeleton", "svg", "--params", "inf,inf,inf,-2", "--grid", str(GRID_BOUND + 1),

@@ -11,7 +11,6 @@ from tropmarkov.dynamics import Word
 from tropmarkov.hyperbolic import (
     BOUNDARY_CCW,
     BOUNDARY_NETS,
-    SKELETON_CCW,
     SKELETON_DIRECTIONS,
     SKELETON_NETS,
     apply_reflection_word,
@@ -33,20 +32,24 @@ from tropmarkov.hyperbolic import (
     _circle_text,
     _direction_act,
     _orbit_cycle,
+    _phi,
     _plane_xy,
     _skeleton_cycle,
     _tessellation_triangles,
 )
 
 from conftest import (
+    ORACLE_SKELETON_CCW,
     oracle_angular_cmp,
     oracle_apply_reflection_word,
     oracle_boundary_key,
     oracle_labels,
     oracle_order_isomorphism_check,
+    oracle_orbit_cycle,
     oracle_realise,
     oracle_reduce_to_nets,
     oracle_reflect_boundary,
+    oracle_skeleton_cycle,
     oracle_skeleton_direction_act,
     oracle_skeleton_sorted,
     oracle_tessellation_triangles,
@@ -361,16 +364,20 @@ class TestAgainstSlowPaths:
                         == oracle_order_isomorphism_check(n, net_order))
 
     def test_arcs_hold_the_labels_by_outermost_letter(self):
-        # The skeleton cycle runs on integer directions; its circle points are
-        # checked against the words replayed through the trop_vieta route.
-        for nets, act, ccw, point, oracle_nets, oracle_act in (
-                (BOUNDARY_NETS, _boundary_act, BOUNDARY_CCW, tuple,
-                 BOUNDARY_NETS, oracle_reflect_boundary),
-                (SKELETON_DIRECTIONS, _direction_act, SKELETON_CCW, _circle_point,
+        # The library builds the boundary cycle; the skeleton cycle is built
+        # directly on integer directions in its own layout by the conftest
+        # builder, and its circle points are checked against the words
+        # replayed through the trop_vieta route.
+        def skeleton_build(k):
+            return oracle_orbit_cycle(SKELETON_DIRECTIONS, _direction_act, ORACLE_SKELETON_CCW, k)
+
+        for build, ccw, point, oracle_nets, oracle_act in (
+                (_orbit_cycle, BOUNDARY_CCW, tuple, BOUNDARY_NETS, oracle_reflect_boundary),
+                (skeleton_build, ORACLE_SKELETON_CCW, _circle_point,
                  SKELETON_NETS, oracle_skeleton_direction_act)):
             a, b, c = ccw
             for n in range(7):
-                raw = _orbit_cycle(nets, act, ccw, n)
+                raw = build(n)
                 cycle = [point(x) for x in raw]
                 m = 2**n - 1
                 # The circle reads a, arc c, b, arc a, c, arc b.
@@ -383,7 +390,14 @@ class TestAgainstSlowPaths:
                     assert len(arc) == len(set(arc)) == len(expected)
                     assert set(arc) == expected
                 for k in range(n + 1):
-                    assert raw[::2**(n - k)] == _orbit_cycle(nets, act, ccw, k)
+                    assert raw[::2**(n - k)] == build(k)
+        # The library's skeleton cycle is _phi of the boundary cycle: equal to
+        # the direct build cut at angle 0, and, in the boundary layout, to the
+        # direct build point for point.
+        for n in range(7):
+            assert _skeleton_cycle(n) == oracle_skeleton_cycle(n)
+            assert ([_phi(x) for x in _orbit_cycle(n)]
+                    == oracle_orbit_cycle(SKELETON_DIRECTIONS, _direction_act, BOUNDARY_CCW, n))
 
     def test_tessellation_matches_reflection_bfs(self):
         for n in range(9):
@@ -432,8 +446,11 @@ class TestDirectionKernel:
         assert skeleton_direction_act(1, SKELETON_NETS[1]) == (F(-1, 2), F(-1, 4), F(-1, 4))
 
     def test_orbit_directions_are_primitive_involution_points(self):
-        # The depth-10 cycle holds every orbit point of depth <= 10.
-        for x in _orbit_cycle(SKELETON_DIRECTIONS, _direction_act, SKELETON_CCW, 10):
+        # The depth-10 cycle holds every orbit point of depth <= 10; the
+        # library reads the same points off the boundary cycle.
+        cycle = oracle_orbit_cycle(SKELETON_DIRECTIONS, _direction_act, ORACLE_SKELETON_CCW, 10)
+        assert sorted(_skeleton_cycle(10)) == sorted(cycle)
+        for x in cycle:
             assert all(type(c) is int for c in x)
             assert math.gcd(*x) == 1 and sum(x) < 0
             for i in (1, 2, 3):
@@ -469,13 +486,58 @@ class TestBoundaryKernel:
 
     def test_cycle_matches_public_act(self):
         for n in range(11):
-            cycle = _orbit_cycle(BOUNDARY_NETS, _boundary_act, BOUNDARY_CCW, n)
-            assert cycle == _orbit_cycle(BOUNDARY_NETS, reflect_boundary, BOUNDARY_CCW, n)
+            cycle = _orbit_cycle(n)
+            assert cycle == oracle_orbit_cycle(BOUNDARY_NETS, reflect_boundary, BOUNDARY_CCW, n)
         # The depth-10 cycle holds every orbit point of depth <= 10.
         for x in cycle:
             assert x == bpoint(*x)
             for i in (1, 2, 3):
                 assert _boundary_act(i, _boundary_act(i, x)) == x
+
+
+class TestConjugacy:
+    """_phi(p, q) = -(|p|, q, |p - q|) carries the boundary action onto the
+    skeleton action, so the library reads the skeleton orbit off the boundary
+    orbit; the conftest builder runs the skeleton act directly."""
+
+    normalised_pairs = st.tuples(
+        st.integers(min_value=-10**6, max_value=10**6), st.integers(min_value=0, max_value=10**6)
+    ).filter(lambda pq: pq != (0, 0)).map(lambda pq: bpoint(*pq))
+
+    @given(st.sampled_from((1, 2, 3)), normalised_pairs)
+    @example(1, (1, 0))  # inf, fixed by r1 and r3
+    @example(2, (1, 0))
+    @example(3, (1, 0))
+    @example(1, (-3, 2))  # p < 0
+    @example(2, (-5, 7))
+    @example(3, (-1, 1))
+    @example(2, (1, 2))  # r2 sends 1/2 to inf
+    def test_equivariance(self, i, x):
+        y = _boundary_act(i, x)
+        assert _direction_act(i, _phi(x)) == _phi(y)
+        d = _phi(x)
+        assert -sum(d) == -2 * min(d)  # one coordinate is the sum of the other two
+        # The same on circle points, through the trop_vieta route.
+        assert oracle_skeleton_direction_act(i, _circle_point(_phi(x))) == _circle_point(_phi(y))
+
+    def test_nets(self):
+        for i, net in BOUNDARY_NETS.items():
+            assert _phi(net) == SKELETON_DIRECTIONS[i]
+
+    def test_skeleton_cycle_matches_direct_build(self):
+        for n in range(13):
+            assert _skeleton_cycle(n) == oracle_skeleton_cycle(n)
+
+    def test_net_orders_match_direct_build(self):
+        # order_isomorphism_check pairs boundary net i with skeleton net
+        # net_order[i] by building the boundary cycle from the boundary nets
+        # net_order[i]; a repeated net is allowed.
+        for net_order in [*itertools.permutations((1, 2, 3)), (1, 1, 2), (3, 3, 3)]:
+            moved = {i: BOUNDARY_NETS[j] for i, j in zip((1, 2, 3), net_order)}
+            skel_nets = {i: SKELETON_DIRECTIONS[j] for i, j in zip((1, 2, 3), net_order)}
+            for n in range(9):
+                assert ([_phi(x) for x in _orbit_cycle(n, moved)]
+                        == oracle_orbit_cycle(skel_nets, _direction_act, BOUNDARY_CCW, n))
 
 
 class TestSkeletonText:
