@@ -35,7 +35,6 @@ from .dynamics import (
     transit_matrix,
     u_coords,
 )
-from .hyperbolic import _check_depth, _tessellation_triangles
 
 _STEP_GUARD = 8
 
@@ -269,6 +268,9 @@ def farey_enumerate(depth: int) -> list[FareyTriple]:
     They are the tessellation triangles on the arc 0 -> 1 -> inf, each new
     point the mediant of its older neighbours.  A depth beyond DEPTH_BOUND
     raises ResourceError."""
+    # hyperbolic loads here, not at import: classify never reads it.
+    from .hyperbolic import _tessellation_triangles
+
     # Triples read off the cycle are valid by construction: skip FareyTriple's checks.
     triangles = [t for t in _tessellation_triangles(depth) if t[1][0] >= 0]
     triples = [object.__new__(FareyTriple) for _ in triangles]
@@ -338,6 +340,8 @@ def table_orbit_triangles(d, depth: int) -> dict[int, list[tuple[Word, tuple[UVe
     """Images of the D-cell triangle under words of length <= depth, reported
     per quadratic cell in the u-coordinates of the cell containing each image.
     A depth beyond DEPTH_BOUND raises ResourceError."""
+    from .hyperbolic import _check_depth
+
     d = _punctured_d(d)
     _check_depth(depth)
     scale = abs(d) / 2

@@ -3,21 +3,21 @@
 Deterministic, scriptable subcommands over the library; JSON outputs carry a
 schema_version field, rationals print as "p/q" (or "inf"), and words as
 generator lists applied right-to-left.  Exit status: 0 success, 2 domain or
-resource errors, 3 usage errors.
+resource errors (an output file that cannot be written included), 3 usage
+errors.  Each subcommand imports what it uses when it runs, and the parser is
+built on the first call of ``main``, so start-up loads only what the command
+needs.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
 
-from . import arithmetic, classifier, dynamics, hyperbolic, surface, svgout
 from .errors import DomainError, ResourceError, UsageError
-from .laurent import LaurentPoly
-from .scalars import parse_rational
-from .surface import Params
 
 SCHEMA_VERSION = 1
 
@@ -44,8 +44,11 @@ def _point_json(point):
 
 def _emit(text: str, out_path: str | None):
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ResourceError(f"cannot write {out_path}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -67,13 +70,16 @@ def _csv_text(header: tuple[str, ...], rows) -> str:
 
 
 def _cmd_skeleton_sample(args) -> dict | str:
+    from .scalars import parse_rational
+    from .surface import Params, cells_of, lift_from_plane, plane_grid
+
     params = Params.parse(args.params)
-    values = surface.plane_grid(args.grid, parse_rational(args.range))
+    values = plane_grid(args.grid, parse_rational(args.range))
     rows = []
     for v2 in values:
         for v1 in values:
-            x = surface.lift_from_plane(params, 0, (v1, v2, -v1 - v2))
-            cells = sorted(c.value for c in surface.cells_of(params, x))
+            x = lift_from_plane(params, 0, (v1, v2, -v1 - v2))
+            cells = sorted(c.value for c in cells_of(params, x))
             rows.append((v1, v2, x, cells))
     if args.format == "json":
         return {
@@ -88,18 +94,25 @@ def _cmd_skeleton_sample(args) -> dict | str:
 
 
 def _cmd_skeleton_svg(args) -> str:
+    from .scalars import parse_rational
+    from .surface import Params
+    from .svgout import skeleton_svg
+
     params = Params.parse(args.params)
-    return svgout.skeleton_svg(params, args.grid, parse_rational(args.range))
+    return skeleton_svg(params, args.grid, parse_rational(args.range))
 
 
 def _cmd_orbit(args) -> dict:
+    from .dynamics import Word, trop_vieta
+    from .surface import Params, parse_point
+
     params = Params.parse(args.params)
-    x = surface.parse_point(args.point)
-    word = dynamics.Word.parse(args.word)
+    x = parse_point(args.point)
+    word = Word.parse(args.word)
     steps = []
     cur = x
     for g in word.applied_order():
-        cur = dynamics.trop_vieta(params, g, cur)
+        cur = trop_vieta(params, g, cur)
         steps.append({"generator": f"s{g}", "point": _point_json(cur)})
     return {
         "params": str(params),
@@ -111,9 +124,12 @@ def _cmd_orbit(args) -> dict:
 
 
 def _cmd_reduce(args) -> dict:
+    from .dynamics import greedy_path
+    from .surface import Params, parse_point
+
     params = Params.parse(args.params)
-    x = surface.parse_point(args.point)
-    trace = dynamics.greedy_path(params, x, args.max_steps)
+    x = parse_point(args.point)
+    trace = greedy_path(params, x, args.max_steps)
     return {
         "params": str(params),
         "start": _point_json(trace.start),
@@ -127,9 +143,12 @@ def _cmd_reduce(args) -> dict:
 
 
 def _cmd_classify(args) -> dict:
+    from .classifier import classify
+    from .surface import Params, parse_point
+
     params = Params.parse(args.params)
-    x = surface.parse_point(args.point)
-    report = classifier.classify(params, x)
+    x = parse_point(args.point)
+    report = classify(params, x)
     return {
         "params": str(params),
         "point": _point_json(x),
@@ -145,19 +164,26 @@ def _cmd_classify(args) -> dict:
 
 
 def _cmd_rays(args) -> str:
-    gens = classifier.exception_rays_punctured(parse_rational(args.d), args.height)
+    from .classifier import exception_rays_punctured
+    from .scalars import parse_rational
+
+    gens = exception_rays_punctured(parse_rational(args.d), args.height)
     return _csv_text(("g1", "g2", "g3"), gens)
 
 
 def _cmd_farey(args) -> dict | None:
+    from .classifier import farey_enumerate, farey_triangle
+    from .scalars import parse_rational
+    from .svgout import farey_svg
+
     d = parse_rational(args.d)
     if args.svg:
-        _emit(svgout.farey_svg(d, args.depth), args.svg)
+        _emit(farey_svg(d, args.depth), args.svg)
         return None
-    triples = classifier.farey_enumerate(args.depth)
+    triples = farey_enumerate(args.depth)
     entries = []
     for t in triples:
-        word, verts = classifier.farey_triangle(t, args.cell, d)
+        word, verts = farey_triangle(t, args.cell, d)
         entries.append(
             {
                 "triple": [list(t.left), list(t.mid), list(t.right)],
@@ -169,25 +195,31 @@ def _cmd_farey(args) -> dict | None:
 
 
 def _cmd_tessellation(args) -> None:
-    _emit(svgout.tessellation_svg(args.depth), args.svg)
+    from .svgout import tessellation_svg
+
+    _emit(tessellation_svg(args.depth), args.svg)
 
 
 def _cmd_pingpong(args) -> str:
+    from .hyperbolic import _circle_text, _skeleton_cycle, partial_orbit_boundary, partition_table
+
     if args.stats:
-        table = hyperbolic.partition_table(args.depth, args.side)
+        table = partition_table(args.depth, args.side)
         rows = [(n, count, f"{delta:.12f}", f"{big_delta:.12f}")
                 for n, (count, delta, big_delta) in enumerate(table)]
         return _csv_text(("n", "count", "delta", "Delta"), rows)
     if args.side == "boundary":
-        return _csv_text(("p", "q"), hyperbolic.partial_orbit_boundary(args.depth))
-    return _csv_text(("x1", "x2", "x3"),
-                     map(hyperbolic._circle_text, hyperbolic._skeleton_cycle(args.depth)))
+        return _csv_text(("p", "q"), partial_orbit_boundary(args.depth))
+    return _csv_text(("x1", "x2", "x3"), map(_circle_text, _skeleton_cycle(args.depth)))
 
 
 def _cmd_fatou(args) -> dict:
+    from .arithmetic import fatou_condition, fatou_witness
+    from .surface import Params
+
     params = Params.parse(args.params)
-    condition = arithmetic.fatou_condition(params)
-    witness = arithmetic.fatou_witness(params) if condition else None
+    condition = fatou_condition(params)
+    witness = fatou_witness(params) if condition else None
     return {
         "params": str(params),
         "condition": condition,
@@ -196,15 +228,19 @@ def _cmd_fatou(args) -> dict:
 
 
 def _cmd_lift_check(args) -> dict:
+    from .arithmetic import lift_consistency, surface_from_seed
+    from .dynamics import Word
+    from .laurent import LaurentPoly
+
     seeds = [LaurentPoly.parse(part) for part in args.seed.split(",")]
     if len(seeds) != 3:
         raise UsageError("--seed needs exactly 3 comma-separated Laurent polynomials")
     abc = [LaurentPoly.parse(part) for part in args.abc.split(",")]
     if len(abc) != 3:
         raise UsageError("--abc needs exactly 3 comma-separated Laurent polynomials")
-    point = arithmetic.surface_from_seed(*seeds, *abc)
-    word = dynamics.Word.parse(args.word)
-    report = arithmetic.lift_consistency(point, word)
+    point = surface_from_seed(*seeds, *abc)
+    word = Word.parse(args.word)
+    report = lift_consistency(point, word)
     return {
         "word": str(word),
         "derived_D": str(point.D),
@@ -223,8 +259,11 @@ def _cmd_lift_check(args) -> dict:
 
 
 def _cmd_enumerate_zp(args) -> dict:
+    from .arithmetic import enumerate_zp_points
+    from .scalars import parse_rational
+
     d = parse_rational(args.D)
-    points = arithmetic.enumerate_zp_points(args.p, d)
+    points = enumerate_zp_points(args.p, d)
     return {
         "p": args.p,
         "D": str(d),
@@ -278,6 +317,7 @@ _COMMANDS = (
 )
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="tropmarkov",
                      description="exact min-plus dynamics on tropical Markov cubics")
@@ -293,12 +333,10 @@ def _build_parser() -> _Parser:
     return parser
 
 
-_PARSER = _build_parser()
-
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         result = args.func(args)
         if isinstance(result, dict):
             result = _json_text({"schema_version": SCHEMA_VERSION,

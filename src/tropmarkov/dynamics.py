@@ -144,9 +144,13 @@ class Word:
 
     @classmethod
     def parse(cls, text: str) -> "Word":
+        """Whitespace-separated generators, each 1, 2 or 3 after at most one
+        s or r prefix (any case): "s1 S2 r3 1"."""
         letters = []
         for token in text.split():
-            tok = token.lower().lstrip("sr")
+            tok = token.lower()
+            if tok[:1] in ("s", "r"):
+                tok = tok[1:]
             if tok not in ("1", "2", "3"):
                 raise UsageError(f"cannot parse generator {token!r}")
             letters.append(int(tok))

@@ -11,14 +11,19 @@ import random
 from fractions import Fraction
 
 from .scalars import INF, ExtRat
-from .surface import Params, PlanePoint, Point3, lift_from_plane
+from .surface import Params, PlanePoint, Point3, _finite_values, _lift_on_lattice
 from .dynamics import Word
 
 
-def random_fraction(rng: random.Random, span: int = 6, max_den: int = 8) -> Fraction:
+def _random_pair(rng: random.Random, span: int, max_den: int) -> tuple[int, int]:
+    """(num, den) with den uniform in 1..max_den and num/den in [-span, span];
+    not reduced."""
     den = rng.randint(1, max_den)
-    num = rng.randint(-span * den, span * den)
-    return Fraction(num, den)
+    return rng.randint(-span * den, span * den), den
+
+
+def random_fraction(rng: random.Random, span: int = 6, max_den: int = 8) -> Fraction:
+    return Fraction(*_random_pair(rng, span, max_den))
 
 
 def random_plane_point(rng: random.Random, span: int = 6, max_den: int = 8) -> PlanePoint:
@@ -29,7 +34,11 @@ def random_plane_point(rng: random.Random, span: int = 6, max_den: int = 8) -> P
 
 def random_skeleton_point(rng: random.Random, params: Params,
                           span: int = 6, max_den: int = 8) -> Point3:
-    return lift_from_plane(params, 0, random_plane_point(rng, span, max_den))
+    """The level-0 lift of a `random_plane_point`, drawn with the same calls
+    and lifted straight from the integer pairs."""
+    v1 = _random_pair(rng, span, max_den)
+    v2 = _random_pair(rng, span, max_den)
+    return _lift_on_lattice(_finite_values(params), 0, 1, *v1, *v2)
 
 
 def random_params(rng: random.Random, meromorphic: bool | None = None,
@@ -43,9 +52,9 @@ def random_params(rng: random.Random, meromorphic: bool | None = None,
             if rng.random() < 0.3:
                 entries.append(INF)
             else:
-                value = random_fraction(rng, span, max_den)
-                negative = negative or value < 0
-                entries.append(ExtRat(value))
+                num, den = _random_pair(rng, span, max_den)
+                negative = negative or num < 0
+                entries.append(ExtRat(Fraction(num, den)))
         if meromorphic is None or negative == bool(meromorphic):
             return Params(*entries)
 

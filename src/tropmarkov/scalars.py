@@ -21,7 +21,8 @@ class ExtRat:
     """A rational number extended with +infinity.
 
     Finite values are stored as ``Fraction`` (lowest terms, positive
-    denominator).  +infinity absorbs addition and is the greatest element
+    denominator); a ``Fraction`` argument is stored as it is, since Fractions
+    are immutable.  +infinity absorbs addition and is the greatest element
     under the order.  -infinity is not representable: operations that would
     produce it raise ``DomainError``.
     """
@@ -29,7 +30,9 @@ class ExtRat:
     __slots__ = ("_v",)
 
     def __init__(self, value: "ExtRat | RationalLike | str" = 0):
-        if isinstance(value, ExtRat):
+        if type(value) is Fraction:
+            self._v = value
+        elif isinstance(value, ExtRat):
             self._v = value._v
         elif isinstance(value, str):
             s = value.strip().lower()

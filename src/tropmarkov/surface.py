@@ -273,31 +273,41 @@ def lift_from_plane(params: Params, w, v: PlanePoint) -> Point3:
 
     The point is v + alpha(1,1,1) with alpha the least of 2v_i - w,
     (a + v1 - w)/2, (b + v2 - w)/2, (c + v3 - w)/2 and (d - w)/3; an infinite
-    parameter drops its term.  With L the lcm of the denominators of v, w and
-    the finite parameters, every candidate times 6L is an integer, so alpha
-    is one integer min over the lattice (1/6L)Z.
+    parameter drops its term.  `_lift_on_lattice` computes it.
     """
     w = Fraction(w)
-    v = plane_point(*v)
-    coeffs = _finite_values(params)
-    # v3 = -v1 - v2, so its denominator divides the lcm of the other two.
-    scale = lcm(w.denominator, v[0].denominator, v[1].denominator,
-                *(e.denominator for e in coeffs if e is not None))
+    v1, v2, _ = plane_point(*v)
+    return _lift_on_lattice(_finite_values(params), w.numerator, w.denominator,
+                           v1.numerator, v1.denominator, v2.numerator, v2.denominator)
 
-    def lattice(f: Fraction) -> int:
-        return f.numerator * (scale // f.denominator)
 
-    wl = lattice(w)
-    n = [lattice(v[0]), lattice(v[1])]
-    n.append(-n[0] - n[1])
-    alphas = [12 * ni - 6 * wl for ni in n]
-    for e, ni in zip(coeffs[:3], n):
+def _lift_on_lattice(coeffs: tuple[Fraction | None, ...], w_num: int, w_den: int,
+                    n1: int, d1: int, n2: int, d2: int) -> Point3:
+    """`lift_from_plane` of v = (n1/d1, n2/d2, -n1/d1 - n2/d2) to {f0 = w_num/w_den},
+    with `_finite_values(params)` for coeffs; every denominator is positive.
+
+    With L a common multiple of the denominators of v1, v2, w and the finite
+    parameters, every candidate for alpha times 6L is an integer, so alpha is
+    one integer min over the lattice (1/6L)Z.  The point does not depend on
+    L, so the pairs need not be in lowest terms.  Nothing is validated: v3 =
+    -v1 - v2 puts v on the plane by construction.
+    """
+    scale = lcm(w_den, d1, d2, *(e.denominator for e in coeffs if e is not None))
+    wl = w_num * (scale // w_den)
+    n1 *= scale // d1
+    n2 *= scale // d2
+    n3 = -n1 - n2
+    w6 = 6 * wl
+    alphas = [12 * n1 - w6, 12 * n2 - w6, 12 * n3 - w6]
+    for e, ni in zip(coeffs[:3], (n1, n2, n3)):
         if e is not None:
-            alphas.append(3 * (lattice(e) + ni - wl))
-    if coeffs[3] is not None:
-        alphas.append(2 * (lattice(coeffs[3]) - wl))
+            alphas.append(3 * (e.numerator * (scale // e.denominator) + ni - wl))
+    d = coeffs[3]
+    if d is not None:
+        alphas.append(2 * (d.numerator * (scale // d.denominator) - wl))
     m = min(alphas)
-    return tuple(Fraction(m + 6 * ni, 6 * scale) for ni in n)
+    den = 6 * scale
+    return (Fraction(m + 6 * n1, den), Fraction(m + 6 * n2, den), Fraction(m + 6 * n3, den))
 
 
 # -- fixed sets of the involutions ---------------------------------------------

@@ -1,13 +1,27 @@
+import contextlib
 import hashlib
+import io
 import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from tropmarkov import surface
-from tropmarkov.arithmetic import LIFT_WORD_BOUND
+import tropmarkov
+from tropmarkov import cli, surface
+from tropmarkov.arithmetic import LIFT_WORD_BOUND, ZP_BOX_BOUND
 from tropmarkov.classifier import HEIGHT_BOUND, exception_rays_punctured
 from tropmarkov.cli import main
-from tropmarkov.hyperbolic import partial_orbit_boundary, partial_orbit_skeleton, partition_table
+from tropmarkov.hyperbolic import (
+    DEPTH_BOUND,
+    partial_orbit_boundary,
+    partial_orbit_skeleton,
+    partition_table,
+)
 from tropmarkov.scalars import parse_rational
 from tropmarkov.surface import GRID_BOUND, Params
 
@@ -88,6 +102,46 @@ class TestClassifyCommand:
             assert code == 2, argv
             assert "exceeds the configured bound" in err and out == ""
         assert list(tmp_path.iterdir()) == []
+
+
+class TestUnwritableOutput:
+    """An output path that cannot be opened for writing is a resource error:
+    exit 2, one error line, empty stdout."""
+
+    @pytest.mark.parametrize("argv", [
+        ("pingpong", "--depth", "2", "--side", "boundary", "--out", "{tmp}/missing/x.csv"),
+        ("classify", "--params", "inf,inf,inf,-2", "--point", "-2,-3,-5", "--out", "{tmp}"),
+        ("skeleton", "sample", "--params", "inf,inf,inf,-2", "--grid", "2",
+         "--out", "{tmp}/missing/s.csv"),
+    ])
+    def test_out(self, capsys, tmp_path, argv):
+        code, out, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot write ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ("tessellation", "--depth", "2", "--svg", "{tmp}"),
+        ("tessellation", "--depth", "2", "--svg", "{tmp}/missing/t.svg"),
+        ("farey", "--depth", "2", "--svg", "{tmp}"),
+    ])
+    def test_svg(self, capsys, tmp_path, argv):
+        code, out, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot write ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestWordSyntax:
+    def test_one_prefix_per_generator(self, capsys):
+        base = ("orbit", "--params", "inf,inf,inf,-2", "--point", "-2,-3,-5", "--word")
+        code, out, _ = run_cli(capsys, *base, "S1 r2 3")
+        assert code == 0 and json.loads(out)["word"] == "s1 s2 s3"
+        for word in ("ss1", "sr2", "rs3", "s1 RR2"):
+            code, out, err = run_cli(capsys, *base, word)
+            assert code == 3 and out == "" and "cannot parse generator" in err
+        code, out, err = run_cli(capsys, "lift-check", "--seed", "1,1,1", "--word", "ss1")
+        assert code == 3 and out == ""
 
 
 class TestDashValues:
@@ -379,3 +433,215 @@ class TestDeterminism:
         _, first, _ = run_cli(capsys, *argv)
         _, second, _ = run_cli(capsys, *argv)
         assert first == second and first
+
+
+# -- load on first use ---------------------------------------------------------------
+
+EXPORTS = (
+    "CF", "CellId", "ClassifyReport", "DomainError", "ExtRat", "FareyTriple", "GreedyTrace",
+    "INF", "LaurentPoly", "Params", "ResourceError", "SurfacePointL", "UsageError", "Word",
+    "ZpPoint", "apply_word", "arithmetic", "cell_has_interior", "cells_of", "classifier",
+    "classify", "compact_radius", "continued_fraction", "dynamics", "enumerate_zp_points",
+    "errors", "euc", "exception_rays_punctured", "ext_min", "f0", "farey_enumerate",
+    "farey_triangle", "fatou_condition", "fatou_witness", "fixed_set_point", "greedy_path",
+    "hyperbolic", "in_tropicalization", "index_shift_bruteforce", "index_shift_cf",
+    "is_meromorphic", "is_prime", "laurent", "level_set_shift", "lift_consistency",
+    "lift_from_plane", "matrix_divergence", "on_boundary_ray", "on_skeleton",
+    "order_isomorphism_check", "p_adic_valuation", "partial_orbit_boundary",
+    "partial_orbit_skeleton", "partition_stats", "partition_table", "project_to_plane",
+    "punctured_torus_in_U", "reduce_to_nets", "reflect_boundary", "scalars", "sk_norm",
+    "slope_T", "stopping_time", "surface", "surface_from_seed", "table_orbit_triangles",
+    "thomae_gcd", "thresholds", "transit_matrix", "trop_poly_f", "trop_vieta", "u_coords",
+    "u_inverse", "vieta_exact",
+)
+
+_FRESH_SCRIPT = """
+import contextlib, io, json, sys
+import tropmarkov.cli
+loaded = lambda: sorted(m[11:] for m in sys.modules if m.startswith("tropmarkov."))
+out = {"import": loaded()}
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = tropmarkov.cli.main(argv)
+    out[argv[0]] = [code, loaded()]
+import tropmarkov as tm
+out["all"] = [n for n in tm.__all__ if getattr(tm, n) is None]
+print(json.dumps(out))
+"""
+
+
+def _fresh(*argvs) -> dict:
+    """Run the CLI's main on each argv in one new interpreter; report sys.modules."""
+    env = dict(os.environ)
+    src = str(Path(tropmarkov.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", _FRESH_SCRIPT, json.dumps(argvs)],
+                          capture_output=True, text=True, env=env, check=True)
+    return json.loads(proc.stdout)
+
+
+class TestLoadOnFirstUse:
+    UNUSED = {"arithmetic", "laurent", "svgout", "sampling"}
+
+    def test_import_and_classify(self):
+        out = _fresh(["classify", "--params", "inf,inf,inf,-2", "--point", "-2,-3,-5"])
+        assert out["import"] == ["cli", "errors"]
+        code, loaded = out["classify"]
+        assert code == 0 and "classifier" in loaded
+        assert not (self.UNUSED | {"hyperbolic"}) & set(loaded)
+        assert out["all"] == []
+
+    def test_pingpong(self):
+        code, loaded = _fresh(["pingpong", "--depth", "3", "--side", "skeleton"])["pingpong"]
+        assert code == 0 and "hyperbolic" in loaded
+        assert not (self.UNUSED | {"classifier"}) & set(loaded)
+
+    def test_every_export_resolves(self):
+        assert tuple(tropmarkov.__all__) == EXPORTS and len(EXPORTS) == 74
+        for name in EXPORTS:
+            value = getattr(tropmarkov, name)
+            module = getattr(value, "__module__", None)
+            if module and module.startswith("tropmarkov."):
+                assert getattr(sys.modules[module], name) is value
+        assert set(EXPORTS) <= set(dir(tropmarkov))
+        with pytest.raises(AttributeError):
+            tropmarkov.no_such_name  # noqa: B018
+
+
+# -- the CLI contract under generated argv ---------------------------------------------
+#
+# A well-formed argv exits 0, or 2 where its inputs lie outside a command's
+# domain.  One defect picks the exit code: a malformed value or a missing
+# required flag exits 3, a size past its bound or an output path that cannot
+# be written exits 2, before anything is built.  Sizes stay small otherwise
+# (depth <= 8, grid <= 16, height <= 20).  "{tmp}" stands for a fresh
+# temporary directory, the only place a generated argv writes to.
+
+HUGE = 10**30
+
+_WORD_TOKENS = ("s1", "S2", "r3", "R1", "2", "s3")
+_POINTS = ("-2,-3,-5", "0,-1,-1", "-1/2,1/3,0", "-1,-2,-3", "-5,-4,-9",
+           "-1000000001,-1000000000,-2000000001", f"-{HUGE},-{HUGE + 1},-{2 * HUGE + 1}")
+_RATIONALS = ("x", "1/0", "", "1/2/3")
+
+# flag -> (well-formed values, malformed values, values past a bound); the first
+# is a tuple or a strategy.
+FLAG_VALUES = {
+    "--params": (("inf,inf,inf,-2", "1,-2,inf,3", "1/2,-5/3,inf,-7/4", "0,0,0,-1",
+                  "-1,2,3,inf", "0,0,0,0"),
+                 ("inf,inf,inf", "abc,0,0,-1", "1/0,0,0,-1", ""), ()),
+    "--point": (_POINTS, ("1,2", "x,0,0", "1/0,0,0"), ()),
+    "--word": (st.lists(st.sampled_from(_WORD_TOKENS), max_size=4).map(" ".join),
+               ("ss1", "s1 sr2", "rs3 s2", "s4", "x", "s"), ()),
+    "--grid": (st.integers(2, 16), ("1", "0", "x", "2.5"), (surface.GRID_BOUND + 1, HUGE)),
+    "--range": (("4", "3", "1/2", "-2", "7/3"), _RATIONALS, ()),
+    "--format": (("csv", "json"), ("xml",), ()),
+    "--max-steps": (st.one_of(st.integers(0, 50), st.just(HUGE)), ("-1", "x"), ()),
+    "--d": (("-2", "-1/2", "-7/3", "-3"), _RATIONALS, ()),
+    "--height": (st.integers(0, 20), ("-1", "x"), (HEIGHT_BOUND + 1, HUGE)),
+    "--depth": (st.integers(0, 8), ("-1", "x", "1.5"), (DEPTH_BOUND + 1, HUGE)),
+    "--cell": ((1, 2, 3), (0, 4, "x"), ()),
+    "--side": (("boundary", "skeleton"), ("both",), ()),
+    "--seed": (("t^-1,t^-1,t^-1", "1,1,1", "-t^-1,t^-1,t^-1"), ("t^-1,t^-1", "t^x,1,1", ""),
+               ()),
+    "--abc": (("0,0,0", "-t,0,0"), ("0,0", "q,0,0"), ()),
+    "--p": ((2, 3, 5, 7), (1, 4, -3, "x"), (ZP_BOX_BOUND**2 + 1, HUGE)),
+    "--D": (("1/2", "1/4", "1/8", "3/4", "1/3", "1/9", "1/5", "1/7", "5/49", "7/2"),
+            _RATIONALS, (f"1/{2**40}",)),
+    "--out": (("{tmp}/out",), (), ("{tmp}", "{tmp}/missing/out")),
+    "--svg": (("{tmp}/out.svg",), (), ("{tmp}", "{tmp}/missing/out.svg")),
+}
+# Only lift-check bounds its word; orbit replays any word.
+LONG_WORDS = st.integers(LIFT_WORD_BOUND + 1, 400).map(
+    lambda n: " ".join(f"s{1 + k % 3}" for k in range(n)))
+
+
+@st.composite
+def contract_argv(draw):
+    """(argv, defects) for one subcommand of `_COMMANDS`.  Each flag is given
+    a well-formed value or left out (required flags are always given); then
+    up to two flags get a defect: "bad" (a malformed value, or a required
+    flag left out) or "big" (past a bound, or an unwritable output path)."""
+    path, _, _, flags = draw(st.sampled_from([row for row in cli._COMMANDS if row[2]]))
+    given_flags = {}
+    for name, spec in flags:
+        if spec.get("required") or draw(st.booleans()):
+            if spec.get("action") == "store_true":
+                given_flags[name] = None
+            else:
+                ok = FLAG_VALUES[name][0]
+                ok = st.sampled_from(ok) if isinstance(ok, tuple) else ok
+                given_flags[name] = str(draw(ok))
+    if path == ("farey",) and "--svg" in given_flags:
+        given_flags.pop("--out", None)  # farey then writes only its --svg file
+    defects = []
+    for name in draw(st.lists(st.sampled_from(sorted(given_flags)), max_size=2, unique=True)):
+        if given_flags[name] is None:
+            continue
+        _, bad, big = FLAG_VALUES[name]
+        if name == "--word" and path == ("lift-check",):
+            big = (draw(LONG_WORDS),)
+        spec = dict(flags)[name]
+        kinds = [k for k, values in (("bad", bad), ("big", big)) if values]
+        kinds += ["missing"] if spec.get("required") else []
+        kind = draw(st.sampled_from(kinds))
+        if kind == "missing":
+            del given_flags[name]
+            defects.append("bad")
+        else:
+            given_flags[name] = str(draw(st.sampled_from(bad if kind == "bad" else big)))
+            defects.append(kind)
+    argv = list(path)
+    for name, value in given_flags.items():
+        argv += [name] if value is None else [name, value]
+    return argv, defects
+
+
+def _run_in(tmp: str, argv: list[str]):
+    """main(argv) with stdout and stderr captured, and the files it wrote."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([a.replace("{tmp}", tmp) for a in argv])
+    files = {}
+    for root, _, names in os.walk(tmp):
+        for name in names:
+            path = os.path.join(root, name)
+            files[os.path.relpath(path, tmp)] = Path(path).read_bytes()
+            os.remove(path)
+    return code, out.getvalue(), err.getvalue(), files
+
+
+class TestContractFuzz:
+    """Generated argv against the README contract: exit 0, 2 or 3 and never an
+    exception; a single defect picks its exit code; nothing on stdout on an
+    error; byte-identical reruns; schema_version on JSON output."""
+
+    @given(contract_argv())
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    def test_contract(self, case):
+        argv, defects = case
+        with tempfile.TemporaryDirectory() as tmp:
+            first = _run_in(tmp, argv)
+            assert _run_in(tmp, argv) == first
+        code, out, err, files = first
+        if not defects:
+            assert code in (0, 2)
+        elif len(defects) == 1:
+            assert code == (3 if defects[0] == "bad" else 2)
+        else:
+            assert code in (2, 3)
+        if code:
+            assert out == "" and not files
+            assert err.startswith("usage error: " if code == 3 else "error: ")
+            assert err.count("\n") == 1
+            return
+        assert err == ""
+        written = files.pop("out", b"").decode()
+        assert set(files) <= {"out.svg"} and not (out and written)
+        text = out or written
+        assert text or files
+        if text.startswith("{"):
+            payload = json.loads(text)
+            assert payload["schema_version"] == cli.SCHEMA_VERSION
+            assert payload["command"] == "-".join(argv[:2 if argv[0] == "skeleton" else 1])

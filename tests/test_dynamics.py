@@ -61,6 +61,12 @@ class TestWord:
         with pytest.raises(UsageError):
             Word.parse("s4")
 
+    def test_parse_takes_at_most_one_prefix(self):
+        assert Word.parse("s1 S2 r3 R1 2").letters == (1, 2, 3, 1, 2)
+        for token in ("ss1", "sr2", "rs3", "SS1", "rr2", "s", "r", "1s", "s 1x", "t1"):
+            with pytest.raises(UsageError):
+                Word.parse(token)
+
 
 def _dedupe(letters) -> tuple[int, ...]:
     """Drop each letter equal to the one before it, leaving a reduced word."""

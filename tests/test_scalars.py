@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from tropmarkov.errors import DomainError, UsageError
 from tropmarkov.scalars import (
@@ -34,6 +34,25 @@ class TestExtRat:
         assert (INF + Fraction(3, 2)).is_infinite
         assert (ExtRat(Fraction(1, 3)) + INF).is_infinite
         assert ExtRat(2) + ExtRat(Fraction(1, 2)) == Fraction(5, 2)
+
+    @given(rationals, rationals)
+    @example(Fraction(0), Fraction(-1, 3))
+    def test_fraction_kept_as_is_matches_copying_path(self, f, g):
+        # ExtRat(Fraction) stores the Fraction itself; the old path stored a
+        # copy, Fraction(f).  Both must agree in value, order and hash.
+        def copied(value):
+            out = ExtRat.__new__(ExtRat)
+            out._v = Fraction(value)
+            return out
+
+        kept, old = ExtRat(f), copied(f)
+        assert kept.finite is f
+        assert kept.finite == old.finite and kept == old and str(kept) == str(old)
+        assert hash(kept) == hash(old) == hash(f)
+        other, other_old = ExtRat(g), copied(g)
+        assert (kept < other, kept <= other, kept == other) == (
+            old < other_old, old <= other_old, old == other_old)
+        assert kept < INF and old < INF and ExtRat(f) + g == old + other_old
 
     def test_negative_infinity_rejected(self):
         with pytest.raises(DomainError):

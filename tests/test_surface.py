@@ -29,6 +29,8 @@ from tropmarkov.surface import (
     ray_point,
     thresholds,
     trop_poly_f,
+    _finite_values,
+    _lift_on_lattice,
     _threshold,
 )
 from tropmarkov.dynamics import trop_vieta
@@ -320,6 +322,21 @@ class TestLatticeLift:
         x = lift_from_plane(params, w, v)
         assert x == oracle_lift_from_plane(params, w, v)
         assert all(type(c) is Fraction for c in x)
+
+    @given(params_with_inf, rationals, rationals, rationals,
+           st.integers(1, 12), st.integers(1, 12), st.integers(1, 12))
+    @settings(max_examples=200)
+    @example(Params.parse("inf,inf,inf,inf"), F(1, 3), F(-2, 7), F(0), 1, 1, 1)
+    @example(Params.parse("1/2,-5/3,inf,-7/4"), F(-3, 4), F(5, 6), F(-1, 2), 4, 6, 3)
+    def test_lattice_core_matches_validated_lift(self, params, v1, v2, w, k1, k2, kw):
+        # The core on pairs scaled by k (not in lowest terms) lifts to the
+        # same point as lift_from_plane on the reduced Fractions.
+        x = _lift_on_lattice(_finite_values(params), kw * w.numerator, kw * w.denominator,
+                             k1 * v1.numerator, k1 * v1.denominator,
+                             k2 * v2.numerator, k2 * v2.denominator)
+        assert x == lift_from_plane(params, w, (v1, v2, -v1 - v2))
+        assert all(type(c) is Fraction for c in x)
+        assert f0(params, x) == w
 
     @given(params_with_inf)
     @settings(max_examples=150)
