@@ -11,15 +11,17 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, fields
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import DomainError, ResourceError, UsageError
-from .laurent import LaurentPoly
-from .scalars import ExtRat, _int_valuation, ext_min, is_prime
+from .scalars import ExtRat, _int_valuation, ext_min, is_prime, value_class
 from .surface import CellId, Params, Point3, cell_has_interior, cells_of, on_skeleton
 from .dynamics import Matrix2, Word, mat_mul, trop_vieta
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # LaurentPoly appears in annotations only; lift-check loads it
+    from .laurent import LaurentPoly
 
 
 def fatou_condition(params: Params) -> bool:
@@ -58,7 +60,7 @@ def fatou_witness(params: Params) -> Point3:
 # -- exact Vieta dynamics over Laurent polynomials ---------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class SurfacePointL:
     """A Laurent-polynomial point (X1, X2, X3) on the surface with coefficients
     (A, B, C, D); construction enforces the on-surface identity."""
@@ -81,8 +83,8 @@ class SurfacePointL:
     def _unchecked(cls, *values: LaurentPoly) -> "SurfacePointL":
         """A point known to be on the surface, built without the identity check."""
         point = object.__new__(cls)
-        for field, value in zip(fields(cls), values, strict=True):
-            object.__setattr__(point, field.name, value)
+        for name, value in zip(cls.__slots__, values, strict=True):
+            object.__setattr__(point, name, value)
         return point
 
     def coordinates(self) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly]:
@@ -124,7 +126,7 @@ def vieta_exact(i: int, point: SurfacePointL) -> SurfacePointL:
     return SurfacePointL._unchecked(X1, X2, X3, point.A, point.B, point.C, point.D)
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class LiftStep:
     prefix: Word
     exact_valuations: tuple[ExtRat, ExtRat, ExtRat]
@@ -132,7 +134,7 @@ class LiftStep:
     match: bool
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class LiftReport:
     ok: bool
     precondition_ok: bool
@@ -217,7 +219,7 @@ def matrix_divergence(signs: Sequence[int]) -> list[int]:
 ZP_BOX_BOUND = 256
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class ZpPoint:
     """A representative point with denominators a power of p; exponents are the
     p-adic valuations of the coordinates."""

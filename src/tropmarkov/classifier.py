@@ -10,12 +10,11 @@ and by a closed formula over the continued fraction of the slope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from .errors import DomainError, ResourceError, UsageError
-from .scalars import ExtRat, continued_fraction, thomae_gcd
+from .scalars import ExtRat, continued_fraction, thomae_gcd, value_class
 from .surface import (
     CellId,
     Params,
@@ -117,7 +116,7 @@ def index_shift_cf(m) -> int:
 # -- the classifier --------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class ClassifyReport:
     """Decision record for one skeleton point under meromorphic parameters.
 
@@ -150,25 +149,17 @@ def classify(params: Params, x: Point3) -> ClassifyReport:
     if trace.word.is_identity and trace.kind == "ray":
         i = trace.ray_index
         t = x[1] if i == 1 else x[0]
-        return ClassifyReport(
-            cell=quadratic_cell(nxt(i)), slope=ExtRat.infinity(), gamma=gamma,
-            delta=None, relevant_ray=i, in_U=False, certificate=Word(),
-            ray_parameter=t,
-        )
+        return ClassifyReport(quadratic_cell(nxt(i)), ExtRat.infinity(), gamma,
+                              None, i, False, Word(), t)
     if trace.word.is_identity:
-        return ClassifyReport(
-            cell=trace.cell, slope=None, gamma=gamma, delta=None, relevant_ray=None,
-            in_U=True, certificate=Word(),
-        )
+        return ClassifyReport(trace.cell, None, gamma, None, None, True, Word(), None)
     i = trace.word.first_applied  # the reflection of the quadratic cell holding x
     u1, u2 = u_coords(i, x)
     m = u2 / u1
     delta = index_shift_cf(m)
     ray = _mod3(i + delta - 1)
-    return ClassifyReport(
-        cell=quadratic_cell(i), slope=ExtRat(m), gamma=gamma, delta=delta,
-        relevant_ray=ray, in_U=gamma < -_threshold(params, ray), certificate=trace.word,
-    )
+    return ClassifyReport(quadratic_cell(i), ExtRat(m), gamma, delta, ray,
+                          gamma < -_threshold(params, ray), trace.word, None)
 
 
 # -- punctured-torus specialisations ---------------------------------------------
@@ -240,7 +231,7 @@ def matches_exception_ray(d, x: Point3) -> bool:
 # -- Farey triples and orbit triangles --------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class FareyTriple:
     """Coprime pairs (left, mid, right) with mid the mediant and unimodular ends."""
 

@@ -4,9 +4,9 @@ Deterministic, scriptable subcommands over the library; JSON outputs carry a
 schema_version field, rationals print as "p/q" (or "inf"), and words as
 generator lists applied right-to-left.  Exit status: 0 success, 2 domain or
 resource errors (an output file that cannot be written included), 3 usage
-errors.  Each subcommand imports what it uses when it runs, and the parser is
-built on the first call of ``main``, so start-up loads only what the command
-needs.
+errors.  Each subcommand imports what it uses when it runs, and ``main``
+builds only the parser of the command it is given (once per process), so
+start-up loads and builds only what the command needs.
 """
 
 from __future__ import annotations
@@ -315,6 +315,14 @@ _COMMANDS = (
     (("enumerate-zp",), "points with prime-power denominators", _cmd_enumerate_zp,
      (("--p", {"type": int, "required": True}), ("--D", {"required": True}), _OUT)),
 )
+_HANDLED = {row[0]: row for row in _COMMANDS if row[2]}  # the command rows by path
+
+
+def _add_flags(cmd: _Parser, row) -> None:
+    path, _, handler, flags = row
+    for name, spec in flags:
+        cmd.add_argument(name, **spec)
+    cmd.set_defaults(func=handler, command_path=path)
 
 
 @functools.cache
@@ -322,21 +330,37 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="tropmarkov",
                      description="exact min-plus dynamics on tropical Markov cubics")
     groups = {(): parser.add_subparsers(dest="command", required=True)}
-    for path, help_text, handler, flags in _COMMANDS:
+    for row in _COMMANDS:
+        path, help_text, handler, _ = row
         cmd = groups[path[:-1]].add_parser(path[-1], help=help_text)
         if handler is None:
             groups[path] = cmd.add_subparsers(dest=f"{path[-1]}_command", required=True)
-            continue
-        for name, spec in flags:
-            cmd.add_argument(name, **spec)
-        cmd.set_defaults(func=handler, command_path=path)
+        else:
+            _add_flags(cmd, row)
     return parser
 
+
+@functools.cache
+def _command_parser(path: tuple[str, ...]) -> _Parser:
+    """One command's parser alone, with the full parser's name for it, so its
+    messages and help are the full parser's."""
+    cmd = _Parser(prog=" ".join(("tropmarkov", *path)))
+    _add_flags(cmd, _HANDLED[path])
+    return cmd
+
+
+def _parse_args(argv: list[str]):
+    """Parse with the parser of the command the leading words name, found by
+    dict lookups; help, groups and unknown commands go to the full parser."""
+    path = tuple(argv[:2]) if tuple(argv[:2]) in _HANDLED else tuple(argv[:1])
+    if path not in _HANDLED or "-h" in argv or "--help" in argv:
+        return _build_parser().parse_args(argv)
+    return _command_parser(path).parse_args(argv[len(path):])
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
         result = args.func(args)
         if isinstance(result, dict):
             result = _json_text({"schema_version": SCHEMA_VERSION,

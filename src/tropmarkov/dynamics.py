@@ -12,12 +12,11 @@ Euclidean step euc on the first quadrant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from typing import Iterable, Iterator
 
 from .errors import DomainError, ResourceError, UsageError
-from .scalars import ExtRat, thomae_gcd
+from .scalars import ExtRat, thomae_gcd, value_class
 from .surface import (
     CELL_ORDER,
     CellId,
@@ -91,7 +90,7 @@ def _display(runs: list[list[int]]) -> tuple[Run, ...]:
     return tuple((a, b, n) if n % 2 else (b, a, n) for a, b, n in reversed(runs))
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@value_class
 class Word:
     """A reduced word over s1, s2, s3, applied right-to-left.
 
@@ -286,7 +285,7 @@ def mat_mul(a: Matrix2, b: Matrix2) -> Matrix2:
 # -- greedy reduction ------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class GreedyTrace:
     """Outcome of the greedy reflection itinerary started at ``start``.
 
@@ -390,14 +389,15 @@ def greedy_path(params: Params, x: Point3, max_steps: int | None = None) -> Gree
         # count as ray terminals.
         if len(quads) >= 2:
             return GreedyTrace(x, Word._of_runs(_display(runs)), cur, "ray",
-                               ray_index=_ray_index_of(quads), steps=step)
+                               None, _ray_index_of(quads), step)
         sub = [c for c in CELL_ORDER if c in cells and c in SUBQUADRATIC_CELLS]
         if sub:
             return GreedyTrace(x, Word._of_runs(_display(runs)), cur, "subquadratic",
-                               cell=sub[0], steps=step)
+                               sub[0], None, step)
         i = QUADRATIC_CELLS.index(next(iter(quads))) + 1
         if step == max_steps:
-            return GreedyTrace(x, Word._of_runs(_display(runs)), cur, "exhausted", steps=step)
+            return GreedyTrace(x, Word._of_runs(_display(runs)), cur, "exhausted",
+                               None, None, step)
         t = 0
         if _run_continues(recent, i):
             j = recent[-1]

@@ -8,8 +8,8 @@ polynomial is its least exponent, and the zero polynomial has valuation
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator, Mapping
 from fractions import Fraction
-from typing import Iterator, Mapping
 
 from .errors import UsageError
 from .scalars import INF, ExtRat

@@ -8,13 +8,76 @@ here is exact; no floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable, Union
+from operator import attrgetter
 
 from .errors import DomainError, UsageError
 
-RationalLike = Union[int, Fraction]
+RationalLike = int | Fraction
+
+
+# -- frozen value classes ----------------------------------------------------
+
+
+def value_class(cls):
+    """Rebuild ``cls`` as a frozen, slotted value class over its annotated fields,
+    as ``@dataclass(frozen=True, slots=True)`` would: defaults, ``__post_init__``
+    (a class with its own ``__init__`` keeps it), ``FrozenInstanceError``, copying
+    and pickling included.  Its methods are closures: no source is generated."""
+    names = tuple(cls.__annotations__)
+    body = {k: v for k, v in cls.__dict__.items() if k not in ("__dict__", "__weakref__")}
+    defaults = {name: body.pop(name) for name in names if name in body}
+    post_init = body.get("__post_init__")
+    count = len(names)
+    after = [frozenset(names[k:]) for k in range(count + 1)]  # the fields after k positionals
+    tails = [{n: defaults[n] for n in names[k:] if n in defaults} for k in range(count + 1)]
+    get = attrgetter(*names)  # the value itself for one name, so wrap it
+    values = get if count > 1 else lambda self: (get(self),)
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != count:  # bind keywords and defaults by name
+            k = len(args)
+            given = {**tails[k], **kwargs} if k <= count else None
+            if given is None or given.keys() != after[k]:
+                raise TypeError(f"{cls.__qualname__}() takes {', '.join(names)} once each; got "
+                                f"{k} positional and the keywords {', '.join(kwargs) or 'none'}")
+            args = [*args, *map(given.__getitem__, names[k:])]
+        i = 0  # a counter, not zip: the cheaper loop on a per-object path
+        for value in args:
+            setters[i](self, value)
+            i += 1
+        if post_init is not None:
+            post_init(self)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __repr__(self):
+        fields = ", ".join(map("{}={!r}".format, names, values(self)))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setstate__(self, state):
+        for set_field, value in zip(setters, state, strict=True):
+            set_field(self, value)
+
+    body.setdefault("__init__", __init__)
+    body.update(__slots__=names, __match_args__=names, __eq__=__eq__, __repr__=__repr__,
+                __hash__=lambda self: hash(values(self)), __setstate__=__setstate__,
+                __getstate__=lambda self: list(values(self)),
+                __setattr__=lambda self, name, value: _frozen("assign to", name),
+                __delattr__=lambda self, name: _frozen("delete", name))
+    new = type(cls)(cls.__name__, cls.__bases__, body)
+    setters = [new.__dict__[name].__set__ for name in names]
+    return new
+
+
+def _frozen(action: str, name: str):
+    from dataclasses import FrozenInstanceError  # only when a value class refuses a change
+
+    raise FrozenInstanceError(f"cannot {action} field {name!r}")
 
 
 class ExtRat:
@@ -212,7 +275,7 @@ def thomae_gcd(a: RationalLike, b: RationalLike) -> Fraction:
 # -- continued fractions -----------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class CF:
     """Canonical continued fraction [a0; a1, ..., al] of a nonnegative rational.
 

@@ -21,13 +21,12 @@ and in the public `thresholds` tuple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import lcm
 
 from .errors import DomainError, ResourceError, UsageError
-from .scalars import ExtRat, ext_min, parse_rational
+from .scalars import ExtRat, ext_min, parse_rational, value_class
 
 Point3 = tuple[Fraction, Fraction, Fraction]
 PlanePoint = tuple[Fraction, Fraction, Fraction]
@@ -85,7 +84,7 @@ def prv(i: int) -> int:
     return (i + 1) % 3 + 1
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class Params:
     """Coefficient valuations (a, b, c, d); each may be +infinity."""
 

@@ -12,8 +12,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from tropmarkov.arithmetic import ZP_BOX_BOUND, ZpPoint
-from tropmarkov.classifier import FAREY_ROOT, FareyTriple
+from tropmarkov.arithmetic import (
+    ZP_BOX_BOUND,
+    LiftReport,
+    LiftStep,
+    SurfacePointL,
+    ZpPoint,
+)
+from tropmarkov.classifier import FAREY_ROOT, ClassifyReport, FareyTriple
+from tropmarkov.scalars import CF
 from tropmarkov.errors import DomainError, ResourceError, UsageError
 from tropmarkov.hyperbolic import (
     BOUNDARY_NETS,
@@ -37,6 +44,33 @@ from tropmarkov.surface import (
     point_text,
 )
 from tropmarkov.dynamics import GreedyTrace, Word, _ray_index_of, euc, trop_vieta, u_coords
+
+
+# -- the value classes as dataclasses --------------------------------------------
+
+
+def _dataclass_twin(cls, **defaults):
+    """``@dataclass(frozen=True, slots=True)`` over the fields of a value class,
+    with the same name, defaults and ``__post_init__``; a class with its own
+    ``__init__`` (Word) gets the generated one over its fields instead."""
+    body = {"__annotations__": dict(cls.__annotations__), "__qualname__": cls.__qualname__,
+            "__module__": __name__, **defaults}
+    if "__post_init__" in cls.__dict__:
+        body["__post_init__"] = cls.__post_init__
+    return dataclass(frozen=True, slots=True)(type(cls.__name__, (), body))
+
+
+# Each value class, and its twin, with the class-level defaults written out
+# (a slotted class keeps no default as a class attribute).
+VALUE_TWINS = {
+    cls: _dataclass_twin(cls, **defaults)
+    for cls, defaults in (
+        (CF, {}), (Params, {}), (Word, {}),
+        (GreedyTrace, {"cell": None, "ray_index": None, "steps": 0}),
+        (ClassifyReport, {"ray_parameter": None}), (FareyTriple, {}), (SurfacePointL, {}),
+        (LiftStep, {}), (LiftReport, {}), (ZpPoint, {}),
+    )
+}
 
 
 # -- words one letter per reflection, as the library stored them before runs -----

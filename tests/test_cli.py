@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -456,14 +457,17 @@ EXPORTS = (
 )
 
 _FRESH_SCRIPT = """
-import contextlib, io, json, sys
+import sys
+bare = set(sys.modules)
+import contextlib, io, json
 import tropmarkov.cli
 loaded = lambda: sorted(m[11:] for m in sys.modules if m.startswith("tropmarkov."))
+heavy = lambda: sorted({"dataclasses", "inspect", "typing"} & (set(sys.modules) - bare))
 out = {"import": loaded()}
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = tropmarkov.cli.main(argv)
-    out[argv[0]] = [code, loaded()]
+    out[argv[0]] = [code, loaded(), heavy()]
 import tropmarkov as tm
 out["all"] = [n for n in tm.__all__ if getattr(tm, n) is None]
 print(json.dumps(out))
@@ -486,15 +490,34 @@ class TestLoadOnFirstUse:
     def test_import_and_classify(self):
         out = _fresh(["classify", "--params", "inf,inf,inf,-2", "--point", "-2,-3,-5"])
         assert out["import"] == ["cli", "errors"]
-        code, loaded = out["classify"]
+        code, loaded, _ = out["classify"]
         assert code == 0 and "classifier" in loaded
         assert not (self.UNUSED | {"hyperbolic"}) & set(loaded)
         assert out["all"] == []
 
     def test_pingpong(self):
-        code, loaded = _fresh(["pingpong", "--depth", "3", "--side", "skeleton"])["pingpong"]
+        code, loaded, _ = _fresh(["pingpong", "--depth", "3", "--side", "skeleton"])["pingpong"]
         assert code == 0 and "hyperbolic" in loaded
         assert not (self.UNUSED | {"classifier"}) & set(loaded)
+
+    def test_no_code_generating_stdlib(self):
+        # The value classes and the parser are built without dataclasses,
+        # inspect or typing: none loads beyond what the bare interpreter had.
+        out = _fresh(["classify", "--params", "inf,inf,inf,-2", "--point", "-2,-3,-5"],
+                     ["reduce", "--params", "1,-2,inf,3", "--point", "-2,-3,-5"],
+                     ["pingpong", "--depth", "3", "--side", "boundary", "--stats"],
+                     ["enumerate-zp", "--p", "2", "--D", "1/4"])
+        for command in ("classify", "reduce", "pingpong", "enumerate-zp"):
+            code, _, heavy = out[command]
+            assert code == 0 and heavy == [], command
+
+    def test_laurent_only_for_lift_check(self):
+        out = _fresh(["enumerate-zp", "--p", "2", "--D", "1/4"],
+                     ["fatou", "--params", "0,0,0,-1"],
+                     ["lift-check", "--seed", "t^-1,t^-1,t^-1", "--word", "s1"])
+        assert [out[c][0] for c in ("enumerate-zp", "fatou", "lift-check")] == [0, 0, 0]
+        assert "arithmetic" in out["fatou"][1] and "laurent" not in out["fatou"][1]
+        assert "laurent" in out["lift-check"][1]
 
     def test_every_export_resolves(self):
         assert tuple(tropmarkov.__all__) == EXPORTS and len(EXPORTS) == 74
@@ -645,3 +668,60 @@ class TestContractFuzz:
             payload = json.loads(text)
             assert payload["schema_version"] == cli.SCHEMA_VERSION
             assert payload["command"] == "-".join(argv[:2 if argv[0] == "skeleton" else 1])
+
+
+# -- the per-command parser against the full parser ---------------------------------
+
+
+def _outputs(argv: list[str], full: bool):
+    """Exit code, stdout, stderr and written files of main(argv), parsing with
+    the full parser when ``full``, else as main chooses."""
+    patch = mock.patch.object(cli, "_parse_args", cli._build_parser().parse_args) \
+        if full else contextlib.nullcontext()
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, patch, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main([a.replace("{tmp}", tmp) for a in argv])
+        except SystemExit as exc:  # help, printed by argparse outside main's handlers
+            code = exc.code
+        files = {os.path.relpath(os.path.join(root, name), tmp):
+                 Path(root, name).read_bytes()
+                 for root, _, names in os.walk(tmp) for name in names}
+    return code, out.getvalue().replace(tmp, "{tmp}"), err.getvalue().replace(tmp, "{tmp}"), files
+
+
+HELP_ARGV = [[*path, flag] for path, *_ in cli._COMMANDS for flag in ("-h", "--help", "--he")]
+
+
+class TestCommandParser:
+    """main parses with the named command's parser alone; it must answer every
+    argv as the full parser does: exit code, stdout, stderr, files written."""
+
+    @given(contract_argv())
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    def test_matches_full_parser(self, case):
+        argv, _ = case
+        assert _outputs(argv, full=False) == _outputs(argv, full=True)
+
+    @pytest.mark.parametrize("argv", HELP_ARGV + [
+        [], ["-h"], ["skeleton"], ["skeleton", "nope"], ["nope"], ["--params", "1"],
+        ["classify", "--", "--params", "x"], ["classify", "--par", "inf,inf,inf,-2",
+                                              "--point", "-2,-3,-5", "extra"],
+    ])
+    def test_help_groups_and_unknown_commands(self, argv):
+        assert _outputs(argv, full=False) == _outputs(argv, full=True)
+
+    @pytest.mark.parametrize("path", [row[0] for row in cli._COMMANDS if row[2]])
+    def test_command_parser_help_is_the_full_parsers(self, path):
+        # main sends -h to the full parser; the command's own parser must
+        # print the same help for abbreviations such as --he.
+        def help_text(parser, argv):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
+                parser.parse_args(argv)
+            return out.getvalue()
+
+        assert help_text(cli._command_parser(path), ["-h"]) == \
+            help_text(cli._build_parser(), [*path, "-h"])

@@ -1,9 +1,17 @@
+import copy
+import pickle
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+from conftest import VALUE_TWINS
+from tropmarkov.arithmetic import SurfacePointL, surface_from_seed
+from tropmarkov.classifier import FareyTriple, farey_enumerate
+from tropmarkov.dynamics import Word
 from tropmarkov.errors import DomainError, UsageError
+from tropmarkov.laurent import LaurentPoly
 from tropmarkov.scalars import (
     CF,
     INF,
@@ -14,6 +22,7 @@ from tropmarkov.scalars import (
     p_adic_valuation,
     thomae_gcd,
 )
+from tropmarkov.surface import Params
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=40)
 nonneg_rationals = st.fractions(min_value=0, max_value=100, max_denominator=100)
@@ -170,3 +179,145 @@ class TestPAdic:
         assert vsum >= low
         if vx != vy:
             assert vsum == low
+
+
+# -- value classes against their dataclass twins ------------------------------------
+
+PLAIN = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.text("ab", max_size=2),
+                  st.fractions(min_value=-2, max_value=2, max_denominator=3),
+                  st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                  st.sampled_from([INF, ExtRat(-1)]))
+LAURENT = st.dictionaries(st.integers(-1, 1), st.integers(-2, 2), max_size=2).map(LaurentPoly)
+PAIR = st.tuples(st.integers(-1, 3), st.integers(0, 3))
+
+
+def _surface_values(seed) -> tuple:
+    point = surface_from_seed(*seed)
+    return tuple(getattr(point, name) for name in SurfacePointL.__slots__)
+
+
+def field_values(cls):
+    """Field values for ``cls``, valid and invalid alike where it validates."""
+    if cls is CF:
+        return st.lists(st.integers(-1, 4), max_size=4).map(lambda t: (tuple(t),))
+    if cls is Word:
+        return st.lists(st.integers(1, 3), max_size=6).map(lambda g: (Word.reduce(g).runs,))
+    if cls is FareyTriple:
+        valid = [(t.left, t.mid, t.right) for t in farey_enumerate(3)]
+        return st.one_of(st.sampled_from(valid), st.tuples(PAIR, PAIR, PAIR))
+    if cls is SurfacePointL:
+        return st.one_of(st.tuples(*[LAURENT] * 6).map(_surface_values),
+                         st.tuples(*[LAURENT] * 7))
+    return st.tuples(*[PLAIN] * len(cls.__slots__))
+
+
+@st.composite
+def value_calls(draw):
+    """(class, args, kwargs): field values passed by position, by keyword in
+    any order or left to their defaults, and possibly one more defect: an
+    extra positional, an unknown keyword or a keyword repeating a positional."""
+    cls = draw(st.sampled_from([c for c in VALUE_TWINS if c is not Word]))
+    names, values = cls.__slots__, draw(field_values(cls))
+    k = draw(st.integers(0, len(names)))
+    args = list(values[:k])
+    kwargs = [(n, v) for n, v in zip(names[k:], values[k:]) if draw(st.integers(0, 4))]
+    defect = draw(st.sampled_from([None, None, "extra", "unknown", "repeated"]))
+    if defect == "extra":
+        args = list(values) + [None]
+    elif defect == "unknown":
+        kwargs.append(("zz", 0))
+    elif defect == "repeated" and k:
+        kwargs.append((names[draw(st.integers(0, k - 1))], None))
+    return cls, args, dict(draw(st.permutations(kwargs)))
+
+
+def outcome(call):
+    """The value of call(), or the type of the exception it raised."""
+    try:
+        return call()
+    except Exception as exc:  # noqa: BLE001 -- the type is the outcome
+        return type(exc)
+
+
+def same_value(own, twin) -> None:
+    names = type(own).__slots__
+    assert [getattr(own, n) for n in names] == [getattr(twin, n) for n in names]
+    assert repr(own) == repr(twin)
+    assert outcome(lambda: hash(own)) == outcome(lambda: hash(twin))
+
+
+class TestValueClass:
+    """scalars.value_class against @dataclass(frozen=True, slots=True) twins
+    (tests/conftest.py VALUE_TWINS)."""
+
+    @given(value_calls())
+    def test_construction_matches_dataclass(self, call):
+        cls, args, kwargs = call
+        own = outcome(lambda: cls(*args, **kwargs))
+        twin = outcome(lambda: VALUE_TWINS[cls](*args, **kwargs))
+        if isinstance(twin, type):
+            assert own is twin
+        else:
+            assert type(own) is cls
+            same_value(own, twin)
+
+    @given(st.data())
+    def test_value_behaviour_matches_dataclass(self, data):
+        cls = data.draw(st.sampled_from(list(VALUE_TWINS)))
+        twin_cls = VALUE_TWINS[cls]
+        pair = [data.draw(field_values(cls)) for _ in range(2)]
+        # Word keeps its own __init__ over letters; its runs go in unchecked.
+        make = Word._of_runs if cls is Word else cls
+        own = [outcome(lambda v=v: make(*v)) for v in pair]
+        if any(isinstance(o, type) for o in own):
+            return  # invalid values; test_construction_matches_dataclass covers them
+        twin = [twin_cls(*v) for v in pair]
+        for o, t in zip(own, twin):
+            same_value(o, t)
+            assert (o == t) is False and (o != t) is True
+        assert (own[0] == own[1]) == (twin[0] == twin[1])
+        assert (own[0] != own[1]) == (twin[0] != twin[1])
+        assert cls.__match_args__ == twin_cls.__match_args__ == cls.__slots__
+        value = own[0]
+        for name in cls.__slots__:
+            for act in (lambda o: setattr(o, name, 1), lambda o: delattr(o, name)):
+                with pytest.raises(FrozenInstanceError) as mine:
+                    act(value)
+                with pytest.raises(FrozenInstanceError) as theirs:
+                    act(twin[0])
+                assert str(mine.value) == str(theirs.value)
+        # A name that is not a field is refused as well (the slotted dataclass
+        # raises TypeError from its super() call there).
+        with pytest.raises(FrozenInstanceError):
+            value.other = 1
+        for clone in (copy.copy(value), copy.deepcopy(value),
+                      *(pickle.loads(pickle.dumps(value, protocol))
+                        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1))):
+            assert type(clone) is cls and clone == value and hash(clone) == hash(value)
+
+    def test_match_by_position(self):
+        match Params.make(1, 2, "inf", -2):
+            case Params(a, b, c, d):
+                assert (str(a), str(b), str(c), str(d)) == ("1", "2", "inf", "-2")
+            case _:
+                pytest.fail("a Params did not match its class pattern")
+
+    def test_post_init_validates_and_unchecked_paths_skip_it(self):
+        with pytest.raises(UsageError):
+            CF((1, 1))
+        with pytest.raises(DomainError):
+            FareyTriple((0, 1), (1, 2), (1, 0))
+        one = LaurentPoly.constant(1)
+        with pytest.raises(DomainError):
+            SurfacePointL(one, one, one, one, one, one, one + one)
+        point = SurfacePointL._unchecked(one, one, one, one, one, one, one)
+        assert point.coordinates() == (one, one, one) and point.D == one
+        with pytest.raises(UsageError):
+            Word((1, 1))
+        assert Word._of_runs(((1, 1, 2),)).runs == ((1, 1, 2),)
+
+    def test_class_keeps_its_own_init_and_methods(self):
+        assert Word([1, 2]).runs == ((1, 2, 2),)
+        assert Word.__init__ is not VALUE_TWINS[Word].__init__
+        assert str(CF((0, 1, 2))) == "[0; 1, 2]" and Params.__doc__.startswith("Coefficient")
+        assert not hasattr(Params.make(0, 0, 0, 0), "__dict__")
