@@ -146,6 +146,19 @@ class LiftReport:
 # with its length: from t^-1, t^-1, t^-1 about 2.4x per letter past 8 letters.
 LIFT_WORD_BOUND = 12
 
+# Largest cost of one exact Vieta step lift_consistency takes: the product of
+# the sizes of the two polynomials it multiplies, a size being the sum over
+# the terms of 1024 plus the bits of the exponent and the coefficient.  The
+# cost grows 2.5 to 3 times per letter.  From t^-1, t^-1, t^-1 the 12th letter
+# costs about 2^35; a step at the bound takes about a second on a 2-core Xeon,
+# whether its terms are many or its coefficients or exponents long.
+LIFT_STEP_BOUND = 2**38
+
+
+def _lift_size(poly: LaurentPoly) -> int:
+    return sum(1024 + e.bit_length() + c.numerator.bit_length() + c.denominator.bit_length()
+               for e, c in poly.items())
+
 
 def lift_consistency(point: SurfacePointL, word: Word) -> LiftReport:
     """Compare t-adic valuations of the exact Vieta orbit against the
@@ -153,7 +166,8 @@ def lift_consistency(point: SurfacePointL, word: Word) -> LiftReport:
 
     The agreement is guaranteed when the seed's valuation vector is interior
     to the D cell; a violated precondition is reported, not fatal.  A word
-    longer than LIFT_WORD_BOUND raises ResourceError before any step.
+    longer than LIFT_WORD_BOUND raises ResourceError before any step, and an
+    exact step past LIFT_STEP_BOUND before that step.
     """
     if len(word) > LIFT_WORD_BOUND:
         raise ResourceError(
@@ -172,7 +186,12 @@ def lift_consistency(point: SurfacePointL, word: Word) -> LiftReport:
     cur_exact = point
     cur_trop: Point3 = x0
     ok = True
-    for g, prefix in zip(word.applied_order(), word.applied_prefixes()):
+    for k, (g, prefix) in enumerate(zip(word.applied_order(), word.applied_prefixes())):
+        Xj, Xk = (X for i, X in enumerate((cur_exact.X1, cur_exact.X2, cur_exact.X3), 1)
+                  if i != g)
+        if _lift_size(Xj) * _lift_size(Xk) > LIFT_STEP_BOUND:
+            raise ResourceError(f"exact step {k + 1} of {len(word)} exceeds the configured "
+                                f"bound of {LIFT_STEP_BOUND} cost units")
         cur_exact = vieta_exact(g, cur_exact)
         cur_trop = trop_vieta(params, g, cur_trop)
         exact_vals = cur_exact.valuation_vector()

@@ -21,9 +21,37 @@ from .errors import DomainError, ResourceError, UsageError
 
 SCHEMA_VERSION = 1
 
+# Most decimal digits a numerator or denominator of an `orbit` point may have.
+# Along a hyperbolic word the digits grow about linearly with its length, and
+# every point is printed, so the output would grow quadratically.
+ORBIT_DIGIT_BOUND = 1000
+
+
+class _Formatter(argparse.HelpFormatter):
+    """argparse's help formatter, reading the terminal width only when it
+    formats: argparse builds one in every add_argument, and the stock one
+    imports shutil (with bz2 and lzma) there to read the width."""
+
+    def __init__(self, prog, indent_increment=2, max_help_position=24, width=None):
+        super().__init__(prog, indent_increment, max_help_position, width=80)
+        self._asked = (max_help_position, width)
+
+    def format_help(self):
+        # The sizes the stock __init__ would have set.
+        max_help_position, width = self._asked
+        if width is None:
+            import shutil
+
+            width = shutil.get_terminal_size().columns - 2
+        self._width = width
+        self._max_help_position = min(max_help_position,
+                                      max(width - 20, self._indent_increment * 2))
+        return super().format_help()
+
 
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
+        kwargs.setdefault("formatter_class", _Formatter)
         super().__init__(*args, **kwargs)
         # Take a dash word holding a digit or one of ",/^." for a value, not
         # a flag: "-2,-3,-5", "-3/2", "-1,inf,inf,inf", "-t^-1,t^-1,t^-1".
@@ -109,17 +137,22 @@ def _cmd_orbit(args) -> dict:
     params = Params.parse(args.params)
     x = parse_point(args.point)
     word = Word.parse(args.word)
-    steps = []
-    cur = x
-    for g in word.applied_order():
-        cur = trop_vieta(params, g, cur)
-        steps.append({"generator": f"s{g}", "point": _point_json(cur)})
+    letters = [*word.applied_order()]
+    limit = 10**ORBIT_DIGIT_BOUND
+    points = [x]
+    for k in range(len(letters) + 1):
+        if any(abs(c.numerator) >= limit or c.denominator >= limit for c in points[k]):
+            raise ResourceError(f"a coordinate after {k} of {len(letters)} letters exceeds the "
+                                f"configured bound of {ORBIT_DIGIT_BOUND} digits")
+        if k < len(letters):
+            points.append(trop_vieta(params, letters[k], points[k]))
     return {
         "params": str(params),
         "start": _point_json(x),
         "word": str(word),
-        "steps": steps,
-        "final": _point_json(cur),
+        "steps": [{"generator": f"s{g}", "point": _point_json(p)}
+                  for g, p in zip(letters, points[1:])],
+        "final": _point_json(points[-1]),
     }
 
 
@@ -373,6 +406,14 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except (DomainError, ResourceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        # CPython prints no int past sys.get_int_max_str_digits() digits; an
+        # output value that large is a size past a bound.
+        if "integer string conversion" not in str(exc):
+            raise
+        print(f"error: an output value exceeds the limit of {sys.get_int_max_str_digits()} "
+              "digits for a numerator or denominator", file=sys.stderr)
         return 2
 
 

@@ -25,6 +25,7 @@ from .surface import (
     QUADRATIC_CELLS,
     SUBQUADRATIC_CELLS,
     _monomial_values,
+    _on_lattice,
     cells_of,
     linear_cell,
     nxt,
@@ -335,33 +336,38 @@ def _run_point(x: Point3, i: int, j: int, t: int) -> Point3:
     return (y[0], y[1], y[2])
 
 
-def _run_length(params: Params, x: Point3, i: int, j: int, cap: int) -> int:
+def _lattice_monomials(coeffs: list[int | None], x) -> list[int | None]:
+    """`_monomial_values` times L at x in (1/L)Z^3, in CELL_ORDER slots; coeffs are
+    the parameters times L, None where infinite, which makes its monomial None."""
+    return [2 * v for v in x] + [e if e is None else e + v for e, v in zip(coeffs, x)] + coeffs[3:]
+
+
+def _run_length(coeffs: list[int | None], scale: int, x: Point3, i: int, j: int, cap: int) -> int:
     """Number of reflections i, j, i, ... the step loop takes from x, at most cap.
 
-    x is interior to the quadratic cell i.  The loop reflects at the t-th run
-    point exactly while it is interior to its expected cell (i for even t, j
-    for odd t), i.e. while every other monomial exceeds that cell's one; if
-    the next run point is interior too, trop_vieta lands on it.  Within a
+    x is interior to the quadratic cell i and on (1/L)Z^3, L = ``scale``, which
+    reflections (double, add a parameter, take a min, subtract) and runs never
+    leave; coeffs are the parameters times L.  The loop reflects at the t-th
+    run point exactly while it is interior to its expected cell (i for even t,
+    j for odd t), landing on the next one if that is interior too.  Within a
     parity class each monomial is affine in t, with the same growth per two
-    steps in both classes, so the tables at t = 0, 1, 2 and one floor
-    division per monomial give the first t that fails; the conditions are
-    strict and affine, so no t before it fails.  t = 1 is checked first, as
-    many runs end there.
+    steps in both, so the integer tables at t = 0, 1, 2 and one floor division
+    per monomial give the first t that fails; the conditions are strict and
+    affine, so no t before it fails.  t = 1 is checked first, as many runs end there.
     """
-    cell_i, cell_j = quadratic_cell(i), quadratic_cell(j)
-    odd = _monomial_values(params, _run_point(x, i, j, 1))
-    if any(v <= odd[cell_j] for c, v in odd.items() if c is not cell_j):
+    x = [v.numerator * (scale // v.denominator) for v in x]
+    odd = _lattice_monomials(coeffs, _run_point(x, i, j, 1))
+    if any(v is not None and v <= odd[j - 1] for v in odd[:j - 1] + odd[j:]):
         return 0
-    even = _monomial_values(params, x)
-    later = _monomial_values(params, _run_point(x, i, j, 2))
-    growth = {c: later[c] - v for c, v in even.items()}
+    even = _lattice_monomials(coeffs, x)
+    later = _lattice_monomials(coeffs, _run_point(x, i, j, 2))
+    growth = [v if v is None else w - v for v, w in zip(even, later)]
     first_out = []
-    for t0, base, cell in ((0, even, cell_i), (1, odd, cell_j)):
+    for t0, base, cell in ((0, even, i - 1), (1, odd, j - 1)):
         last = cap  # the largest s with t0 + 2s' interior for every s' <= s
-        for c, value in base.items():
-            slope = growth[c] - growth[cell]
-            if slope < 0:
-                last = min(last, -((value - base[cell]) // slope) - 1)
+        for value, g in zip(base, growth):
+            if value is not None and g < growth[cell]:
+                last = min(last, -((value - base[cell]) // (g - growth[cell])) - 1)
         first_out.append(t0 + 2 * last + 2)
     return min(min(first_out) - 1, cap)
 
@@ -378,6 +384,7 @@ def greedy_path(params: Params, x: Point3, max_steps: int | None = None) -> Gree
         # The first cells_of call below is the skeleton check; it must run.
         raise UsageError(f"max_steps must be nonnegative, got {max_steps}")
     room = STEP_BOUND + 1 if max_steps is None else min(max_steps, STEP_BOUND + 1)
+    scale, coeffs = _on_lattice(params, *(v.denominator for v in x))
     runs: list[list[int]] = []  # the word so far, as maximal runs in applied order
     recent: list[int] = []  # the last letters applied, as many as _run_continues reads
     cur = x
@@ -401,7 +408,7 @@ def greedy_path(params: Params, x: Point3, max_steps: int | None = None) -> Gree
         t = 0
         if _run_continues(recent, i):
             j = recent[-1]
-            t = _run_length(params, cur, i, j, room - step)
+            t = _run_length(coeffs, scale, cur, i, j, room - step)
         if step + max(t, 1) > STEP_BOUND:
             raise ResourceError(
                 f"greedy itinerary exceeds the configured bound of {STEP_BOUND} reflections")

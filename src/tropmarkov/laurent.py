@@ -12,7 +12,7 @@ from collections.abc import Iterator, Mapping
 from fractions import Fraction
 
 from .errors import UsageError
-from .scalars import INF, ExtRat
+from .scalars import INF, ExtRat, parse_rational
 
 _TERM_RE = re.compile(
     r"\s*(?P<sign>[+-])?\s*"
@@ -65,12 +65,12 @@ class LaurentPoly:
                 raise UsageError(f"cannot parse Laurent polynomial near {s[pos:]!r}")
             if sign is None and not first:
                 raise UsageError(f"missing sign between terms in {text!r}")
-            c = Fraction(coeff) if coeff is not None else Fraction(1)
+            c = parse_rational(coeff) if coeff is not None else Fraction(1)
             if sign == "-":
                 c = -c
             e = 0
             if var is not None:
-                e = int(exp) if exp is not None else 1
+                e = int(parse_rational(exp)) if exp is not None else 1
             coeffs[e] = coeffs.get(e, Fraction(0)) + c
             pos = m.end()
             first = False

@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 
 from .scalars import INF, ExtRat
-from .surface import Params, PlanePoint, Point3, _finite_values, _lift_on_lattice
+from .surface import Params, PlanePoint, Point3, _lift_on_lattice
 from .dynamics import Word
 
 
@@ -38,7 +38,7 @@ def random_skeleton_point(rng: random.Random, params: Params,
     and lifted straight from the integer pairs."""
     v1 = _random_pair(rng, span, max_den)
     v2 = _random_pair(rng, span, max_den)
-    return _lift_on_lattice(_finite_values(params), 0, 1, *v1, *v2)
+    return _lift_on_lattice(params, 0, 1, *v1, *v2)
 
 
 def random_params(rng: random.Random, meromorphic: bool | None = None,

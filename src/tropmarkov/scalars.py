@@ -8,6 +8,8 @@ here is exact; no floats.
 from __future__ import annotations
 
 import math
+import re
+import sys
 from collections.abc import Iterable
 from fractions import Fraction
 from operator import attrgetter
@@ -249,10 +251,52 @@ def ext_min(values: Iterable[ExtRat | RationalLike]) -> ExtRat:
 
 
 def parse_rational(text: str) -> Fraction:
+    """A rational written "p/q", as an integer or as a decimal ("-1.5e-3").
+
+    Its numerator and denominator must print back, so each may have at most
+    the interpreter's limit on integer-string digits (4300 by default), and an
+    exponent may be at most that limit; past it the UsageError names the limit.
+    Either message shows a long token cut short.
+    """
+    token = text.strip()
+    limit = _int_str_limit()  # 0: no limit
     try:
-        return Fraction(text.strip())
+        # Only a token longer than the limit or one with an exponent can pass it.
+        if limit and (len(token) > limit or "e" in token.lower()):
+            return _rational_within(token, limit)
+        return Fraction(token)
+    except OverflowError:
+        raise UsageError(f"{_cut(text)} exceeds the limit of {limit} digits for a numerator "
+                         "or denominator") from None
     except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"not a rational number: {text!r}") from exc
+        raise UsageError(f"not a rational number: {_cut(text)}") from exc
+
+
+# The interpreter's limit on digits of an int converted to or from a string;
+# CPython before 3.10.7 has none.
+_int_str_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+# A decimal exponent, whose power of ten Fraction would build in full.
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)$")
+
+
+def _rational_within(token: str, limit: int) -> Fraction:
+    """Fraction(token), or OverflowError if a run of digits, the exponent, the
+    numerator or the denominator passes ``limit`` digits; the exponent is
+    checked before its power of ten is built."""
+    power = _EXPONENT.search(token)
+    runs = [len(run.replace("_", "")) for run in re.findall(r"[\d_]+", token)]
+    if max(runs, default=0) > limit or power and int(power[1]) > limit:
+        raise OverflowError
+    value = Fraction(token)
+    if max(abs(value.numerator), value.denominator) >= 10**limit:
+        raise OverflowError
+    return value
+
+
+def _cut(text: str) -> str:
+    """repr of text, or of its first 20 characters and its length when it is long."""
+    return repr(text) if len(text) <= 40 else f"{text[:20]!r}... ({len(text)} characters)"
 
 
 # -- Thomae-style gcd --------------------------------------------------------

@@ -188,6 +188,14 @@ def _finite_values(params: Params) -> tuple[Fraction | None, ...]:
                  for e in (params.a, params.b, params.c, params.d))
 
 
+def _on_lattice(params: Params, *dens: int) -> tuple[int, list[int | None]]:
+    """L = lcm of ``dens`` and the finite parameters' denominators, and (a, b, c, d)
+    times L, each an int or None where infinite."""
+    coeffs = _finite_values(params)
+    scale = lcm(*dens, *(e.denominator for e in coeffs if e is not None))
+    return scale, [None if e is None else e.numerator * (scale // e.denominator) for e in coeffs]
+
+
 def _threshold(params: Params, i: int) -> Fraction:
     """Truncation bound of the ray R_i: min(0, a, b, c, d/2) with the i-th of
     a, b, c halved; an infinite parameter drops its term."""
@@ -276,14 +284,14 @@ def lift_from_plane(params: Params, w, v: PlanePoint) -> Point3:
     """
     w = Fraction(w)
     v1, v2, _ = plane_point(*v)
-    return _lift_on_lattice(_finite_values(params), w.numerator, w.denominator,
+    return _lift_on_lattice(params, w.numerator, w.denominator,
                            v1.numerator, v1.denominator, v2.numerator, v2.denominator)
 
 
-def _lift_on_lattice(coeffs: tuple[Fraction | None, ...], w_num: int, w_den: int,
+def _lift_on_lattice(params: Params, w_num: int, w_den: int,
                     n1: int, d1: int, n2: int, d2: int) -> Point3:
-    """`lift_from_plane` of v = (n1/d1, n2/d2, -n1/d1 - n2/d2) to {f0 = w_num/w_den},
-    with `_finite_values(params)` for coeffs; every denominator is positive.
+    """`lift_from_plane` of v = (n1/d1, n2/d2, -n1/d1 - n2/d2) to {f0 = w_num/w_den};
+    every denominator is positive.
 
     With L a common multiple of the denominators of v1, v2, w and the finite
     parameters, every candidate for alpha times 6L is an integer, so alpha is
@@ -291,19 +299,18 @@ def _lift_on_lattice(coeffs: tuple[Fraction | None, ...], w_num: int, w_den: int
     L, so the pairs need not be in lowest terms.  Nothing is validated: v3 =
     -v1 - v2 puts v on the plane by construction.
     """
-    scale = lcm(w_den, d1, d2, *(e.denominator for e in coeffs if e is not None))
+    scale, (a, b, c, d) = _on_lattice(params, w_den, d1, d2)
     wl = w_num * (scale // w_den)
     n1 *= scale // d1
     n2 *= scale // d2
     n3 = -n1 - n2
     w6 = 6 * wl
     alphas = [12 * n1 - w6, 12 * n2 - w6, 12 * n3 - w6]
-    for e, ni in zip(coeffs[:3], (n1, n2, n3)):
+    for e, ni in ((a, n1), (b, n2), (c, n3)):
         if e is not None:
-            alphas.append(3 * (e.numerator * (scale // e.denominator) + ni - wl))
-    d = coeffs[3]
+            alphas.append(3 * (e + ni - wl))
     if d is not None:
-        alphas.append(2 * (d.numerator * (scale // d.denominator) - wl))
+        alphas.append(2 * (d - wl))
     m = min(alphas)
     den = 6 * scale
     return (Fraction(m + 6 * n1, den), Fraction(m + 6 * n2, den), Fraction(m + 6 * n3, den))

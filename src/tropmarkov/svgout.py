@@ -48,8 +48,9 @@ def skeleton_svg(params: Params, grid: int, span) -> str:
             x = lift_from_plane(params, 0, (v1, v2, -v1 - v2))
             cells = cells_of(params, x)
             color = _CELL_COLORS[next(iter(cells))] if len(cells) == 1 else _MIXED_COLOR
-            px = (float(v1) + float(span)) / (2 * float(span)) * (size - cell_px)
-            py = (float(span) - float(v2)) / (2 * float(span)) * (size - cell_px)
+            # Exact ratios: a span of any size maps onto the picture.
+            px = float((v1 + span) / (2 * span)) * (size - cell_px)
+            py = float((span - v2) / (2 * span)) * (size - cell_px)
             body.append(
                 f'<rect x="{_fmt(px)}" y="{_fmt(py)}" width="{_fmt(cell_px)}" '
                 f'height="{_fmt(cell_px)}" fill="{color}"/>'
@@ -62,12 +63,12 @@ def farey_svg(d, depth: int) -> str:
     triangles = table_orbit_triangles(d, depth)
     panel = 260.0
     margin = 30.0
-    umax = max(
-        (float(c) for per_cell in triangles.values() for _, verts in per_cell
-         for v in verts for c in v),
-        default=1.0,
-    )
-    scale = (panel - 2 * margin) / max(umax, 1e-9)
+    # The largest vertex coordinate, exact, so huge and tiny d scale without
+    # overflow; each coordinate is drawn at its exact ratio to it.
+    umax = max((c for per_cell in triangles.values() for _, verts in per_cell
+                for v in verts for c in v), default=Fraction(1))
+    umax = max(umax, Fraction(1, 10**9))
+    inner = panel - 2 * margin
     body = [f'<rect width="{_fmt(3 * panel)}" height="{_fmt(panel)}" fill="#ffffff"/>']
     for cell in (1, 2, 3):
         ox = (cell - 1) * panel + margin
@@ -85,7 +86,7 @@ def farey_svg(d, depth: int) -> str:
         )
         for word, verts in triangles[cell]:
             pts = " ".join(
-                f"{_fmt(ox + float(v[0]) * scale)},{_fmt(oy - float(v[1]) * scale)}"
+                f"{_fmt(ox + float(v[0] / umax) * inner)},{_fmt(oy - float(v[1] / umax) * inner)}"
                 for v in verts
             )
             body.append(

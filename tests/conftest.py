@@ -38,12 +38,22 @@ from tropmarkov.surface import (
     Params,
     QUADRATIC_CELLS,
     SUBQUADRATIC_CELLS,
+    _monomial_values,
     cells_of,
     on_boundary_ray,
     plane_point,
     point_text,
+    quadratic_cell,
 )
-from tropmarkov.dynamics import GreedyTrace, Word, _ray_index_of, euc, trop_vieta, u_coords
+from tropmarkov.dynamics import (
+    GreedyTrace,
+    Word,
+    _ray_index_of,
+    _run_point,
+    euc,
+    trop_vieta,
+    u_coords,
+)
 
 
 # -- the value classes as dataclasses --------------------------------------------
@@ -177,6 +187,31 @@ def oracle_trop_vieta(params, i, x):
         m = ext_min((ExtRat(2 * x1), ExtRat(2 * x2), a + x1, b + x2, d)).finite
         return (x1, x2, m - x3)
     raise UsageError(f"generator index must be 1, 2 or 3, got {i}")
+
+
+# -- the run length over Fractions, as the library sized jumps before the lattice --
+
+
+def oracle_run_length(params, x, i, j, cap) -> int:
+    """Number of reflections i, j, i, ... the step loop takes from x, at most
+    cap, from CellId-keyed Fraction monomials at t = 0, 1, 2 and one Fraction
+    floor division per monomial (see `dynamics._run_length`)."""
+    cell_i, cell_j = quadratic_cell(i), quadratic_cell(j)
+    odd = _monomial_values(params, _run_point(x, i, j, 1))
+    if any(v <= odd[cell_j] for c, v in odd.items() if c is not cell_j):
+        return 0
+    even = _monomial_values(params, x)
+    later = _monomial_values(params, _run_point(x, i, j, 2))
+    growth = {c: later[c] - v for c, v in even.items()}
+    first_out = []
+    for t0, base, cell in ((0, even, cell_i), (1, odd, cell_j)):
+        last = cap  # the largest s with t0 + 2s' interior for every s' <= s
+        for c, value in base.items():
+            slope = growth[c] - growth[cell]
+            if slope < 0:
+                last = min(last, -((value - base[cell]) // slope) - 1)
+        first_out.append(t0 + 2 * last + 2)
+    return min(min(first_out) - 1, cap)
 
 
 # -- the greedy itinerary, one cells_of and one trop_vieta per reflection ----------

@@ -147,6 +147,24 @@ class TestLiftConsistency:
         report = lift_consistency(seed_point("1", "1", "1"), at_bound)
         assert len(report.steps) == LIFT_WORD_BOUND
 
+    @pytest.mark.parametrize("seed, last", [
+        ("9" * 4300 + "*t^-1", 6),
+        ("t^-" + "6" * 4300, 7),
+        ("+".join(f"t^-{k}" for k in range(1, 20)), 8),
+    ], ids=["long coefficient", "long exponent", "many terms"])
+    def test_step_cost_bound(self, seed, last):
+        # Each step is checked before it is taken; the steps before it run.
+        word = Word.parse(" ".join(f"s{1 + k % 3}" for k in range(LIFT_WORD_BOUND)))
+        with pytest.raises(ResourceError, match=f"exact step {last + 1} of 12 exceeds"):
+            lift_consistency(seed_point(seed, "t^-1", "t^-1"), word)
+        shorter = Word(word.letters[LIFT_WORD_BOUND - last:])
+        assert len(lift_consistency(seed_point(seed, "t^-1", "t^-1"), shorter).steps) == last
+
+    def test_step_cost_bound_admits_the_bound_word(self):
+        word = Word.parse(" ".join(f"s{1 + k % 3}" for k in range(LIFT_WORD_BOUND)))
+        for seed in (("t^-1", "t^-1", "t^-1"), ("1/3*t^-1", "2/5*t^-2", "t^-1")):
+            assert len(lift_consistency(seed_point(*seed), word).steps) == LIFT_WORD_BOUND
+
     def test_boundary_seed_flags_precondition(self):
         # Valuation vector (-1,-1,-2) lands on the boundary of the D cell.
         P = seed_point("t^-1", "t^-1", "t^-2")

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -17,6 +18,7 @@ from tropmarkov import cli, surface
 from tropmarkov.arithmetic import LIFT_WORD_BOUND, ZP_BOX_BOUND
 from tropmarkov.classifier import HEIGHT_BOUND, exception_rays_punctured
 from tropmarkov.cli import main
+from tropmarkov.dynamics import Word
 from tropmarkov.hyperbolic import (
     DEPTH_BOUND,
     partial_orbit_boundary,
@@ -314,6 +316,67 @@ class TestOrbitAndReduce:
         assert payload["word"] == "s3" and payload["steps"] == 1
 
 
+class TestOrbitBound:
+    """orbit refuses a point with a numerator or denominator of more than
+    cli.ORBIT_DIGIT_BOUND digits before it prints anything, whether a long
+    word grows it or the start point is that large."""
+
+    PARAMS = ("--params", "inf,inf,inf,-2")
+
+    def test_long_word(self, capsys):
+        # 20,583 letters; the coordinates pass CPython's 4300-digit str limit.
+        word = " ".join(["s1 s2 s3"] * 6861)
+        code, out, err = run_cli(capsys, "orbit", *self.PARAMS, "--point", "-2,-3,-5",
+                                 "--word", word)
+        assert (code, out, err.count("\n")) == (2, "", 1)
+        assert err.startswith("error: ") and "exceeds the configured bound of 1000 digits" in err
+
+    def test_checked_at_every_step(self, capsys):
+        word = " ".join(["s1 s2 s3"] * 2000)
+        _, _, err = run_cli(capsys, "orbit", *self.PARAMS, "--point", "-2,-3,-5", "--word", word)
+        k = int(err.split("after ")[1].split(" of ")[0])
+        applied = list(Word.parse(word).applied_order())
+        for m, expected in ((k - 1, 0), (k, 2)):
+            prefix = " ".join(f"s{g}" for g in reversed(applied[:m]))
+            code, out, _ = run_cli(capsys, "orbit", *self.PARAMS, "--point", "-2,-3,-5",
+                                   "--word", prefix)
+            assert code == expected
+            if code == 0:
+                digits = max(len(c.lstrip("-")) for c in json.loads(out)["final"])
+                assert digits == cli.ORBIT_DIGIT_BOUND
+
+    def test_huge_start_point(self, capsys):
+        big = 10**cli.ORBIT_DIGIT_BOUND
+        for point, word, expected in ((f"-{big},-1,-1", "s1", 2), (f"-1/{big},-1,-1", "", 2),
+                                      (f"-{big - 1},0,0", "", 0)):
+            code, out, err = run_cli(capsys, "orbit", "--params", "inf,inf,inf,inf",
+                                     "--point", point, "--word", word)
+            assert code == expected and (out == "") == (code == 2)
+            assert err.count("\n") == (code == 2)
+
+
+class TestDigitLimit:
+    """A number past the interpreter's integer-string limit is a usage error
+    that names the limit and shows the token cut short."""
+
+    HUGE = "9" * 5001
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--params", "inf,inf,inf,-2", "--point", f"-{HUGE},-3,-5"],
+        ["reduce", "--params", f"inf,inf,{HUGE},-2", "--point", "-2,-3,-5"],
+        ["orbit", "--params", "inf,inf,inf,-2", "--point", f"-2,-3,-1/{HUGE}", "--word", "s1"],
+        ["rays", "--d", f"-{HUGE}", "--height", "3"],
+        ["enumerate-zp", "--p", "2", "--D", f"1/{HUGE}"],
+        ["skeleton", "sample", "--params", "inf,inf,inf,-2", "--range", HUGE],
+        ["classify", "--params", "inf,inf,inf,-2", "--point", "1e5000,0,0"],
+    ])
+    def test_names_the_limit(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err.count("\n")) == (3, "", 1)
+        assert err.startswith("usage error: ") and len(err) < 200
+        assert f"exceeds the limit of {sys.get_int_max_str_digits()} digits" in err
+
+
 class TestDataCommands:
     def test_rays_csv(self, capsys):
         code, out, _ = run_cli(capsys, "rays", "--d", "-2", "--height", "1")
@@ -462,7 +525,8 @@ bare = set(sys.modules)
 import contextlib, io, json
 import tropmarkov.cli
 loaded = lambda: sorted(m[11:] for m in sys.modules if m.startswith("tropmarkov."))
-heavy = lambda: sorted({"dataclasses", "inspect", "typing"} & (set(sys.modules) - bare))
+heavy = lambda: sorted({"dataclasses", "inspect", "typing", "shutil", "bz2", "lzma"}
+                       & (set(sys.modules) - bare))
 out = {"import": loaded()}
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -479,7 +543,8 @@ def _fresh(*argvs) -> dict:
     env = dict(os.environ)
     src = str(Path(tropmarkov.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, "-c", _FRESH_SCRIPT, json.dumps(argvs)],
+    # -S: no site module, which may itself import shutil.
+    proc = subprocess.run([sys.executable, "-S", "-c", _FRESH_SCRIPT, json.dumps(argvs)],
                           capture_output=True, text=True, env=env, check=True)
     return json.loads(proc.stdout)
 
@@ -502,7 +567,9 @@ class TestLoadOnFirstUse:
 
     def test_no_code_generating_stdlib(self):
         # The value classes and the parser are built without dataclasses,
-        # inspect or typing: none loads beyond what the bare interpreter had.
+        # inspect or typing, and argparse's formatters read no terminal width,
+        # so no shutil (nor its bz2 and lzma): none loads beyond what the bare
+        # interpreter had.
         out = _fresh(["classify", "--params", "inf,inf,inf,-2", "--point", "-2,-3,-5"],
                      ["reduce", "--params", "1,-2,inf,3", "--point", "-2,-3,-5"],
                      ["pingpong", "--depth", "3", "--side", "boundary", "--stats"],
@@ -534,49 +601,123 @@ class TestLoadOnFirstUse:
 # -- the CLI contract under generated argv ---------------------------------------------
 #
 # A well-formed argv exits 0, or 2 where its inputs lie outside a command's
-# domain.  One defect picks the exit code: a malformed value or a missing
-# required flag exits 3, a size past its bound or an output path that cannot
-# be written exits 2, before anything is built.  Sizes stay small otherwise
-# (depth <= 8, grid <= 16, height <= 20).  "{tmp}" stands for a fresh
-# temporary directory, the only place a generated argv writes to.
+# domain or its output would pass a bound.  One defect picks the exit code: a
+# malformed value or a missing required flag exits 3, a size past its bound or
+# an output path that cannot be written exits 2, before anything is built.
+# Sizes stay small otherwise (depth <= 8, grid <= 16, height <= 20), except
+# for numbers with up to the interpreter's int-str limit of digits and words
+# up to the bounds.  "{tmp}" stands for a fresh temporary directory, the only
+# place a generated argv writes to.
 
 HUGE = 10**30
+LIMIT = sys.get_int_max_str_digits()
 
 _WORD_TOKENS = ("s1", "S2", "r3", "R1", "2", "s3")
 _POINTS = ("-2,-3,-5", "0,-1,-1", "-1/2,1/3,0", "-1,-2,-3", "-5,-4,-9",
            "-1000000001,-1000000000,-2000000001", f"-{HUGE},-{HUGE + 1},-{2 * HUGE + 1}")
 _RATIONALS = ("x", "1/0", "", "1/2/3")
 
-# flag -> (well-formed values, malformed values, values past a bound); the first
-# is a tuple or a strategy.
+
+def _digits(low: int, high: int):
+    """An integer of low to high digits, one digit repeated."""
+    return st.builds(lambda d, n: str(d) * n, st.integers(1, 9), st.integers(low, high))
+
+
+def _numbers(*forms: str):
+    """Each form with "{n}" an integer of a few digits fewer than the int-str
+    limit (near), or of up to 600 more (past)."""
+    return tuple(st.one_of([digits.map(form.format_map) for form in forms])
+                 for digits in (_digits(LIMIT - 3, LIMIT).map(lambda n: {"n": n}),
+                                _digits(LIMIT + 1, LIMIT + 600).map(lambda n: {"n": n})))
+
+
+def _cyclic_word(n: int) -> str:
+    return " ".join(f"s{1 + k % 3}" for k in range(n))
+
+
+_SKELETON_POINTS = st.integers(1, LIMIT - 1).map(
+    lambda k: f"-{10**(k - 1)},-{10**(k - 1) + 1},-{2 * 10**(k - 1) + 1}")
+_NEAR_POINT, _PAST_POINT = _numbers("-{n},-3,-5", "-2/{n},-3/{n},-5/{n}", "-2,-3,-5/{n}")
+_NEAR_PARAMS, _PAST_PARAMS = _numbers("inf,inf,inf,-{n}", "1/{n},-2,inf,3", "-1/{n},0,0,-1")
+_NEAR_RANGE, _PAST_RANGE = _numbers("{n}", "1/{n}", "-{n}/7")
+_NEAR_D, _PAST_D = _numbers("-{n}", "-1/{n}")
+_NEAR_DD, _PAST_DD = _numbers("1/{n}", "{n}/3")
+_NEAR_SEED, _PAST_SEED = _numbers("{n}*t^-1,t^-1,t^-1", "t^-{n},t^-1,t^-1", "1/{n},1,1")
+_SHORT_WORDS = st.lists(st.sampled_from(_WORD_TOKENS), max_size=4).map(" ".join)
+
+
+# flag -> (well-formed values, malformed values, values past a bound); each a
+# tuple or a strategy.
 FLAG_VALUES = {
     "--params": (("inf,inf,inf,-2", "1,-2,inf,3", "1/2,-5/3,inf,-7/4", "0,0,0,-1",
                   "-1,2,3,inf", "0,0,0,0"),
-                 ("inf,inf,inf", "abc,0,0,-1", "1/0,0,0,-1", ""), ()),
-    "--point": (_POINTS, ("1,2", "x,0,0", "1/0,0,0"), ()),
-    "--word": (st.lists(st.sampled_from(_WORD_TOKENS), max_size=4).map(" ".join),
+                 st.one_of(st.sampled_from(("inf,inf,inf", "abc,0,0,-1", "1/0,0,0,-1", "")),
+                           _PAST_PARAMS), ()),
+    "--point": (_POINTS,
+                st.one_of(st.sampled_from(("1,2", "x,0,0", "1/0,0,0")), _PAST_POINT), ()),
+    # Words up to LIFT_WORD_BOUND letters before reduction.
+    "--word": (st.lists(st.sampled_from(_WORD_TOKENS), max_size=LIFT_WORD_BOUND).map(" ".join),
                ("ss1", "s1 sr2", "rs3 s2", "s4", "x", "s"), ()),
     "--grid": (st.integers(2, 16), ("1", "0", "x", "2.5"), (surface.GRID_BOUND + 1, HUGE)),
-    "--range": (("4", "3", "1/2", "-2", "7/3"), _RATIONALS, ()),
+    "--range": (("4", "3", "1/2", "-2", "7/3"),
+                st.one_of(st.sampled_from(_RATIONALS), _PAST_RANGE), ()),
     "--format": (("csv", "json"), ("xml",), ()),
     "--max-steps": (st.one_of(st.integers(0, 50), st.just(HUGE)), ("-1", "x"), ()),
-    "--d": (("-2", "-1/2", "-7/3", "-3"), _RATIONALS, ()),
+    "--d": (("-2", "-1/2", "-7/3", "-3"),
+            st.one_of(st.sampled_from(_RATIONALS), _PAST_D), ()),
     "--height": (st.integers(0, 20), ("-1", "x"), (HEIGHT_BOUND + 1, HUGE)),
     "--depth": (st.integers(0, 8), ("-1", "x", "1.5"), (DEPTH_BOUND + 1, HUGE)),
     "--cell": ((1, 2, 3), (0, 4, "x"), ()),
     "--side": (("boundary", "skeleton"), ("both",), ()),
-    "--seed": (("t^-1,t^-1,t^-1", "1,1,1", "-t^-1,t^-1,t^-1"), ("t^-1,t^-1", "t^x,1,1", ""),
-               ()),
+    "--seed": (("t^-1,t^-1,t^-1", "1,1,1", "-t^-1,t^-1,t^-1"),
+               st.one_of(st.sampled_from(("t^-1,t^-1", "t^x,1,1", "")), _PAST_SEED), ()),
     "--abc": (("0,0,0", "-t,0,0"), ("0,0", "q,0,0"), ()),
     "--p": ((2, 3, 5, 7), (1, 4, -3, "x"), (ZP_BOX_BOUND**2 + 1, HUGE)),
     "--D": (("1/2", "1/4", "1/8", "3/4", "1/3", "1/9", "1/5", "1/7", "5/49", "7/2"),
-            _RATIONALS, (f"1/{2**40}",)),
+            st.one_of(st.sampled_from(_RATIONALS), _PAST_DD), (f"1/{2**40}",)),
     "--out": (("{tmp}/out",), (), ("{tmp}", "{tmp}/missing/out")),
     "--svg": (("{tmp}/out.svg",), (), ("{tmp}", "{tmp}/missing/out.svg")),
 }
-# Only lift-check bounds its word; orbit replays any word.
-LONG_WORDS = st.integers(LIFT_WORD_BOUND + 1, 400).map(
-    lambda n: " ".join(f"s{1 + k % 3}" for k in range(n)))
+# Per command: values that are well-formed or past a bound only there.
+COMMAND_VALUES = {
+    ("orbit",): {
+        # Mostly short words, else up to 2,000 letters: well short of growing
+        # any listed point past the digit bound.
+        "--word": (st.integers(0, 9).flatmap(
+                       lambda k: st.integers(0, 2000).map(_cyclic_word) if k == 9 else _SHORT_WORDS),
+                   (),
+                   # From -2,-3,-5 under inf,inf,inf,-2 the 4,791st letter of
+                   # s1 s2 s3 ... passes ORBIT_DIGIT_BOUND digits.
+                   st.integers(4791, 6000).map(lambda n: _cyclic_word(3 * -(-n // 3)))),
+        "--point": ((), (), st.integers(cli.ORBIT_DIGIT_BOUND, LIMIT - 1).map(
+            lambda k: f"-{10**k},-1,-1")),
+    },
+    ("lift-check",): {
+        "--word": ((), (), st.integers(LIFT_WORD_BOUND + 1, 400).map(_cyclic_word)),
+    },
+}
+# What a past-bound orbit word needs to grow past the bound.
+_ORBIT_GROWTH = {"--params": "inf,inf,inf,-2", "--point": "-2,-3,-5"}
+# Well-formed numbers near the int-str limit, which one example in five gives
+# one flag.  Each operation on them costs about the square of their digits, so
+# such an example keeps its counts small.
+NEAR_VALUES = {"--params": _NEAR_PARAMS, "--point": st.one_of(_SKELETON_POINTS, _NEAR_POINT),
+               "--range": _NEAR_RANGE, "--d": _NEAR_D, "--D": _NEAR_DD, "--seed": _NEAR_SEED}
+_NEAR_SIZES = {"--grid": st.integers(2, 4), "--height": st.integers(0, 4),
+               "--depth": st.integers(0, 3)}
+
+
+def _flag_values(path, name):
+    """(ok, bad, big) of the flag on the command, each a strategy or None."""
+    own = COMMAND_VALUES.get(path, {}).get(name, ((), (), ()))
+    return tuple(_strategy(base) if mine == () else _strategy(mine)
+                 for mine, base in zip(own, FLAG_VALUES[name]))
+
+
+def _strategy(values):
+    if isinstance(values, tuple):
+        return st.sampled_from(values) if values else None
+    return values
 
 
 @st.composite
@@ -592,32 +733,35 @@ def contract_argv(draw):
             if spec.get("action") == "store_true":
                 given_flags[name] = None
             else:
-                ok = FLAG_VALUES[name][0]
-                ok = st.sampled_from(ok) if isinstance(ok, tuple) else ok
-                given_flags[name] = str(draw(ok))
+                given_flags[name] = str(draw(_flag_values(path, name)[0]))
+    near = sorted(set(given_flags) & set(NEAR_VALUES))
+    if near and draw(st.integers(0, 4)) == 4:
+        name = draw(st.sampled_from(near))
+        given_flags[name] = draw(NEAR_VALUES[name])
+        given_flags.update((size, str(draw(values))) for size, values in _NEAR_SIZES.items()
+                           if size in dict(flags))
     if path == ("farey",) and "--svg" in given_flags:
         given_flags.pop("--out", None)  # farey then writes only its --svg file
-    defects = []
+    defects = {}
     for name in draw(st.lists(st.sampled_from(sorted(given_flags)), max_size=2, unique=True)):
         if given_flags[name] is None:
             continue
-        _, bad, big = FLAG_VALUES[name]
-        if name == "--word" and path == ("lift-check",):
-            big = (draw(LONG_WORDS),)
-        spec = dict(flags)[name]
-        kinds = [k for k, values in (("bad", bad), ("big", big)) if values]
-        kinds += ["missing"] if spec.get("required") else []
+        _, bad, big = _flag_values(path, name)
+        kinds = [k for k, values in (("bad", bad), ("big", big)) if values is not None]
+        kinds += ["missing"] if dict(flags)[name].get("required") else []
         kind = draw(st.sampled_from(kinds))
         if kind == "missing":
             del given_flags[name]
-            defects.append("bad")
+            defects[name] = "bad"
         else:
-            given_flags[name] = str(draw(st.sampled_from(bad if kind == "bad" else big)))
-            defects.append(kind)
+            given_flags[name] = str(draw(bad if kind == "bad" else big))
+            defects[name] = kind
+    if path == ("orbit",) and defects.get("--word") == "big":
+        given_flags.update((k, v) for k, v in _ORBIT_GROWTH.items() if k not in defects)
     argv = list(path)
     for name, value in given_flags.items():
         argv += [name] if value is None else [name, value]
-    return argv, defects
+    return argv, list(defects.values())
 
 
 def _run_in(tmp: str, argv: list[str]):
@@ -725,3 +869,31 @@ class TestCommandParser:
 
         assert help_text(cli._command_parser(path), ["-h"]) == \
             help_text(cli._build_parser(), [*path, "-h"])
+
+
+class TestHelpFormatter:
+    """cli._Formatter reads the terminal width only when it formats help; the
+    help it prints is the stock argparse formatter's, byte for byte."""
+
+    @staticmethod
+    def _helps() -> dict:
+        def help_text(parser, argv):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
+                parser.parse_args(argv)
+            return out.getvalue()
+
+        # Fresh parsers, not the cached ones, so the formatter patched in is used.
+        texts = {(): help_text(cli._build_parser.__wrapped__(), ["-h"])}
+        for path, _, handler, _ in cli._COMMANDS:
+            texts[path] = help_text(cli._build_parser.__wrapped__(), [*path, "-h"])
+            if handler:
+                texts[("own", *path)] = help_text(cli._command_parser.__wrapped__(path), ["-h"])
+        return texts
+
+    @pytest.mark.parametrize("columns", ["80", "40", "132"])
+    def test_help_is_the_stock_formatters(self, monkeypatch, columns):
+        monkeypatch.setenv("COLUMNS", columns)
+        ours = self._helps()
+        monkeypatch.setattr(cli, "_Formatter", argparse.HelpFormatter)
+        assert self._helps() == ours

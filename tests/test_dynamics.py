@@ -2,9 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import OracleWord, oracle_cells_of, oracle_euc_limit, oracle_greedy_path
+from conftest import (
+    OracleWord,
+    oracle_cells_of,
+    oracle_euc_limit,
+    oracle_greedy_path,
+    oracle_run_length,
+)
 from tropmarkov import dynamics
 from tropmarkov.errors import DomainError, ResourceError, UsageError
 from tropmarkov.sampling import random_params, random_skeleton_point, random_word
@@ -14,6 +20,8 @@ from tropmarkov.surface import (
     Params,
     QUADRATIC_CELLS,
     SUBQUADRATIC_CELLS,
+    _monomial_values,
+    _on_lattice,
     cells_of,
     f0,
     linear_cell,
@@ -487,6 +495,76 @@ class TestGreedyJumps:
             greedy_path(PT, longer, max_steps=101)
         trace = greedy_path(PT, longer, max_steps=100)
         assert trace.kind == "exhausted" and trace.steps == 100
+
+
+def _run_case(i, j, u1, u2, den, offsets):
+    """A point interior to the quadratic cell i, with u-coordinates (u1, u2)/den,
+    a run partner j, and parameters whose monomials exceed the cell's one at
+    the point by k * (u1 + u2)/den + (p * u1 + q * u2 + r)/den for each offset
+    (k, p, q, r); an offset None makes the parameter +inf.  Small p, q and r put
+    run points on or next to the cell walls."""
+    x = u_inverse(i, (F(u1, den), F(u2, den)))
+    m = 2 * x[i - 1]
+    bases = (m - x[0], m - x[1], m - x[2], m)
+    return Params.make(*(
+        "inf" if off is None else e + off[0] * F(u1 + u2, den) + F(off[1] * u1 + off[2] * u2
+                                                                   + off[3], den)
+        for off, e in zip(offsets, bases))), x
+
+
+def _lattice_run_length(params, x, i, j, cap, factor=1):
+    """dynamics._run_length on the lattice greedy_path sets up, L times factor."""
+    scale, coeffs = _on_lattice(params, factor, *(v.denominator for v in x))
+    return dynamics._run_length(coeffs, scale, x, i, j, cap)
+
+
+# Coordinates and denominators of a few digits or of thousands.
+_SIZES = st.one_of(st.integers(1, 60), st.integers(1, 10**3000))
+_DENS = st.one_of(st.integers(1, 12), st.integers(1, 10**1500))
+# Offsets up to a few times the point's size, on or off the lattice of the
+# point, and near the walls: any monomial can end a run, at or next to a tie.
+_OFFSETS = st.lists(st.one_of(st.none(), st.tuples(
+    st.one_of(st.just(0), st.fractions(F(1, 1000), 4, max_denominator=1000)),
+    st.integers(0, 6), st.integers(0, 6), st.integers(-1, 1))), min_size=4, max_size=4)
+HUGE_CAP = 10**4000
+
+
+class TestRunLength:
+    """The integer run length equals the Fraction one in conftest."""
+
+    @given(st.sampled_from(_PAIRS), _SIZES, _SIZES, _DENS, _OFFSETS,
+           st.integers(1, 10**20), st.integers(0, 10**6))
+    @settings(max_examples=200, deadline=None)
+    # The AX1 monomial one lattice step past a wall, then on it.
+    @example((1, 2), 5, 50, 1, [(0, 2, 0, 1), None, None, None], 1, 0)
+    @example((1, 2), 5, 50, 1, [(0, 2, 0, 0), None, None, None], 1, 0)
+    def test_matches_fraction_oracle(self, pair, u1, u2, den, offsets, factor, cap):
+        params, x = _run_case(*pair, u1, u2, den, offsets)
+        t = oracle_run_length(params, x, *pair, HUGE_CAP)
+        for c in {0, 1, max(t - 1, 0), t, t + 1, cap, HUGE_CAP}:
+            expected = oracle_run_length(params, x, *pair, c)
+            assert _lattice_run_length(params, x, *pair, c) == expected
+            assert _lattice_run_length(params, x, *pair, c, factor) == expected
+
+    def test_every_cell_ends_some_run(self):
+        # The cases above end runs at every cell kind: the monomial that is not
+        # above the expected cell's one at the first run point left out.
+        rng = random.Random(16)
+        ends = set()
+        for _ in range(300):
+            i, j = rng.choice(_PAIRS)
+            offsets = [None if rng.random() < 0.3 else
+                       (F(rng.randint(0, 4000), 1000), rng.randint(0, 2), rng.randint(0, 2),
+                        rng.randint(-1, 1)) for _ in range(4)]
+            params, x = _run_case(i, j, rng.randint(1, 10**40), rng.randint(1, 10**40),
+                                  rng.randint(1, 10**6), offsets)
+            t = _lattice_run_length(params, x, i, j, HUGE_CAP)
+            assert t == oracle_run_length(params, x, i, j, HUGE_CAP)
+            if t < HUGE_CAP:
+                values = _monomial_values(params, dynamics._run_point(x, i, j, t + 1))
+                cell = quadratic_cell(j if t % 2 == 0 else i)
+                ends |= {c for c, v in values.items() if c is not cell and v <= values[cell]}
+        assert ends == set(CellId)
 
 
 class TestCellAtlas:

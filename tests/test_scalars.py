@@ -1,5 +1,6 @@
 import copy
 import pickle
+import sys
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from tropmarkov.scalars import (
     ext_min,
     is_prime,
     p_adic_valuation,
+    parse_rational,
     thomae_gcd,
 )
 from tropmarkov.surface import Params
@@ -94,6 +96,44 @@ class TestExtRat:
         assert (INF / 2).is_infinite
         assert (2 * INF).is_infinite
         assert ExtRat(Fraction(-3)) / 2 == Fraction(-3, 2)
+
+
+class TestParseRational:
+    def test_forms(self):
+        assert [parse_rational(t) for t in (" -3/2 ", "7", "0.25", "-15e-1", "1_000")] == \
+            [Fraction(-3, 2), 7, Fraction(1, 4), Fraction(-3, 2), 1000]
+        for token in ("x", "1/0", "", "1/2/3", "1e_1"):
+            with pytest.raises(UsageError, match="not a rational number"):
+                parse_rational(token)
+
+    def test_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        nines = "9" * limit
+        assert parse_rational(nines) == 10**limit - 1
+        assert parse_rational(f"-1/{nines}") == Fraction(-1, 10**limit - 1)
+        assert parse_rational(f"1e{limit - 1}") == 10 ** (limit - 1)
+        # A digit too many, an exponent past the limit (checked before its power
+        # is built), and a decimal whose parts fit but whose numerator does not.
+        half = "1" * (limit // 2 + 1)
+        for token in (nines + "9", f"1/{nines}9", f"1e{limit}", "1e-100000", f"{half}.{half}"):
+            with pytest.raises(UsageError) as info:
+                parse_rational(token)
+            message = str(info.value)
+            assert f"exceeds the limit of {limit} digits" in message and len(message) < 120
+        with pytest.raises(UsageError, match=f"limit of {limit} digits"):
+            ExtRat(nines + "9")
+
+    def test_follows_the_interpreter_limit(self):
+        before = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(640)
+            assert parse_rational("9" * 640) == 10**640 - 1
+            with pytest.raises(UsageError, match="limit of 640 digits"):
+                parse_rational("9" * 641)
+            sys.set_int_max_str_digits(0)
+            assert parse_rational("9" * 5000) == 10**5000 - 1
+        finally:
+            sys.set_int_max_str_digits(before)
 
 
 class TestThomaeGcd:

@@ -29,7 +29,6 @@ from tropmarkov.surface import (
     ray_point,
     thresholds,
     trop_poly_f,
-    _finite_values,
     _lift_on_lattice,
     _threshold,
 )
@@ -331,7 +330,7 @@ class TestLatticeLift:
     def test_lattice_core_matches_validated_lift(self, params, v1, v2, w, k1, k2, kw):
         # The core on pairs scaled by k (not in lowest terms) lifts to the
         # same point as lift_from_plane on the reduced Fractions.
-        x = _lift_on_lattice(_finite_values(params), kw * w.numerator, kw * w.denominator,
+        x = _lift_on_lattice(params, kw * w.numerator, kw * w.denominator,
                              k1 * v1.numerator, k1 * v1.denominator,
                              k2 * v2.numerator, k2 * v2.denominator)
         assert x == lift_from_plane(params, w, (v1, v2, -v1 - v2))
