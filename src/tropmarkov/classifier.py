@@ -30,8 +30,6 @@ from .dynamics import (
     Word,
     gamma_of,
     greedy_path,
-    mat_mul,
-    transit_matrix,
     u_coords,
 )
 
@@ -180,15 +178,9 @@ def punctured_torus_in_U(d, x: Point3) -> bool:
     return gamma_of(x) < abs(d) / 2
 
 
-def _coprime_pairs(height: int):
-    for p in range(height + 1):
-        for q in range(height + 1):
-            if gcd(p, q) == 1:
-                yield p, q
-
-
 # Largest height exception_rays_punctured accepts; it lists about 1.8 h^2
-# generators, about 120k (6 s) at 256.
+# generators, about 120k at 256 in 0.2 s (0.5 s for the `rays` command), on a
+# shared 2-vCPU VM with Python 3.11.
 HEIGHT_BOUND = 256
 
 
@@ -201,12 +193,11 @@ def exception_rays_punctured(d, height: int) -> list[Point3]:
         raise UsageError(f"height must be nonnegative, got {height}")
     if height > HEIGHT_BOUND:
         raise ResourceError(f"height {height} exceeds the configured bound {HEIGHT_BOUND}")
-    half = d / 2
-    seen: set[Point3] = set()
-    for p, q in _coprime_pairs(height):
-        for pattern in ((q, p, p + q), (p + q, q, p), (p, p + q, q)):
-            seen.add(tuple(half * c for c in pattern))
-    return sorted(seen)
+    # Sorting the integer patterns in reverse sorts their images, as d/2 < 0.
+    seen = {pattern for p in range(height + 1) for q in range(height + 1) if gcd(p, q) == 1
+            for pattern in ((q, p, p + q), (p + q, q, p), (p, p + q, q))}
+    scaled = [d / 2 * c for c in range(2 * height + 1)]  # no coordinate passes 2 * height
+    return [(scaled[a], scaled[b], scaled[c]) for a, b, c in sorted(seen, reverse=True)]
 
 
 def matches_exception_ray(d, x: Point3) -> bool:
@@ -271,10 +262,6 @@ def farey_enumerate(depth: int) -> list[FareyTriple]:
     return triples
 
 
-def _mat_vec(a: Matrix2, v) -> tuple:
-    return (a[0][0] * v[0] + a[0][1] * v[1], a[1][0] * v[0] + a[1][1] * v[1])
-
-
 def _factor_in_v_monoid(m: Matrix2) -> list[int]:
     """Signs (leftmost factor first) with m = V_{e_k} ... V_{e_1}; m must be a
     nonnegative integer matrix of determinant one."""
@@ -323,33 +310,14 @@ def farey_triangle(triple: FareyTriple, i: int, d) -> tuple[Word, tuple[UVec, UV
     return word, vertices
 
 
-_BASE_TRIANGLE = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)),
-                  (Fraction(1), Fraction(1)))
-
-
 def table_orbit_triangles(d, depth: int) -> dict[int, list[tuple[Word, tuple[UVec, UVec, UVec]]]]:
     """Images of the D-cell triangle under words of length <= depth, reported
-    per quadratic cell in the u-coordinates of the cell containing each image.
-    A depth beyond DEPTH_BOUND raises ResourceError."""
+    per quadratic cell in the u-coordinates of the cell containing each image:
+    the words of length <= D ending in cell i are the `farey_triangle` words of
+    the depth-(D - 1) triples.  A depth beyond DEPTH_BOUND raises ResourceError."""
     from .hyperbolic import _check_depth
 
     d = _punctured_d(d)
     _check_depth(depth)
-    scale = abs(d) / 2
-    out: dict[int, list] = {1: [], 2: [], 3: []}
-    identity: Matrix2 = ((1, 0), (0, 1))
-    frontier = [(j, identity, (j,)) for j in (1, 2, 3)]
-    for _ in range(depth):
-        nxt_frontier = []
-        for cell, mat, applied in frontier:
-            verts = tuple(
-                tuple(scale * c for c in _mat_vec(mat, b)) for b in _BASE_TRIANGLE
-            )
-            out[cell].append((Word(tuple(reversed(applied))), verts))
-            for delta in (1, -1):
-                nxt_frontier.append(
-                    (_mod3(cell + delta), mat_mul(transit_matrix(delta), mat),
-                     applied + (_mod3(cell + delta),))
-                )
-        frontier = nxt_frontier
-    return out
+    triples = farey_enumerate(depth - 1) if depth else []
+    return {i: [farey_triangle(t, i, d) for t in triples] for i in (1, 2, 3)}

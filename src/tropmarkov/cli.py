@@ -49,10 +49,23 @@ class _Formatter(argparse.HelpFormatter):
         return super().format_help()
 
 
+def _int(text: str) -> int:
+    """int(text); an integer past the int-str limit names it, cut short."""
+    try:
+        return int(text)
+    except ValueError as exc:
+        if "integer string conversion" not in str(exc):
+            raise
+        from .scalars import _cut
+        raise argparse.ArgumentTypeError(f"{_cut(text)} exceeds the limit of "
+                                         f"{sys.get_int_max_str_digits()} digits for an integer")
+
+
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         kwargs.setdefault("formatter_class", _Formatter)
         super().__init__(*args, **kwargs)
+        self.register("type", int, _int)  # argparse still names the type int
         # Take a dash word holding a digit or one of ",/^." for a value, not
         # a flag: "-2,-3,-5", "-3/2", "-1,inf,inf,inf", "-t^-1,t^-1,t^-1".
         # No flag of this CLI holds one of them.
@@ -99,16 +112,11 @@ def _csv_text(header: tuple[str, ...], rows) -> str:
 
 def _cmd_skeleton_sample(args) -> dict | str:
     from .scalars import parse_rational
-    from .surface import Params, cells_of, lift_from_plane, plane_grid
+    from .surface import Params, grid_samples
 
     params = Params.parse(args.params)
-    values = plane_grid(args.grid, parse_rational(args.range))
-    rows = []
-    for v2 in values:
-        for v1 in values:
-            x = lift_from_plane(params, 0, (v1, v2, -v1 - v2))
-            cells = sorted(c.value for c in cells_of(params, x))
-            rows.append((v1, v2, x, cells))
+    rows = [(v1, v2, x, sorted(c.value for c in cells))
+            for v1, v2, x, cells in grid_samples(params, args.grid, parse_rational(args.range))]
     if args.format == "json":
         return {
             "params": str(params),

@@ -24,6 +24,7 @@ from .surface import (
     Point3,
     QUADRATIC_CELLS,
     SUBQUADRATIC_CELLS,
+    _lattice_monomials,
     _monomial_values,
     _on_lattice,
     cells_of,
@@ -334,12 +335,6 @@ def _run_point(x: Point3, i: int, j: int, t: int) -> Point3:
     y[i - 1] += delta * ((t + 1) // 2)
     y[j - 1] += delta * (t // 2)
     return (y[0], y[1], y[2])
-
-
-def _lattice_monomials(coeffs: list[int | None], x) -> list[int | None]:
-    """`_monomial_values` times L at x in (1/L)Z^3, in CELL_ORDER slots; coeffs are
-    the parameters times L, None where infinite, which makes its monomial None."""
-    return [2 * v for v in x] + [e if e is None else e + v for e, v in zip(coeffs, x)] + coeffs[3:]
 
 
 def _run_length(coeffs: list[int | None], scale: int, x: Point3, i: int, j: int, cap: int) -> int:

@@ -115,8 +115,9 @@ class Params:
 def _monomial_values(params: Params, x: Point3) -> dict[CellId, Fraction]:
     """The finite non-cubic monomials of f at x, keyed by the cell each one ties.
 
-    The only place the polynomial is written.  An infinite coefficient drops
-    its monomial; the squares are always finite, so every minimum is rational.
+    With `_lattice_monomials`, its integer form, the only place the polynomial
+    is written.  An infinite coefficient drops its monomial; the squares are
+    always finite, so every minimum is rational.
     """
     x1, x2, x3 = x
     values = {CellId.X1SQ: 2 * x1, CellId.X2SQ: 2 * x2, CellId.X3SQ: 2 * x3}
@@ -125,6 +126,12 @@ def _monomial_values(params: Params, x: Point3) -> dict[CellId, Fraction]:
         if not coeff.is_infinite:
             values[cell] = coeff.finite + xi
     return values
+
+
+def _lattice_monomials(coeffs: list[int | None], x) -> list[int | None]:
+    """`_monomial_values` times L at x in (1/L)Z^3, in CELL_ORDER slots; coeffs are
+    the parameters times L, None where infinite, which makes its monomial None."""
+    return [2 * v for v in x] + [e if e is None else e + v for e, v in zip(coeffs, x)] + coeffs[3:]
 
 
 def trop_poly_f(params: Params, x: Point3) -> Fraction:
@@ -257,8 +264,8 @@ def plane_point(v1, v2, v3=None) -> PlanePoint:
 
 
 # Most nodes per axis of a plane grid; skeleton sampling and rendering lift
-# grid^2 points, 65,536 at 256: about 4.2 s for the SVG or the CSV, best of 3
-# in-process on a shared 2-vCPU VM with Python 3.11.
+# grid^2 points, 65,536 at 256: about 1.4 s for the SVG and 0.8 s for the CSV,
+# best of 3 in-process on a shared 2-vCPU VM with Python 3.11.
 GRID_BOUND = 256
 
 
@@ -275,12 +282,33 @@ def plane_grid(grid: int, span) -> list[Fraction]:
     return [-span + 2 * span * Fraction(k, grid - 1) for k in range(grid)]
 
 
+def grid_samples(params: Params, grid: int, span):
+    """(v1, v2, point, cells) per node of the `plane_grid` square, v2 outer: the
+    node's lift to {f0 = 0} and the cells holding it, in CELL_ORDER.  The grid
+    is checked at the call, then lifted on one lattice (1/L)Z, L the lcm of the
+    grid's and the parameters' denominators; the cells are int comparisons."""
+    values = plane_grid(grid, span)
+    scale, coeffs = _on_lattice(params, *(v.denominator for v in values))
+    nums = [v.numerator * (scale // v.denominator) for v in values]
+    coeffs6 = [e if e is None else 6 * e for e in coeffs]  # on the lift's lattice (1/6L)Z
+    den = 6 * scale
+
+    def samples():
+        for v2, n2 in zip(values, nums):
+            for v1, n1 in zip(values, nums):
+                y = _integer_lift(coeffs, 0, n1, n2)
+                s = sum(y)
+                cells = [c for c, m in zip(CELL_ORDER, _lattice_monomials(coeffs6, y)) if m == s]
+                yield v1, v2, (Fraction(y[0], den), Fraction(y[1], den), Fraction(y[2], den)), cells
+    return samples()
+
+
 def lift_from_plane(params: Params, w, v: PlanePoint) -> Point3:
     """The unique point of the level set {f0 = w} projecting onto v.
 
     The point is v + alpha(1,1,1) with alpha the least of 2v_i - w,
     (a + v1 - w)/2, (b + v2 - w)/2, (c + v3 - w)/2 and (d - w)/3; an infinite
-    parameter drops its term.  `_lift_on_lattice` computes it.
+    parameter drops its term.  `_integer_lift` computes it.
     """
     w = Fraction(w)
     v1, v2, _ = plane_point(*v)
@@ -291,29 +319,28 @@ def lift_from_plane(params: Params, w, v: PlanePoint) -> Point3:
 def _lift_on_lattice(params: Params, w_num: int, w_den: int,
                     n1: int, d1: int, n2: int, d2: int) -> Point3:
     """`lift_from_plane` of v = (n1/d1, n2/d2, -n1/d1 - n2/d2) to {f0 = w_num/w_den};
-    every denominator is positive.
+    every denominator is positive, and the pairs need not be in lowest terms.
+    Nothing is validated: v3 = -v1 - v2 puts v on the plane by construction."""
+    scale, coeffs = _on_lattice(params, w_den, d1, d2)
+    y = _integer_lift(coeffs, w_num * (scale // w_den), n1 * (scale // d1), n2 * (scale // d2))
+    den = 6 * scale
+    return (Fraction(y[0], den), Fraction(y[1], den), Fraction(y[2], den))
 
-    With L a common multiple of the denominators of v1, v2, w and the finite
-    parameters, every candidate for alpha times 6L is an integer, so alpha is
-    one integer min over the lattice (1/6L)Z.  The point does not depend on
-    L, so the pairs need not be in lowest terms.  Nothing is validated: v3 =
-    -v1 - v2 puts v on the plane by construction.
-    """
-    scale, (a, b, c, d) = _on_lattice(params, w_den, d1, d2)
-    wl = w_num * (scale // w_den)
-    n1 *= scale // d1
-    n2 *= scale // d2
+
+def _integer_lift(coeffs: list[int | None], wl: int, n1: int, n2: int) -> tuple[int, int, int]:
+    """The lift of v = (n1, n2, -n1 - n2)/L to {f0 = wl/L}, times 6L, for coeffs
+    the parameters times L (None where infinite): every candidate for alpha
+    times 6L is an integer, so alpha is one integer min."""
     n3 = -n1 - n2
     w6 = 6 * wl
     alphas = [12 * n1 - w6, 12 * n2 - w6, 12 * n3 - w6]
-    for e, ni in ((a, n1), (b, n2), (c, n3)):
+    for e, ni in zip(coeffs, (n1, n2, n3)):
         if e is not None:
             alphas.append(3 * (e + ni - wl))
-    if d is not None:
-        alphas.append(2 * (d - wl))
+    if coeffs[3] is not None:
+        alphas.append(2 * (coeffs[3] - wl))
     m = min(alphas)
-    den = 6 * scale
-    return (Fraction(m + 6 * n1, den), Fraction(m + 6 * n2, den), Fraction(m + 6 * n3, den))
+    return (m + 6 * n1, m + 6 * n2, m + 6 * n3)
 
 
 # -- fixed sets of the involutions ---------------------------------------------

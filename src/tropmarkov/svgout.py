@@ -6,9 +6,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .surface import CellId, Params, lift_from_plane, cells_of, plane_grid
+from .surface import CellId, Params, grid_samples
 from .classifier import table_orbit_triangles
-from .hyperbolic import _tessellation_triangles, boundary_angle
+from .hyperbolic import _orbit_cycle, boundary_angle
 
 _CELL_COLORS = {
     CellId.X1SQ: "#c6dbef",
@@ -33,28 +33,25 @@ def _document(width: float, height: float, body: list[str]) -> str:
         f'width="{_fmt(width)}" height="{_fmt(height)}" '
         f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">'
     )
-    return "\n".join([head, *body, "</svg>"]) + "\n"
+    return "\n".join([head, *body, "</svg>", ""])
 
 
 def skeleton_svg(params: Params, grid: int, span) -> str:
     """Shaded plane projection: one square per grid node, coloured by cell."""
-    values = plane_grid(grid, span)
+    samples = grid_samples(params, grid, span)  # checks grid before size / grid
     span = Fraction(span)
     size = 480.0
     cell_px = size / grid
     body = [f'<rect width="{_fmt(size)}" height="{_fmt(size)}" fill="#ffffff"/>']
-    for v2 in values:
-        for v1 in values:
-            x = lift_from_plane(params, 0, (v1, v2, -v1 - v2))
-            cells = cells_of(params, x)
-            color = _CELL_COLORS[next(iter(cells))] if len(cells) == 1 else _MIXED_COLOR
-            # Exact ratios: a span of any size maps onto the picture.
-            px = float((v1 + span) / (2 * span)) * (size - cell_px)
-            py = float((span - v2) / (2 * span)) * (size - cell_px)
-            body.append(
-                f'<rect x="{_fmt(px)}" y="{_fmt(py)}" width="{_fmt(cell_px)}" '
-                f'height="{_fmt(cell_px)}" fill="{color}"/>'
-            )
+    for v1, v2, _, cells in samples:
+        color = _CELL_COLORS[cells[0]] if len(cells) == 1 else _MIXED_COLOR
+        # Exact ratios: a span of any size maps onto the picture.
+        px = float((v1 + span) / (2 * span)) * (size - cell_px)
+        py = float((span - v2) / (2 * span)) * (size - cell_px)
+        body.append(
+            f'<rect x="{_fmt(px)}" y="{_fmt(py)}" width="{_fmt(cell_px)}" '
+            f'height="{_fmt(cell_px)}" fill="{color}"/>'
+        )
     return _document(size, size, body)
 
 
@@ -96,37 +93,16 @@ def farey_svg(d, depth: int) -> str:
     return _document(3 * panel, panel, body)
 
 
-def _disk_xy(theta: float, radius: float, center: float) -> tuple[float, float]:
-    return (center + radius * math.cos(theta), center - radius * math.sin(theta))
-
-
-def _geodesic_points(th1: float, th2: float, radius: float,
-                     center: float) -> list[tuple[float, float]]:
-    segments = 24  # polyline pieces per circular arc
-    gap = math.remainder(th2 - th1, 2 * math.pi)
-    if abs(abs(gap) - math.pi) < 1e-12:
-        return [_disk_xy(th1, radius, center), _disk_xy(th2, radius, center)]
-    mid = th1 + gap / 2
-    half = abs(gap) / 2
-    dist = 1.0 / math.cos(half)
-    cx, cy = dist * math.cos(mid), dist * math.sin(mid)
-    arc_r = abs(math.tan(half))
-    p1 = (math.cos(th1), math.sin(th1))
-    p2 = (math.cos(th2), math.sin(th2))
-    a1 = math.atan2(p1[1] - cy, p1[0] - cx)
-    a2 = math.atan2(p2[1] - cy, p2[0] - cx)
-    sweep = math.remainder(a2 - a1, 2 * math.pi)
-    out = []
-    for k in range(segments + 1):
-        a = a1 + sweep * k / segments
-        x, y = cx + arc_r * math.cos(a), cy + arc_r * math.sin(a)
-        out.append((center + radius * x, center - radius * y))
-    return out
-
-
 def tessellation_svg(depth: int) -> str:
     """Orbit of the ideal triangle with vertices 0, 1, infinity, drawn in the
-    unit disk via the inverse stereographic chart."""
+    unit disk via the inverse stereographic chart.
+
+    The edges come straight off the depth-n orbit cycle: the three root
+    edges, then level by level each new point joined to its two older
+    neighbours, 3 * 2^(n+1) - 3 edges, each drawn once.  An edge is the exact
+    SVG arc of the geodesic (the circle through both ends orthogonal to the
+    boundary), or a line for a diameter.
+    """
     size = 480.0
     center = size / 2
     radius = size / 2 - 10
@@ -135,12 +111,25 @@ def tessellation_svg(depth: int) -> str:
         f'<circle cx="{_fmt(center)}" cy="{_fmt(center)}" r="{_fmt(radius)}" '
         'fill="none" stroke="#000000" stroke-width="1"/>',
     ]
-    for tri in sorted(tuple(sorted(t)) for t in _tessellation_triangles(depth)):
-        angles = [boundary_angle(v) for v in tri]
-        for k in range(3):
-            pts = _geodesic_points(angles[k], angles[(k + 1) % 3], radius, center)
-            path = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts)
-            body.append(
-                f'<polyline points="{path}" fill="none" stroke="#08519c" stroke-width="0.8"/>'
-            )
+    angles = [boundary_angle(x) for x in _orbit_cycle(depth)]
+    ends = [f"{_fmt(center + radius * math.cos(t))},{_fmt(center - radius * math.sin(t))}"
+            for t in angles]
+
+    def edge(a: int, b: int) -> str:
+        gap = math.remainder(angles[b] - angles[a], 2 * math.pi)
+        if abs(abs(gap) - math.pi) < 1e-12:
+            path = f"M {ends[a]} L {ends[b]}"
+        else:
+            # The arc bows inwards: clockwise (sweep 1) when b is counterclockwise
+            # of a.  A short arc's middle moves 1/sin(gap/2) times as far as r.
+            r = f"{radius * abs(math.tan(gap / 2)):.6f}"
+            path = f"M {ends[a]} A {r},{r} 0 0,{1 if gap > 0 else 0} {ends[b]}"
+        return f'<path d="{path}" fill="none" stroke="#08519c" stroke-width="0.8"/>'
+
+    third = len(angles) // 3
+    body += [edge(0, third), edge(third, 2 * third), edge(2 * third, 0)]
+    for k in range(1, depth + 1):
+        step = 1 << (depth - k)  # the depth-k points are the odd multiples of step
+        for j in range(step, len(angles), 2 * step):
+            body += (edge(j - step, j), edge(j, (j + step) % len(angles)))
     return _document(size, size, body)

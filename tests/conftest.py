@@ -51,6 +51,8 @@ from tropmarkov.dynamics import (
     _ray_index_of,
     _run_point,
     euc,
+    mat_mul,
+    transit_matrix,
     trop_vieta,
     u_coords,
 )
@@ -473,6 +475,84 @@ def oracle_tessellation_triangles(n: int) -> set:
                     fresh.append(img)
         frontier = fresh
     return triangles
+
+
+def _oracle_disk_xy(theta: float, radius: float, center: float) -> tuple[float, float]:
+    return (center + radius * math.cos(theta), center - radius * math.sin(theta))
+
+
+def oracle_geodesic_points(th1: float, th2: float, radius: float,
+                           center: float) -> list[tuple[float, float]]:
+    """The geodesic between the boundary angles th1 and th2 as the library drew
+    it: 25 points along the circle orthogonal to the boundary, from th1 to th2,
+    in page coordinates (y down); its two ends for a diameter."""
+    segments = 24  # polyline pieces per circular arc
+    gap = math.remainder(th2 - th1, 2 * math.pi)
+    if abs(abs(gap) - math.pi) < 1e-12:
+        return [_oracle_disk_xy(th1, radius, center), _oracle_disk_xy(th2, radius, center)]
+    mid = th1 + gap / 2
+    half = abs(gap) / 2
+    dist = 1.0 / math.cos(half)
+    cx, cy = dist * math.cos(mid), dist * math.sin(mid)
+    arc_r = abs(math.tan(half))
+    p1 = (math.cos(th1), math.sin(th1))
+    p2 = (math.cos(th2), math.sin(th2))
+    a1 = math.atan2(p1[1] - cy, p1[0] - cx)
+    a2 = math.atan2(p2[1] - cy, p2[0] - cx)
+    sweep = math.remainder(a2 - a1, 2 * math.pi)
+    out = []
+    for k in range(segments + 1):
+        a = a1 + sweep * k / segments
+        x, y = cx + arc_r * math.cos(a), cy + arc_r * math.sin(a)
+        out.append((center + radius * x, center - radius * y))
+    return out
+
+
+# -- the orbit triangles of the D cell by breadth-first search over matrices -----
+
+
+_BASE_TRIANGLE = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)),
+                  (Fraction(1), Fraction(1)))
+
+
+def _oracle_mat_vec(a, v) -> tuple:
+    return (a[0][0] * v[0] + a[0][1] * v[1], a[1][0] * v[0] + a[1][1] * v[1])
+
+
+def oracle_table_orbit_triangles(d, depth: int) -> dict:
+    """Images of the D-cell triangle under words of length <= depth, per cell,
+    as the library built them: a breadth-first search that multiplies the
+    transit matrix of each step onto the word's matrix."""
+    scale = abs(Fraction(d)) / 2
+    out = {1: [], 2: [], 3: []}
+    identity = ((1, 0), (0, 1))
+    frontier = [(j, identity, (j,)) for j in (1, 2, 3)]
+    for _ in range(depth):
+        nxt_frontier = []
+        for cell, mat, applied in frontier:
+            verts = tuple(
+                tuple(scale * c for c in _oracle_mat_vec(mat, b)) for b in _BASE_TRIANGLE
+            )
+            out[cell].append((Word(tuple(reversed(applied))), verts))
+            for delta in (1, -1):
+                cell2 = (cell + delta - 1) % 3 + 1
+                nxt_frontier.append((cell2, mat_mul(transit_matrix(delta), mat),
+                                     applied + (cell2,)))
+        frontier = nxt_frontier
+    return out
+
+
+def oracle_exception_rays_punctured(d, height: int) -> list:
+    """The exception-ray generators as the library listed them: every pattern
+    scaled by d/2 as Fractions, deduplicated and sorted."""
+    half = Fraction(d) / 2
+    seen = set()
+    for p in range(height + 1):
+        for q in range(height + 1):
+            if math.gcd(p, q) == 1:
+                for pattern in ((q, p, p + q), (p + q, q, p), (p, p + q, q)):
+                    seen.add(tuple(half * c for c in pattern))
+    return sorted(seen)
 
 
 def _oracle_farey_children(t):

@@ -260,10 +260,10 @@ def test_criterion_09_farey_orbit():
             images = sorted(u_coords(i, apply_word(params, word, c)) for c in corners)
             assert images == sorted(verts)
     tri = table_orbit_triangles(d, 2)
-    base = ((F(1), F(0)), (F(0), F(1)), (F(1), F(1)))
+    root = ((F(0), F(1)), (F(1), F(1)), (F(1), F(0)))  # (left, mediant, right)
     for cell in (1, 2, 3):
         depth1 = [v for w, v in tri[cell] if len(w) == 1]
-        assert depth1 == [base]
+        assert depth1 == [root]
         depth2 = {frozenset(v) for w, v in tri[cell] if len(w) == 2}
         assert depth2 == {
             frozenset({(F(0), F(1)), (F(1), F(1)), (F(1), F(2))}),

@@ -5,7 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import oracle_farey_triples
+from conftest import (
+    oracle_exception_rays_punctured,
+    oracle_farey_triples,
+    oracle_table_orbit_triangles,
+)
 from tropmarkov.errors import DomainError, UsageError
 from tropmarkov.sampling import random_params, random_skeleton_point
 from tropmarkov.scalars import continued_fraction
@@ -174,6 +178,14 @@ class TestExceptionRays:
             assert on_skeleton(PT, g)
             assert not classify(PT, g).in_U
 
+    def test_matches_fraction_sort(self):
+        # Sorting the integer patterns and scaling once lists the same rows,
+        # in the same order, as scaling every pattern and sorting Fractions.
+        for d in (F(-2), F(-3), F(-1, 2), F(-7, 3)):
+            for height in range(21):
+                assert exception_rays_punctured(d, height) == oracle_exception_rays_punctured(
+                    d, height)
+
     def test_direction_pattern_of_example(self):
         # (-2,-3,-5) = (d/2)(q,p,p+q) with (p,q) = (3,2).
         assert matches_exception_ray(F(-2), pt(-2, -3, -5))
@@ -255,7 +267,8 @@ class TestTableOrbit:
             assert len(tri[cell]) == 1
             word, verts = tri[cell][0]
             assert word == Word((cell,))
-            assert verts == ((F(1), F(0)), (F(0), F(1)), (F(1), F(1)))
+            # The root triple's vertices (left, mediant, right).
+            assert verts == ((F(0), F(1)), (F(1), F(1)), (F(1), F(0)))
 
     def test_depth_two_matches_known_vertex_sets(self):
         tri = table_orbit_triangles(F(-2), 2)
@@ -273,15 +286,16 @@ class TestTableOrbit:
 
     def test_orbit_triangles_are_the_farey_triangles(self):
         # The Farey-orbit correspondence: the words of length <= D that end in
-        # cell i are the words of the depth-(D-1) triples in that cell.
-        for d in (F(-2), F(-3), F(-1, 2), F(-7, 3)):
-            for depth in range(1, 8):
+        # cell i, found by a search over transit matrices, are the words of
+        # the depth-(D-1) triples in that cell; only the order differs.
+        for d in (F(-2), F(-3), F(-1, 2), F(-7, 3), F(-3, 7), F(-10)):
+            for depth in range(8):
                 tri = table_orbit_triangles(d, depth)
-                triples = farey_enumerate(depth - 1)
+                oracle = oracle_table_orbit_triangles(d, depth)
                 for cell in (1, 2, 3):
-                    expected = {(str(w), frozenset(v))
-                                for w, v in (farey_triangle(t, cell, d) for t in triples)}
-                    assert {(str(w), frozenset(v)) for w, v in tri[cell]} == expected
+                    entries = [(w, frozenset(v)) for w, v in tri[cell]]
+                    assert len(set(entries)) == len(entries)
+                    assert set(entries) == {(w, frozenset(v)) for w, v in oracle[cell]}
 
     def test_words_verified_by_dynamics(self):
         d = F(-2)

@@ -231,6 +231,11 @@ class TestCsvBytes:
                 assert out == oracle_csv_text(["g1", "g2", "g3"],
                                               [[str(c) for c in g] for g in gens])
 
+    def test_rays_height_64_digest(self, capsys):
+        _, out, _ = run_cli(capsys, "rays", "--d", "-2", "--height", "64")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "c441d27425d00c73400409a6f7b7a9455c1476c87b1d22b8143efc0a1dfddd01")
+
     @pytest.mark.parametrize("params, grid, span", [
         ("inf,inf,inf,-2", 3, "2"), ("1/2,inf,-1,-2", 5, "3"), ("0,0,0,0", 4, "5/2"),
         ("-1,2,3,-5/2", 7, "4")])
@@ -369,6 +374,12 @@ class TestDigitLimit:
         ["enumerate-zp", "--p", "2", "--D", f"1/{HUGE}"],
         ["skeleton", "sample", "--params", "inf,inf,inf,-2", "--range", HUGE],
         ["classify", "--params", "inf,inf,inf,-2", "--point", "1e5000,0,0"],
+        # Integer flags: a valid integer, not an "invalid int value" echoed whole.
+        ["skeleton", "sample", "--params", "0,0,0,0", "--grid", HUGE],
+        ["tessellation", "--depth", HUGE, "--svg", "t.svg"],
+        ["rays", "--d", "-2", "--height", f"-{HUGE}"],
+        ["enumerate-zp", "--p", HUGE, "--D", "1/2"],
+        ["reduce", "--params", "inf,inf,inf,-2", "--point", "-2,-3,-5", "--max-steps", HUGE],
     ])
     def test_names_the_limit(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -455,6 +466,14 @@ class TestSvgCommands:
             capsys, "tessellation", "--depth", "2", "--svg", str(tess_file))
         assert code == 0
         assert "<circle" in tess_file.read_text()
+
+    def test_tessellation_digest(self, tmp_path, capsys):
+        # Each edge drawn once as an exact arc; pinned at depth 6.
+        tess_file = tmp_path / "tess.svg"
+        code, _, _ = run_cli(capsys, "tessellation", "--depth", "6", "--svg", str(tess_file))
+        assert code == 0
+        assert hashlib.sha256(tess_file.read_bytes()).hexdigest() == (
+            "085075c4a8c81808f5485b777483f71a73f6c09c8ab987069e3accdbb53c34a0")
 
 
 class TestEnvelope:

@@ -1,5 +1,7 @@
 import itertools
 import math
+import re
+from collections import Counter
 from fractions import Fraction
 from functools import cmp_to_key
 
@@ -8,6 +10,7 @@ from hypothesis import example, given, strategies as st
 
 from tropmarkov.errors import DomainError, ResourceError, UsageError
 from tropmarkov.dynamics import Word
+from tropmarkov.svgout import tessellation_svg
 from tropmarkov.hyperbolic import (
     BOUNDARY_CCW,
     BOUNDARY_NETS,
@@ -43,6 +46,7 @@ from conftest import (
     oracle_angular_cmp,
     oracle_apply_reflection_word,
     oracle_boundary_key,
+    oracle_geodesic_points,
     oracle_labels,
     oracle_order_isomorphism_check,
     oracle_orbit_cycle,
@@ -564,4 +568,83 @@ class TestSkeletonText:
     @example((3, -9, 0))  # 1/2, -3/2, 0
     def test_integer_triples(self, x):
         assert _circle_text(x) == self.fraction_text(x)
+
+
+
+# The disk of tessellation_svg, and one edge as it draws it:
+# "M x1,y1 A r,r 0 0,sweep x2,y2", or "M x1,y1 L x2,y2" for a diameter.
+_DISK_CENTER, _DISK_RADIUS = 240.0, 230.0
+_EDGE = re.compile(r'<path d="M ([\d.]+),([\d.]+) (?:A ([\d.]+),[\d.]+ 0 0,([01])|L) '
+                   r'([\d.]+),([\d.]+)"')
+
+
+def _svg_edges(depth: int) -> list[tuple]:
+    """(x1, y1, r, sweep, x2, y2) per drawn edge, r and sweep None for a line."""
+    text = tessellation_svg(depth)
+    edges = [(float(x1), float(y1), float(r) if r else None, int(sweep) if r else None,
+              float(x2), float(y2))
+             for x1, y1, r, sweep, x2, y2 in _EDGE.findall(text)]
+    assert len(edges) == text.count("<path")
+    return edges
+
+
+def _boundary_points_by_end(triangles) -> dict:
+    """Each vertex of the triangles keyed by its page position, as printed."""
+    by_end = {}
+    for x in {v for t in triangles for v in t}:
+        theta = boundary_angle(x)
+        key = (round(_DISK_CENTER + _DISK_RADIUS * math.cos(theta), 4),
+               round(_DISK_CENTER - _DISK_RADIUS * math.sin(theta), 4))
+        assert key not in by_end
+        by_end[key] = x
+    return by_end
+
+
+def _svg_arc_midpoint(x1, y1, r, sweep, x2, y2) -> tuple[float, float]:
+    """The middle point of the SVG arc with large-arc flag 0, by the SVG 1.1
+    endpoint-to-centre conversion (implementation notes F.6.5 and F.6.6)."""
+    x1p, y1p = (x1 - x2) / 2, (y1 - y2) / 2
+    r = max(r, math.hypot(x1p, y1p))
+    coef = math.sqrt(max(0.0, r * r / (x1p * x1p + y1p * y1p) - 1.0))
+    if sweep == 0:  # equal to the large-arc flag
+        coef = -coef
+    cxp, cyp = coef * y1p, -coef * x1p
+    t1 = math.atan2(y1p - cyp, x1p - cxp)
+    dt = math.atan2(-y1p - cyp, -x1p - cxp) - t1
+    if sweep == 0 and dt > 0:
+        dt -= 2 * math.pi
+    elif sweep == 1 and dt < 0:
+        dt += 2 * math.pi
+    cx, cy = cxp + (x1 + x2) / 2, cyp + (y1 + y2) / 2
+    return cx + r * math.cos(t1 + dt / 2), cy + r * math.sin(t1 + dt / 2)
+
+
+class TestTessellationSvg:
+    def test_each_edge_of_the_reflection_bfs_once(self):
+        for n in range(9):
+            triangles = oracle_tessellation_triangles(n)
+            by_end = _boundary_points_by_end(triangles)
+            drawn = Counter(frozenset((by_end[x1, y1], by_end[x2, y2]))
+                            for x1, y1, _, _, x2, y2 in _svg_edges(n))
+            expected = {frozenset(pair) for t in triangles
+                        for pair in itertools.combinations(t, 2)}
+            assert set(drawn) == expected
+            assert set(drawn.values()) == {1} and len(drawn) == 3 * 2 ** (n + 1) - 3
+
+    def test_arcs_follow_the_polyline_geodesics(self):
+        # The middle of each arc, found from its centre and sweep flag, is the
+        # middle of the 25-point polyline the library drew before.
+        for n in range(7):
+            by_end = _boundary_points_by_end(oracle_tessellation_triangles(n))
+            for x1, y1, r, sweep, x2, y2 in _svg_edges(n):
+                th1, th2 = (boundary_angle(by_end[end]) for end in ((x1, y1), (x2, y2)))
+                points = oracle_geodesic_points(th1, th2, _DISK_RADIUS, _DISK_CENTER)
+                if r is None:
+                    assert len(points) == 2
+                    mid = ((x1 + x2) / 2, (y1 + y2) / 2)
+                    expected = tuple((a + b) / 2 for a, b in zip(*points))
+                else:
+                    mid = _svg_arc_midpoint(x1, y1, r, sweep, x2, y2)
+                    expected = points[len(points) // 2]
+                assert math.dist(mid, expected) < 0.01
 

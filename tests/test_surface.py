@@ -8,6 +8,7 @@ from tropmarkov.errors import DomainError, UsageError
 from tropmarkov.sampling import random_params, random_skeleton_point
 from tropmarkov.scalars import ExtRat
 from tropmarkov.surface import (
+    CELL_ORDER,
     CellId,
     Params,
     QUADRATIC_CELLS,
@@ -15,6 +16,7 @@ from tropmarkov.surface import (
     cells_of,
     f0,
     fixed_set_point,
+    grid_samples,
     in_tropicalization,
     is_meromorphic,
     level_set_shift,
@@ -22,6 +24,7 @@ from tropmarkov.surface import (
     nxt,
     on_boundary_ray,
     on_skeleton,
+    plane_grid,
     plane_point,
     project_to_plane,
     prv,
@@ -336,6 +339,19 @@ class TestLatticeLift:
         assert x == lift_from_plane(params, w, (v1, v2, -v1 - v2))
         assert all(type(c) is Fraction for c in x)
         assert f0(params, x) == w
+
+    @given(params_with_inf, st.integers(2, 6), rationals.filter(lambda r: r != 0))
+    @settings(max_examples=100)
+    @example(Params.parse("1/7,-5/3,inf,-7/4"), 5, F(5, 3))
+    @example(Params.parse(f"1/{10**40 + 1},-2,inf,3"), 4, F(10**40))
+    def test_grid_samples_match_lift_and_cells_of(self, params, grid, span):
+        # The grid lifted on one lattice, cells by int comparison, against one
+        # validated lift and one Fraction cells_of per node.
+        values = plane_grid(grid, span)
+        expected = [(v1, v2, x, [c for c in CELL_ORDER if c in cells_of(params, x)])
+                    for v2 in values for v1 in values
+                    for x in [lift_from_plane(params, 0, (v1, v2, -v1 - v2))]]
+        assert list(grid_samples(params, grid, span)) == expected
 
     @given(params_with_inf)
     @settings(max_examples=150)
