@@ -247,15 +247,15 @@ FAREY_ROOT = FareyTriple((0, 1), (1, 1), (1, 0))
 def farey_enumerate(depth: int) -> list[FareyTriple]:
     """All triples reachable from ((0,1),(1,1),(1,0)) by at most ``depth``
     mediant subdivisions, in breadth-first order; 2^(depth+1) - 1 in total.
-    They are the tessellation triangles on the arc 0 -> 1 -> inf, each new
-    point the mediant of its older neighbours.  A depth beyond DEPTH_BOUND
-    raises ResourceError."""
+    They are the tessellation triangles on the arc 0 -> 1 -> inf, read off
+    ``depth`` rounds of mediant refinement of that line.  A depth beyond
+    DEPTH_BOUND raises ResourceError."""
     # hyperbolic loads here, not at import: classify never reads it.
-    from .hyperbolic import _tessellation_triangles
+    from .hyperbolic import _check_depth, _refine, _triangles
 
-    # Triples read off the cycle are valid by construction: skip FareyTriple's checks.
-    triangles = [t for t in _tessellation_triangles(depth) if t[1][0] >= 0]
-    triples = [object.__new__(FareyTriple) for _ in triangles]
+    _check_depth(depth)
+    triangles = _triangles(list(zip(_refine([0, 1, 1], depth), _refine([1, 1, 0], depth))), depth)
+    triples = [object.__new__(FareyTriple) for _ in triangles]  # valid: skip the checks
     for k, slot in enumerate((FareyTriple.left, FareyTriple.mid, FareyTriple.right)):
         for triple, t in zip(triples, triangles):
             slot.__set__(triple, t[k])
@@ -287,7 +287,14 @@ def farey_triangle(triple: FareyTriple, i: int, d) -> tuple[Word, tuple[UVec, UV
     d = _punctured_d(d)
     if i not in (1, 2, 3):
         raise UsageError(f"cell index must be 1, 2 or 3, got {i}")
-    (al, be), (p, q), (ga, de) = triple.left, triple.mid, triple.right
+    scale = abs(d) / 2
+    return _farey_word(triple, i), tuple((scale * a, scale * b) for a, b in
+                                         (triple.left, triple.mid, triple.right))
+
+
+def _farey_word(triple: FareyTriple, i: int) -> Word:
+    """The word of `farey_triangle`, for a cell index i in 1, 2, 3."""
+    (al, be), (ga, de) = triple.left, triple.right
     q_mat: Matrix2 = ((ga, al), (de, be))
     eta = _factor_in_v_monoid(q_mat)  # leftmost factor first
     m = len(eta)
@@ -300,14 +307,7 @@ def farey_triangle(triple: FareyTriple, i: int, d) -> tuple[Word, tuple[UVec, UV
         cell = _mod3(cell + e)
         letters_applied.append(cell)
     assert cell == i
-    word = Word(tuple(reversed(letters_applied)))
-    scale = abs(d) / 2
-    vertices = (
-        (scale * al, scale * be),
-        (scale * p, scale * q),
-        (scale * ga, scale * de),
-    )
-    return word, vertices
+    return Word(tuple(reversed(letters_applied)))
 
 
 def table_orbit_triangles(d, depth: int) -> dict[int, list[tuple[Word, tuple[UVec, UVec, UVec]]]]:

@@ -9,8 +9,11 @@ p/q in Q union {inf}; the three reflections act by
 The nets 0, inf, 1 (for r1, r2, r3 respectively) generate the full rational
 boundary under the group, by strict height descent.  Each r_i has determinant
 -1, so the orbit stays coprime with no gcd (`_boundary_act`); `bpoint` works
-only at the API edges.  The skeleton orbit, of the fully degenerate skeleton's
-boundary-ray directions, is the image of the boundary orbit under `_phi`;
+only at the API edges.  Each orbit level puts the mediant (p + r)/(q + s) in
+each gap p/q, r/s, so `_orbit_cycle` is mediant refinement of integer columns;
+the parity colour (p mod 2, q mod 2), which every r_i keeps, names a point's net
+(`_colour`).  The skeleton orbit, of the fully degenerate skeleton's boundary-ray
+directions, is the image of the boundary orbit under `_phi`;
 `partial_orbit_skeleton` and `skeleton_direction_act` alone return Fractions.
 """
 
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add, neg, sub
 
 from .errors import DomainError, ResourceError, UsageError
 from .dynamics import Matrix2, Word, mat_mul
@@ -36,13 +40,6 @@ def bpoint(p: int, q: int) -> BPoint:
     if q < 0 or (q == 0 and p < 0):
         p, q = -p, -q
     return (p, q)
-
-
-def bpoint_from_rational(value: Fraction | int | str) -> BPoint:
-    if isinstance(value, str) and value.strip().lower() == "inf":
-        return (1, 0)
-    f = Fraction(value)
-    return bpoint(f.numerator, f.denominator)
 
 
 def _boundary_act(i: int, x: BPoint) -> BPoint:
@@ -102,10 +99,6 @@ def apply_reflection_word(word: Word, x: BPoint) -> BPoint:
     return (p, q) if q > 0 or (q == 0 and p > 0) else (-p, -q)
 
 
-BOUNDARY_NETS: dict[int, BPoint] = {1: (0, 1), 2: (1, 0), 3: (1, 1)}
-BOUNDARY_CCW = (1, 3, 2)  # 0, 1, inf
-
-
 def height(x: BPoint) -> int:
     return max(abs(x[0]), abs(x[1]))
 
@@ -161,32 +154,28 @@ def _drop_last(runs: list[list[int]]) -> None:
 # -- partial orbits ----------------------------------------------------------------
 
 
-def _orbit_cycle(n: int, nets: dict[int, BPoint] = BOUNDARY_NETS) -> list[BPoint]:
-    """Boundary orbit points of the labels of length <= n (a net and a reduced
-    word modulo the net's stabiliser), in cyclic order with no comparison.
-
-    The circle reads a, arc c, b, arc a, c, arc b for the nets a, b, c = 0, 1,
-    inf (``BOUNDARY_CCW``), where arc g holds the points with outermost letter
-    g.  Each level puts one point in each gap (criterion 7), and r_g maps the
-    rest of the circle onto arc g reversing orientation: the new points of arc
-    g, at its even positions, are the r_g images of the last level's points in
-    the arcs beside net g, reversed.  The slice with step 2^(n-k) is the
-    depth-k cycle.  Other ``nets`` keep the layout, so a label has one position
-    in every cycle.  The depth is checked against DEPTH_BOUND first.
-    """
-    _check_depth(n)
-    a, b, c = BOUNDARY_CCW
-    sides = {a: (b, c), b: (c, a), c: (a, b)}  # the arcs before and after net g
-    arcs = {g: [] for g in BOUNDARY_CCW}
-    sources = {g: [nets[g]] for g in BOUNDARY_CCW}  # points r_g maps to the next level
+def _refine(column: list[int], n: int) -> list[int]:
+    """n rounds of mediant refinement of a column: each puts neighbour sums between."""
     for _ in range(n):
-        fresh = {g: [_boundary_act(g, x) for x in sources[g]] for g in BOUNDARY_CCW}
-        for g in BOUNDARY_CCW:
-            arc = [None] * (2 * len(fresh[g]) - 1)
-            arc[::2], arc[1::2] = fresh[g], arcs[g]
-            arcs[g] = arc
-        sources = {g: (fresh[h] + fresh[k])[::-1] for g, (h, k) in sides.items()}
-    return [nets[a], *arcs[c], nets[b], *arcs[a], nets[c], *arcs[b]]
+        refined = column + column[1:]
+        refined[::2], refined[1::2] = column, map(add, column, column[1:])
+        column = refined
+    return column
+
+
+def _orbit_cycle(n: int) -> tuple[list[int], list[int]]:
+    """Boundary orbit points of the labels of length <= n (a net and a reduced
+    word modulo the net's stabiliser) in cyclic order from 0, as the columns of
+    numerators and denominators.  Each level puts one point in each gap
+    (criterion 7), the mediant of its older neighbours, so the cycle is n rounds
+    of mediant refinement of the lines 0/1, 1/1, 1/0 and -1/0, 0/1.  Only one
+    column is refined: z -> 1/z reverses the first line, and z -> -z maps every
+    other point of it onto the second.  The slice with step 2^(n-k) is the
+    depth-k cycle.  The depth is checked against DEPTH_BOUND first."""
+    _check_depth(n)
+    p = _refine([0, 1, 1], n)
+    q = p[::-1]
+    return p + list(map(neg, p[-3:1:-2])), q + q[-3:1:-2]  # inf back to 0, ends left out
 
 
 def _check_depth(n: int):
@@ -199,25 +188,26 @@ def _check_depth(n: int):
 def partial_orbit_boundary(n: int) -> list[BPoint]:
     """The 3 * 2^n distinct orbit points of the nets under words of length <= n,
     in circular order on the boundary circle, ending with inf."""
-    cycle = _orbit_cycle(n)
+    cycle = list(zip(*_orbit_cycle(n)))
     cut = (2 << n) + 1  # just after inf, the third net
     return cycle[cut:] + cycle[:cut]
 
 
-def _tessellation_triangles(n: int) -> list[tuple[BPoint, BPoint, BPoint]]:
-    """The 3 * 2^n - 2 ideal triangles of the orbit of (0, 1, inf) under words
-    of length <= n: the root (0, 1, inf), then level by level in cyclic order.
-
-    Each depth-k point is the third vertex over the gap its two older
-    neighbours span (criterion 7), so its triangle is (older, new, older).
-    """
-    cycle = _orbit_cycle(n)
-    triangles = [(cycle[0], cycle[1 << n], cycle[2 << n])]
-    for k in range(1, n + 1):
-        level = cycle[::1 << (n - k)]  # the depth-k cycle; its odd positions are new
-        triangles += [(level[j - 1], level[j], level[(j + 1) % len(level)])
-                      for j in range(1, len(level), 2)]
+def _triangles(line: list[BPoint], n: int) -> list[tuple[BPoint, BPoint, BPoint]]:
+    """The root (positions 0, 2^n, 2^(n+1)) of a depth-n refined line, then level
+    by level each new point with its two older neighbours, (older, new, older)."""
+    triangles = [tuple(line[:(2 << n) + 1:1 << n])]
+    for k in range(n - 1, -1, -1):
+        step = 2 << k  # the new points of this level sit halfway between
+        triangles += zip(line[::step], line[step >> 1::step], line[step::step])
     return triangles
+
+
+def _tessellation_triangles(n: int) -> list[tuple[BPoint, BPoint, BPoint]]:
+    """The 3 * 2^n - 2 ideal triangles of the orbit of (0, 1, inf) under words of
+    length <= n, level by level in cyclic order (criterion 7)."""
+    cycle = list(zip(*_orbit_cycle(n)))
+    return _triangles(cycle + cycle[:1], n)
 
 
 CirclePointS = tuple[Fraction, Fraction, Fraction]
@@ -282,7 +272,7 @@ def _plane_vector(n: Direction) -> tuple[bool, int, int]:
 def _skeleton_cycle(n: int) -> list[Direction]:
     """The depth-n skeleton orbit as integer directions, in circular order from
     angle 0: _phi reverses the boundary cycle, read back from 1/3 (0 at n <= 1)."""
-    cycle = _orbit_cycle(n)
+    cycle = list(zip(*_orbit_cycle(n)))
     cut = (1 << n) >> 2
     return [_phi(x) for x in cycle[cut::-1] + cycle[:cut:-1]]
 
@@ -299,11 +289,6 @@ def partial_orbit_skeleton(n: int) -> list[CirclePointS]:
 # -- arc statistics -----------------------------------------------------------------
 
 
-def boundary_angle(x: BPoint) -> float:
-    """Angle of the inverse stereographic image of p/q on the unit circle."""
-    return 2.0 * math.atan2(x[0], x[1])
-
-
 def skeleton_angle(x: CirclePointS | Direction) -> float:
     """Angle of the plane image; one rounding, so a direction and its circle point agree."""
     s = -(x[0] + x[1] + x[2])
@@ -314,16 +299,16 @@ def skeleton_angle(x: CirclePointS | Direction) -> float:
 def partition_table(n: int, side: str) -> list[tuple[int, float, float]]:
     """Rows (count, min, max) of the arc lengths between adjacent orbit points
     at depths k = 0..n, all read from one depth-n orbit cycle."""
-    if side == "boundary":
-        angles = [boundary_angle(x) for x in _orbit_cycle(n)]
+    if side == "boundary":  # p/q at angle 2 atan2(p, q), its inverse stereographic image
+        angles = [2.0 * a for a in map(math.atan2, *_orbit_cycle(n))]
     elif side == "skeleton":
-        angles = [skeleton_angle(_phi(x)) for x in _orbit_cycle(n)]
+        angles = [skeleton_angle(_phi(x)) for x in zip(*_orbit_cycle(n))]
     else:
         raise UsageError(f"side must be 'boundary' or 'skeleton', got {side!r}")
     rows = []
     for k in range(n + 1):
         level = sorted(angles[::1 << (n - k)])  # the depth-k orbit
-        gaps = [b - a for a, b in zip(level, level[1:])]
+        gaps = list(map(sub, level[1:], level))
         gaps.append(2.0 * math.pi - (level[-1] - level[0]))
         rows.append((3 << k, min(gaps), max(gaps)))
     return rows
@@ -352,14 +337,28 @@ def order_isomorphism_check(n: int, net_order: tuple[int, int, int] = (1, 2, 3))
     net_order = tuple(net_order)
     if len(net_order) != 3 or not set(net_order) <= {1, 2, 3}:
         raise UsageError(f"net_order must be three net indices from 1, 2, 3, got {net_order}")
-    # One layout, so a position is a label: (i, w) is w s_j = _phi(w b_j), j = net_order[i].
-    nets = {i: BOUNDARY_NETS[j] for i, j in zip((1, 2, 3), net_order)}
-    bnd = _orbit_cycle(n)
-    moved = bnd if nets == BOUNDARY_NETS else _orbit_cycle(n, nets)
+    # The boundary cycle ascends; at label (i, w) sits w s_j = _phi(w b_j), j = net_order[i].
+    cycle = list(zip(*_orbit_cycle(n)))
+    moved = cycle if net_order == (1, 2, 3) else _relabel(cycle, n, net_order)
     skl = [_plane_vector(_phi(x)) for x in moved]
     # Strict cyclic order: exactly one step is not an ascent (or, reversed, not a
-    # descent); ties count both ways, so a repeated point fails.  Comparing r*q
-    # with p*s puts inf = (1, 0) above every finite p/q.
-    descents_b = sum(r * q <= p * s for (p, q), (r, s) in zip(bnd, bnd[1:] + bnd[:1]))
+    # descent); ties count both ways, so a repeated point fails.
     steps_s = [_angle_step(u, v) for u, v in zip(skl, skl[1:] + skl[:1])]
-    return descents_b == 1 and 1 in (sum(t <= 0 for t in steps_s), sum(t >= 0 for t in steps_s))
+    return 1 in (sum(t <= 0 for t in steps_s), sum(t >= 0 for t in steps_s))
+
+
+def _colour(x: BPoint) -> int:
+    """The net i of the parity colour of x: (0, 1), (1, 0), (1, 1) give 1, 2, 3."""
+    return 2 * (x[0] & 1) + (x[1] & 1)
+
+
+def _relabel(cycle: list[BPoint], n: int, net_order) -> list[BPoint]:
+    """w b_j, j = net_order[i], at the position of each label (i, w): w carries
+    (0, 1, inf) onto the point's creation triangle, the point and its two older
+    neighbours (the root for a net), so w b_j is that triangle's vertex coloured j."""
+    closed, top, moved = cycle + cycle[:1], 1 << n, []
+    for j, x in enumerate(cycle):
+        s = j & -j if j % top else 0  # the point is new at depth n - log2(s)
+        triangle = (closed[j - s], x, closed[j + s]) if s else cycle[::top]
+        moved.append(next(y for y in triangle if _colour(y) == net_order[_colour(x) - 1]))
+    return moved

@@ -7,8 +7,8 @@ import math
 from fractions import Fraction
 
 from .surface import CellId, Params, grid_samples
-from .classifier import table_orbit_triangles
-from .hyperbolic import _orbit_cycle, boundary_angle
+from .classifier import _farey_word, _punctured_d, farey_enumerate
+from .hyperbolic import _check_depth, _orbit_cycle
 
 _CELL_COLORS = {
     CellId.X1SQ: "#c6dbef",
@@ -57,14 +57,15 @@ def skeleton_svg(params: Params, grid: int, span) -> str:
 
 def farey_svg(d, depth: int) -> str:
     """Three u-coordinate panels with the orbit triangles of the D cell."""
-    triangles = table_orbit_triangles(d, depth)
+    scale = abs(_punctured_d(d)) / 2
+    _check_depth(depth)
+    triples = farey_enumerate(depth - 1) if depth else []
     panel = 260.0
     margin = 30.0
-    # The largest vertex coordinate, exact, so huge and tiny d scale without
-    # overflow; each coordinate is drawn at its exact ratio to it.
-    umax = max((c for per_cell in triangles.values() for _, verts in per_cell
-                for v in verts for c in v), default=Fraction(1))
-    umax = max(umax, Fraction(1, 10**9))
+    # Vertex |d|/2 (a, b) is drawn at its exact ratio a * (|d|/2) / umax to the largest
+    # coordinate umax, one correctly rounded int division, so any d scales.
+    amax = max((c for t in triples for pair in (t.left, t.mid, t.right) for c in pair), default=1)
+    num, den = (scale / max(scale * amax, Fraction(1, 10**9))).as_integer_ratio()
     inner = panel - 2 * margin
     body = [f'<rect width="{_fmt(3 * panel)}" height="{_fmt(panel)}" fill="#ffffff"/>']
     for cell in (1, 2, 3):
@@ -81,14 +82,14 @@ def farey_svg(d, depth: int) -> str:
         body.append(
             f'<text x="{_fmt(ox)}" y="{_fmt(margin - 8)}" font-size="12">cell {cell}</text>'
         )
-        for word, verts in triangles[cell]:
+        for t in triples:
             pts = " ".join(
-                f"{_fmt(ox + float(v[0] / umax) * inner)},{_fmt(oy - float(v[1] / umax) * inner)}"
-                for v in verts
+                f"{_fmt(ox + a * num / den * inner)},{_fmt(oy - b * num / den * inner)}"
+                for a, b in (t.left, t.mid, t.right)
             )
             body.append(
                 f'<polygon points="{pts}" fill="none" stroke="#08519c" '
-                f'stroke-width="1"><title>{word}</title></polygon>'
+                f'stroke-width="1"><title>{_farey_word(t, cell)}</title></polygon>'
             )
     return _document(3 * panel, panel, body)
 
@@ -111,7 +112,7 @@ def tessellation_svg(depth: int) -> str:
         f'<circle cx="{_fmt(center)}" cy="{_fmt(center)}" r="{_fmt(radius)}" '
         'fill="none" stroke="#000000" stroke-width="1"/>',
     ]
-    angles = [boundary_angle(x) for x in _orbit_cycle(depth)]
+    angles = [2.0 * a for a in map(math.atan2, *_orbit_cycle(depth))]  # p/q at 2 atan2(p, q)
     ends = [f"{_fmt(center + radius * math.cos(t))},{_fmt(center - radius * math.sin(t))}"
             for t in angles]
 

@@ -23,7 +23,6 @@ from tropmarkov.classifier import FAREY_ROOT, ClassifyReport, FareyTriple
 from tropmarkov.scalars import CF
 from tropmarkov.errors import DomainError, ResourceError, UsageError
 from tropmarkov.hyperbolic import (
-    BOUNDARY_NETS,
     SKELETON_DIRECTIONS,
     SKELETON_NETS,
     _direction_act,
@@ -274,6 +273,15 @@ def oracle_on_surface(point) -> bool:
 
 
 SK_INF = Params.make("inf", "inf", "inf", "inf")
+BOUNDARY_NETS = {1: (0, 1), 2: (1, 0), 3: (1, 1)}  # the nets 0, inf, 1 of r1, r2, r3
+
+
+def bpoint_from_rational(value):
+    """The normalised pair of a rational or of "inf"."""
+    if isinstance(value, str) and value.strip().lower() == "inf":
+        return (1, 0)
+    f = Fraction(value)
+    return bpoint(f.numerator, f.denominator)
 
 
 def oracle_reflect_boundary(i, x):
@@ -373,6 +381,11 @@ def oracle_tower(nets: dict, act, n: int) -> list:
     return points
 
 
+def oracle_boundary_angle(x) -> float:
+    """Angle of the inverse stereographic image of p/q on the unit circle."""
+    return 2.0 * math.atan2(x[0], x[1])
+
+
 def oracle_boundary_key(x):
     """Sort key of the boundary circle cut just after inf: p/q, then inf."""
     p, q = x
@@ -420,10 +433,11 @@ def oracle_order_isomorphism_check(n: int, net_order=(1, 2, 3)) -> bool:
     return oracle_cyclic_match(seq_b, seq_s)
 
 
-# -- both orbits built directly, arc by arc, as the library built them before _phi --
+# -- both orbits built arc by arc by reflections, as the library built them before --
 
 
 ORACLE_SKELETON_CCW = (1, 2, 3)  # the skeleton nets at 45, 135 and 270 degrees
+BOUNDARY_CCW = (1, 3, 2)  # the boundary nets 0, 1, inf counterclockwise
 
 
 def oracle_orbit_cycle(nets: dict, act, ccw: tuple, n: int) -> list:

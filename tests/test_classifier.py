@@ -1,9 +1,11 @@
 import math
 import random
+import re
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from conftest import (
     oracle_exception_rays_punctured,
@@ -32,6 +34,7 @@ from tropmarkov.classifier import (
     table_orbit_triangles,
 )
 from tropmarkov.dynamics import greedy_path
+from tropmarkov.svgout import farey_svg
 
 F = Fraction
 PT = Params.parse("inf,inf,inf,-2")
@@ -305,3 +308,34 @@ class TestTableOrbit:
             for word, verts in tri[cell]:
                 images = sorted(u_coords(cell, apply_word(PT, word, c)) for c in corners)
                 assert images == sorted(verts)
+
+
+class TestFareySvg:
+    """The panels scale integer vertex entries by one ratio; the Fraction
+    route divides each vertex coordinate of `table_orbit_triangles` by the
+    largest one (at least 10^-9) and floats the quotient."""
+
+    digits = st.integers(min_value=0, max_value=30).map(lambda k: 10**k)
+
+    @given(st.tuples(digits, digits, st.integers(min_value=1, max_value=999)),
+           st.integers(min_value=0, max_value=5))
+    @example((1, 10**22, 1), 3)  # |d|/2 * amax far below the clamp at 10^-9
+    @example((1, 10**9, 2), 1)  # umax = 10^-9 exactly
+    @example((1, 10**9, 1), 1)  # half of it, clamped
+    @example((10**30, 1, 7), 4)
+    def test_matches_fraction_route(self, sizes, depth):
+        num, den, k = sizes
+        d = -F(num * k, den)
+        tri = table_orbit_triangles(d, depth)
+        umax = max((c for per_cell in tri.values() for _, verts in per_cell
+                    for v in verts for c in v), default=F(1))
+        umax = max(umax, F(1, 10**9))
+        expected = []
+        for cell in (1, 2, 3):
+            ox, oy = (cell - 1) * 260.0 + 30.0, 230.0
+            for word, verts in tri[cell]:
+                pts = " ".join(f"{ox + float(u / umax) * 200.0:.4f},{oy - float(v / umax) * 200.0:.4f}"
+                               for u, v in verts)
+                expected.append((pts, str(word)))
+        got = re.findall(r'<polygon points="([^"]*)"[^>]*><title>([^<]*)</title>', farey_svg(d, depth))
+        assert got == expected

@@ -12,14 +12,10 @@ from tropmarkov.errors import DomainError, ResourceError, UsageError
 from tropmarkov.dynamics import Word
 from tropmarkov.svgout import tessellation_svg
 from tropmarkov.hyperbolic import (
-    BOUNDARY_CCW,
-    BOUNDARY_NETS,
     SKELETON_DIRECTIONS,
     SKELETON_NETS,
     apply_reflection_word,
-    boundary_angle,
     bpoint,
-    bpoint_from_rational,
     height,
     order_isomorphism_check,
     partial_orbit_boundary,
@@ -33,18 +29,24 @@ from tropmarkov.hyperbolic import (
     _boundary_act,
     _circle_point,
     _circle_text,
+    _colour,
     _direction_act,
     _orbit_cycle,
     _phi,
     _plane_xy,
+    _relabel,
     _skeleton_cycle,
     _tessellation_triangles,
 )
 
 from conftest import (
+    BOUNDARY_CCW,
+    BOUNDARY_NETS,
     ORACLE_SKELETON_CCW,
+    bpoint_from_rational,
     oracle_angular_cmp,
     oracle_apply_reflection_word,
+    oracle_boundary_angle,
     oracle_boundary_key,
     oracle_geodesic_points,
     oracle_labels,
@@ -61,6 +63,11 @@ from conftest import (
 )
 
 F = Fraction
+
+def cycle_points(n):
+    """The depth-n boundary cycle as a list of pairs."""
+    return list(zip(*_orbit_cycle(n)))
+
 
 projective_points = st.tuples(
     st.integers(min_value=-60, max_value=60), st.integers(min_value=-60, max_value=60)
@@ -322,7 +329,7 @@ def _comparator_sorted(points):
 
 
 class TestAgainstSlowPaths:
-    """The arc-by-arc orbit cycle against the sorted label tower, and the
+    """The mediant-refined orbit cycle against the sorted label tower, and the
     tower and its exact sort key against the seed's routes: per-label word
     replay and the cross-product comparator."""
 
@@ -376,7 +383,7 @@ class TestAgainstSlowPaths:
             return oracle_orbit_cycle(SKELETON_DIRECTIONS, _direction_act, ORACLE_SKELETON_CCW, k)
 
         for build, ccw, point, oracle_nets, oracle_act in (
-                (_orbit_cycle, BOUNDARY_CCW, tuple, BOUNDARY_NETS, oracle_reflect_boundary),
+                (cycle_points, BOUNDARY_CCW, tuple, BOUNDARY_NETS, oracle_reflect_boundary),
                 (skeleton_build, ORACLE_SKELETON_CCW, _circle_point,
                  SKELETON_NETS, oracle_skeleton_direction_act)):
             a, b, c = ccw
@@ -400,7 +407,7 @@ class TestAgainstSlowPaths:
         # direct build point for point.
         for n in range(7):
             assert _skeleton_cycle(n) == oracle_skeleton_cycle(n)
-            assert ([_phi(x) for x in _orbit_cycle(n)]
+            assert ([_phi(x) for x in cycle_points(n)]
                     == oracle_orbit_cycle(SKELETON_DIRECTIONS, _direction_act, BOUNDARY_CCW, n))
 
     def test_tessellation_matches_reflection_bfs(self):
@@ -410,7 +417,7 @@ class TestAgainstSlowPaths:
             assert set(triangles) == oracle_tessellation_triangles(n)
 
     def test_partition_table_matches_orbits(self):
-        for side, orbit, angle in (("boundary", partial_orbit_boundary, boundary_angle),
+        for side, orbit, angle in (("boundary", partial_orbit_boundary, oracle_boundary_angle),
                                    ("skeleton", partial_orbit_skeleton, skeleton_angle)):
             rows = []
             for k in range(9):
@@ -490,13 +497,31 @@ class TestBoundaryKernel:
 
     def test_cycle_matches_public_act(self):
         for n in range(11):
-            cycle = _orbit_cycle(n)
+            cycle = cycle_points(n)
             assert cycle == oracle_orbit_cycle(BOUNDARY_NETS, reflect_boundary, BOUNDARY_CCW, n)
         # The depth-10 cycle holds every orbit point of depth <= 10.
         for x in cycle:
             assert x == bpoint(*x)
             for i in (1, 2, 3):
                 assert _boundary_act(i, _boundary_act(i, x)) == x
+
+
+    def test_new_points_are_coloured_mediants(self):
+        # Each depth-k point is the mediant of its two depth-(k - 1)
+        # neighbours, with inf as -1/0 beside the negative numbers (the sign
+        # that makes the pair unimodular), and its parity colour is the net
+        # its height reduction ends at.
+        net_index = {net: i for i, net in BOUNDARY_NETS.items()}
+        assert [_colour(x) for x in cycle_points(0)] == [net_index[x] for x in cycle_points(0)]
+        for k in range(1, 11):
+            cycle = cycle_points(k)
+            assert cycle[::2] == cycle_points(k - 1)
+            for j in range(1, len(cycle), 2):
+                (a, b), x, (c, d) = cycle[j - 1], cycle[j], cycle[(j + 1) % len(cycle)]
+                det = b * c - a * d
+                assert det in (1, -1)
+                assert x == bpoint(det * a + c, det * b + d)
+                assert _colour(x) == net_index[oracle_reduce_to_nets(x)[1]]
 
 
 class TestConjugacy:
@@ -534,13 +559,17 @@ class TestConjugacy:
 
     def test_net_orders_match_direct_build(self):
         # order_isomorphism_check pairs boundary net i with skeleton net
-        # net_order[i] by building the boundary cycle from the boundary nets
-        # net_order[i]; a repeated net is allowed.
+        # net_order[i] by reading, at each position of the one cycle, the
+        # vertex of the point's creation triangle coloured net_order[i]; the
+        # reflection builder starts from the boundary nets net_order[i]
+        # instead.  A repeated net is allowed.
         for net_order in [*itertools.permutations((1, 2, 3)), (1, 1, 2), (3, 3, 3)]:
             moved = {i: BOUNDARY_NETS[j] for i, j in zip((1, 2, 3), net_order)}
             skel_nets = {i: SKELETON_DIRECTIONS[j] for i, j in zip((1, 2, 3), net_order)}
-            for n in range(9):
-                assert ([_phi(x) for x in _orbit_cycle(n, moved)]
+            for n in range(10):
+                relabelled = _relabel(cycle_points(n), n, net_order)
+                assert relabelled == oracle_orbit_cycle(moved, reflect_boundary, BOUNDARY_CCW, n)
+                assert ([_phi(x) for x in relabelled]
                         == oracle_orbit_cycle(skel_nets, _direction_act, BOUNDARY_CCW, n))
 
 
@@ -592,7 +621,7 @@ def _boundary_points_by_end(triangles) -> dict:
     """Each vertex of the triangles keyed by its page position, as printed."""
     by_end = {}
     for x in {v for t in triangles for v in t}:
-        theta = boundary_angle(x)
+        theta = oracle_boundary_angle(x)
         key = (round(_DISK_CENTER + _DISK_RADIUS * math.cos(theta), 4),
                round(_DISK_CENTER - _DISK_RADIUS * math.sin(theta), 4))
         assert key not in by_end
@@ -637,7 +666,7 @@ class TestTessellationSvg:
         for n in range(7):
             by_end = _boundary_points_by_end(oracle_tessellation_triangles(n))
             for x1, y1, r, sweep, x2, y2 in _svg_edges(n):
-                th1, th2 = (boundary_angle(by_end[end]) for end in ((x1, y1), (x2, y2)))
+                th1, th2 = (oracle_boundary_angle(by_end[end]) for end in ((x1, y1), (x2, y2)))
                 points = oracle_geodesic_points(th1, th2, _DISK_RADIUS, _DISK_CENTER)
                 if r is None:
                     assert len(points) == 2
