@@ -11,6 +11,7 @@ and by a closed formula over the continued fraction of the slope.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import groupby
 from math import gcd
 
 from .errors import DomainError, ResourceError, UsageError
@@ -26,6 +27,7 @@ from .surface import (
 )
 from .dynamics import (
     Matrix2,
+    Run,
     UVec,
     Word,
     gamma_of,
@@ -93,10 +95,6 @@ def index_shift_bruteforce(m) -> int:
     return sum(1 if t >= 1 else -1 for t in _t_orbit(v))
 
 
-def _sign_pow(exponent: int) -> int:
-    return 1 if exponent % 2 == 0 else -1
-
-
 def index_shift_cf(m) -> int:
     """Index shift by the continued-fraction formula
     1 + parity(A'(l)) + sum_{k<l} (-1)^(A'(k)) with A'(k) the partial sums of
@@ -108,7 +106,7 @@ def index_shift_cf(m) -> int:
         acc += a - 1
         aprime.append(acc)
     parity = aprime[-1] % 2
-    return 1 + parity + sum(_sign_pow(k) for k in aprime[:-1])
+    return 1 + parity + sum(-1 if k % 2 else 1 for k in aprime[:-1])
 
 
 # -- the classifier --------------------------------------------------------------
@@ -288,26 +286,38 @@ def farey_triangle(triple: FareyTriple, i: int, d) -> tuple[Word, tuple[UVec, UV
     if i not in (1, 2, 3):
         raise UsageError(f"cell index must be 1, 2 or 3, got {i}")
     scale = abs(d) / 2
-    return _farey_word(triple, i), tuple((scale * a, scale * b) for a, b in
-                                         (triple.left, triple.mid, triple.right))
+    return _farey_word(_farey_runs(triple), i), tuple((scale * a, scale * b) for a, b in
+                                                      (triple.left, triple.mid, triple.right))
 
 
-def _farey_word(triple: FareyTriple, i: int) -> Word:
-    """The word of `farey_triangle`, for a cell index i in 1, 2, 3."""
+def _farey_runs(triple: FareyTriple) -> tuple[Run, ...]:
+    """The display-order runs of the cell-1 word of `farey_triangle`, cut as `Word`
+    cuts them.  Read left to right, the word starts at 1 and steps by -(-1)^t eta_t
+    mod 3 for Q = V_{eta_0} V_{eta_1} ... = ((ga, al), (de, be)), so n equal factors
+    make a stretch of n + 1 alternating letters, sharing its ends with its neighbours."""
     (al, be), (ga, de) = triple.left, triple.right
-    q_mat: Matrix2 = ((ga, al), (de, be))
-    eta = _factor_in_v_monoid(q_mat)  # leftmost factor first
-    m = len(eta)
-    # Applied-order step signs: eps_j = (-1)^(m-j) * eta_j, eta_j = eta[m-j].
-    eps = [_sign_pow(m - j) * eta[m - j] for j in range(1, m + 1)]
-    j0 = _mod3(i - sum(eps))
-    letters_applied = [j0]
-    cell = j0
-    for e in eps:
-        cell = _mod3(cell + e)
-        letters_applied.append(cell)
-    assert cell == i
-    return Word(tuple(reversed(letters_applied)))
+    stretches = [(1, 0, 0)]  # (prev, first, n); the letter 1 alone first
+    prev, t = 1, 0
+    for sign, factors in groupby(_factor_in_v_monoid(((ga, al), (de, be)))):
+        n = len(list(factors))
+        first = _mod3(prev + (sign if t % 2 else -sign))
+        stretches.append((prev, first, n))
+        prev, t = first if n % 2 else prev, t + n
+    runs: list[Run] = []
+    avail = stretches[-1][2] + 1  # the letters of stretch k no run took, from its left
+    for k in range(len(stretches) - 1, 0, -1):
+        if avail > 1:
+            runs.append((*stretches[k][:2], avail))
+            avail = stretches[k - 1][2]  # its last letter is in this run
+        else:  # the lone letter left ends stretch k - 1, which one run then takes whole
+            avail = stretches[k - 1][2] + 1
+    return (((1, 0, 1),) if avail else ()) + tuple(reversed(runs))
+
+
+def _farey_word(runs: tuple[Run, ...], i: int) -> Word:
+    """The cell-i word of `farey_triangle` from `_farey_runs`: every letter
+    shifted by i - 1 mod 3, which keeps the runs maximal."""
+    return Word._of_runs(tuple((_mod3(a + i - 1), b and _mod3(b + i - 1), n) for a, b, n in runs))
 
 
 def table_orbit_triangles(d, depth: int) -> dict[int, list[tuple[Word, tuple[UVec, UVec, UVec]]]]:

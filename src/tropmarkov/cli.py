@@ -242,7 +242,7 @@ def _cmd_tessellation(args) -> None:
 
 
 def _cmd_pingpong(args) -> str:
-    from .hyperbolic import _circle_text, _skeleton_cycle, partial_orbit_boundary, partition_table
+    from .hyperbolic import _skeleton_cycle, _skeleton_text, partial_orbit_boundary, partition_table
 
     if args.stats:
         table = partition_table(args.depth, args.side)
@@ -251,7 +251,7 @@ def _cmd_pingpong(args) -> str:
         return _csv_text(("n", "count", "delta", "Delta"), rows)
     if args.side == "boundary":
         return _csv_text(("p", "q"), partial_orbit_boundary(args.depth))
-    return _csv_text(("x1", "x2", "x3"), map(_circle_text, _skeleton_cycle(args.depth)))
+    return _csv_text(("x1", "x2", "x3"), map(_skeleton_text, _skeleton_cycle(args.depth)))
 
 
 def _cmd_fatou(args) -> dict:

@@ -22,17 +22,13 @@ from .surface import (
     CellId,
     Params,
     Point3,
-    QUADRATIC_CELLS,
-    SUBQUADRATIC_CELLS,
-    _lattice_monomials,
-    _monomial_values,
+    _cell_slots,
+    _finite_values,
+    _monomials,
     _on_lattice,
-    cells_of,
-    linear_cell,
     nxt,
     point_text,
     prv,
-    quadratic_cell,
 )
 
 UVec = tuple[Fraction, Fraction]
@@ -207,12 +203,12 @@ class Word:
 def trop_vieta(params: Params, i: int, x: Point3) -> Point3:
     """Apply the i-th tropicalized involution.  Total on R^3; involutive.
 
-    x_i becomes the min of the monomials free of x_i, minus x_i.
+    x_i becomes the min of the monomials free of x_i (all slots but i - 1, i + 2), minus x_i.
     """
     if i not in (1, 2, 3):
         raise UsageError(f"generator index must be 1, 2 or 3, got {i}")
-    own = (quadratic_cell(i), linear_cell(i))
-    m = min(v for cell, v in _monomial_values(params, x).items() if cell not in own)
+    values = _monomials(_finite_values(params), x)
+    m = min([v for k, v in enumerate(values) if v is not None and k != i - 1 and k != i + 2])
     y = list(x)
     y[i - 1] = m - x[i - 1]
     return tuple(y)
@@ -306,14 +302,6 @@ class GreedyTrace:
     steps: int = 0
 
 
-def _ray_index_of(quads: set[CellId]) -> int:
-    for i in (1, 2, 3):
-        pair = {quadratic_cell(nxt(i)), quadratic_cell(prv(i))}
-        if pair <= quads:
-            return i
-    raise DomainError(f"no ray matches the quadratic cells {quads}")
-
-
 def _run_continues(applied: list[int], i: int) -> bool:
     """Whether the letters j, i, j just applied start a run that i continues.
 
@@ -351,11 +339,11 @@ def _run_length(coeffs: list[int | None], scale: int, x: Point3, i: int, j: int,
     affine, so no t before it fails.  t = 1 is checked first, as many runs end there.
     """
     x = [v.numerator * (scale // v.denominator) for v in x]
-    odd = _lattice_monomials(coeffs, _run_point(x, i, j, 1))
+    odd = _monomials(coeffs, _run_point(x, i, j, 1))
     if any(v is not None and v <= odd[j - 1] for v in odd[:j - 1] + odd[j:]):
         return 0
-    even = _lattice_monomials(coeffs, x)
-    later = _lattice_monomials(coeffs, _run_point(x, i, j, 2))
+    even = _monomials(coeffs, x)
+    later = _monomials(coeffs, _run_point(x, i, j, 2))
     growth = [v if v is None else w - v for v, w in zip(even, later)]
     first_out = []
     for t0, base, cell in ((0, even, i - 1), (1, odd, j - 1)):
@@ -376,27 +364,26 @@ def greedy_path(params: Params, x: Point3, max_steps: int | None = None) -> Gree
     kind "exhausted"; past STEP_BOUND reflections ResourceError is raised.
     """
     if max_steps is not None and max_steps < 0:
-        # The first cells_of call below is the skeleton check; it must run.
+        # The first cell test below is the skeleton check; it must run.
         raise UsageError(f"max_steps must be nonnegative, got {max_steps}")
     room = STEP_BOUND + 1 if max_steps is None else min(max_steps, STEP_BOUND + 1)
+    finite = _finite_values(params)
     scale, coeffs = _on_lattice(params, *(v.denominator for v in x))
     runs: list[list[int]] = []  # the word so far, as maximal runs in applied order
     recent: list[int] = []  # the last letters applied, as many as _run_continues reads
     cur = x
     step = 0
     while True:
-        cells = cells_of(params, cur)
-        quads = {c for c in cells if c in QUADRATIC_CELLS}
+        slots = _cell_slots(params, finite, cur)  # ascending: quadratic slots 0-2 first
         # Ray has priority: junction points of subquadratic cells and rays
-        # count as ray terminals.
-        if len(quads) >= 2:
-            return GreedyTrace(x, Word._of_runs(_display(runs)), cur, "ray",
-                               None, _ray_index_of(quads), step)
-        sub = [c for c in CELL_ORDER if c in cells and c in SUBQUADRATIC_CELLS]
-        if sub:
+        # count as ray terminals.  The ray R_i lies on the cells X_{i+1}^2 and X_{i-1}^2.
+        if len(slots) > 1 and slots[1] < 3:
+            ray = next(i for i in (1, 2, 3) if i % 3 in slots and (i + 1) % 3 in slots)
+            return GreedyTrace(x, Word._of_runs(_display(runs)), cur, "ray", None, ray, step)
+        if slots[-1] >= 3:
             return GreedyTrace(x, Word._of_runs(_display(runs)), cur, "subquadratic",
-                               sub[0], None, step)
-        i = QUADRATIC_CELLS.index(next(iter(quads))) + 1
+                               CELL_ORDER[next(k for k in slots if k >= 3)], None, step)
+        i = slots[0] + 1
         if step == max_steps:
             return GreedyTrace(x, Word._of_runs(_display(runs)), cur, "exhausted",
                                None, None, step)

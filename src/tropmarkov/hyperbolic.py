@@ -236,10 +236,12 @@ def _circle_point(n: Direction) -> CirclePointS:
     return (Fraction(n[0], s), Fraction(n[1], s), Fraction(n[2], s))
 
 
-def _circle_text(n: Direction) -> tuple[str, str, str]:
-    """The coordinates of _circle_point(n) as str prints them, one gcd each."""
-    s = -(n[0] + n[1] + n[2])
-    return tuple([str(c // g) if (g := math.gcd(c, s)) == s else f"{c // g}/{s // g}" for c in n])
+def _skeleton_text(n: Direction) -> tuple[str, str, str]:
+    """The coordinates of _circle_point(n) as str prints them, for n = _phi(x) of a coprime
+    pair: the sum is -2M, M = max |n_i|, and any other n_i is prime to M, so no gcd."""
+    m = -min(n)
+    return tuple(["0" if not c else "-1/2" if c == -m else f"{c // 2}/{m}" if c % 2 == 0
+                  else f"{c}/{2 * m}" for c in n])
 
 
 SKELETON_DIRECTIONS: dict[int, Direction] = {1: (0, -1, -1), 2: (-1, 0, -1), 3: (-1, -1, 0)}

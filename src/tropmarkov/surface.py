@@ -69,11 +69,6 @@ def quadratic_cell(i: int) -> CellId:
     return QUADRATIC_CELLS[i - 1]
 
 
-def linear_cell(i: int) -> CellId:
-    """The cell tied by the linear monomial in coordinate i (AX1, BX2 or CX3)."""
-    return SUBQUADRATIC_CELLS[i - 1]
-
-
 def nxt(i: int) -> int:
     """Cyclic successor of a coordinate index: 1->2->3->1."""
     return i % 3 + 1
@@ -112,36 +107,30 @@ class Params:
         return ",".join(str(v) for v in (self.a, self.b, self.c, self.d))
 
 
-def _monomial_values(params: Params, x: Point3) -> dict[CellId, Fraction]:
-    """The finite non-cubic monomials of f at x, keyed by the cell each one ties.
-
-    With `_lattice_monomials`, its integer form, the only place the polynomial
-    is written.  An infinite coefficient drops its monomial; the squares are
-    always finite, so every minimum is rational.
-    """
+def _monomials(coeffs, x) -> list:
+    """The seven non-cubic monomials of f at x in CELL_ORDER slots, the only place
+    the polynomial is written.  coeffs are (a, b, c, d), None where +infinity
+    drops the monomial (None in its slot): `_finite_values(params)`, or for x on
+    (1/L)Z^3 the parameters times L, which gives the monomials times L."""
     x1, x2, x3 = x
-    values = {CellId.X1SQ: 2 * x1, CellId.X2SQ: 2 * x2, CellId.X3SQ: 2 * x3}
-    for cell, coeff, xi in ((CellId.AX1, params.a, x1), (CellId.BX2, params.b, x2),
-                            (CellId.CX3, params.c, x3), (CellId.D, params.d, 0)):
-        if not coeff.is_infinite:
-            values[cell] = coeff.finite + xi
-    return values
+    a, b, c, d = coeffs
+    return [2 * x1, 2 * x2, 2 * x3, a if a is None else a + x1, b if b is None else b + x2,
+            c if c is None else c + x3, d]
 
 
-def _lattice_monomials(coeffs: list[int | None], x) -> list[int | None]:
-    """`_monomial_values` times L at x in (1/L)Z^3, in CELL_ORDER slots; coeffs are
-    the parameters times L, None where infinite, which makes its monomial None."""
-    return [2 * v for v in x] + [e if e is None else e + v for e, v in zip(coeffs, x)] + coeffs[3:]
+def _finite_monomials(params: Params, x: Point3) -> list[Fraction]:
+    """The finite non-cubic monomials of f at x."""
+    return [v for v in _monomials(_finite_values(params), x) if v is not None]
 
 
 def trop_poly_f(params: Params, x: Point3) -> Fraction:
     """The eight-term tropical polynomial of the Markov cubic at x."""
-    return min(*_monomial_values(params, x).values(), sum(x))
+    return min(*_finite_monomials(params, x), sum(x))
 
 
 def f0(params: Params, x: Point3) -> Fraction:
     """Skeleton level function: min of the seven non-cubic monomials minus x1+x2+x3."""
-    return min(_monomial_values(params, x).values()) - sum(x)
+    return min(_finite_monomials(params, x)) - sum(x)
 
 
 def on_skeleton(params: Params, x: Point3) -> bool:
@@ -150,17 +139,23 @@ def on_skeleton(params: Params, x: Point3) -> bool:
 
 def in_tropicalization(params: Params, x: Point3) -> bool:
     """Kapranov membership: the tropical minimum is attained by at least two monomials."""
-    values = [*_monomial_values(params, x).values(), sum(x)]
+    values = [*_finite_monomials(params, x), sum(x)]
     return values.count(min(values)) >= 2
+
+
+def _cell_slots(params: Params, coeffs, x: Point3) -> list[int]:
+    """The CELL_ORDER slots of the cells holding x, ascending; coeffs are
+    `_finite_values(params)`.  DomainError if x is off the skeleton."""
+    s = x[0] + x[1] + x[2]
+    values = _monomials(coeffs, x)
+    if min([v for v in values if v is not None]) != s:
+        raise DomainError(f"point {point_text(x)} is not on the skeleton of {params}")
+    return [k for k, v in enumerate(values) if v == s]
 
 
 def cells_of(params: Params, x: Point3) -> set[CellId]:
     """Cells of the skeleton containing x (nonempty; singleton iff x is interior)."""
-    s = sum(x)
-    values = _monomial_values(params, x)
-    if min(values.values()) != s:
-        raise DomainError(f"point {point_text(x)} is not on the skeleton of {params}")
-    return {cell for cell, v in values.items() if v == s}
+    return {CELL_ORDER[k] for k in _cell_slots(params, _finite_values(params), x)}
 
 
 def _min0(e: ExtRat) -> ExtRat:
@@ -264,7 +259,7 @@ def plane_point(v1, v2, v3=None) -> PlanePoint:
 
 
 # Most nodes per axis of a plane grid; skeleton sampling and rendering lift
-# grid^2 points, 65,536 at 256: about 1.4 s for the SVG and 0.8 s for the CSV,
+# grid^2 points, 65,536 at 256: about 0.44 s for the SVG and 0.95 s for the CSV,
 # best of 3 in-process on a shared 2-vCPU VM with Python 3.11.
 GRID_BOUND = 256
 
@@ -282,25 +277,32 @@ def plane_grid(grid: int, span) -> list[Fraction]:
     return [-span + 2 * span * Fraction(k, grid - 1) for k in range(grid)]
 
 
-def grid_samples(params: Params, grid: int, span):
-    """(v1, v2, point, cells) per node of the `plane_grid` square, v2 outer: the
-    node's lift to {f0 = 0} and the cells holding it, in CELL_ORDER.  The grid
-    is checked at the call, then lifted on one lattice (1/L)Z, L the lcm of the
-    grid's and the parameters' denominators; the cells are int comparisons."""
+def _grid_lifts(params: Params, grid: int, span):
+    """The `plane_grid` axis, 6L, and (y, cells) per node of the square, v2 outer:
+    the node's lift to {f0 = 0} times 6L and the cells holding it, in CELL_ORDER.
+    The grid is checked at the call, then lifted on one lattice (1/L)Z, L the lcm
+    of the grid's and the parameters' denominators; the cells are int comparisons."""
     values = plane_grid(grid, span)
     scale, coeffs = _on_lattice(params, *(v.denominator for v in values))
     nums = [v.numerator * (scale // v.denominator) for v in values]
     coeffs6 = [e if e is None else 6 * e for e in coeffs]  # on the lift's lattice (1/6L)Z
-    den = 6 * scale
 
-    def samples():
-        for v2, n2 in zip(values, nums):
-            for v1, n1 in zip(values, nums):
+    def lifts():
+        for n2 in nums:
+            for n1 in nums:
                 y = _integer_lift(coeffs, 0, n1, n2)
                 s = sum(y)
-                cells = [c for c, m in zip(CELL_ORDER, _lattice_monomials(coeffs6, y)) if m == s]
-                yield v1, v2, (Fraction(y[0], den), Fraction(y[1], den), Fraction(y[2], den)), cells
-    return samples()
+                yield y, [c for c, m in zip(CELL_ORDER, _monomials(coeffs6, y)) if m == s]
+    return values, 6 * scale, lifts()
+
+
+def grid_samples(params: Params, grid: int, span):
+    """(v1, v2, point, cells) per node of the `plane_grid` square, v2 outer: the
+    node's lift to {f0 = 0} and the cells holding it, from `_grid_lifts`."""
+    values, den, lifts = _grid_lifts(params, grid, span)
+    nodes = ((v1, v2) for v2 in values for v1 in values)
+    return ((v1, v2, (Fraction(y[0], den), Fraction(y[1], den), Fraction(y[2], den)), cells)
+            for (v1, v2), (y, cells) in zip(nodes, lifts))
 
 
 def lift_from_plane(params: Params, w, v: PlanePoint) -> Point3:

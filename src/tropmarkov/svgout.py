@@ -6,8 +6,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .surface import CellId, Params, grid_samples
-from .classifier import _farey_word, _punctured_d, farey_enumerate
+from .surface import CellId, Params, _grid_lifts
+from .classifier import _farey_runs, _farey_word, _punctured_d, farey_enumerate
 from .hyperbolic import _check_depth, _orbit_cycle
 
 _CELL_COLORS = {
@@ -38,16 +38,17 @@ def _document(width: float, height: float, body: list[str]) -> str:
 
 def skeleton_svg(params: Params, grid: int, span) -> str:
     """Shaded plane projection: one square per grid node, coloured by cell."""
-    samples = grid_samples(params, grid, span)  # checks grid before size / grid
-    span = Fraction(span)
+    _, _, lifts = _grid_lifts(params, grid, span)  # checks grid before size / grid
     size = 480.0
     cell_px = size / grid
     body = [f'<rect width="{_fmt(size)}" height="{_fmt(size)}" fill="#ffffff"/>']
-    for v1, v2, _, cells in samples:
+    for k, (_, cells) in enumerate(lifts):
         color = _CELL_COLORS[cells[0]] if len(cells) == 1 else _MIXED_COLOR
-        # Exact ratios: a span of any size maps onto the picture.
-        px = float((v1 + span) / (2 * span)) * (size - cell_px)
-        py = float((span - v2) / (2 * span)) * (size - cell_px)
+        # Node (k1, k2) sits at the exact ratios k1 / (grid - 1) across and k2 / (grid - 1)
+        # up, one correctly rounded int division each: any span maps onto the picture.
+        k2, k1 = divmod(k, grid)
+        px = k1 / (grid - 1) * (size - cell_px)
+        py = (grid - 1 - k2) / (grid - 1) * (size - cell_px)
         body.append(
             f'<rect x="{_fmt(px)}" y="{_fmt(py)}" width="{_fmt(cell_px)}" '
             f'height="{_fmt(cell_px)}" fill="{color}"/>'
@@ -67,30 +68,28 @@ def farey_svg(d, depth: int) -> str:
     amax = max((c for t in triples for pair in (t.left, t.mid, t.right) for c in pair), default=1)
     num, den = (scale / max(scale * amax, Fraction(1, 10**9))).as_integer_ratio()
     inner = panel - 2 * margin
-    body = [f'<rect width="{_fmt(3 * panel)}" height="{_fmt(panel)}" fill="#ffffff"/>']
-    for cell in (1, 2, 3):
-        ox = (cell - 1) * panel + margin
-        oy = panel - margin
-        body.append(
-            f'<line x1="{_fmt(ox)}" y1="{_fmt(oy)}" x2="{_fmt(ox + panel - 2 * margin)}" '
-            f'y2="{_fmt(oy)}" stroke="#000000" stroke-width="1"/>'
-        )
-        body.append(
-            f'<line x1="{_fmt(ox)}" y1="{_fmt(oy)}" x2="{_fmt(ox)}" '
-            f'y2="{_fmt(margin)}" stroke="#000000" stroke-width="1"/>'
-        )
-        body.append(
-            f'<text x="{_fmt(ox)}" y="{_fmt(margin - 8)}" font-size="12">cell {cell}</text>'
-        )
-        for t in triples:
+    oy = panel - margin
+    origins = {cell: (cell - 1) * panel + margin for cell in (1, 2, 3)}
+    panels = {cell: [
+        f'<line x1="{_fmt(ox)}" y1="{_fmt(oy)}" x2="{_fmt(ox + panel - 2 * margin)}" '
+        f'y2="{_fmt(oy)}" stroke="#000000" stroke-width="1"/>',
+        f'<line x1="{_fmt(ox)}" y1="{_fmt(oy)}" x2="{_fmt(ox)}" '
+        f'y2="{_fmt(margin)}" stroke="#000000" stroke-width="1"/>',
+        f'<text x="{_fmt(ox)}" y="{_fmt(margin - 8)}" font-size="12">cell {cell}</text>',
+    ] for cell, ox in origins.items()}
+    for t in triples:
+        runs = _farey_runs(t)  # one factorisation per triple, shifted to each cell
+        for cell, ox in origins.items():
             pts = " ".join(
                 f"{_fmt(ox + a * num / den * inner)},{_fmt(oy - b * num / den * inner)}"
                 for a, b in (t.left, t.mid, t.right)
             )
-            body.append(
+            panels[cell].append(
                 f'<polygon points="{pts}" fill="none" stroke="#08519c" '
-                f'stroke-width="1"><title>{_farey_word(t, cell)}</title></polygon>'
+                f'stroke-width="1"><title>{_farey_word(runs, cell)}</title></polygon>'
             )
+    body = [f'<rect width="{_fmt(3 * panel)}" height="{_fmt(panel)}" fill="#ffffff"/>',
+            *panels[1], *panels[2], *panels[3]]
     return _document(3 * panel, panel, body)
 
 

@@ -19,7 +19,7 @@ from tropmarkov.arithmetic import (
     SurfacePointL,
     ZpPoint,
 )
-from tropmarkov.classifier import FAREY_ROOT, ClassifyReport, FareyTriple
+from tropmarkov.classifier import FAREY_ROOT, ClassifyReport, FareyTriple, _factor_in_v_monoid
 from tropmarkov.scalars import CF
 from tropmarkov.errors import DomainError, ResourceError, UsageError
 from tropmarkov.hyperbolic import (
@@ -37,7 +37,6 @@ from tropmarkov.surface import (
     Params,
     QUADRATIC_CELLS,
     SUBQUADRATIC_CELLS,
-    _monomial_values,
     cells_of,
     on_boundary_ray,
     plane_point,
@@ -47,7 +46,6 @@ from tropmarkov.surface import (
 from tropmarkov.dynamics import (
     GreedyTrace,
     Word,
-    _ray_index_of,
     _run_point,
     euc,
     mat_mul,
@@ -126,6 +124,18 @@ def oracle_monomials(params, x) -> dict:
     }
 
 
+def oracle_monomial_values(params, x) -> dict:
+    """The finite non-cubic monomials as Fractions, keyed by the cell each one
+    ties (the library's dict route before the CELL_ORDER slots)."""
+    x1, x2, x3 = x
+    values = {CellId.X1SQ: 2 * x1, CellId.X2SQ: 2 * x2, CellId.X3SQ: 2 * x3}
+    for cell, coeff, xi in ((CellId.AX1, params.a, x1), (CellId.BX2, params.b, x2),
+                            (CellId.CX3, params.c, x3), (CellId.D, params.d, 0)):
+        if not coeff.is_infinite:
+            values[cell] = coeff.finite + xi
+    return values
+
+
 def oracle_lift_from_plane(params, w, v):
     """The level-set lift through ExtRat: alpha is the ext_min of all seven
     candidates, an infinite parameter's candidate being +infinity."""
@@ -198,11 +208,11 @@ def oracle_run_length(params, x, i, j, cap) -> int:
     cap, from CellId-keyed Fraction monomials at t = 0, 1, 2 and one Fraction
     floor division per monomial (see `dynamics._run_length`)."""
     cell_i, cell_j = quadratic_cell(i), quadratic_cell(j)
-    odd = _monomial_values(params, _run_point(x, i, j, 1))
+    odd = oracle_monomial_values(params, _run_point(x, i, j, 1))
     if any(v <= odd[cell_j] for c, v in odd.items() if c is not cell_j):
         return 0
-    even = _monomial_values(params, x)
-    later = _monomial_values(params, _run_point(x, i, j, 2))
+    even = oracle_monomial_values(params, x)
+    later = oracle_monomial_values(params, _run_point(x, i, j, 2))
     growth = {c: later[c] - v for c, v in even.items()}
     first_out = []
     for t0, base, cell in ((0, even, cell_i), (1, odd, cell_j)):
@@ -228,6 +238,15 @@ def _oracle_default_step_budget(i, x) -> int:
     return 4 * (m.numerator + m.denominator) + 16
 
 
+def oracle_ray_index_of(quads: set) -> int:
+    """The ray R_i whose two quadratic cells X_{i+1}^2, X_{i-1}^2 are in quads."""
+    for i in (1, 2, 3):
+        pair = {quadratic_cell(i % 3 + 1), quadratic_cell((i + 1) % 3 + 1)}
+        if pair <= quads:
+            return i
+    raise DomainError(f"no ray matches the quadratic cells {quads}")
+
+
 def oracle_greedy_path(params, x, max_steps=None) -> GreedyTrace:
     """The greedy itinerary taken one reflection at a time, as the library
     took it before runs were jumped."""
@@ -244,7 +263,7 @@ def oracle_greedy_path(params, x, max_steps=None) -> GreedyTrace:
         # count as ray terminals.
         if len(quads) >= 2:
             return GreedyTrace(x, Word(tuple(reversed(applied))), cur, "ray",
-                               ray_index=_ray_index_of(quads), steps=step)
+                               ray_index=oracle_ray_index_of(quads), steps=step)
         sub = [c for c in CELL_ORDER if c in cells and c in SUBQUADRATIC_CELLS]
         if sub:
             return GreedyTrace(x, Word(tuple(reversed(applied))), cur, "subquadratic",
@@ -554,6 +573,23 @@ def oracle_table_orbit_triangles(d, depth: int) -> dict:
                                      applied + (cell2,)))
         frontier = nxt_frontier
     return out
+
+
+def oracle_farey_word(triple, i: int):
+    """The word of `farey_triangle` as the library built it: the V-monoid
+    factorisation of the triple once per cell, then the letters one by one."""
+    (al, be), (ga, de) = triple.left, triple.right
+    eta = _factor_in_v_monoid(((ga, al), (de, be)))  # leftmost factor first
+    m = len(eta)
+    # Applied-order step signs: eps_j = (-1)^(m-j) * eta_j, eta_j = eta[m-j].
+    eps = [(-1) ** (m - j) * eta[m - j] for j in range(1, m + 1)]
+    cell = (i - sum(eps) - 1) % 3 + 1
+    letters_applied = [cell]
+    for e in eps:
+        cell = (cell + e - 1) % 3 + 1
+        letters_applied.append(cell)
+    assert cell == i
+    return Word(tuple(reversed(letters_applied)))
 
 
 def oracle_exception_rays_punctured(d, height: int) -> list:

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from conftest import (
+    _oracle_farey_children,
     oracle_exception_rays_punctured,
     oracle_farey_triples,
+    oracle_farey_word,
     oracle_table_orbit_triangles,
 )
 from tropmarkov.errors import DomainError, UsageError
@@ -243,6 +245,23 @@ class TestFarey:
     def test_scaling_by_d(self):
         _, verts = farey_triangle(FAREY_ROOT, 1, F(-3))
         assert verts == ((F(0), F(3, 2)), (F(3, 2), F(3, 2)), (F(3, 2), F(0)))
+
+    @given(st.lists(st.booleans(), max_size=60))
+    @example([])
+    @example([True] * 60)
+    @example([False, True] * 30)
+    @example([True, True, False, True, False, False, False, True])
+    def test_words_match_letter_route(self, path):
+        # The triple down a Stern-Brocot path (True: right child): one
+        # factorisation shifted to the three cells against the letter-by-letter
+        # route, factorised once per cell.
+        triple = FAREY_ROOT
+        for right in path:
+            triple = _oracle_farey_children(triple)[right]
+        for i in (1, 2, 3):
+            word, _ = farey_triangle(triple, i, F(-2))
+            expected = oracle_farey_word(triple, i)
+            assert word == expected and word.runs == expected.runs and str(word) == str(expected)
 
     def test_words_verified_by_dynamics(self):
         d = F(-2)

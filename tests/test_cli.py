@@ -214,6 +214,33 @@ class TestCsvBytes:
             _, out, _ = run_cli(capsys, "pingpong", "--depth", "10", "--side", side)
             assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    # sha256 of the skeleton listing at every depth up to the bound, each
+    # coordinate printed as str of its Fraction.
+    SKELETON_LISTING_DIGESTS = (
+        "83d214c2f993daad43d21f9feec2acbda64caf674de02d1bc963c3776cd1fbd6",
+        "82f7c8d390999ef2ea19dc5d12838df2a7f41406d982919ba64324ec120a5b4c",
+        "d0b702345589c95614471cf3678fa2b5c3941af60f95470b5230f05b5a564ea3",
+        "d9ec8778607641258c42a6953230059757d14e48612ed06b8cb2e86a2c19de5d",
+        "ee6f6b8c2397244b51ba39b3344f865023d507af949591e6ba6fa99d85b361f7",
+        "7e9727de4af65ea489715062fc495aa3aa7277c3882a2d7e45aa56cc22924f14",
+        "6b67cac526270934a877adf96cd68499fa003fa9debd1d1c06f338f94e31ebfe",
+        "e241d10d0c807bc8434ec557fe4297ece3c9764d2adb489e5f1613862682ab9c",
+        "3d8cbf6bf5b560365fe061ac9ffb650db6056969fd8216b128025f931c4d5022",
+        "6ae0ed8e72f290b77bdaed29c36a4d7a25093e85adac9e8946fc7f38fcb4aca0",
+        "f33554460934821d54d36740781a63f886e73334aab66a2a3cf94ef1d1819fa3",
+        "43d17ccc2f633c0b2e478ff031a140406adab719749b7506c1459df39c9cac91",
+        "b661de3c545759af7201454514f83685da3eacdf7646d21451d18281f70da5ef",
+        "4299dec4c2311331736fae7e818f3c25b9f8811714c104b315590f48aa528f6c",
+        "7dfe8c20b314a186d03b54b267c1e58bba7fcb7a01915243c499cee9fd1b768f",
+        "f795a1754d57d66aad796b22a8c1e2290b87df7649df9b05cdecf3ab0cd6e97a",
+        "c403bb8fdc1774b66657cb9f15c288e4b1807d68ff77281b7b62e7d2418e3b78",
+    )
+
+    def test_pingpong_skeleton_digests(self, capsys):
+        for n, digest in enumerate(self.SKELETON_LISTING_DIGESTS):
+            _, out, _ = run_cli(capsys, "pingpong", "--depth", str(n), "--side", "skeleton")
+            assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_pingpong_stats(self, capsys):
         for side in ("boundary", "skeleton"):
             for n in range(11):
@@ -447,6 +474,15 @@ class TestSvgCommands:
         body = out_file.read_text()
         assert body.startswith('<?xml version="1.0"')
         assert 'version="1.1"' in body
+
+    def test_skeleton_svg_zero_range(self, capsys):
+        # Every node lifts to the same point, so all squares take its colour;
+        # a node's place in the picture does not divide by the span.
+        code, out, _ = run_cli(capsys, "skeleton", "svg", "--params", "1,-2,inf,3",
+                               "--grid", "3", "--range", "0")
+        assert code == 0
+        fills = [line.split('fill="')[1] for line in out.splitlines() if line.startswith("<rect x=")]
+        assert len(fills) == 9 and len(set(fills)) == 1
 
     def test_farey_depth_zero(self, tmp_path, capsys):
         code, out, _ = run_cli(capsys, "farey", "--depth", "0")

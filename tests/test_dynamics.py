@@ -9,6 +9,7 @@ from conftest import (
     oracle_cells_of,
     oracle_euc_limit,
     oracle_greedy_path,
+    oracle_monomial_values,
     oracle_run_length,
 )
 from tropmarkov import dynamics
@@ -20,11 +21,10 @@ from tropmarkov.surface import (
     Params,
     QUADRATIC_CELLS,
     SUBQUADRATIC_CELLS,
-    _monomial_values,
+    _cell_slots,
     _on_lattice,
     cells_of,
     f0,
-    linear_cell,
     on_skeleton,
     quadratic_cell,
 )
@@ -344,9 +344,9 @@ class TestGreedyPath:
 
         def counted(*args):
             calls.append(args)
-            return cells_of(*args)
+            return _cell_slots(*args)
 
-        monkeypatch.setattr(dynamics, "cells_of", counted)
+        monkeypatch.setattr(dynamics, "_cell_slots", counted)
         trace = greedy_path(params, pt(*start))
         assert trace.kind == kind and trace.steps >= 3
         assert len(calls) == trace.steps + 1
@@ -469,9 +469,9 @@ class TestGreedyJumps:
 
         def counted(*args):
             calls.append(args)
-            return cells_of(*args)
+            return _cell_slots(*args)
 
-        monkeypatch.setattr(dynamics, "cells_of", counted)
+        monkeypatch.setattr(dynamics, "_cell_slots", counted)
         trace = greedy_path(params, u_inverse(1, (scale * m.denominator, scale * m.numerator)))
         assert trace.kind == kind and trace.steps == len(trace.word) == steps
         assert len(calls) <= 4 * len(continued_fraction(m).terms) + 4
@@ -561,7 +561,7 @@ class TestRunLength:
             t = _lattice_run_length(params, x, i, j, HUGE_CAP)
             assert t == oracle_run_length(params, x, i, j, HUGE_CAP)
             if t < HUGE_CAP:
-                values = _monomial_values(params, dynamics._run_point(x, i, j, t + 1))
+                values = oracle_monomial_values(params, dynamics._run_point(x, i, j, t + 1))
                 cell = quadratic_cell(j if t % 2 == 0 else i)
                 ends |= {c for c, v in values.items() if c is not cell and v <= values[cell]}
         assert ends == set(CellId)
@@ -599,7 +599,7 @@ class TestCellAtlas:
                 if j == i:
                     continue
                 img_cells = cells_of(params, trop_vieta(params, j, x))
-                assert img_cells & {quadratic_cell(j), linear_cell(j)}
+                assert img_cells & {quadratic_cell(j), SUBQUADRATIC_CELLS[j - 1]}
                 checked += 1
         assert checked > 100
 

@@ -28,7 +28,6 @@ from tropmarkov.hyperbolic import (
     skeleton_direction_act,
     _boundary_act,
     _circle_point,
-    _circle_text,
     _colour,
     _direction_act,
     _orbit_cycle,
@@ -36,6 +35,7 @@ from tropmarkov.hyperbolic import (
     _plane_xy,
     _relabel,
     _skeleton_cycle,
+    _skeleton_text,
     _tessellation_triangles,
 )
 
@@ -585,19 +585,25 @@ class TestSkeletonText:
     def test_orbit_points(self):
         for n in range(11):
             cycle = _skeleton_cycle(n)
-            assert [_circle_text(x) for x in cycle] == [self.fraction_text(x) for x in cycle]
+            assert [_skeleton_text(x) for x in cycle] == [self.fraction_text(x) for x in cycle]
             if n <= 8:
                 assert partial_orbit_skeleton(n) == [_circle_point(x) for x in cycle]
 
-    @given(st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6),
-                     st.integers(-10**6, 10**6)).filter(lambda x: sum(x) < 0))
-    @example((0, -1, -1))
-    @example((0, 0, -7))
-    @example((-6, 4, -2))  # -3/2, 1, -1/2
-    @example((3, -9, 0))  # 1/2, -3/2, 0
-    def test_integer_triples(self, x):
-        assert _circle_text(x) == self.fraction_text(x)
-
+    @given(st.integers(-10**12, 10**12), st.integers(0, 10**12))
+    @example(0, 1)
+    @example(1, 0)
+    @example(1, 1)
+    @example(-1, 1)
+    @example(2, 1)  # -1, -1/2, -1/2 over M = 2
+    @example(-3, 5)  # the largest coordinate |p - q| = 8, even
+    @example(7, 2)
+    def test_integer_triples(self, p, q):
+        # The directions _phi(p, q) of coprime pairs, the skeleton orbit's.
+        g = math.gcd(p, q)
+        if g == 0:
+            return
+        x = _phi((p // g, q // g))
+        assert _skeleton_text(x) == self.fraction_text(x)
 
 
 # The disk of tessellation_svg, and one edge as it draws it:

@@ -12,6 +12,7 @@ from tropmarkov.surface import (
     CellId,
     Params,
     QUADRATIC_CELLS,
+    SUBQUADRATIC_CELLS,
     cell_has_interior,
     cells_of,
     f0,
@@ -43,6 +44,7 @@ from conftest import (
     oracle_in_tropicalization,
     oracle_is_meromorphic,
     oracle_lift_from_plane,
+    oracle_monomial_values,
     oracle_thresholds,
     oracle_trop_poly_f,
     oracle_trop_vieta,
@@ -114,6 +116,48 @@ class TestAgainstExtRatOracle:
         params = random_params(random.Random(seed))
         x = lift_from_plane(params, 0, plane_point(v1, v2))
         assert cells_of(params, x) == oracle_cells_of(params, x)
+
+
+class TestAgainstDictOracle:
+    """The CELL_ORDER-slot evaluators against the CellId-keyed Fraction monomials
+    they replace (conftest), on coarse lattices where cells tie: lifts of plane
+    points, points of the rays R_i and points of R^3 off the skeleton."""
+
+    coarse = st.fractions(min_value=-6, max_value=6, max_denominator=2)
+    coarse_params = st.lists(st.one_of(st.just("inf"), coarse), min_size=4, max_size=4).map(
+        lambda entries: Params.make(*entries))
+
+    @given(coarse_params, coarse, coarse, coarse, st.sampled_from(("lift", "ray", "r3")),
+           st.sampled_from((1, 2, 3)))
+    @settings(max_examples=300)
+    @example(Params.parse("inf,inf,inf,inf"), F(0), F(0), F(0), "lift", 1)  # X1^2, X2^2, X3^2
+    @example(PT, F(0), F(0), F(0), "ray", 3)  # (-1, -1, 0): X1^2, X2^2 and D
+    @example(Params.parse("-4,inf,inf,-2"), F(0), F(0), F(0), "lift", 1)
+    @example(Params.parse("1,-2,inf,3"), F(-3, 2), F(1, 2), F(0), "lift", 2)
+    @example(Params.parse("-1,-1,-1,-2"), F(0), F(0), F(0), "lift", 1)
+    def test_slots_match_dict_route(self, params, v1, v2, v3, kind, i):
+        if kind == "lift":
+            x = lift_from_plane(params, 0, plane_point(v1, v2))
+        elif kind == "ray":
+            x = ray_point(i, _threshold(params, i) - abs(v1))
+        else:
+            x = (v1, v2, v3)
+        values, s = oracle_monomial_values(params, x), sum(x)
+        least = min(values.values())
+        eight = [*values.values(), s]
+        assert f0(params, x) == least - s and on_skeleton(params, x) == (least == s)
+        assert trop_poly_f(params, x) == min(eight)
+        assert in_tropicalization(params, x) == (eight.count(min(eight)) >= 2)
+        if least == s:
+            assert cells_of(params, x) == {c for c, v in values.items() if v == s}
+        else:
+            with pytest.raises(DomainError, match="is not on the skeleton of"):
+                cells_of(params, x)
+        for g in (1, 2, 3):
+            own = (quadratic_cell(g), SUBQUADRATIC_CELLS[g - 1])
+            y = list(x)
+            y[g - 1] = min(v for c, v in values.items() if c not in own) - x[g - 1]
+            assert trop_vieta(params, g, x) == tuple(y)
 
 
 class TestCells:
