@@ -16,8 +16,9 @@ from fractions import Fraction
 
 from .errors import DomainError, ResourceError, UsageError
 from .scalars import ExtRat, _int_valuation, ext_min, is_prime, value_class
-from .surface import CellId, Params, Point3, cell_has_interior, cells_of, on_skeleton
-from .dynamics import Matrix2, Word, mat_mul, trop_vieta
+from .surface import (CellId, Params, Point3, _finite_values, _monomials, cell_has_interior,
+                      cells_of, on_skeleton)
+from .dynamics import Matrix2, Word, _reflect, mat_mul
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # LaurentPoly appears in annotations only; lift-check loads it
@@ -183,6 +184,7 @@ def lift_consistency(point: SurfacePointL, word: Word) -> LiftReport:
     if x0 is None:
         return LiftReport(ok=False, precondition_ok=False, steps=())
     steps: list[LiftStep] = []
+    finite = _finite_values(params)
     cur_exact = point
     cur_trop: Point3 = x0
     ok = True
@@ -193,7 +195,7 @@ def lift_consistency(point: SurfacePointL, word: Word) -> LiftReport:
             raise ResourceError(f"exact step {k + 1} of {len(word)} exceeds the configured "
                                 f"bound of {LIFT_STEP_BOUND} cost units")
         cur_exact = vieta_exact(g, cur_exact)
-        cur_trop = trop_vieta(params, g, cur_trop)
+        cur_trop = _reflect(_monomials(finite, cur_trop), g, cur_trop)
         exact_vals = cur_exact.valuation_vector()
         match = all(ev == tv for ev, tv in zip(exact_vals, cur_trop))
         ok = ok and match

@@ -139,10 +139,11 @@ def _cmd_skeleton_svg(args) -> str:
 
 
 def _cmd_orbit(args) -> dict:
-    from .dynamics import Word, trop_vieta
-    from .surface import Params, parse_point
+    from .dynamics import Word, _reflect
+    from .surface import Params, _finite_values, _monomials, parse_point
 
     params = Params.parse(args.params)
+    finite = _finite_values(params)
     x = parse_point(args.point)
     word = Word.parse(args.word)
     letters = [*word.applied_order()]
@@ -153,7 +154,7 @@ def _cmd_orbit(args) -> dict:
             raise ResourceError(f"a coordinate after {k} of {len(letters)} letters exceeds the "
                                 f"configured bound of {ORBIT_DIGIT_BOUND} digits")
         if k < len(letters):
-            points.append(trop_vieta(params, letters[k], points[k]))
+            points.append(_reflect(_monomials(finite, points[k]), letters[k], points[k]))
     return {
         "params": str(params),
         "start": _point_json(x),

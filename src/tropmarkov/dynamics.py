@@ -200,23 +200,28 @@ class Word:
                        for i, j, n in self.runs)[:-1]
 
 
+def _reflect(values: list, i: int, x: Point3) -> Point3:
+    """x with x_i set to the min of the `_monomials` ``values`` at x free of x_i
+    (all slots but i - 1 and i + 2), minus x_i."""
+    m = min([v for k, v in enumerate(values) if v is not None and k != i - 1 and k != i + 2])
+    return (*x[:i - 1], m - x[i - 1], *x[i:])
+
+
 def trop_vieta(params: Params, i: int, x: Point3) -> Point3:
     """Apply the i-th tropicalized involution.  Total on R^3; involutive.
 
-    x_i becomes the min of the monomials free of x_i (all slots but i - 1, i + 2), minus x_i.
+    One `_monomials` evaluation at x, then `_reflect`.  `greedy_path` reflects
+    on the monomials its cell test already read, so it never calls this.
     """
     if i not in (1, 2, 3):
         raise UsageError(f"generator index must be 1, 2 or 3, got {i}")
-    values = _monomials(_finite_values(params), x)
-    m = min([v for k, v in enumerate(values) if v is not None and k != i - 1 and k != i + 2])
-    y = list(x)
-    y[i - 1] = m - x[i - 1]
-    return tuple(y)
+    return _reflect(_monomials(_finite_values(params), x), i, x)
 
 
 def apply_word(params: Params, word: Word, x: Point3) -> Point3:
+    finite = _finite_values(params)
     for g in word.applied_order():
-        x = trop_vieta(params, g, x)
+        x = _reflect(_monomials(finite, x), g, x)
     return x
 
 
@@ -374,7 +379,7 @@ def greedy_path(params: Params, x: Point3, max_steps: int | None = None) -> Gree
     cur = x
     step = 0
     while True:
-        slots = _cell_slots(params, finite, cur)  # ascending: quadratic slots 0-2 first
+        slots, values = _cell_slots(params, finite, cur)  # slots ascending: quadratic 0-2 first
         # Ray has priority: junction points of subquadratic cells and rays
         # count as ray terminals.  The ray R_i lies on the cells X_{i+1}^2 and X_{i-1}^2.
         if len(slots) > 1 and slots[1] < 3:
@@ -401,7 +406,7 @@ def greedy_path(params: Params, x: Point3, max_steps: int | None = None) -> Gree
         else:
             _push(runs, i)
             recent.append(i)
-            cur = trop_vieta(params, i, cur)
+            cur = _reflect(values, i, cur)
             t = 1
         del recent[:-4]
         step += t

@@ -143,19 +143,20 @@ def in_tropicalization(params: Params, x: Point3) -> bool:
     return values.count(min(values)) >= 2
 
 
-def _cell_slots(params: Params, coeffs, x: Point3) -> list[int]:
-    """The CELL_ORDER slots of the cells holding x, ascending; coeffs are
-    `_finite_values(params)`.  DomainError if x is off the skeleton."""
+def _cell_slots(params: Params, coeffs, x: Point3) -> tuple[list[int], list]:
+    """The CELL_ORDER slots of the cells holding x, ascending, and the seven
+    `_monomials` at x they were read from; coeffs are `_finite_values(params)`.
+    DomainError if x is off the skeleton."""
     s = x[0] + x[1] + x[2]
     values = _monomials(coeffs, x)
     if min([v for v in values if v is not None]) != s:
         raise DomainError(f"point {point_text(x)} is not on the skeleton of {params}")
-    return [k for k, v in enumerate(values) if v == s]
+    return [k for k, v in enumerate(values) if v == s], values
 
 
 def cells_of(params: Params, x: Point3) -> set[CellId]:
     """Cells of the skeleton containing x (nonempty; singleton iff x is interior)."""
-    return {CELL_ORDER[k] for k in _cell_slots(params, _finite_values(params), x)}
+    return {CELL_ORDER[k] for k in _cell_slots(params, _finite_values(params), x)[0]}
 
 
 def _min0(e: ExtRat) -> ExtRat:

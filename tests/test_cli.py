@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -25,8 +26,9 @@ from tropmarkov.hyperbolic import (
     partial_orbit_skeleton,
     partition_table,
 )
+from tropmarkov.sampling import random_params, random_skeleton_point, random_word
 from tropmarkov.scalars import parse_rational
-from tropmarkov.surface import GRID_BOUND, Params
+from tropmarkov.surface import GRID_BOUND, Params, point_text
 
 from conftest import oracle_csv_text
 
@@ -346,6 +348,54 @@ class TestOrbitAndReduce:
         assert code == 0
         assert payload["kind"] == "exhausted"
         assert payload["word"] == "s3" and payload["steps"] == 1
+
+
+def _greedy_argvs() -> dict[str, list[list[str]]]:
+    """The pinned argv of `reduce`, `classify` and `orbit`, 100 each.
+
+    96 skeleton points are drawn with `tropmarkov.sampling` under meromorphic
+    parameters (each entry +inf with chance 0.3).  Every eighth of them is cut
+    by --max-steps 0 to 6, and each orbit applies a random word of 0 to 12
+    letters.  Four starts follow whose itineraries (34 to 1,000,001 reflections)
+    the greedy takes mostly in run jumps; the first is the 1,000,001-letter
+    reduce the CI times.
+    """
+    rng = random.Random(20)
+    starts = []
+    for _ in range(96):
+        params = random_params(rng, meromorphic=True)
+        starts.append((str(params), point_text(random_skeleton_point(rng, params, 40, 6))))
+    starts += [("inf,inf,inf,-2", "-2000001,-1000000,-1000001"),
+               ("4,-12,2,12", "-2001/50,-20,-1001/50"),
+               ("inf,-1,inf,-3", "-301,-3001,-2700"),
+               ("-1/2,inf,inf,inf", "-2203,-1200,-1003")]
+    argvs: dict[str, list[list[str]]] = {"reduce": [], "classify": [], "orbit": []}
+    for k, (params, point) in enumerate(starts):
+        flags = ["--params", params, "--point", point]
+        cut = ["--max-steps", str(k // 8 % 7)] if k % 8 == 7 else []
+        argvs["reduce"].append(["reduce", *flags, *cut])
+        argvs["classify"].append(["classify", *flags])
+        argvs["orbit"].append(["orbit", *flags, "--word", str(random_word(rng, k % 13))])
+    return argvs
+
+
+class TestGreedyDigests:
+    """sha256 of every pinned `reduce`, `classify` and `orbit` call, each as its
+    exit code, stdout and stderr, one digest per command."""
+
+    DIGESTS = {
+        "reduce": "51edcb93838627d27a8a79bc67652897a78febc05486d13c553b3cb99af061ce",
+        "classify": "08080dfa87da9072d16a50fa776e3b89e6ac94d786aaa99d3b84b46d43ee856b",
+        "orbit": "b598f4114e9d0ab7dcb3351a6f85563d55c00251af78163c583810e804c36c7e",
+    }
+
+    @pytest.mark.parametrize("command", sorted(DIGESTS))
+    def test_output_is_pinned(self, capsys, command):
+        digest = hashlib.sha256()
+        for argv in _greedy_argvs()[command]:
+            code, out, err = run_cli(capsys, *argv)
+            digest.update(f"{code}\n{out}{err}\n".encode())
+        assert digest.hexdigest() == self.DIGESTS[command]
 
 
 class TestOrbitBound:

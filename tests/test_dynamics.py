@@ -11,22 +11,29 @@ from conftest import (
     oracle_greedy_path,
     oracle_monomial_values,
     oracle_run_length,
+    oracle_trop_vieta,
 )
 from tropmarkov import dynamics
 from tropmarkov.errors import DomainError, ResourceError, UsageError
 from tropmarkov.sampling import random_params, random_skeleton_point, random_word
-from tropmarkov.scalars import CF, continued_fraction, thomae_gcd
+from tropmarkov.scalars import CF, ExtRat, continued_fraction, thomae_gcd
 from tropmarkov.surface import (
+    CELL_ORDER,
     CellId,
     Params,
     QUADRATIC_CELLS,
     SUBQUADRATIC_CELLS,
     _cell_slots,
+    _finite_values,
     _on_lattice,
     cells_of,
     f0,
+    lift_from_plane,
     on_skeleton,
+    plane_point,
     quadratic_cell,
+    ray_point,
+    thresholds,
 )
 from tropmarkov.dynamics import (
     STEP_BOUND,
@@ -351,6 +358,20 @@ class TestGreedyPath:
         assert trace.kind == kind and trace.steps >= 3
         assert len(calls) == trace.steps + 1
 
+    def test_calls_no_trop_vieta(self, monkeypatch):
+        # Each step reflects on the monomials its cell test read.
+        def refused(*args):
+            raise AssertionError("greedy_path called trop_vieta")
+
+        monkeypatch.setattr(dynamics, "trop_vieta", refused)
+        for params, start, budget, kind, steps in (
+                (PT, pt(-2, -3, -5), None, "ray", 3),
+                (Params.parse("inf,inf,inf,-3"), pt(-8, -5, -13), None, "subquadratic", 5),
+                (PT, pt(-2, -3, -5), 2, "exhausted", 2),
+                (PT, u_inverse(1, (1000, 1001)), None, "ray", 1001)):
+            trace = greedy_path(params, start, budget)
+            assert trace.kind == kind and trace.steps == steps
+
     def test_exhausted_with_tiny_budget(self):
         trace = greedy_path(PT, pt(-20, -30, -50), max_steps=1)
         assert trace.kind == "exhausted"
@@ -495,6 +516,45 @@ class TestGreedyJumps:
             greedy_path(PT, longer, max_steps=101)
         trace = greedy_path(PT, longer, max_steps=100)
         assert trace.kind == "exhausted" and trace.steps == 100
+
+
+_PLANE = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+
+@st.composite
+def _skeleton_cases(draw):
+    """(params, x) with x on the skeleton: the lift of a plane point, of one on
+    a wall x_i = x_j or of the junction v = 0, or a point of a ray; then some
+    parameters moved so that their monomials tie x1 + x2 + x3 at x, which puts
+    x on walls and junctions of the subquadratic cells too."""
+    params = draw(_PARAMS)
+    kind = draw(st.sampled_from(("plane", "wall", "junction", "ray")))
+    if kind == "ray":
+        i = draw(st.sampled_from((1, 2, 3)))
+        x = ray_point(i, thresholds(params)[i - 1].finite - draw(_PLANE.map(abs)))
+    else:
+        v1, v2 = (0, 0) if kind == "junction" else (draw(_PLANE), draw(_PLANE))
+        v = draw(st.permutations(plane_point(v1, v1 if kind == "wall" else v2)))
+        x = lift_from_plane(params, 0, v)
+    entries = [params.a, params.b, params.c, params.d]
+    for k in draw(st.sets(st.sampled_from(range(4)))):
+        entries[k] = ExtRat(sum(x) - (x[k] if k < 3 else 0))
+    return Params(*entries), x
+
+
+class TestReflect:
+    """The greedy's reflection on its cell test's monomials against conftest."""
+
+    @given(_skeleton_cases())
+    @settings(max_examples=300, deadline=None)
+    @example((Params.parse("inf,inf,inf,1"), pt(0, 0, 0)))  # three quadratic cells
+    @example((Params.parse("0,0,0,0"), pt(0, 0, 0)))  # all seven cells
+    def test_matches_oracle_trop_vieta(self, case):
+        params, x = case
+        slots, values = _cell_slots(params, _finite_values(params), x)
+        assert {CELL_ORDER[k] for k in slots} == oracle_cells_of(params, x)
+        for i in (1, 2, 3):
+            assert dynamics._reflect(values, i, x) == oracle_trop_vieta(params, i, x)
 
 
 def _run_case(i, j, u1, u2, den, offsets):
