@@ -15,7 +15,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from .errors import DomainError, ResourceError, UsageError
-from .scalars import ExtRat, _int_valuation, ext_min, is_prime, value_class
+from .scalars import ExtRat, _int_valuation, is_prime, value_class
 from .surface import (CellId, Params, Point3, _finite_values, _monomials, cell_has_interior,
                       cells_of, on_skeleton)
 from .dynamics import Matrix2, Word, _reflect, mat_mul
@@ -40,19 +40,19 @@ def fatou_witness(params: Params) -> Point3:
     competing monomial strictly larger."""
     if not fatou_condition(params):
         raise DomainError(f"parameters {params} do not satisfy the Fatou condition")
-    a, b, c, d = params.a, params.b, params.c, params.d
-    dv = d.finite
-    symmetric = (dv / 3, dv / 3, dv / 3)
+    a, b, c, d = _finite_values(params)  # d is finite: the D cell has interior
+    symmetric = (d / 3, d / 3, d / 3)
     if on_skeleton(params, symmetric) and cells_of(params, symmetric) == {CellId.D}:
         return symmetric
-    # Interval elimination in x2 then x1 (x3 = d - x1 - x2).
-    lo2 = dv / 2 if b.is_infinite else max(dv / 2, dv - b.finite)
-    hi2 = ext_min((ExtRat(0), c - dv / 2, a - dv / 2, a + c - dv)).finite
+    # Interval elimination in x2 then x1 (x3 = d - x1 - x2); None drops a bound.
+    lo2 = d / 2 if b is None else max(d / 2, d - b)
+    hi2 = min(v for v in (0, c if c is None else c - d / 2, a if a is None else a - d / 2,
+                          None if a is None or c is None else a + c - d) if v is not None)
     x2 = _midpoint(lo2, hi2)
-    lo1 = dv / 2 if a.is_infinite else max(dv / 2, dv - a.finite)
-    hi1 = ext_min((ExtRat(dv / 2 - x2), c - x2)).finite
+    lo1 = d / 2 if a is None else max(d / 2, d - a)
+    hi1 = d / 2 - x2 if c is None else min(d / 2 - x2, c - x2)
     x1 = _midpoint(lo1, hi1)
-    x = (x1, x2, dv - x1 - x2)
+    x = (x1, x2, d - x1 - x2)
     if cells_of(params, x) != {CellId.D}:
         raise DomainError(f"no interior witness found for {params}")
     return x

@@ -15,7 +15,7 @@ from itertools import groupby
 from math import gcd
 
 from .errors import DomainError, ResourceError, UsageError
-from .scalars import ExtRat, continued_fraction, thomae_gcd, value_class
+from .scalars import ExtRat, continued_fraction, value_class
 from .surface import (
     CellId,
     Params,
@@ -32,7 +32,7 @@ from .dynamics import (
     Word,
     gamma_of,
     greedy_path,
-    u_coords,
+    u_slope,
 )
 
 _STEP_GUARD = 8
@@ -150,11 +150,10 @@ def classify(params: Params, x: Point3) -> ClassifyReport:
     if trace.word.is_identity:
         return ClassifyReport(trace.cell, None, gamma, None, None, True, Word(), None)
     i = trace.word.first_applied  # the reflection of the quadratic cell holding x
-    u1, u2 = u_coords(i, x)
-    m = u2 / u1
+    m = u_slope(i, x)
     delta = index_shift_cf(m)
     ray = _mod3(i + delta - 1)
-    return ClassifyReport(quadratic_cell(i), ExtRat(m), gamma, delta, ray,
+    return ClassifyReport(quadratic_cell(i), m, gamma, delta, ray,
                           gamma < -_threshold(params, ray), trace.word, None)
 
 
@@ -196,25 +195,6 @@ def exception_rays_punctured(d, height: int) -> list[Point3]:
             for pattern in ((q, p, p + q), (p + q, q, p), (p, p + q, q))}
     scaled = [d / 2 * c for c in range(2 * height + 1)]  # no coordinate passes 2 * height
     return [(scaled[a], scaled[b], scaled[c]) for a, b, c in sorted(seen, reverse=True)]
-
-
-def matches_exception_ray(d, x: Point3) -> bool:
-    """Whether x lies on some ray R>=1 * (d/2) * pattern of the exception set."""
-    d = _punctured_d(d)
-    if all(c == 0 for c in x):
-        return False
-    half = abs(d) / 2
-    # In each pattern one coordinate is the sum of the other two.
-    for k in range(3):
-        i, j = (k + 1) % 3, (k + 2) % 3
-        if x[k] != x[i] + x[j]:
-            continue
-        g = thomae_gcd(x[i], x[j])
-        if g < half:
-            continue
-        if (abs(x[i]) / g).denominator == 1 and (abs(x[j]) / g).denominator == 1:
-            return True
-    return False
 
 
 # -- Farey triples and orbit triangles --------------------------------------------

@@ -230,11 +230,10 @@ def apply_word(params: Params, word: Word, x: Point3) -> Point3:
 
 def u_coords(i: int, x: Point3) -> UVec:
     """u^i = (x_{i+1} - x_i, x_{i-1} - x_i); defined on the cell C(X_i^2)."""
-    x1, x2, x3 = x
-    coords = {1: (x2 - x1, x3 - x1), 2: (x3 - x2, x1 - x2), 3: (x1 - x3, x2 - x3)}
-    if i not in coords:
+    if i not in (1, 2, 3):
         raise UsageError(f"generator index must be 1, 2 or 3, got {i}")
-    u1, u2 = coords[i]
+    xi = x[i - 1]
+    u1, u2 = x[nxt(i) - 1] - xi, x[prv(i) - 1] - xi
     if u1 < 0 or u2 < 0:
         raise DomainError(
             f"point {point_text(x)} is outside the quadratic cell {i}: u = ({u1},{u2})")

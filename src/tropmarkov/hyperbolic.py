@@ -24,7 +24,9 @@ from fractions import Fraction
 from operator import add, neg, sub
 
 from .errors import DomainError, ResourceError, UsageError
-from .dynamics import Matrix2, Word, mat_mul
+from .dynamics import Matrix2, Word, mat_mul, trop_vieta
+from .scalars import INF
+from .surface import Params
 
 BPoint = tuple[int, int]
 
@@ -36,29 +38,12 @@ def bpoint(p: int, q: int) -> BPoint:
     if p == 0 and q == 0:
         raise UsageError("(0, 0) is not a projective point")
     g = math.gcd(abs(p), abs(q))
-    p, q = p // g, q // g
-    if q < 0 or (q == 0 and p < 0):
-        p, q = -p, -q
-    return (p, q)
+    return _signed(p // g, q // g)
 
 
-def _boundary_act(i: int, x: BPoint) -> BPoint:
-    """r_i (i in 1, 2, 3) on a normalised pair, with no gcd: r_i has determinant
-    -1, so the image stays coprime and needs at most a sign fix."""
-    p, q = x
-    if i == 2:
-        q = 2 * p - q
-        return (p, q) if q > 0 or (q == 0 and p > 0) else (-p, -q)
-    if q == 0:
-        return x  # r1 and r3 fix inf
-    return (2 * q - p, q) if i == 1 else (-p, q)
-
-
-def reflect_boundary(i: int, x: BPoint) -> BPoint:
-    """r_i on any projective pair, normalised; the index is checked."""
-    if i not in (1, 2, 3):
-        raise UsageError(f"reflection index must be 1, 2 or 3, got {i}")
-    return _boundary_act(i, bpoint(*x))
+def _signed(p: int, q: int) -> BPoint:
+    """The sign of a nonzero pair fixed: q > 0, or (1, 0) for infinity."""
+    return (p, q) if q > 0 or (q == 0 and p > 0) else (-p, -q)
 
 
 # r1, r2, r3 as integer matrices on the column (p, q).  A product of two of
@@ -66,6 +51,21 @@ def reflect_boundary(i: int, x: BPoint) -> BPoint:
 # its k-th power is +-(I + kN).
 _REFLECTION_MATRICES: dict[int, Matrix2] = {
     1: ((-1, 2), (0, 1)), 2: ((1, 0), (2, -1)), 3: ((-1, 0), (0, 1))}
+
+
+def _boundary_act(i: int, x: BPoint) -> BPoint:
+    """r_i (i in 1, 2, 3) on a normalised pair by its matrix, with no gcd: r_i has
+    determinant -1, so the image stays coprime and needs at most a sign fix."""
+    (r00, r01), (r10, r11) = _REFLECTION_MATRICES[i]
+    p, q = x
+    return _signed(r00 * p + r01 * q, r10 * p + r11 * q)
+
+
+def reflect_boundary(i: int, x: BPoint) -> BPoint:
+    """r_i on any projective pair, normalised; the index is checked."""
+    if i not in (1, 2, 3):
+        raise UsageError(f"reflection index must be 1, 2 or 3, got {i}")
+    return _boundary_act(i, bpoint(*x))
 
 
 def _pair_nilpotent(a: int, b: int) -> Matrix2:
@@ -96,7 +96,7 @@ def apply_reflection_word(word: Word, x: BPoint) -> BPoint:
         if n % 2:
             (r00, r01), (r10, r11) = _REFLECTION_MATRICES[a]
             p, q = r00 * p + r01 * q, r10 * p + r11 * q
-    return (p, q) if q > 0 or (q == 0 and p > 0) else (-p, -q)
+    return _signed(p, q)
 
 
 def height(x: BPoint) -> int:
@@ -127,8 +127,7 @@ def reduce_to_nets(x: BPoint) -> tuple[Word, BPoint]:
             # 1/z -> 1/z - 2 (r2 then r3) or 1/z + 2 (r3 then r2) while |z| < 1
             k = (q + abs(p) - 1) // (2 * abs(p))
             move = [2, 3, 2 * k] if p > 0 else [3, 2, 2 * k]
-            r = q - 2 * k * abs(p)
-            cur = (p, r) if r > 0 or (r == 0 and p > 0) else (-p, -r)
+            cur = _signed(p, q - 2 * k * abs(p))
         while runs and move[2] and _last_letter(runs) == move[0]:
             _drop_last(runs)  # s_i s_i cancels
             move = [move[1], move[0], move[2] - 1]
@@ -203,32 +202,22 @@ def _triangles(line: list[BPoint], n: int) -> list[tuple[BPoint, BPoint, BPoint]
     return triangles
 
 
-def _tessellation_triangles(n: int) -> list[tuple[BPoint, BPoint, BPoint]]:
-    """The 3 * 2^n - 2 ideal triangles of the orbit of (0, 1, inf) under words of
-    length <= n, level by level in cyclic order (criterion 7)."""
-    cycle = list(zip(*_orbit_cycle(n)))
-    return _triangles(cycle + cycle[:1], n)
-
-
 CirclePointS = tuple[Fraction, Fraction, Fraction]
 Direction = tuple[int, int, int]  # an integer vector on the ray; primitive in the orbit
 
 
+# The fully degenerate parameters, whose skeleton's circle of directions this is.
+_DEGENERATE = Params(INF, INF, INF, INF)
+
+
 def _direction_act(i: int, n: Direction) -> Direction:
-    """r_i on an integer direction: n_i becomes 2 min(n_j, n_k) - n_i, an
-    integer involution of determinant -1 on each piece, so no gcd is needed."""
-    n1, n2, n3 = n
-    if i == 1:
-        n1 = 2 * (n2 if n2 < n3 else n3) - n1
-    elif i == 2:
-        n2 = 2 * (n1 if n1 < n3 else n3) - n2
-    elif i == 3:
-        n3 = 2 * (n1 if n1 < n2 else n2) - n3
-    else:
-        raise UsageError(f"generator index must be 1, 2 or 3, got {i}")
-    if n1 + n2 + n3 >= 0:
-        raise DomainError(f"{(n1, n2, n3)} does not generate a skeleton direction")
-    return (n1, n2, n3)
+    """r_i on an integer direction: `trop_vieta` at (inf, inf, inf, inf), where n_i
+    becomes 2 min(n_j, n_k) - n_i, an integer involution of determinant -1 on
+    each piece, so no gcd is needed."""
+    m = trop_vieta(_DEGENERATE, i, n)
+    if sum(m) >= 0:
+        raise DomainError(f"{m} does not generate a skeleton direction")
+    return m
 
 
 def _circle_point(n: Direction) -> CirclePointS:

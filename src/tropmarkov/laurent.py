@@ -113,9 +113,6 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self._c
 
-    def coefficient(self, exponent: int) -> Fraction:
-        return self._c.get(exponent, Fraction(0))
-
     def items(self) -> Iterator[tuple[int, Fraction]]:
         return iter(sorted(self._c.items()))
 

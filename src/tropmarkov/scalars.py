@@ -7,6 +7,7 @@ here is exact; no floats.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 import sys
@@ -82,6 +83,7 @@ def _frozen(action: str, name: str):
     raise FrozenInstanceError(f"cannot {action} field {name!r}")
 
 
+@functools.total_ordering
 class ExtRat:
     """A rational number extended with +infinity.
 
@@ -178,15 +180,6 @@ class ExtRat:
 
     # -- order --------------------------------------------------------------
 
-    def _cmp(self, other) -> int:
-        if self._v is None and other._v is None:
-            return 0
-        if self._v is None:
-            return 1
-        if other._v is None:
-            return -1
-        return (self._v > other._v) - (self._v < other._v)
-
     def __eq__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
@@ -194,28 +187,11 @@ class ExtRat:
         return self._v == other._v
 
     def __lt__(self, other):
+        """+infinity is the greatest element; total_ordering derives <=, > and >=."""
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._cmp(other) >= 0
+        return self._v is not None and (other._v is None or self._v < other._v)
 
     def __hash__(self):
         return hash(self._v) if self._v is not None else hash("ExtRat:inf")

@@ -13,10 +13,10 @@ ray thresholds, the foliation of R^3 by level sets of f0, and the involutions'
 fixed-set parametrization.
 
 +infinity enters only through the parameters, where it drops a monomial, so
-f0 and f are exact rationals at every point.  Lifts, ray thresholds and the
-meromorphic test read the finite parameters directly; ExtRat appears only in
-the formulas that combine parameters with +infinity (interiors, fixed sets)
-and in the public `thresholds` tuple.
+f0 and f are exact rationals at every point.  Every formula reads the
+parameters as Fractions, None where +infinity drops its terms
+(`_finite_values`); ExtRat appears only in `Params`, in the public
+`thresholds` tuple and in `level_set_shift`, which builds a `Params`.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import DomainError, ResourceError, UsageError
-from .scalars import ExtRat, ext_min, parse_rational, value_class
+from .scalars import ExtRat, parse_rational, value_class
 
 Point3 = tuple[Fraction, Fraction, Fraction]
 PlanePoint = tuple[Fraction, Fraction, Fraction]
@@ -99,10 +99,6 @@ class Params:
             raise UsageError(f"parameters need exactly 4 entries, got {len(parts)}")
         return cls(*(ExtRat(part.strip()) for part in parts))
 
-    def cycled(self) -> "Params":
-        """Parameter relabeling (a,b,c) -> (b,c,a) matching (x1,x2,x3) -> (x2,x3,x1)."""
-        return Params(self.b, self.c, self.a, self.d)
-
     def __str__(self):
         return ",".join(str(v) for v in (self.a, self.b, self.c, self.d))
 
@@ -159,30 +155,23 @@ def cells_of(params: Params, x: Point3) -> set[CellId]:
     return {CELL_ORDER[k] for k in _cell_slots(params, _finite_values(params), x)[0]}
 
 
-def _min0(e: ExtRat) -> ExtRat:
-    return ext_min((ExtRat(0), e))
-
-
 def cell_has_interior(params: Params, cell: CellId) -> bool:
     """Whether the cell has nonempty planar interior.
 
     Quadratic cells always do.  The D cell requires
     d < min(0,2a-d)+min(0,2b-d)+min(0,2c-d); the linear cell AX1 requires
-    a < min(0,b-a)+min(0,c-a) and 2a < d, and symmetrically for BX2, CX3.
+    a < min(0,b-a)+min(0,c-a) and 2a < d, and symmetrically for BX2, CX3.  An
+    infinite parameter (None) drops its terms; an infinite d leaves the D cell
+    empty, and an infinite a the AX1 cell.
     """
-    a, b, c, d = params.a, params.b, params.c, params.d
     if cell in QUADRATIC_CELLS:
         return True
+    *abc, d = _finite_values(params)
     if cell is CellId.D:
-        if d.is_infinite:
-            return False
-        rhs = _min0(2 * a - d) + _min0(2 * b - d) + _min0(2 * c - d)
-        return d < rhs
-    coeffs = {CellId.AX1: (a, b, c), CellId.BX2: (b, a, c), CellId.CX3: (c, a, b)}
-    own, other1, other2 = coeffs[cell]
-    if own.is_infinite:
-        return False
-    return own < _min0(other1 - own) + _min0(other2 - own) and 2 * own < d
+        return d is not None and d < sum(min(0, 2 * e - d) for e in abc if e is not None)
+    own = abc.pop(SUBQUADRATIC_CELLS.index(cell))
+    return (own is not None and own < sum(min(0, e - own) for e in abc if e is not None)
+            and (d is None or 2 * own < d))
 
 
 def _finite_values(params: Params) -> tuple[Fraction | None, ...]:
@@ -215,15 +204,10 @@ def thresholds(params: Params) -> tuple[ExtRat, ExtRat, ExtRat]:
 
 
 def on_boundary_ray(params: Params, i: int, x: Point3) -> bool:
-    """Membership in the ray R_i: (0,t,t), (t,0,t) or (t,t,0) with t below the threshold."""
-    x1, x2, x3 = x
-    if i == 1:
-        return x1 == 0 and x2 == x3 and _threshold(params, 1) >= x2
-    if i == 2:
-        return x2 == 0 and x1 == x3 and _threshold(params, 2) >= x1
-    if i == 3:
-        return x3 == 0 and x1 == x2 and _threshold(params, 3) >= x1
-    raise UsageError(f"ray index must be 1, 2 or 3, got {i}")
+    """Membership in the ray R_i: x is `ray_point(i, t)`, t = x_{i+1}, with t below
+    the threshold."""
+    t = x[i % 3]
+    return tuple(x) == ray_point(i, t) and _threshold(params, i) >= t
 
 
 def ray_point(i: int, t: Fraction) -> Point3:
@@ -349,41 +333,29 @@ def _integer_lift(coeffs: list[int | None], wl: int, n1: int, n2: int) -> tuple[
 # -- fixed sets of the involutions ---------------------------------------------
 
 
-def _fixed_point_base(params: Params, w: Fraction, u: Fraction) -> Point3:
-    """Fixed point of the first involution on {f0 = w} with x2 - x3 = u."""
-    a, b, c, d = params.a, params.b, params.c, params.d
-    vt = ext_min(
-        (
-            ExtRat(u - 2 * w),
-            ExtRat(-u - 2 * w),
-            (2 * b + (u - 4 * w)) / 3,
-            (2 * c + (-u - 4 * w)) / 3,
-            d / 2 - w,
-            a - w,
-        )
-    ).finite
-    x2 = (vt + u) / 2
-    x3 = (vt - u) / 2
-    x1 = ext_min((ExtRat(x2), ExtRat(x3), (b + x2) / 2, (c + x3) / 2, d / 2)).finite
-    return (x1, x2, x3)
-
-
 def fixed_set_point(params: Params, i: int, w, u) -> Point3:
     """Point of Fix(trop(s_i)) on the level set {f0 = w} with x_{i+1} - x_{i-1} = u.
 
-    Stated for i = 1 directly; i = 2, 3 go through the cyclic relabeling of
-    coordinates and parameters that conjugates the involutions.
+    With e, e', e'' the parameters of x_i, x_{i+1}, x_{i-1} (None where infinite,
+    dropping the term): t = x_{i+1} + x_{i-1} is the least of u - 2w, -u - 2w,
+    (2e' + u - 4w)/3, (2e'' - u - 4w)/3, d/2 - w and e - w, then x_i is the least
+    of x_{i+1}, x_{i-1}, (e' + x_{i+1})/2, (e'' + x_{i-1})/2 and d/2.
     """
     w, u = Fraction(w), Fraction(u)
-    if i == 1:
-        return _fixed_point_base(params, w, u)
-    if i == 2:
-        y = _fixed_point_base(params.cycled(), w, u)
-        return (y[2], y[0], y[1])
-    if i == 3:
-        y = _fixed_point_base(params.cycled().cycled(), w, u)
-        return (y[1], y[2], y[0])
-    raise UsageError(f"generator index must be 1, 2 or 3, got {i}")
+    if i not in (1, 2, 3):
+        raise UsageError(f"generator index must be 1, 2 or 3, got {i}")
+    coeffs = _finite_values(params)
+    e, up, down, d = coeffs[i - 1], coeffs[nxt(i) - 1], coeffs[prv(i) - 1], coeffs[3]
+    t = min(v for v in (u - 2 * w, -u - 2 * w, up if up is None else (2 * up + u - 4 * w) / 3,
+                        down if down is None else (2 * down - u - 4 * w) / 3,
+                        d if d is None else d / 2 - w, e if e is None else e - w) if v is not None)
+    x_up, x_down = (t + u) / 2, (t - u) / 2
+    x_i = min(v for v in (x_up, x_down, up if up is None else (up + x_up) / 2,
+                          down if down is None else (down + x_down) / 2,
+                          d if d is None else d / 2) if v is not None)
+    out = [x_i, x_i, x_i]
+    out[nxt(i) - 1], out[prv(i) - 1] = x_up, x_down
+    return (out[0], out[1], out[2])
 
 
 def is_meromorphic(params: Params) -> bool:

@@ -12,6 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
+import pytest
+from hypothesis import strategies as st
+
 from tropmarkov.arithmetic import (
     ZP_BOX_BOUND,
     LiftReport,
@@ -25,12 +28,11 @@ from tropmarkov.errors import DomainError, ResourceError, UsageError
 from tropmarkov.hyperbolic import (
     SKELETON_DIRECTIONS,
     SKELETON_NETS,
-    _direction_act,
     _plane_xy,
     bpoint,
     reflect_boundary,
 )
-from tropmarkov.scalars import ExtRat, ext_min, is_prime, p_adic_valuation
+from tropmarkov.scalars import ExtRat, ext_min, is_prime, p_adic_valuation, thomae_gcd
 from tropmarkov.surface import (
     CELL_ORDER,
     CellId,
@@ -203,6 +205,124 @@ def oracle_trop_vieta(params, i, x):
 # -- the run length over Fractions, as the library sized jumps before the lattice --
 
 
+# -- parameter formulas over ExtRat, as the library wrote them before None ------
+
+
+def assert_same_outcome(route, oracle, *args):
+    """route(*args) returns what oracle(*args) returns, or raises the exception
+    of the same type with the same text."""
+    try:
+        expected = oracle(*args)
+    except Exception as exc:
+        with pytest.raises(type(exc)) as info:
+            route(*args)
+        assert type(info.value) is type(exc) and str(info.value) == str(exc)
+        return
+    assert route(*args) == expected
+
+
+WALL_FRACTIONS = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+
+
+@st.composite
+def params_on_walls(draw):
+    """(a, b, c, d), each drawn independently as +inf or finite.  A finite entry
+    may sit on a wall: 0, d/2 (2e = d) or an earlier entry (e = e')."""
+    d = draw(st.one_of(st.none(), st.just(Fraction(0)), WALL_FRACTIONS))
+    abc: list = []
+    for _ in range(3):
+        options = [st.none(), st.just(Fraction(0)), WALL_FRACTIONS]
+        if d is not None:
+            options.append(st.just(d / 2))
+        if any(e is not None for e in abc):
+            options.append(st.sampled_from([e for e in abc if e is not None]))
+        abc.append(draw(st.one_of(*options)))
+    entries = [*draw(st.permutations(abc)), d]
+    return Params(*(ExtRat("inf") if e is None else ExtRat(e) for e in entries))
+
+
+def _oracle_min0(e):
+    return ext_min((ExtRat(0), e))
+
+
+def oracle_cell_has_interior(params, cell) -> bool:
+    """The interior test in ExtRat arithmetic: an infinite parameter's min(0, .)
+    term is min(0, +inf) = 0."""
+    a, b, c, d = params.a, params.b, params.c, params.d
+    if cell in QUADRATIC_CELLS:
+        return True
+    if cell is CellId.D:
+        if d.is_infinite:
+            return False
+        rhs = _oracle_min0(2 * a - d) + _oracle_min0(2 * b - d) + _oracle_min0(2 * c - d)
+        return d < rhs
+    coeffs = {CellId.AX1: (a, b, c), CellId.BX2: (b, a, c), CellId.CX3: (c, a, b)}
+    own, other1, other2 = coeffs[cell]
+    if own.is_infinite:
+        return False
+    return own < _oracle_min0(other1 - own) + _oracle_min0(other2 - own) and 2 * own < d
+
+
+def _oracle_fixed_point_base(params, w, u):
+    """Fixed point of the first involution on {f0 = w} with x2 - x3 = u."""
+    a, b, c, d = params.a, params.b, params.c, params.d
+    vt = ext_min((ExtRat(u - 2 * w), ExtRat(-u - 2 * w), (2 * b + (u - 4 * w)) / 3,
+                  (2 * c + (-u - 4 * w)) / 3, d / 2 - w, a - w)).finite
+    x2 = (vt + u) / 2
+    x3 = (vt - u) / 2
+    x1 = ext_min((ExtRat(x2), ExtRat(x3), (b + x2) / 2, (c + x3) / 2, d / 2)).finite
+    return (x1, x2, x3)
+
+
+def oracle_fixed_set_point(params, i, w, u):
+    """The fixed point stated for i = 1; i = 2, 3 go through the cyclic
+    relabeling (a, b, c) -> (b, c, a) that conjugates the involutions."""
+    w, u = Fraction(w), Fraction(u)
+    cycled = Params(params.b, params.c, params.a, params.d)
+    if i == 1:
+        return _oracle_fixed_point_base(params, w, u)
+    if i == 2:
+        y = _oracle_fixed_point_base(cycled, w, u)
+        return (y[2], y[0], y[1])
+    if i == 3:
+        y = _oracle_fixed_point_base(Params(cycled.b, cycled.c, cycled.a, cycled.d), w, u)
+        return (y[1], y[2], y[0])
+    raise UsageError(f"generator index must be 1, 2 or 3, got {i}")
+
+
+def oracle_fatou_witness(params):
+    """The D-cell witness by interval elimination in ExtRat arithmetic."""
+    if not oracle_cell_has_interior(params, CellId.D):
+        raise DomainError(f"parameters {params} do not satisfy the Fatou condition")
+    a, b, c, d = params.a, params.b, params.c, params.d
+    dv = d.finite
+    symmetric = (dv / 3, dv / 3, dv / 3)
+    if oracle_f0(params, symmetric) == 0 and oracle_cells_of(params, symmetric) == {CellId.D}:
+        return symmetric
+    lo2 = dv / 2 if b.is_infinite else max(dv / 2, dv - b.finite)
+    hi2 = ext_min((ExtRat(0), c - dv / 2, a - dv / 2, a + c - dv)).finite
+    x2 = (lo2 + hi2) / 2
+    lo1 = dv / 2 if a.is_infinite else max(dv / 2, dv - a.finite)
+    hi1 = ext_min((ExtRat(dv / 2 - x2), c - x2)).finite
+    x1 = (lo1 + hi1) / 2
+    x = (x1, x2, dv - x1 - x2)
+    if oracle_cells_of(params, x) != {CellId.D}:
+        raise DomainError(f"no interior witness found for {params}")
+    return x
+
+
+def oracle_on_boundary_ray(params, i, x) -> bool:
+    """Membership in R_i, one branch per ray, against the ExtRat thresholds."""
+    x1, x2, x3 = x
+    if i == 1:
+        return x1 == 0 and x2 == x3 and oracle_thresholds(params)[0] >= x2
+    if i == 2:
+        return x2 == 0 and x1 == x3 and oracle_thresholds(params)[1] >= x1
+    if i == 3:
+        return x3 == 0 and x1 == x2 and oracle_thresholds(params)[2] >= x1
+    raise UsageError(f"ray index must be 1, 2 or 3, got {i}")
+
+
 def oracle_run_length(params, x, i, j, cap) -> int:
     """Number of reflections i, j, i, ... the step loop takes from x, at most
     cap, from CellId-keyed Fraction monomials at t = 0, 1, 2 and one Fraction
@@ -291,7 +411,6 @@ def oracle_on_surface(point) -> bool:
 # -- orbit labels and circle order, as the seed built them ------------------------
 
 
-SK_INF = Params.make("inf", "inf", "inf", "inf")
 BOUNDARY_NETS = {1: (0, 1), 2: (1, 0), 3: (1, 1)}  # the nets 0, inf, 1 of r1, r2, r3
 
 
@@ -347,14 +466,29 @@ def oracle_reduce_to_nets(x):
     return Word(letters), cur
 
 
+def oracle_direction_act(i, n):
+    """r_i on a direction by its formula, one branch per generator: n_i becomes
+    2 min(n_j, n_k) - n_i."""
+    n1, n2, n3 = n
+    if i == 1:
+        n1 = 2 * (n2 if n2 < n3 else n3) - n1
+    elif i == 2:
+        n2 = 2 * (n1 if n1 < n3 else n3) - n2
+    elif i == 3:
+        n3 = 2 * (n1 if n1 < n2 else n2) - n3
+    else:
+        raise UsageError(f"generator index must be 1, 2 or 3, got {i}")
+    if n1 + n2 + n3 >= 0:
+        raise DomainError(f"{(n1, n2, n3)} does not generate a skeleton direction")
+    return (n1, n2, n3)
+
+
 def oracle_skeleton_direction_act(i, x):
-    """r_i on the circle of directions through the general route: trop_vieta
-    on the all-infinite parameters, then an exact rescaling to coordinate sum -1."""
-    y = trop_vieta(SK_INF, i, x)
-    s = y[0] + y[1] + y[2]
-    if s >= 0:
-        raise DomainError(f"{y} does not generate a skeleton direction")
-    return (y[0] / (-s), y[1] / (-s), y[2] / (-s))
+    """r_i on the circle of directions by `oracle_direction_act` on the rational
+    triple, then an exact rescaling to coordinate sum -1."""
+    y = oracle_direction_act(i, x)
+    s = -(y[0] + y[1] + y[2])
+    return (y[0] / s, y[1] / s, y[2] / s)
 
 
 def oracle_angular_cmp(u, v) -> int:
@@ -482,7 +616,7 @@ def oracle_skeleton_cycle(n: int) -> list:
     """The skeleton orbit built by the integer direction act in its own
     counterclockwise layout, cut at angle 0 by bisection: angle 0 lies in
     arc 2, the last one, which runs from 270 to 45 degrees."""
-    cycle = oracle_orbit_cycle(SKELETON_DIRECTIONS, _direction_act, ORACLE_SKELETON_CCW, n)
+    cycle = oracle_orbit_cycle(SKELETON_DIRECTIONS, oracle_direction_act, ORACLE_SKELETON_CCW, n)
     p_q = [_plane_xy(x) for x in cycle]
     upper = [q > 0 or (q == 0 and p > 0) for p, q in p_q]
     cut = bisect_left(upper, True, (2 << n) + 1)
@@ -603,6 +737,28 @@ def oracle_exception_rays_punctured(d, height: int) -> list:
                 for pattern in ((q, p, p + q), (p + q, q, p), (p, p + q, q)):
                     seen.add(tuple(half * c for c in pattern))
     return sorted(seen)
+
+
+def oracle_matches_exception_ray(d, x) -> bool:
+    """Whether x lies on some ray R>=1 * (d/2) * pattern of the exception set:
+    one coordinate is the sum of the other two, each an integer multiple of
+    their Thomae gcd, which is at least |d|/2."""
+    d = Fraction(d)
+    if d >= 0:
+        raise DomainError("punctured-torus parameters require d < 0")
+    if all(c == 0 for c in x):
+        return False
+    half = abs(d) / 2
+    for k in range(3):
+        i, j = (k + 1) % 3, (k + 2) % 3
+        if x[k] != x[i] + x[j]:
+            continue
+        g = thomae_gcd(x[i], x[j])
+        if g < half:
+            continue
+        if (abs(x[i]) / g).denominator == 1 and (abs(x[j]) / g).denominator == 1:
+            return True
+    return False
 
 
 def _oracle_farey_children(t):

@@ -12,6 +12,7 @@ from pathlib import Path
 from conftest import (
     brute_force_zp_points,
     oracle_boundary_key,
+    oracle_matches_exception_ray,
     oracle_skeleton_sorted,
     orbit_reaches_ray,
 )
@@ -39,7 +40,6 @@ from tropmarkov.classifier import (
     farey_triangle,
     index_shift_bruteforce,
     index_shift_cf,
-    matches_exception_ray,
     stopping_time,
     table_orbit_triangles,
 )
@@ -154,7 +154,7 @@ def test_criterion_05_punctured_torus_ray_census():
     for g in gens:
         assert on_skeleton(params, g)
         assert not classify(params, g).in_U
-        assert matches_exception_ray(d, g)
+        assert oracle_matches_exception_ray(d, g)
     # Classified exception points from fresh punctured-torus samples must
     # match a ray pattern of the exception-set description.
     rng = random.Random(2024_05)
@@ -164,7 +164,7 @@ def test_criterion_05_punctured_torus_ray_census():
         pt_params = Params.make("inf", "inf", "inf", dv)
         x = random_skeleton_point(rng, pt_params)
         if not classify(pt_params, x).in_U:
-            assert matches_exception_ray(dv, x)
+            assert oracle_matches_exception_ray(dv, x)
             hits += 1
     _report(5, len(gens) > 700 and hits > 10,
             f"{len(gens)} ray generators verified; {hits} classified "

@@ -1,10 +1,10 @@
 import math
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tropmarkov.errors import DomainError, ResourceError
 from tropmarkov.laurent import LaurentPoly
@@ -26,7 +26,7 @@ from tropmarkov.arithmetic import (
     vieta_exact,
 )
 
-from conftest import oracle_on_surface
+from conftest import assert_same_outcome, oracle_fatou_witness, oracle_on_surface, params_on_walls
 
 F = Fraction
 ZERO = LaurentPoly.zero()
@@ -69,6 +69,21 @@ class TestFatou:
             assert cells_of(params, x) == {CellId.D}
             produced += 1
         assert produced > 40
+
+    @given(params_on_walls())
+    @example(Params.parse("-2,inf,inf,-3"))
+    @example(Params.parse("inf,inf,inf,0"))
+    def test_witness_matches_extrat_oracle(self, params):
+        assert_same_outcome(fatou_witness, oracle_fatou_witness, params)
+
+    def test_witness_matches_extrat_oracle_on_a_grid(self):
+        # Every (a, b, c) from a grid holding the walls e = d/2 and e = e',
+        # where the symmetric point often ties and the interval bounds bind.
+        values = ("inf", "-5", "-4", "-3", "-2", "-1/2", "0", "1")
+        for d in ("-6", "-2", "0", "inf"):
+            for a, b, c in product(values, repeat=3):
+                params = Params.parse(f"{a},{b},{c},{d}")
+                assert_same_outcome(fatou_witness, oracle_fatou_witness, params)
 
     def test_asymmetric_witness(self):
         params = Params.parse("-2,inf,inf,-3")

@@ -10,6 +10,7 @@ from hypothesis import example, given, strategies as st
 from conftest import (
     _oracle_farey_children,
     oracle_exception_rays_punctured,
+    oracle_matches_exception_ray,
     oracle_farey_triples,
     oracle_farey_word,
     oracle_table_orbit_triangles,
@@ -29,7 +30,6 @@ from tropmarkov.classifier import (
     farey_triangle,
     index_shift_bruteforce,
     index_shift_cf,
-    matches_exception_ray,
     punctured_torus_in_U,
     slope_T,
     stopping_time,
@@ -193,9 +193,9 @@ class TestExceptionRays:
 
     def test_direction_pattern_of_example(self):
         # (-2,-3,-5) = (d/2)(q,p,p+q) with (p,q) = (3,2).
-        assert matches_exception_ray(F(-2), pt(-2, -3, -5))
-        assert not matches_exception_ray(F(-2), pt(F(-1, 2), F(-3, 4), F(-5, 4)))
-        assert matches_exception_ray(F(-2), pt(-6, -9, -15))
+        assert oracle_matches_exception_ray(F(-2), pt(-2, -3, -5))
+        assert not oracle_matches_exception_ray(F(-2), pt(F(-1, 2), F(-3, 4), F(-5, 4)))
+        assert oracle_matches_exception_ray(F(-2), pt(-6, -9, -15))
 
 
 class TestFarey:

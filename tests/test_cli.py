@@ -308,6 +308,17 @@ class TestSkeletonDigests:
 
 
 class TestFatouCommand:
+    def test_seeded_params_digest(self, capsys):
+        # sha256 of `fatou` on 100 seeded random_params draws (21 with a
+        # witness), each call as its exit code, stdout and stderr.
+        rng = random.Random(2121)
+        digest = hashlib.sha256()
+        for _ in range(100):
+            code, out, err = run_cli(capsys, "fatou", "--params", str(random_params(rng)))
+            digest.update(f"{code}\n{out}{err}\n".encode())
+        assert digest.hexdigest() == (
+            "18bc42e74c40ae6b6f724117bb959573b83af8dceeaf644b988cfaf76275ba6c")
+
     def test_condition_true(self, capsys):
         code, out, _ = run_cli(capsys, "fatou", "--params", "0,0,0,-1")
         payload = json.loads(out)

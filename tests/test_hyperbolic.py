@@ -36,18 +36,20 @@ from tropmarkov.hyperbolic import (
     _relabel,
     _skeleton_cycle,
     _skeleton_text,
-    _tessellation_triangles,
+    _triangles,
 )
 
 from conftest import (
     BOUNDARY_CCW,
     BOUNDARY_NETS,
     ORACLE_SKELETON_CCW,
+    assert_same_outcome,
     bpoint_from_rational,
     oracle_angular_cmp,
     oracle_apply_reflection_word,
     oracle_boundary_angle,
     oracle_boundary_key,
+    oracle_direction_act,
     oracle_geodesic_points,
     oracle_labels,
     oracle_order_isomorphism_check,
@@ -378,9 +380,10 @@ class TestAgainstSlowPaths:
         # The library builds the boundary cycle; the skeleton cycle is built
         # directly on integer directions in its own layout by the conftest
         # builder, and its circle points are checked against the words
-        # replayed through the trop_vieta route.
+        # replayed through the per-generator formula.
         def skeleton_build(k):
-            return oracle_orbit_cycle(SKELETON_DIRECTIONS, _direction_act, ORACLE_SKELETON_CCW, k)
+            return oracle_orbit_cycle(SKELETON_DIRECTIONS, oracle_direction_act,
+                                      ORACLE_SKELETON_CCW, k)
 
         for build, ccw, point, oracle_nets, oracle_act in (
                 (cycle_points, BOUNDARY_CCW, tuple, BOUNDARY_NETS, oracle_reflect_boundary),
@@ -408,11 +411,13 @@ class TestAgainstSlowPaths:
         for n in range(7):
             assert _skeleton_cycle(n) == oracle_skeleton_cycle(n)
             assert ([_phi(x) for x in cycle_points(n)]
-                    == oracle_orbit_cycle(SKELETON_DIRECTIONS, _direction_act, BOUNDARY_CCW, n))
+                    == oracle_orbit_cycle(SKELETON_DIRECTIONS, oracle_direction_act,
+                                          BOUNDARY_CCW, n))
 
     def test_tessellation_matches_reflection_bfs(self):
         for n in range(9):
-            triangles = [tuple(sorted(t)) for t in _tessellation_triangles(n)]
+            cycle = cycle_points(n)
+            triangles = [tuple(sorted(t)) for t in _triangles(cycle + cycle[:1], n)]
             assert len(set(triangles)) == len(triangles) == 3 * 2**n - 2
             assert set(triangles) == oracle_tessellation_triangles(n)
 
@@ -430,7 +435,8 @@ class TestAgainstSlowPaths:
 
 
 class TestDirectionKernel:
-    """The integer act on skeleton directions against the trop_vieta route."""
+    """The integer act on skeleton directions, trop_vieta at (inf, inf, inf, inf),
+    against the per-generator formula."""
 
     rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
     triples = st.one_of(
@@ -452,6 +458,11 @@ class TestDirectionKernel:
         got = skeleton_direction_act(i, x)
         assert got == expected and all(type(c) is F for c in got)
 
+    @given(st.sampled_from((1, 2, 3, 0, 4)), st.tuples(*[st.integers(-30, 30)] * 3))
+    @example(2, (1, 0, 0))  # positive image sum
+    def test_integer_act_matches_formula(self, i, n):
+        assert_same_outcome(_direction_act, oracle_direction_act, i, n)
+
     def test_public_act_examples(self):
         assert skeleton_direction_act(1, (F(1), F(0), F(0))) == (-1, 0, 0)
         assert skeleton_direction_act(1, SKELETON_NETS[1]) == (F(-1, 2), F(-1, 4), F(-1, 4))
@@ -459,7 +470,8 @@ class TestDirectionKernel:
     def test_orbit_directions_are_primitive_involution_points(self):
         # The depth-10 cycle holds every orbit point of depth <= 10; the
         # library reads the same points off the boundary cycle.
-        cycle = oracle_orbit_cycle(SKELETON_DIRECTIONS, _direction_act, ORACLE_SKELETON_CCW, 10)
+        cycle = oracle_orbit_cycle(SKELETON_DIRECTIONS, oracle_direction_act,
+                                   ORACLE_SKELETON_CCW, 10)
         assert sorted(_skeleton_cycle(10)) == sorted(cycle)
         for x in cycle:
             assert all(type(c) is int for c in x)
@@ -570,7 +582,7 @@ class TestConjugacy:
                 relabelled = _relabel(cycle_points(n), n, net_order)
                 assert relabelled == oracle_orbit_cycle(moved, reflect_boundary, BOUNDARY_CCW, n)
                 assert ([_phi(x) for x in relabelled]
-                        == oracle_orbit_cycle(skel_nets, _direction_act, BOUNDARY_CCW, n))
+                        == oracle_orbit_cycle(skel_nets, oracle_direction_act, BOUNDARY_CCW, n))
 
 
 class TestSkeletonText:

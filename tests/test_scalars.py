@@ -1,5 +1,6 @@
 import copy
 import pickle
+import random
 import sys
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
@@ -8,9 +9,9 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from conftest import VALUE_TWINS
-from tropmarkov.arithmetic import SurfacePointL, surface_from_seed
-from tropmarkov.classifier import FareyTriple, farey_enumerate
-from tropmarkov.dynamics import Word
+from tropmarkov.arithmetic import SurfacePointL, fatou_condition, fatou_witness, surface_from_seed
+from tropmarkov.classifier import FareyTriple, classify, farey_enumerate
+from tropmarkov.dynamics import Word, greedy_path
 from tropmarkov.errors import DomainError, UsageError
 from tropmarkov.laurent import LaurentPoly
 from tropmarkov.scalars import (
@@ -24,7 +25,9 @@ from tropmarkov.scalars import (
     parse_rational,
     thomae_gcd,
 )
-from tropmarkov.surface import Params
+from tropmarkov.sampling import random_skeleton_point
+from tropmarkov.surface import (CELL_ORDER, Params, cell_has_interior, fixed_set_point,
+                                is_meromorphic, thresholds)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=40)
 nonneg_rationals = st.fractions(min_value=0, max_value=100, max_denominator=100)
@@ -92,10 +95,71 @@ class TestExtRat:
         assert (ExtRat(x) < ExtRat(y)) == (x < y)
         assert (ExtRat(x) == ExtRat(y)) == (x == y)
 
+    @given(st.one_of(st.just(INF), rationals.map(ExtRat)),
+           st.one_of(st.just(INF), rationals.map(ExtRat), rationals, st.integers(-50, 50)))
+    @example(INF, INF)
+    @example(ExtRat(0), 0)
+    def test_order_is_one_total_order(self, x, y):
+        # One __lt__ (+inf greatest) and __eq__; <=, > and >= derive from them,
+        # and a Fraction or int on either side compares as its ExtRat.
+        def key(v):
+            v = v if isinstance(v, ExtRat) else ExtRat(v)
+            return (1, 0) if v.is_infinite else (0, v.finite)
+
+        kx, ky = key(x), key(y)
+        assert (x < y, x <= y, x > y, x >= y, x == y, x != y) == (
+            kx < ky, kx <= ky, kx > ky, kx >= ky, kx == ky, kx != ky)
+        assert (y < x, y <= x, y > x, y >= x) == (ky < kx, ky <= kx, ky > kx, ky >= kx)
+
+    def test_comparisons_live_on_the_class(self):
+        # A tracer that wraps ExtRat's operators reads them from the class dict.
+        assert {"__eq__", "__lt__", "__le__", "__gt__", "__ge__"} <= set(ExtRat.__dict__)
+
     def test_halving_and_scaling(self):
         assert (INF / 2).is_infinite
         assert (2 * INF).is_infinite
         assert ExtRat(Fraction(-3)) / 2 == Fraction(-3, 2)
+
+
+class TestNoExtRatArithmeticInTheFormulas:
+    """With ExtRat's arithmetic and ext_min made to raise, the parameter formulas
+    still run on parameters with +inf entries: they read Fractions, None where
+    +inf drops a term."""
+
+    ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                  "__truediv__", "__neg__")
+    PARAMS = ("inf,inf,inf,-2", "-1,inf,2,-3", "inf,-1/2,inf,inf", "0,inf,inf,-1",
+              "-2,inf,inf,-3", "inf,1,-1,inf", "-3,-1,inf,-5/2")
+
+    def test_formulas_run_without_extrat_arithmetic(self, monkeypatch):
+        rng = random.Random(7)
+        cases = [(Params.parse(text), [random_skeleton_point(rng, Params.parse(text))
+                                       for _ in range(20)]) for text in self.PARAMS]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("ExtRat arithmetic in a parameter formula")
+
+        for op in self.ARITHMETIC:
+            monkeypatch.setattr(ExtRat, op, refuse)
+        for module in [m for name, m in sys.modules.items() if name.startswith("tropmarkov")]:
+            if getattr(module, "ext_min", None) is ext_min:
+                monkeypatch.setattr(module, "ext_min", refuse)
+        witnesses = classified = 0
+        for params, points in cases:
+            for cell in CELL_ORDER:
+                cell_has_interior(params, cell)
+            for i in (1, 2, 3):
+                fixed_set_point(params, i, Fraction(-1, 2), Fraction(3))
+            thresholds(params)
+            if fatou_condition(params):
+                fatou_witness(params)
+                witnesses += 1
+            for x in points:
+                greedy_path(params, x)
+                if is_meromorphic(params):
+                    classify(params, x)
+                    classified += 1
+        assert witnesses >= 3 and classified >= 80
 
 
 class TestParseRational:

@@ -39,15 +39,21 @@ from tropmarkov.surface import (
 from tropmarkov.dynamics import trop_vieta
 
 from conftest import (
+    WALL_FRACTIONS,
+    assert_same_outcome,
+    oracle_cell_has_interior,
     oracle_cells_of,
     oracle_f0,
     oracle_in_tropicalization,
     oracle_is_meromorphic,
     oracle_lift_from_plane,
+    oracle_fixed_set_point,
     oracle_monomial_values,
+    oracle_on_boundary_ray,
     oracle_thresholds,
     oracle_trop_poly_f,
     oracle_trop_vieta,
+    params_on_walls,
 )
 
 F = Fraction
@@ -432,6 +438,41 @@ class TestFixedSets:
             assert trop_vieta(params, i, x) == x
             assert f0(params, x) == w
             assert x[i % 3] - x[(i + 1) % 3] == u
+
+
+class TestParameterFormulasAgainstExtRat:
+    """The formulas on Fraction-or-None parameters against their ExtRat forms,
+    with a, b, c, d each +inf or finite and on the walls of the inequalities."""
+
+    @given(params_on_walls())
+    @example(Params.parse("0,0,0,0"))
+    @example(Params.parse("-1,-1,inf,-2"))
+    @example(Params.parse("inf,inf,inf,inf"))
+    def test_cell_has_interior(self, params):
+        for cell in CELL_ORDER:
+            assert cell_has_interior(params, cell) == oracle_cell_has_interior(params, cell)
+
+    @given(params_on_walls(), WALL_FRACTIONS, WALL_FRACTIONS)
+    @example(Params.parse("inf,inf,inf,inf"), F(0), F(0))
+    def test_fixed_set_point(self, params, w, u):
+        for i in (0, 1, 2, 3, 4):
+            assert_same_outcome(fixed_set_point, oracle_fixed_set_point, params, i, w, u)
+        for i in (1, 2, 3):
+            assert all(type(c) is F for c in fixed_set_point(params, i, w, u))
+
+    @given(params_on_walls(), st.integers(min_value=0, max_value=4),
+           st.sampled_from(("on", "below", "above", "off")), WALL_FRACTIONS)
+    def test_on_boundary_ray(self, params, i, where, v):
+        # x is R_j's point at the threshold (on the wall), below or above it,
+        # or a point of the ray's line with one coordinate moved off it.
+        j = i if i in (1, 2, 3) else 1
+        t = oracle_thresholds(params)[j - 1].finite
+        t += {"on": 0, "below": -abs(v) - 1, "above": abs(v) + 1, "off": v}[where]
+        x = [t, t, t]
+        x[j - 1] = F(0)
+        if where == "off":
+            x[j % 3] += 1
+        assert_same_outcome(on_boundary_ray, oracle_on_boundary_ray, params, i, tuple(x))
 
 
 class TestModesAndShifts:
