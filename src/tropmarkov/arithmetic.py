@@ -16,9 +16,9 @@ from fractions import Fraction
 
 from .errors import DomainError, ResourceError, UsageError
 from .scalars import ExtRat, _int_valuation, is_prime, value_class
-from .surface import (CellId, Params, Point3, _finite_values, _monomials, cell_has_interior,
-                      cells_of, on_skeleton)
-from .dynamics import Matrix2, Word, _reflect, mat_mul
+from .surface import (CellId, Params, Point3, _finite_values, cell_has_interior, cells_of,
+                      on_skeleton)
+from .dynamics import Matrix2, Word, mat_mul, trop_vieta
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # LaurentPoly appears in annotations only; lift-check loads it
@@ -175,31 +175,27 @@ def lift_consistency(point: SurfacePointL, word: Word) -> LiftReport:
             f"word length {len(word)} exceeds the configured bound {LIFT_WORD_BOUND}")
     params = point.params()
     vals = point.valuation_vector()
-    pre_ok = False
-    if all(not v.is_infinite for v in vals):
-        x0 = tuple(v.finite for v in vals)
-        pre_ok = on_skeleton(params, x0) and cells_of(params, x0) == {CellId.D}
-    else:
-        x0 = None
-    if x0 is None:
+    if any(v.is_infinite for v in vals):
         return LiftReport(ok=False, precondition_ok=False, steps=())
+    x0 = tuple(v.finite for v in vals)
+    pre_ok = on_skeleton(params, x0) and cells_of(params, x0) == {CellId.D}
     steps: list[LiftStep] = []
-    finite = _finite_values(params)
+    letters = word.letters  # display order: the first k applied are the last k
     cur_exact = point
     cur_trop: Point3 = x0
     ok = True
-    for k, (g, prefix) in enumerate(zip(word.applied_order(), word.applied_prefixes())):
+    for k, g in enumerate(reversed(letters), 1):
         Xj, Xk = (X for i, X in enumerate((cur_exact.X1, cur_exact.X2, cur_exact.X3), 1)
                   if i != g)
         if _lift_size(Xj) * _lift_size(Xk) > LIFT_STEP_BOUND:
-            raise ResourceError(f"exact step {k + 1} of {len(word)} exceeds the configured "
+            raise ResourceError(f"exact step {k} of {len(word)} exceeds the configured "
                                 f"bound of {LIFT_STEP_BOUND} cost units")
         cur_exact = vieta_exact(g, cur_exact)
-        cur_trop = _reflect(_monomials(finite, cur_trop), g, cur_trop)
+        cur_trop = trop_vieta(params, g, cur_trop)
         exact_vals = cur_exact.valuation_vector()
         match = all(ev == tv for ev, tv in zip(exact_vals, cur_trop))
         ok = ok and match
-        steps.append(LiftStep(prefix, exact_vals, cur_trop, match))
+        steps.append(LiftStep(Word(letters[-k:]), exact_vals, cur_trop, match))
     return LiftReport(ok=ok and pre_ok, precondition_ok=pre_ok, steps=tuple(steps))
 
 

@@ -42,6 +42,12 @@ Run = tuple[int, int, int]
 STEP_BOUND = 2**20
 
 
+def _check_letter(g) -> None:
+    """A letter is the int 1, 2 or 3, not a bool or float that equals one."""
+    if type(g) is not int or g not in (1, 2, 3):
+        raise UsageError(f"generator index must be 1, 2 or 3, got {g}")
+
+
 def _push(runs: list[list[int]], g: int) -> None:
     """Append the letter g, applied after the others, to ``runs``.
 
@@ -51,8 +57,7 @@ def _push(runs: list[list[int]], g: int) -> None:
     when it repeats the letter two back; a lone letter [g, 0, 1] takes any
     next letter.
     """
-    if g not in (1, 2, 3):
-        raise UsageError(f"generator index must be 1, 2 or 3, got {g}")
+    _check_letter(g)
     if not runs:
         runs.append([g, 0, 1])
         return
@@ -133,10 +138,11 @@ class Word:
         """Build a word, cancelling adjacent equal letters (each s_i is an involution)."""
         stack: list[int] = []
         for g in letters:
+            _check_letter(g)
             if stack and stack[-1] == g:
                 stack.pop()
             else:
-                stack.append(int(g))
+                stack.append(g)
         return cls(tuple(stack))
 
     @classmethod
@@ -176,20 +182,6 @@ class Word:
     def applied_order(self) -> Iterator[int]:
         """Generator indices in the order they act (rightmost first)."""
         return reversed(self.letters)
-
-    def applied_prefixes(self) -> Iterator["Word"]:
-        """The words of the first 1, 2, ... letters applied, from the runs.
-
-        Runs are cut from the right, so a prefix keeps the runs to the right
-        of its cut and the cut run's last letters.
-        """
-        runs = self.runs
-        for k in range(len(runs) - 1, -1, -1):
-            i, j, n = runs[k]
-            rest = runs[k + 1:]
-            for c in range(1, n + 1):
-                head, other = (i, j) if (n - c) % 2 == 0 else (j, i)
-                yield self._of_runs(((head, other if c > 1 else 0, c),) + rest)
 
     def __len__(self):
         return sum(n for _, _, n in self.runs)

@@ -8,13 +8,12 @@ p/q in Q union {inf}; the three reflections act by
 
 The nets 0, inf, 1 (for r1, r2, r3 respectively) generate the full rational
 boundary under the group, by strict height descent.  Each r_i has determinant
--1, so the orbit stays coprime with no gcd (`_boundary_act`); `bpoint` works
+-1, so the orbit stays coprime with no gcd (`reflect_boundary`); `bpoint` works
 only at the API edges.  Each orbit level puts the mediant (p + r)/(q + s) in
-each gap p/q, r/s, so `_orbit_cycle` is mediant refinement of integer columns;
-the parity colour (p mod 2, q mod 2), which every r_i keeps, names a point's net
-(`_colour`).  The skeleton orbit, of the fully degenerate skeleton's boundary-ray
-directions, is the image of the boundary orbit under `_phi`;
-`partial_orbit_skeleton` and `skeleton_direction_act` alone return Fractions.
+each gap p/q, r/s, so `_orbit_cycle` is mediant refinement of integer columns.
+The skeleton orbit, of the fully degenerate skeleton's boundary-ray directions,
+is the image of the boundary orbit under `_phi`; `partial_orbit_skeleton` and
+`skeleton_direction_act` alone return Fractions.
 """
 
 from __future__ import annotations
@@ -53,19 +52,14 @@ _REFLECTION_MATRICES: dict[int, Matrix2] = {
     1: ((-1, 2), (0, 1)), 2: ((1, 0), (2, -1)), 3: ((-1, 0), (0, 1))}
 
 
-def _boundary_act(i: int, x: BPoint) -> BPoint:
-    """r_i (i in 1, 2, 3) on a normalised pair by its matrix, with no gcd: r_i has
-    determinant -1, so the image stays coprime and needs at most a sign fix."""
-    (r00, r01), (r10, r11) = _REFLECTION_MATRICES[i]
-    p, q = x
-    return _signed(r00 * p + r01 * q, r10 * p + r11 * q)
-
-
 def reflect_boundary(i: int, x: BPoint) -> BPoint:
-    """r_i on any projective pair, normalised; the index is checked."""
+    """r_i on any projective pair, normalised; the index is checked.  x is normalised
+    once and r_i has determinant -1, so its matrix image needs no gcd, only a sign fix."""
     if i not in (1, 2, 3):
         raise UsageError(f"reflection index must be 1, 2 or 3, got {i}")
-    return _boundary_act(i, bpoint(*x))
+    (r00, r01), (r10, r11) = _REFLECTION_MATRICES[i]
+    p, q = bpoint(*x)
+    return _signed(r00 * p + r01 * q, r10 * p + r11 * q)
 
 
 def _pair_nilpotent(a: int, b: int) -> Matrix2:
@@ -210,16 +204,6 @@ Direction = tuple[int, int, int]  # an integer vector on the ray; primitive in t
 _DEGENERATE = Params(INF, INF, INF, INF)
 
 
-def _direction_act(i: int, n: Direction) -> Direction:
-    """r_i on an integer direction: `trop_vieta` at (inf, inf, inf, inf), where n_i
-    becomes 2 min(n_j, n_k) - n_i, an integer involution of determinant -1 on
-    each piece, so no gcd is needed."""
-    m = trop_vieta(_DEGENERATE, i, n)
-    if sum(m) >= 0:
-        raise DomainError(f"{m} does not generate a skeleton direction")
-    return m
-
-
 def _circle_point(n: Direction) -> CirclePointS:
     s = -(n[0] + n[1] + n[2])
     return (Fraction(n[0], s), Fraction(n[1], s), Fraction(n[2], s))
@@ -245,9 +229,14 @@ def _phi(x: BPoint) -> Direction:
 
 
 def skeleton_direction_act(i: int, x: CirclePointS) -> CirclePointS:
-    """r_i on any rational triple, scaled to an integer one (r_i is positively homogeneous)."""
+    """r_i on any rational triple, scaled to an integer one n (r_i is positively
+    homogeneous), by `trop_vieta` at (inf, inf, inf, inf): n_i becomes 2 min(n_j, n_k)
+    - n_i, an integer involution of determinant -1 on each piece, so no gcd is needed."""
     d = math.lcm(*(c.denominator for c in x))
-    return _circle_point(_direction_act(i, tuple(c.numerator * (d // c.denominator) for c in x)))
+    m = trop_vieta(_DEGENERATE, i, tuple(c.numerator * (d // c.denominator) for c in x))
+    if sum(m) >= 0:
+        raise DomainError(f"{m} does not generate a skeleton direction")
+    return _circle_point(m)
 
 
 def _plane_xy(x: CirclePointS | Direction) -> tuple:
@@ -320,36 +309,12 @@ def _angle_step(u: tuple[bool, int, int], v: tuple[bool, int, int]) -> int:
     return u[1] * v[2] - u[2] * v[1]
 
 
-def order_isomorphism_check(n: int, net_order: tuple[int, int, int] = (1, 2, 3)) -> bool:
-    """Whether the label bijection between the two depth-n orbits is a
-    cyclic-order isomorphism.  ``net_order`` permutes which skeleton net each
-    boundary net is matched with; the identity is the faithful pairing, and a
-    repeated net is allowed (it repeats points, so the check fails)."""
-    net_order = tuple(net_order)
-    if len(net_order) != 3 or not set(net_order) <= {1, 2, 3}:
-        raise UsageError(f"net_order must be three net indices from 1, 2, 3, got {net_order}")
-    # The boundary cycle ascends; at label (i, w) sits w s_j = _phi(w b_j), j = net_order[i].
-    cycle = list(zip(*_orbit_cycle(n)))
-    moved = cycle if net_order == (1, 2, 3) else _relabel(cycle, n, net_order)
-    skl = [_plane_vector(_phi(x)) for x in moved]
+def order_isomorphism_check(n: int) -> bool:
+    """Whether the label bijection between the two depth-n orbits, each boundary
+    net matched with the skeleton net of its index, is a cyclic-order isomorphism."""
+    # The boundary cycle ascends; at label (i, w) sits w s_i = _phi(w b_i).
+    skl = [_plane_vector(_phi(x)) for x in zip(*_orbit_cycle(n))]
     # Strict cyclic order: exactly one step is not an ascent (or, reversed, not a
     # descent); ties count both ways, so a repeated point fails.
     steps_s = [_angle_step(u, v) for u, v in zip(skl, skl[1:] + skl[:1])]
     return 1 in (sum(t <= 0 for t in steps_s), sum(t >= 0 for t in steps_s))
-
-
-def _colour(x: BPoint) -> int:
-    """The net i of the parity colour of x: (0, 1), (1, 0), (1, 1) give 1, 2, 3."""
-    return 2 * (x[0] & 1) + (x[1] & 1)
-
-
-def _relabel(cycle: list[BPoint], n: int, net_order) -> list[BPoint]:
-    """w b_j, j = net_order[i], at the position of each label (i, w): w carries
-    (0, 1, inf) onto the point's creation triangle, the point and its two older
-    neighbours (the root for a net), so w b_j is that triangle's vertex coloured j."""
-    closed, top, moved = cycle + cycle[:1], 1 << n, []
-    for j, x in enumerate(cycle):
-        s = j & -j if j % top else 0  # the point is new at depth n - log2(s)
-        triangle = (closed[j - s], x, closed[j + s]) if s else cycle[::top]
-        moved.append(next(y for y in triangle if _colour(y) == net_order[_colour(x) - 1]))
-    return moved

@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -26,6 +27,7 @@ from tropmarkov.hyperbolic import (
     partial_orbit_skeleton,
     partition_table,
 )
+from tropmarkov.laurent import LaurentPoly
 from tropmarkov.sampling import random_params, random_skeleton_point, random_word
 from tropmarkov.scalars import parse_rational
 from tropmarkov.surface import GRID_BOUND, Params, point_text
@@ -331,6 +333,46 @@ class TestFatouCommand:
         payload = json.loads(out)
         assert payload["condition"] is False
         assert payload["witness"] is None
+
+
+class TestLiftCheckAndPingpongDigests:
+    """sha256 of seeded `lift-check` calls and of the `pingpong` listings, each
+    call as its exit code, stdout and stderr, one digest per command."""
+
+    @staticmethod
+    def random_laurent(rng):
+        return str(LaurentPoly({rng.randint(-2, 1): Fraction(rng.randint(-3, 3))
+                                for _ in range(rng.randint(1, 2))}))
+
+    def test_lift_check_digest(self, capsys):
+        # Words of 0 to 12 letters on seeded seeds and abc (a zero polynomial
+        # has valuation +inf), then a failed precondition, a zero coordinate
+        # and a word one letter past LIFT_WORD_BOUND.
+        rng = random.Random(2222)
+        calls = []
+        for k in range(78):
+            seed = ",".join(self.random_laurent(rng) for _ in range(3))
+            abc = ",".join(self.random_laurent(rng) if rng.random() < 0.3 else "0"
+                           for _ in range(3))
+            calls.append(("--seed", seed, "--abc", abc, "--word", str(random_word(rng, k % 13))))
+        calls += [("--seed", "1,1,1", "--word", "s1 s2 s3"),
+                  ("--seed", "0,t^-1,t^-1", "--word", "s1 s2"),
+                  ("--seed", "t^-1,t^-1,t^-1", "--word", "s1 s2 s3 " * 4 + "s1")]
+        digest = hashlib.sha256()
+        for argv in calls:
+            code, out, err = run_cli(capsys, "lift-check", *argv)
+            digest.update(f"{code}\n{out}{err}\n".encode())
+        assert digest.hexdigest() == (
+            "9e6f30a05fa8ea6b1be47c7273b23540a301cfa9f80abad63e2fae61b8fd7980")
+
+    def test_pingpong_listings_digest(self, capsys):
+        digest = hashlib.sha256()
+        for side in ("boundary", "skeleton"):
+            for n in range(11):
+                code, out, err = run_cli(capsys, "pingpong", "--depth", str(n), "--side", side)
+                digest.update(f"{code}\n{out}{err}\n".encode())
+        assert digest.hexdigest() == (
+            "2f47fb9604a2b81cf23b82880228b9edbcf7f0bdc05e0a385c80769ca7c76b99")
 
 
 class TestOrbitAndReduce:

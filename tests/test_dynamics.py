@@ -76,6 +76,20 @@ class TestWord:
         with pytest.raises(UsageError):
             Word.parse("s4")
 
+    def test_letters_are_the_ints_one_to_three(self):
+        # A bool or float equal to a letter would print as itself, and an
+        # invalid letter must not cancel before it is checked.
+        text = "generator index must be 1, 2 or 3, got "
+        for letters in ([True, 2], [2.0, 1], [1, F(3)], [4, 4], [4, 4, 1], [1.5], [0]):
+            for build in (Word, Word.reduce):
+                with pytest.raises(UsageError, match=f"^{text}"):
+                    build(letters)
+        for runs in ([(True, 2, 3)], [(2, True, 2)], [(2.0, 1, 1)]):
+            with pytest.raises(UsageError, match=f"^{text}"):
+                Word.from_runs(runs)
+        assert Word.reduce([1, 2, 2, 3, 3, 1]).is_identity
+        assert str(Word.reduce((3, 1, 1, 2))) == "s3 s2"
+
     def test_parse_takes_at_most_one_prefix(self):
         assert Word.parse("s1 S2 r3 R1 2").letters == (1, 2, 3, 1, 2)
         for token in ("ss1", "sr2", "rs3", "SS1", "rr2", "s", "r", "1s", "s 1x", "t1"):
@@ -130,8 +144,6 @@ class TestWordRuns:
         assert Word.parse(str(w)) == w and Word.from_runs(w.runs) == w
         if letters:
             assert w.first_applied == letters[-1]
-        assert list(w.applied_prefixes()) == [Word(letters[len(letters) - k:])
-                                               for k in range(1, len(letters) + 1)]
 
     @given(_LETTERS, st.data())
     @settings(max_examples=300)

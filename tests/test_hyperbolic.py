@@ -10,6 +10,7 @@ from hypothesis import example, given, strategies as st
 
 from tropmarkov.errors import DomainError, ResourceError, UsageError
 from tropmarkov.dynamics import Word
+from tropmarkov import hyperbolic
 from tropmarkov.svgout import tessellation_svg
 from tropmarkov.hyperbolic import (
     SKELETON_DIRECTIONS,
@@ -26,14 +27,10 @@ from tropmarkov.hyperbolic import (
     reflect_boundary,
     skeleton_angle,
     skeleton_direction_act,
-    _boundary_act,
     _circle_point,
-    _colour,
-    _direction_act,
     _orbit_cycle,
     _phi,
     _plane_xy,
-    _relabel,
     _skeleton_cycle,
     _skeleton_text,
     _triangles,
@@ -301,15 +298,21 @@ class TestOrderIsomorphism:
         for n in range(6):
             assert order_isomorphism_check(n)
 
-    def test_swapped_nets_fail(self):
-        assert not order_isomorphism_check(3, net_order=(2, 1, 3))
-        assert not order_isomorphism_check(4, net_order=(1, 3, 2))
+    def test_swapped_neighbours_fail(self, monkeypatch):
+        # The check reads the order off the cycle, in either orientation.  Two
+        # neighbouring points swapped, or one point repeated in place of its
+        # neighbour (a tie), at every position in turn must fail it.
+        def check_on(columns):
+            monkeypatch.setattr(hyperbolic, "_orbit_cycle", lambda k: columns)
+            return order_isomorphism_check(n)
 
-    def test_net_order_must_name_three_nets(self):
-        for net_order in ((4, 5, 6), (1, 2), (0, 1, 2), (1, 2, 3, 1)):
-            with pytest.raises(UsageError):
-                order_isomorphism_check(2, net_order)
-        assert not order_isomorphism_check(2, (1, 1, 2))
+        for n in range(2, 7):
+            for cycle in (_orbit_cycle(n), tuple(c[::-1] for c in _orbit_cycle(n))):
+                assert check_on(cycle)
+                for j in range(1, len(cycle[0])):
+                    swapped = tuple(c[:j - 1] + [c[j], c[j - 1]] + c[j + 1:] for c in cycle)
+                    repeated = tuple(c[:j] + [c[j - 1]] + c[j + 1:] for c in cycle)
+                    assert not check_on(swapped) and not check_on(repeated), (n, j)
 
     def test_orbit_distinctness_depth8(self):
         # The listings have 3 * 2^n entries by construction; distinct entries
@@ -370,11 +373,13 @@ class TestAgainstSlowPaths:
             assert partial_orbit_skeleton(n) == oracle_skeleton_sorted(set(tower))
 
     def test_order_check_matches_sorted_towers(self):
-        # A repeated net repeats points, which must fail the check.
-        for net_order in [*itertools.permutations((1, 2, 3)), (1, 1, 2), (3, 3, 3)]:
-            for n in range(8):
-                assert (order_isomorphism_check(n, net_order)
-                        == oracle_order_isomorphism_check(n, net_order))
+        # The library checks the faithful pairing; on the oracle every other
+        # net order fails, and a repeated net repeats points, which fails too.
+        for n in range(8):
+            assert order_isomorphism_check(n) == oracle_order_isomorphism_check(n)
+        for net_order in [*itertools.permutations((1, 2, 3))][1:] + [(1, 1, 2), (3, 3, 3)]:
+            for n in range(1, 8):
+                assert not oracle_order_isomorphism_check(n, net_order), (net_order, n)
 
     def test_arcs_hold_the_labels_by_outermost_letter(self):
         # The library builds the boundary cycle; the skeleton cycle is built
@@ -461,7 +466,8 @@ class TestDirectionKernel:
     @given(st.sampled_from((1, 2, 3, 0, 4)), st.tuples(*[st.integers(-30, 30)] * 3))
     @example(2, (1, 0, 0))  # positive image sum
     def test_integer_act_matches_formula(self, i, n):
-        assert_same_outcome(_direction_act, oracle_direction_act, i, n)
+        assert_same_outcome(skeleton_direction_act,
+                            lambda i, n: _circle_point(oracle_direction_act(i, n)), i, n)
 
     def test_public_act_examples(self):
         assert skeleton_direction_act(1, (F(1), F(0), F(0))) == (-1, 0, 0)
@@ -476,13 +482,14 @@ class TestDirectionKernel:
         for x in cycle:
             assert all(type(c) is int for c in x)
             assert math.gcd(*x) == 1 and sum(x) < 0
+            y = _circle_point(x)
             for i in (1, 2, 3):
-                assert _direction_act(i, _direction_act(i, x)) == x
+                assert skeleton_direction_act(i, skeleton_direction_act(i, y)) == y
 
 
 class TestBoundaryKernel:
-    """The gcd-free act on normalised pairs against the validating public act,
-    and both against the reflection formulas normalised by a gcd."""
+    """The public act, gcd-free after one normalisation, against the reflection
+    formulas normalised by a gcd."""
 
     pairs = st.tuples(st.integers(min_value=-200, max_value=200),
                       st.integers(min_value=-200, max_value=200))
@@ -493,7 +500,7 @@ class TestBoundaryKernel:
     @example(2, (1, 2))  # r2 maps 1/2 to inf
     @example(2, (-1, 1))
     def test_act_matches_public_act(self, i, x):
-        assert _boundary_act(i, x) == reflect_boundary(i, x) == oracle_reflect_boundary(i, x)
+        assert reflect_boundary(i, x) == oracle_reflect_boundary(i, x)
 
     @given(st.sampled_from((1, 2, 3, 0, 4)), pairs)
     @example(1, (0, 0))
@@ -515,16 +522,19 @@ class TestBoundaryKernel:
         for x in cycle:
             assert x == bpoint(*x)
             for i in (1, 2, 3):
-                assert _boundary_act(i, _boundary_act(i, x)) == x
+                assert reflect_boundary(i, reflect_boundary(i, x)) == x
 
 
     def test_new_points_are_coloured_mediants(self):
         # Each depth-k point is the mediant of its two depth-(k - 1)
         # neighbours, with inf as -1/0 beside the negative numbers (the sign
-        # that makes the pair unimodular), and its parity colour is the net
-        # its height reduction ends at.
+        # that makes the pair unimodular), and its parity colour, which every
+        # r_i keeps, is the net its height reduction ends at.
+        def colour(x):  # (0, 1), (1, 0), (1, 1) give 1, 2, 3
+            return 2 * (x[0] & 1) + (x[1] & 1)
+
         net_index = {net: i for i, net in BOUNDARY_NETS.items()}
-        assert [_colour(x) for x in cycle_points(0)] == [net_index[x] for x in cycle_points(0)]
+        assert [colour(x) for x in cycle_points(0)] == [net_index[x] for x in cycle_points(0)]
         for k in range(1, 11):
             cycle = cycle_points(k)
             assert cycle[::2] == cycle_points(k - 1)
@@ -533,7 +543,7 @@ class TestBoundaryKernel:
                 det = b * c - a * d
                 assert det in (1, -1)
                 assert x == bpoint(det * a + c, det * b + d)
-                assert _colour(x) == net_index[oracle_reduce_to_nets(x)[1]]
+                assert colour(x) == net_index[oracle_reduce_to_nets(x)[1]]
 
 
 class TestConjugacy:
@@ -554,12 +564,12 @@ class TestConjugacy:
     @example(3, (-1, 1))
     @example(2, (1, 2))  # r2 sends 1/2 to inf
     def test_equivariance(self, i, x):
-        y = _boundary_act(i, x)
-        assert _direction_act(i, _phi(x)) == _phi(y)
+        y = reflect_boundary(i, x)
+        assert oracle_direction_act(i, _phi(x)) == _phi(y)
         d = _phi(x)
         assert -sum(d) == -2 * min(d)  # one coordinate is the sum of the other two
         # The same on circle points, through the trop_vieta route.
-        assert oracle_skeleton_direction_act(i, _circle_point(_phi(x))) == _circle_point(_phi(y))
+        assert skeleton_direction_act(i, _circle_point(_phi(x))) == _circle_point(_phi(y))
 
     def test_nets(self):
         for i, net in BOUNDARY_NETS.items():
@@ -568,21 +578,6 @@ class TestConjugacy:
     def test_skeleton_cycle_matches_direct_build(self):
         for n in range(13):
             assert _skeleton_cycle(n) == oracle_skeleton_cycle(n)
-
-    def test_net_orders_match_direct_build(self):
-        # order_isomorphism_check pairs boundary net i with skeleton net
-        # net_order[i] by reading, at each position of the one cycle, the
-        # vertex of the point's creation triangle coloured net_order[i]; the
-        # reflection builder starts from the boundary nets net_order[i]
-        # instead.  A repeated net is allowed.
-        for net_order in [*itertools.permutations((1, 2, 3)), (1, 1, 2), (3, 3, 3)]:
-            moved = {i: BOUNDARY_NETS[j] for i, j in zip((1, 2, 3), net_order)}
-            skel_nets = {i: SKELETON_DIRECTIONS[j] for i, j in zip((1, 2, 3), net_order)}
-            for n in range(10):
-                relabelled = _relabel(cycle_points(n), n, net_order)
-                assert relabelled == oracle_orbit_cycle(moved, reflect_boundary, BOUNDARY_CCW, n)
-                assert ([_phi(x) for x in relabelled]
-                        == oracle_orbit_cycle(skel_nets, oracle_direction_act, BOUNDARY_CCW, n))
 
 
 class TestSkeletonText:
