@@ -255,16 +255,29 @@ def compact_radius(D) -> Fraction:
 
 def enumerate_zp_points(p: int, D) -> list[ZpPoint]:
     """All surface points with coordinates m_i p^(x_i), p not dividing m_i,
-    exponents in [v_p(D), -1], and coordinate square-sum below 3D.
+    exponents in [v_p(D), -1], and coordinate square-sum below 3D, sorted.
 
-    Internally every coordinate is written n_i / p^K over the common
-    denominator p^K with K = -v_p(D); the surface equation scaled by p^(3K)
-    becomes the integer identity p^K (n1^2+n2^2+n3^2) + n1 n2 n3 = D p^(3K),
-    and the exponent box is equivalent to n_i nonzero and p^K not dividing n_i.
-    For each pair (n1, n2) the identity is a quadratic in n3, solved exactly
-    with an integer square root, so the cost is O(nmax^2) for the box
-    half-width nmax.  A half-width beyond ZP_BOX_BOUND, or any p above
+    The points of `zp_numerators`, each coordinate n_i / p^K with exponent
+    v_p(n_i) - K.  A half-width beyond ZP_BOX_BOUND, or any p above
     ZP_BOX_BOUND^2, raises ResourceError.
+    """
+    triples, pk, K = zp_numerators(p, D)
+    return [ZpPoint(tuple(Fraction(n, pk) for n in t), tuple(_int_valuation(n, p) - K for n in t))
+            for t in triples]
+
+
+def zp_numerators(p: int, D) -> tuple[list[tuple[int, int, int]], int, int]:
+    """The points of `enumerate_zp_points` over their common denominator p^K,
+    K = -v_p(D): the sorted integer triples (n1, n2, n3), then p^K and K.  The
+    order is that of the points, since the denominator is shared.
+
+    The surface equation scaled by p^(3K) becomes the integer identity
+    p^K (n1^2+n2^2+n3^2) + n1 n2 n3 = D p^(3K), and the exponent box is
+    equivalent to n_i nonzero and p^K not dividing n_i.  For each pair
+    (n1, n2) the identity is a quadratic in n3, solved exactly with an
+    integer square root, so the cost is O(nmax^2) for the box half-width
+    nmax.  A half-width beyond ZP_BOX_BOUND, or any p above ZP_BOX_BOUND^2,
+    raises ResourceError.
     """
     if p > ZP_BOX_BOUND ** 2:
         # Checked before is_prime, whose trial division is slow for huge p.
@@ -309,10 +322,9 @@ def enumerate_zp_points(p: int, D) -> list[ZpPoint]:
                 # pk | n3 covers n3 = 0.
                 if rem or n3 % pk == 0 or s2 + n3 * n3 >= ball:
                     continue
-                coords = (Fraction(n1, pk), Fraction(n2, pk), Fraction(n3, pk))
-                exps = tuple(_int_valuation(n, p) - K for n in (n1, n2, n3))
-                out.append(ZpPoint(coords, exps))
-    return sorted(out, key=lambda z: z.coords)
+                out.append((n1, n2, n3))
+    out.sort()
+    return out, pk, K
 
 
 def rational_vieta(i: int, x: tuple[Fraction, Fraction, Fraction], D) -> tuple:

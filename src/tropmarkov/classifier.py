@@ -229,15 +229,25 @@ def farey_enumerate(depth: int) -> list[FareyTriple]:
     ``depth`` rounds of mediant refinement of that line.  A depth beyond
     DEPTH_BOUND raises ResourceError."""
     # hyperbolic loads here, not at import: classify never reads it.
-    from .hyperbolic import _check_depth, _refine, _triangles
+    from .hyperbolic import _triangles
 
-    _check_depth(depth)
-    triangles = _triangles(list(zip(_refine([0, 1, 1], depth), _refine([1, 1, 0], depth))), depth)
+    triangles = list(_triangles(_farey_line(depth), depth))
     triples = [object.__new__(FareyTriple) for _ in triangles]  # valid: skip the checks
     for k, slot in enumerate((FareyTriple.left, FareyTriple.mid, FareyTriple.right)):
         for triple, t in zip(triples, triangles):
             slot.__set__(triple, t[k])
     return triples
+
+
+def _farey_line(depth: int) -> list[tuple[int, int]]:
+    """The pairs of ``depth`` rounds of mediant refinement of the line (0, 1),
+    (1, 1), (1, 0), in order; the pairs of the first column reversed make the
+    second.  The depth is checked against DEPTH_BOUND first."""
+    from .hyperbolic import _check_depth, _refine
+
+    _check_depth(depth)
+    column = _refine([0, 1, 1], depth)
+    return list(zip(column, reversed(column)))
 
 
 def _factor_in_v_monoid(m: Matrix2) -> list[int]:
@@ -266,16 +276,17 @@ def farey_triangle(triple: FareyTriple, i: int, d) -> tuple[Word, tuple[UVec, UV
     if i not in (1, 2, 3):
         raise UsageError(f"cell index must be 1, 2 or 3, got {i}")
     scale = abs(d) / 2
-    return _farey_word(_farey_runs(triple), i), tuple((scale * a, scale * b) for a, b in
-                                                      (triple.left, triple.mid, triple.right))
+    return (_farey_word(_farey_runs(triple.left, triple.right), i),
+            tuple((scale * a, scale * b) for a, b in (triple.left, triple.mid, triple.right)))
 
 
-def _farey_runs(triple: FareyTriple) -> tuple[Run, ...]:
-    """The display-order runs of the cell-1 word of `farey_triangle`, cut as `Word`
-    cuts them.  Read left to right, the word starts at 1 and steps by -(-1)^t eta_t
-    mod 3 for Q = V_{eta_0} V_{eta_1} ... = ((ga, al), (de, be)), so n equal factors
-    make a stretch of n + 1 alternating letters, sharing its ends with its neighbours."""
-    (al, be), (ga, de) = triple.left, triple.right
+def _farey_runs(left: tuple[int, int], right: tuple[int, int]) -> tuple[Run, ...]:
+    """The display-order runs of the cell-1 word of `farey_triangle` for the triple
+    with these ends, cut as `Word` cuts them.  Read left to right, the word starts at
+    1 and steps by -(-1)^t eta_t mod 3 for Q = V_{eta_0} V_{eta_1} ... = ((ga, al),
+    (de, be)), so n equal factors make a stretch of n + 1 alternating letters,
+    sharing its ends with its neighbours."""
+    (al, be), (ga, de) = left, right
     stretches = [(1, 0, 0)]  # (prev, first, n); the letter 1 alone first
     prev, t = 1, 0
     for sign, factors in groupby(_factor_in_v_monoid(((ga, al), (de, be)))):
@@ -307,7 +318,12 @@ def table_orbit_triangles(d, depth: int) -> dict[int, list[tuple[Word, tuple[UVe
     the depth-(D - 1) triples.  A depth beyond DEPTH_BOUND raises ResourceError."""
     from .hyperbolic import _check_depth
 
-    d = _punctured_d(d)
+    scale = abs(_punctured_d(d)) / 2
     _check_depth(depth)
-    triples = farey_enumerate(depth - 1) if depth else []
-    return {i: [farey_triangle(t, i, d) for t in triples] for i in (1, 2, 3)}
+    table = {1: [], 2: [], 3: []}
+    for t in farey_enumerate(depth - 1) if depth else []:
+        runs = _farey_runs(t.left, t.right)  # one factorisation per triple, shifted to each cell
+        vertices = tuple((scale * a, scale * b) for a, b in (t.left, t.mid, t.right))
+        for i, row in table.items():
+            row.append((_farey_word(runs, i), vertices))
+    return table

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import re
 import sys
+from collections.abc import Iterable, Iterator
+from json.encoder import encode_basestring_ascii as _json_string  # the C encoder
 
 from .errors import DomainError, ResourceError, UsageError
 
@@ -83,19 +84,66 @@ def _point_json(point):
     return [str(c) for c in point]
 
 
-def _emit(text: str, out_path: str | None):
+def _emit(chunks: Iterable[str], out_path: str | None):
+    """Write the text, given as an iterable of chunks, to out_path or stdout.
+    Each chunk is written as it comes, so a command that can fail checks its
+    values before it returns its chunks."""
     if out_path:
         try:
             with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
         except OSError as exc:
             raise ResourceError(f"cannot write {out_path}: {exc.strerror or exc}") from exc
     else:
-        sys.stdout.write(text)
+        for chunk in chunks:
+            sys.stdout.write(chunk)
 
 
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _json_text(value, indent: str) -> str:
+    """The text json.dumps(value, indent=2, sort_keys=True) prints for a value
+    nested at ``indent`` (a newline and the spaces before it): str leaves through
+    the json module's C encoder, int leaves through int.__repr__, dict keys
+    (str) sorted, and tuples as arrays."""
+    if isinstance(value, str):
+        return _json_string(value)
+    if isinstance(value, (list, tuple, dict)):
+        if not value:
+            return "{}" if isinstance(value, dict) else "[]"
+        inner = indent + "  "
+        if isinstance(value, dict):
+            items = [f"{_json_string(k)}: {_json_text(v, inner)}"
+                     for k, v in sorted(value.items())]
+            return "{" + inner + ("," + inner).join(items) + indent + "}"
+        items = [_json_text(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_chunks(payload: dict) -> Iterator[str]:
+    """json.dumps(payload, indent=2, sort_keys=True) + "\\n" in chunks, one per key.
+    A value that is an iterator prints as an array, one chunk per item, so a
+    listing made lazily is never held whole."""
+    sep = "{"
+    for key, value in sorted(payload.items()):
+        yield f"{sep}\n  {_json_string(key)}: "
+        if isinstance(value, Iterator):
+            start = "["
+            for item in value:
+                yield f"{start}\n    " + _json_text(item, "\n    ")
+                start = ","
+            yield "[]" if start == "[" else "\n  ]"
+        else:
+            yield _json_text(value, "\n  ")
+        sep = ","
+    yield "\n}\n" if payload else "{}\n"
 
 
 def _csv_text(header: tuple[str, ...], rows) -> str:
@@ -214,32 +262,41 @@ def _cmd_rays(args) -> str:
 
 
 def _cmd_farey(args) -> dict | None:
-    from .classifier import farey_enumerate, farey_triangle
+    from math import gcd
+
+    from .classifier import _farey_line, _farey_runs, _farey_word, _punctured_d
+    from .hyperbolic import _triangles
     from .scalars import parse_rational
     from .svgout import farey_svg
 
     d = parse_rational(args.d)
     if args.svg:
-        _emit(farey_svg(d, args.depth), args.svg)
+        _emit([farey_svg(d, args.depth)], args.svg)
         return None
-    triples = farey_enumerate(args.depth)
-    entries = []
-    for t in triples:
-        word, verts = farey_triangle(t, args.cell, d)
-        entries.append(
-            {
-                "triple": [list(t.left), list(t.mid), list(t.right)],
-                "word": str(word),
-                "vertices": [[str(v[0]), str(v[1])] for v in verts],
-            }
-        )
+    line = _farey_line(args.depth)
+    num, den = (abs(_punctured_d(d)) / 2).as_integer_ratio()
+    # The vertex coordinate |d|/2 * a prints as num * a / g over den / g, with
+    # g = gcd(a, den), and the pair (1, 1) is in every line.  Print the largest
+    # numerator and den now, so one past the digit limit raises before anything
+    # is written.
+    f"{num * max(a // gcd(a, den) for a, _ in line)}/{den}"
+
+    def coordinate(a: int) -> str:
+        g = gcd(a, den)
+        return str(num * a // g) if g == den else f"{num * a // g}/{den // g}"
+
+    # The triples of farey_enumerate, in its order, made one at a time.
+    entries = ({"triple": [list(left), list(mid), list(right)],
+                "word": str(_farey_word(_farey_runs(left, right), args.cell)),
+                "vertices": [[coordinate(a), coordinate(b)] for a, b in (left, mid, right)]}
+               for left, mid, right in _triangles(line, args.depth))
     return {"d": str(d), "cell": args.cell, "triples": entries}
 
 
 def _cmd_tessellation(args) -> None:
     from .svgout import tessellation_svg
 
-    _emit(tessellation_svg(args.depth), args.svg)
+    _emit([tessellation_svg(args.depth)], args.svg)
 
 
 def _cmd_pingpong(args) -> str:
@@ -301,19 +358,19 @@ def _cmd_lift_check(args) -> dict:
 
 
 def _cmd_enumerate_zp(args) -> dict:
-    from .arithmetic import enumerate_zp_points
-    from .scalars import parse_rational
+    from .arithmetic import zp_numerators
+    from .scalars import _int_valuation, parse_rational
 
     d = parse_rational(args.D)
-    points = enumerate_zp_points(args.p, d)
-    return {
-        "p": args.p,
-        "D": str(d),
-        "points": [
-            {"coords": _point_json(z.coords), "exponents": list(z.exponents)}
-            for z in points
-        ],
-    }
+    triples, pk, K = zp_numerators(args.p, d)
+    powers = [args.p ** v for v in range(K)]  # p^K divides no n, so v_p(n) < K
+    points = []
+    for t in triples:
+        vs = [_int_valuation(n, args.p) for n in t]
+        # The coordinate n / p^K in lowest terms, its exponent v_p(n) - K.
+        points.append({"coords": [f"{n // powers[v]}/{pk // powers[v]}" for n, v in zip(t, vs)],
+                       "exponents": [v - K for v in vs]})
+    return {"p": args.p, "D": str(d), "points": points}
 
 
 # -- parser wiring -----------------------------------------------------------------
@@ -405,8 +462,10 @@ def main(argv: list[str] | None = None) -> int:
         args = _parse_args(sys.argv[1:] if argv is None else argv)
         result = args.func(args)
         if isinstance(result, dict):
-            result = _json_text({"schema_version": SCHEMA_VERSION,
-                                 "command": "-".join(args.command_path), **result})
+            result = _json_chunks({"schema_version": SCHEMA_VERSION,
+                                   "command": "-".join(args.command_path), **result})
+        elif isinstance(result, str):
+            result = [result]
         if result is not None:
             _emit(result, getattr(args, "out", None))
         return 0

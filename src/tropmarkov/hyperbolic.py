@@ -19,6 +19,7 @@ is the image of the boundary orbit under `_phi`; `partial_orbit_skeleton` and
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from fractions import Fraction
 from operator import add, neg, sub
 
@@ -186,14 +187,14 @@ def partial_orbit_boundary(n: int) -> list[BPoint]:
     return cycle[cut:] + cycle[:cut]
 
 
-def _triangles(line: list[BPoint], n: int) -> list[tuple[BPoint, BPoint, BPoint]]:
+def _triangles(line: list[BPoint], n: int) -> Iterator[tuple[BPoint, BPoint, BPoint]]:
     """The root (positions 0, 2^n, 2^(n+1)) of a depth-n refined line, then level
-    by level each new point with its two older neighbours, (older, new, older)."""
-    triangles = [tuple(line[:(2 << n) + 1:1 << n])]
+    by level each new point with its two older neighbours, (older, new, older),
+    made one at a time."""
+    yield tuple(line[:(2 << n) + 1:1 << n])
     for k in range(n - 1, -1, -1):
         step = 2 << k  # the new points of this level sit halfway between
-        triangles += zip(line[::step], line[step >> 1::step], line[step::step])
-    return triangles
+        yield from zip(line[::step], line[step >> 1::step], line[step::step])
 
 
 CirclePointS = tuple[Fraction, Fraction, Fraction]

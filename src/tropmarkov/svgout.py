@@ -78,7 +78,7 @@ def farey_svg(d, depth: int) -> str:
         f'<text x="{_fmt(ox)}" y="{_fmt(margin - 8)}" font-size="12">cell {cell}</text>',
     ] for cell, ox in origins.items()}
     for t in triples:
-        runs = _farey_runs(t)  # one factorisation per triple, shifted to each cell
+        runs = _farey_runs(t.left, t.right)  # one factorisation per triple, shifted to each cell
         for cell, ox in origins.items():
             pts = " ".join(
                 f"{_fmt(ox + a * num / den * inner)},{_fmt(oy - b * num / den * inner)}"

@@ -6,6 +6,7 @@ functions they are used to check.
 
 import csv
 import io
+import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -822,6 +823,19 @@ def orbit_reaches_ray(params, x, budget=4000) -> bool:
     raise RuntimeError("ray-search budget exhausted")
 
 
+def zp_cases(max_nmax):
+    """Every (p, D = m/p^K) with p in {2, 3, 5, 7}, p not dividing m, D < 1/3
+    and enumeration box half-width nmax = isqrt(3 m p^K - 1) at most max_nmax."""
+    cases = []
+    for p in (2, 3, 5, 7):
+        pk = p
+        while 3 * pk <= (max_nmax + 1) ** 2:
+            cases += [(p, Fraction(m, pk)) for m in range(1, pk)
+                      if m % p and 3 * m < pk and math.isqrt(3 * m * pk - 1) <= max_nmax]
+            pk *= p
+    return cases
+
+
 def brute_force_zp_points(p: int, D: Fraction) -> list:
     """Grid search over X_i = n / p^K with |X_i| <= 1, keeping exact surface
     points inside the ball of squared radius 3D whose coordinate valuations
@@ -895,7 +909,12 @@ def oracle_zp_points_cubic(p: int, D) -> list:
     return sorted(out, key=lambda z: z.coords)
 
 
-# -- CSV text through the standard library's writer ---------------------------
+# -- CLI text through the standard library's writers ---------------------------
+
+
+def oracle_json_text(value) -> str:
+    """The CLI's JSON text as json.dumps writes it, newline-terminated."""
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
 
 
 def oracle_csv_text(header, rows) -> str:

@@ -1,4 +1,3 @@
-import math
 import random
 from fractions import Fraction
 from itertools import permutations, product
@@ -26,7 +25,8 @@ from tropmarkov.arithmetic import (
     vieta_exact,
 )
 
-from conftest import assert_same_outcome, oracle_fatou_witness, oracle_on_surface, params_on_walls
+from conftest import (assert_same_outcome, oracle_fatou_witness, oracle_on_surface,
+                      params_on_walls, zp_cases)
 
 F = Fraction
 ZERO = LaurentPoly.zero()
@@ -244,19 +244,6 @@ class TestMatrixDivergence:
             assert all(b >= a for a, b in zip(mins, mins[1:]))
 
 
-def _zp_cases(max_nmax):
-    """Every (p, D = m/p^K) with p in {2, 3, 5, 7}, p not dividing m, D < 1/3
-    and enumeration box half-width nmax = isqrt(3 m p^K - 1) at most max_nmax."""
-    cases = []
-    for p in (2, 3, 5, 7):
-        pk = p
-        while 3 * pk <= (max_nmax + 1) ** 2:
-            cases += [(p, F(m, pk)) for m in range(1, pk)
-                      if m % p and 3 * m < pk and math.isqrt(3 * m * pk - 1) <= max_nmax]
-            pk *= p
-    return cases
-
-
 _SIGN_FLIPS = ((1, 1, 1), (-1, -1, 1), (-1, 1, -1), (1, -1, -1))
 
 
@@ -299,7 +286,7 @@ class TestZpEnumeration:
             ours = [(z.coords, z.exponents) for z in enumerate_zp_points(p, D)]
             assert ours == brute_force_zp_points(p, D)
 
-    @given(st.sampled_from(_zp_cases(40)))
+    @given(st.sampled_from(zp_cases(40)))
     @settings(max_examples=100, deadline=None)
     def test_matches_cubic_box_scan(self, case):
         from conftest import oracle_zp_points_cubic
@@ -307,7 +294,7 @@ class TestZpEnumeration:
         p, D = case
         assert enumerate_zp_points(p, D) == oracle_zp_points_cubic(p, D)
 
-    @given(st.sampled_from(_zp_cases(128)))
+    @given(st.sampled_from(zp_cases(128)))
     @settings(max_examples=100, deadline=None)
     def test_closed_under_permutations_and_sign_pairs(self, case):
         # Both maps preserve x1^2+x2^2+x3^2, x1 x2 x3 and every |x_i|.

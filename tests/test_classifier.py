@@ -15,6 +15,7 @@ from conftest import (
     oracle_farey_word,
     oracle_table_orbit_triangles,
 )
+from tropmarkov import classifier as classifier_module
 from tropmarkov.errors import DomainError, UsageError
 from tropmarkov.sampling import random_params, random_skeleton_point
 from tropmarkov.scalars import continued_fraction
@@ -318,6 +319,16 @@ class TestTableOrbit:
                     entries = [(w, frozenset(v)) for w, v in tri[cell]]
                     assert len(set(entries)) == len(entries)
                     assert set(entries) == {(w, frozenset(v)) for w, v in oracle[cell]}
+
+    def test_farey_triangle_per_triple_with_d_checked_once(self, monkeypatch):
+        d = F(-7, 3)
+        triples = farey_enumerate(5)
+        expected = {i: [farey_triangle(t, i, d) for t in triples] for i in (1, 2, 3)}
+        checked = []
+        check = classifier_module._punctured_d
+        monkeypatch.setattr(classifier_module, "_punctured_d", lambda d: checked.append(d) or check(d))
+        assert table_orbit_triangles(d, 6) == expected
+        assert checked == [d]
 
     def test_words_verified_by_dynamics(self):
         d = F(-2)

@@ -8,12 +8,13 @@ import random
 import subprocess
 import sys
 import tempfile
+from collections.abc import Iterator
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import tropmarkov
 from tropmarkov import cli, surface
@@ -32,7 +33,7 @@ from tropmarkov.sampling import random_params, random_skeleton_point, random_wor
 from tropmarkov.scalars import parse_rational
 from tropmarkov.surface import GRID_BOUND, Params, point_text
 
-from conftest import oracle_csv_text
+from conftest import oracle_csv_text, oracle_json_text, zp_cases
 
 
 def run_cli(capsys, *argv):
@@ -373,6 +374,136 @@ class TestLiftCheckAndPingpongDigests:
                 digest.update(f"{code}\n{out}{err}\n".encode())
         assert digest.hexdigest() == (
             "2f47fb9604a2b81cf23b82880228b9edbcf7f0bdc05e0a385c80769ca7c76b99")
+
+
+# JSON values as the CLI's payloads hold them, and more: nested dicts, lists and
+# tuples, empty containers, strings with control and non-ASCII characters (lone
+# surrogates included), ints up to the interpreter's digit limit, bools, None.
+_JSON_STRINGS = st.text(st.characters(exclude_categories=()))
+_JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(),
+              st.integers(-(10**4299 - 1), 10**4299 - 1), _JSON_STRINGS),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.tuples(inner, inner),
+                            st.dictionaries(_JSON_STRINGS, inner, max_size=4)),
+    max_leaves=12)
+
+
+class TestJsonWriter:
+    """The CLI's JSON writer prints what json.dumps(indent=2, sort_keys=True) prints."""
+
+    @given(_JSON_VALUES)
+    @example(10**4299 - 1)
+    @example("\x00\x1f\x7f\u00e9\u2028\ud800\U0001f600\"\\/")
+    @example({"": [], "b": {}, "a": ((), [{}])})
+    def test_value(self, value):
+        assert cli._json_text(value, "\n") + "\n" == oracle_json_text(value)
+
+    @given(st.dictionaries(_JSON_STRINGS, _JSON_VALUES, max_size=4))
+    @example({})
+    @example({"empty": [], "one": [0]})
+    def test_chunks_with_lazy_arrays(self, payload):
+        assert "".join(cli._json_chunks(payload)) == oracle_json_text(payload)
+        lazy = {k: iter(v) if isinstance(v, list) else v for k, v in payload.items()}
+        assert "".join(cli._json_chunks(lazy)) == oracle_json_text(payload)
+
+    @pytest.mark.parametrize("argv", [
+        ("skeleton", "sample", "--params", "1/2,inf,-1,-2", "--grid", "3", "--format", "json"),
+        ("orbit", "--params", "inf,inf,inf,-2", "--point", "-2,-3,-5", "--word", "s1 s2 s3"),
+        ("reduce", "--params", "1,-2,inf,3", "--point", "-2,-3,-5"),
+        ("classify", "--params", "inf,inf,inf,-2", "--point", "-2,-3,-5"),
+        ("farey", "--depth", "3", "--d", "-2/3", "--cell", "2"),
+        ("farey", "--depth", "0"),
+        ("fatou", "--params", "0,0,0,-1"),
+        ("fatou", "--params", "0,0,0,1"),
+        ("lift-check", "--seed", "t^-1,t^-1,t^-1", "--word", "s1 s2 s3 s1"),
+        ("enumerate-zp", "--p", "2", "--D", "5/256"),
+        ("enumerate-zp", "--p", "2", "--D", "1/4"),
+    ])
+    def test_every_json_command(self, capsys, monkeypatch, argv):
+        # The writer's payload, its lazy listings made lists, through json.dumps.
+        payloads = []
+        writer = cli._json_chunks
+
+        def recorded(payload):
+            lazy = {k: list(v) for k, v in payload.items() if isinstance(v, Iterator)}
+            payloads.append({**payload, **lazy})
+            assert list(lazy) == (["triples"] if argv[0] == "farey" else [])
+            return writer({**payload, **{k: iter(v) for k, v in lazy.items()}})
+
+        monkeypatch.setattr(cli, "_json_chunks", recorded)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err, len(payloads)) == (0, "", 1)
+        assert out == oracle_json_text(payloads[0])
+
+
+class TestListingDigests:
+    """sha256 of the `farey` JSON listings and of `enumerate-zp`, each call as its
+    exit code, stdout and stderr.  `farey` at depths 15 and 16 is checked in CI."""
+
+    FAREY_DIGESTS = {
+        ("-2", 1): "dcd6acb5192c049b4d8ea63e887cddb43dcb6070857dde7298c1e71cfaa331dc",
+        ("-2", 2): "7e176cc750182483da4c9112691937af27c49bda26f12f3526a36f1ab49d0172",
+        ("-2", 3): "4826ccbdd9e52f12f9163f4a288c08d9bfe0611258d4a0084f6f97e56591ee9f",
+        ("-2/3", 1): "303164e25d0250c30514c027922acab2716a17c95250b70f3f5610ab707a7f1e",
+        ("-2/3", 2): "8290327b0c7b6acd75e8e807168ca102d0ec7e666b6dadebfdaeabed1257dc71",
+        ("-2/3", 3): "dd1a5ccf85413647ed27b31a425ad44cc60468b9df2d1dbf852fef25410fa827",
+    }
+
+    @pytest.mark.parametrize("d, cell", FAREY_DIGESTS)
+    def test_farey(self, capsys, d, cell):
+        digest = hashlib.sha256()
+        for depth in range(15 if d == "-2" else 9):
+            code, out, err = run_cli(capsys, "farey", "--depth", str(depth), "--d", d,
+                                     "--cell", str(cell))
+            digest.update(f"{code}\n{out}{err}\n".encode())
+        assert digest.hexdigest() == self.FAREY_DIGESTS[d, cell]
+
+    def test_enumerate_zp(self, capsys):
+        # Every (p, D) with p in {2, 3, 5, 7} and box half-width at most 64.
+        cases = zp_cases(64)
+        digest = hashlib.sha256()
+        for p, D in cases:
+            code, out, err = run_cli(capsys, "enumerate-zp", "--p", str(p), "--D", str(D))
+            digest.update(f"{code}\n{out}{err}\n".encode())
+        assert len(cases) == 96 and digest.hexdigest() == (
+            "419554aacd1e3950640410e475b8f36e96471ef9cd570011a673588deba439bd")
+
+
+class TestFareyDigitLimit:
+    """`farey` streams its listing, so a vertex past the interpreter's digit limit
+    is found before anything is written: exit 2, empty stdout, no --out file.
+    The vertex |d|/2 * a prints as num * a / g over den / g, g = gcd(a, den), for
+    |d|/2 = num / den and a an entry of the pairs, so the largest numerator need
+    not come from the largest entry.  Where the listing fits, its sha256 is pinned."""
+
+    D = 2 * (10**4299 - 1)
+    # |d|/2 = ODD/2: at depth 4, a = 7 prints 7 ODD, past the limit, and a = 8 prints 4 ODD.
+    ODD = 2 * 10**4299 - 1
+    # |d|/2 = SMALL/2: at depth 4, 7 SMALL and 4 SMALL fit, though 8 SMALL is past the limit.
+    SMALL = 13 * 10**4298 + 1
+
+    @pytest.mark.parametrize("d, depth, digest", [
+        (f"-{D}", 4, "1e6ea8663f0f6935e12c96154acccaf4ef4dc793e14e55c0e23f1b22dea79745"),
+        (f"-{D}", 5, None),
+        (f"-{ODD}", 3, "5dd5d2b158590d0d0d5387cce75d8be4eaa850a1c063babc2ed82641274bb196"),
+        (f"-{ODD}", 4, None),
+        (f"-{SMALL}", 4, "564ad4c47d92f246b00df2846e86bb31fe6dfd7d02ebbc70990dfc1e5915d3c9"),
+        (f"-1/{5 * 10**4299}", 0, None),  # the denominator 10^4300 of |d|/2
+        (f"-2/{5 * 10**4299}", 1, "d346f2c92a57cfe57bb72f34c07c36ddc406427928430a6eddd433f8289848d2"),
+    ], ids=["D-4", "D-5", "odd-3", "odd-4", "small-4", "den-0", "den-1"])
+    def test_limit(self, capsys, tmp_path, d, depth, digest):
+        argv = ("farey", "--depth", str(depth), "--d", d)
+        code, out, err = run_cli(capsys, *argv)
+        path = tmp_path / "f.json"
+        assert run_cli(capsys, *argv, "--out", str(path))[0] == code
+        if digest is None:
+            assert (code, out, path.exists()) == (2, "", False)
+            assert err == (f"error: an output value exceeds the limit of "
+                           f"{sys.get_int_max_str_digits()} digits for a numerator or "
+                           "denominator\n")
+        else:
+            assert (code, err, path.read_text()) == (0, "", out)
+            assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestOrbitAndReduce:
