@@ -21,13 +21,14 @@ def main():
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
+    # Each renderer returns its document as chunks of text.
     (out / "skeleton_punctured_torus.svg").write_text(
-        skeleton_svg(Params.parse("inf,inf,inf,-2"), grid=96, span=Fraction(4)))
+        "".join(skeleton_svg(Params.parse("inf,inf,inf,-2"), grid=96, span=Fraction(4))))
     (out / "skeleton_mixed.svg").write_text(
-        skeleton_svg(Params.parse("-13/10,inf,-3/2,-23/10"), grid=96, span=Fraction(4)))
+        "".join(skeleton_svg(Params.parse("-13/10,inf,-3/2,-23/10"), grid=96, span=Fraction(4))))
     for depth in (1, 2, 3):
-        (out / f"farey_depth{depth}.svg").write_text(farey_svg(Fraction(-2), depth))
-    (out / "tessellation.svg").write_text(tessellation_svg(4))
+        (out / f"farey_depth{depth}.svg").write_text("".join(farey_svg(Fraction(-2), depth)))
+    (out / "tessellation.svg").write_text("".join(tessellation_svg(4)))
     for name in sorted(p.name for p in out.glob("*.svg")):
         print("wrote", out / name)
 

@@ -185,6 +185,14 @@ def exception_rays_punctured(d, height: int) -> list[Point3]:
     """Primitive generators (d/2)(q,p,p+q) and cyclic patterns over coprime
     pairs with max(p,q) <= height, deduplicated and sorted.  A height beyond
     HEIGHT_BOUND raises ResourceError."""
+    half, patterns = _ray_patterns(d, height)
+    scaled = [half * c for c in range(2 * height + 1)]  # no coordinate passes 2 * height
+    return [(scaled[a], scaled[b], scaled[c]) for a, b, c in patterns]
+
+
+def _ray_patterns(d, height: int) -> tuple[Fraction, list[tuple[int, int, int]]]:
+    """d/2 and the integer patterns of `exception_rays_punctured`, checked as it
+    checks them, sorted so that their images ascend."""
     d = _punctured_d(d)
     if height < 0:
         raise UsageError(f"height must be nonnegative, got {height}")
@@ -193,8 +201,7 @@ def exception_rays_punctured(d, height: int) -> list[Point3]:
     # Sorting the integer patterns in reverse sorts their images, as d/2 < 0.
     seen = {pattern for p in range(height + 1) for q in range(height + 1) if gcd(p, q) == 1
             for pattern in ((q, p, p + q), (p + q, q, p), (p, p + q, q))}
-    scaled = [d / 2 * c for c in range(2 * height + 1)]  # no coordinate passes 2 * height
-    return [(scaled[a], scaled[b], scaled[c]) for a, b, c in sorted(seen, reverse=True)]
+    return d / 2, sorted(seen, reverse=True)
 
 
 # -- Farey triples and orbit triangles --------------------------------------------

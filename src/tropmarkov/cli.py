@@ -16,6 +16,7 @@ import functools
 import re
 import sys
 from collections.abc import Iterable, Iterator
+from itertools import islice
 from json.encoder import encode_basestring_ascii as _json_string  # the C encoder
 
 from .errors import DomainError, ResourceError, UsageError
@@ -86,8 +87,9 @@ def _point_json(point):
 
 def _emit(chunks: Iterable[str], out_path: str | None):
     """Write the text, given as an iterable of chunks, to out_path or stdout.
-    Each chunk is written as it comes, so a command that can fail checks its
-    values before it returns its chunks."""
+    Each chunk is written as it comes, so a streamed command runs every check
+    (sizes, domain, the digit limit) before it returns its chunks: a failing
+    call leaves stdout empty and writes no out_path file."""
     if out_path:
         try:
             with open(out_path, "w", encoding="utf-8") as fh:
@@ -146,38 +148,51 @@ def _json_chunks(payload: dict) -> Iterator[str]:
     yield "\n}\n" if payload else "{}\n"
 
 
-def _csv_text(header: tuple[str, ...], rows) -> str:
-    # One line per tuple; every field is an int, a p/q rational, a float or
-    # |-joined cell names, none of which a CSV writer would quote.
-    line = ",".join(["%s"] * len(header)) + "\n"
-    return "".join([line % row for row in [header, *rows]])
+def _csv_chunks(header: str, lines: Iterable[str]) -> Iterator[str]:
+    """The header, then the newline-terminated lines 1024 to a chunk.  No field (an int,
+    p/q rational, float or |-joined cell names) is one a CSV writer would quote."""
+    yield header + "\n"
+    lines = iter(lines)
+    while chunk := "".join(islice(lines, 1024)):
+        yield chunk
 
 
 # -- subcommand bodies -----------------------------------------------------------
 # JSON bodies return their payload and main adds schema_version and command;
-# CSV and SVG bodies return text; bodies that write a file return None.
+# CSV and SVG bodies return their chunks; bodies that write a file return None.
 
 
-def _cmd_skeleton_sample(args) -> dict | str:
+def _cmd_skeleton_sample(args) -> dict | Iterator[str]:
+    from math import gcd
+
     from .scalars import parse_rational
-    from .surface import Params, grid_samples
+    from .surface import Params, _finite_values, _grid_lifts
 
     params = Params.parse(args.params)
-    rows = [(v1, v2, x, sorted(c.value for c in cells))
-            for v1, v2, x, cells in grid_samples(params, args.grid, parse_rational(args.range))]
+    span = parse_rational(args.range)
+    values, den, lifts = _grid_lifts(params, args.grid, span)  # checks the grid
+    texts = [str(v) for v in values]
+
+    def coordinate(y: int) -> str:  # str(Fraction(y, den))
+        g = gcd(y, den)
+        return str(y // g) if g == den else f"{y // g}/{den // g}"
+
+    rows = ((texts[k % args.grid], texts[k // args.grid], [*map(coordinate, y)],
+             sorted(c.value for c in cells)) for k, (y, cells) in enumerate(lifts))
+    # |coordinate| < 6|span| + the largest finite |parameter|: where that times den may
+    # pass the digit limit, make every row now, so an error comes before any output.
+    top = 6 * abs(span) + max([abs(e) for e in _finite_values(params) if e is not None] or [0])
+    if (limit := sys.get_int_max_str_digits()) and den * max(top, 1) >= 10**limit:
+        rows = list(rows)
     if args.format == "json":
-        return {
-            "params": str(params),
-            "rows": [
-                {"v1": str(v1), "v2": str(v2), "point": _point_json(x), "cells": cells}
-                for v1, v2, x, cells in rows
-            ],
-        }
-    return _csv_text(("v1", "v2", "x1", "x2", "x3", "cells"),
-                     [(v1, v2, *x, "|".join(cells)) for v1, v2, x, cells in rows])
+        return {"params": str(params),
+                "rows": ({"v1": v1, "v2": v2, "point": x, "cells": cells}
+                         for v1, v2, x, cells in rows)}
+    return _csv_chunks("v1,v2,x1,x2,x3,cells", (f"{v1},{v2},{','.join(x)},{'|'.join(cells)}\n"
+                                                for v1, v2, x, cells in rows))
 
 
-def _cmd_skeleton_svg(args) -> str:
+def _cmd_skeleton_svg(args) -> Iterator[str]:
     from .scalars import parse_rational
     from .surface import Params
     from .svgout import skeleton_svg
@@ -253,12 +268,15 @@ def _cmd_classify(args) -> dict:
     }
 
 
-def _cmd_rays(args) -> str:
-    from .classifier import exception_rays_punctured
+def _cmd_rays(args) -> Iterator[str]:
+    from .classifier import _ray_patterns
     from .scalars import parse_rational
 
-    gens = exception_rays_punctured(parse_rational(args.d), args.height)
-    return _csv_text(("g1", "g2", "g3"), gens)
+    half, patterns = _ray_patterns(parse_rational(args.d), args.height)
+    # Every coordinate from 0 to the largest (the first pattern's first) is printed:
+    # each is formatted now, so one past the digit limit raises before any output.
+    texts = [str(half * c) for c in range(patterns[0][0] + 1 if patterns else 0)]
+    return _csv_chunks("g1,g2,g3", (f"{texts[a]},{texts[b]},{texts[c]}\n" for a, b, c in patterns))
 
 
 def _cmd_farey(args) -> dict | None:
@@ -271,7 +289,7 @@ def _cmd_farey(args) -> dict | None:
 
     d = parse_rational(args.d)
     if args.svg:
-        _emit([farey_svg(d, args.depth)], args.svg)
+        _emit(farey_svg(d, args.depth), args.svg)
         return None
     line = _farey_line(args.depth)
     num, den = (abs(_punctured_d(d)) / 2).as_integer_ratio()
@@ -296,20 +314,19 @@ def _cmd_farey(args) -> dict | None:
 def _cmd_tessellation(args) -> None:
     from .svgout import tessellation_svg
 
-    _emit([tessellation_svg(args.depth)], args.svg)
+    _emit(tessellation_svg(args.depth), args.svg)
 
 
-def _cmd_pingpong(args) -> str:
-    from .hyperbolic import _skeleton_cycle, _skeleton_text, partial_orbit_boundary, partition_table
+def _cmd_pingpong(args) -> Iterator[str]:
+    from .hyperbolic import _boundary_columns, _skeleton_columns, _skeleton_row, partition_table
 
     if args.stats:
-        table = partition_table(args.depth, args.side)
-        rows = [(n, count, f"{delta:.12f}", f"{big_delta:.12f}")
-                for n, (count, delta, big_delta) in enumerate(table)]
-        return _csv_text(("n", "count", "delta", "Delta"), rows)
+        table = enumerate(partition_table(args.depth, args.side))
+        return _csv_chunks("n,count,delta,Delta", [f"{n},{count},{delta:.12f},{big_delta:.12f}\n"
+                                                   for n, (count, delta, big_delta) in table])
     if args.side == "boundary":
-        return _csv_text(("p", "q"), partial_orbit_boundary(args.depth))
-    return _csv_text(("x1", "x2", "x3"), map(_skeleton_text, _skeleton_cycle(args.depth)))
+        return _csv_chunks("p,q", (f"{p},{q}\n" for p, q in zip(*_boundary_columns(args.depth))))
+    return _csv_chunks("x1,x2,x3", map(_skeleton_row, *_skeleton_columns(args.depth)))
 
 
 def _cmd_fatou(args) -> dict:
@@ -464,8 +481,6 @@ def main(argv: list[str] | None = None) -> int:
         if isinstance(result, dict):
             result = _json_chunks({"schema_version": SCHEMA_VERSION,
                                    "command": "-".join(args.command_path), **result})
-        elif isinstance(result, str):
-            result = [result]
         if result is not None:
             _emit(result, getattr(args, "out", None))
         return 0

@@ -182,9 +182,14 @@ def _check_depth(n: int):
 def partial_orbit_boundary(n: int) -> list[BPoint]:
     """The 3 * 2^n distinct orbit points of the nets under words of length <= n,
     in circular order on the boundary circle, ending with inf."""
-    cycle = list(zip(*_orbit_cycle(n)))
-    cut = (2 << n) + 1  # just after inf, the third net
-    return cycle[cut:] + cycle[:cut]
+    return list(zip(*_boundary_columns(n)))
+
+
+def _boundary_columns(n: int) -> tuple[list[int], list[int]]:
+    """The columns of `partial_orbit_boundary`: the cycle from just after inf, the third net."""
+    p, q = _orbit_cycle(n)
+    cut = (2 << n) + 1
+    return p[cut:] + p[:cut], q[cut:] + q[:cut]
 
 
 def _triangles(line: list[BPoint], n: int) -> Iterator[tuple[BPoint, BPoint, BPoint]]:
@@ -208,14 +213,6 @@ _DEGENERATE = Params(INF, INF, INF, INF)
 def _circle_point(n: Direction) -> CirclePointS:
     s = -(n[0] + n[1] + n[2])
     return (Fraction(n[0], s), Fraction(n[1], s), Fraction(n[2], s))
-
-
-def _skeleton_text(n: Direction) -> tuple[str, str, str]:
-    """The coordinates of _circle_point(n) as str prints them, for n = _phi(x) of a coprime
-    pair: the sum is -2M, M = max |n_i|, and any other n_i is prime to M, so no gcd."""
-    m = -min(n)
-    return tuple(["0" if not c else "-1/2" if c == -m else f"{c // 2}/{m}" if c % 2 == 0
-                  else f"{c}/{2 * m}" for c in n])
 
 
 SKELETON_DIRECTIONS: dict[int, Direction] = {1: (0, -1, -1), 2: (-1, 0, -1), 3: (-1, -1, 0)}
@@ -250,21 +247,33 @@ def _plane_vector(n: Direction) -> tuple[bool, int, int]:
     return (q > 0 or (q == 0 and p > 0), p, q)
 
 
-def _skeleton_cycle(n: int) -> list[Direction]:
-    """The depth-n skeleton orbit as integer directions, in circular order from
-    angle 0: _phi reverses the boundary cycle, read back from 1/3 (0 at n <= 1)."""
-    cycle = list(zip(*_orbit_cycle(n)))
+def _skeleton_columns(n: int) -> tuple[list[int], list[int]]:
+    """The boundary pairs whose _phi images are the depth-n skeleton orbit from angle 0,
+    as columns: _phi reverses the boundary cycle, read back from 1/3 (0 at n <= 1)."""
+    p, q = _orbit_cycle(n)
     cut = (1 << n) >> 2
-    return [_phi(x) for x in cycle[cut::-1] + cycle[:cut:-1]]
+    return p[cut::-1] + p[:cut:-1], q[cut::-1] + q[:cut:-1]
+
+
+def _skeleton_row(p: int, q: int) -> str:
+    """The listing row "x1,x2,x3\n" of _circle_point(_phi((p, q))) for a coprime pair:
+    -(a, q, c) / 2m with a = |p|, c = |p - q|, m their largest, and any other prime
+    to m, so each is 0, -1/2, -(x/2)/m or -x/2m with no gcd; no abs or max calls."""
+    a = -p if p < 0 else p
+    c = q - p if p < q else p - q
+    m = a if a > q else q
+    if c > m:
+        m = c
+    x1 = "0" if not a else "-1/2" if a == m else f"-{a >> 1}/{m}" if a & 1 == 0 else f"-{a}/{2 * m}"
+    x2 = "0" if not q else "-1/2" if q == m else f"-{q >> 1}/{m}" if q & 1 == 0 else f"-{q}/{2 * m}"
+    x3 = "0" if not c else "-1/2" if c == m else f"-{c >> 1}/{m}" if c & 1 == 0 else f"-{c}/{2 * m}"
+    return f"{x1},{x2},{x3}\n"
 
 
 def partial_orbit_skeleton(n: int) -> list[CirclePointS]:
     """Orbit of the ray directions on the circle of directions of the fully
     degenerate skeleton, in circular order from angle 0."""
-    cycle = _skeleton_cycle(n)
-    for k, x in enumerate(cycle):
-        cycle[k] = _circle_point(x)  # frees each integer direction as it goes
-    return cycle
+    return [_circle_point(_phi(x)) for x in zip(*_skeleton_columns(n))]
 
 
 # -- arc statistics -----------------------------------------------------------------

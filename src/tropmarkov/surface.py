@@ -281,15 +281,6 @@ def _grid_lifts(params: Params, grid: int, span):
     return values, 6 * scale, lifts()
 
 
-def grid_samples(params: Params, grid: int, span):
-    """(v1, v2, point, cells) per node of the `plane_grid` square, v2 outer: the
-    node's lift to {f0 = 0} and the cells holding it, from `_grid_lifts`."""
-    values, den, lifts = _grid_lifts(params, grid, span)
-    nodes = ((v1, v2) for v2 in values for v1 in values)
-    return ((v1, v2, (Fraction(y[0], den), Fraction(y[1], den), Fraction(y[2], den)), cells)
-            for (v1, v2), (y, cells) in zip(nodes, lifts))
-
-
 def lift_from_plane(params: Params, w, v: PlanePoint) -> Point3:
     """The unique point of the level set {f0 = w} projecting onto v.
 

@@ -1,14 +1,17 @@
 """Deterministic SVG 1.1 emitters for the plane projection of the skeleton,
-the per-cell orbit triangles, and the ideal-triangle tessellation of the disk."""
+the per-cell orbit triangles, and the ideal-triangle tessellation of the disk,
+each checking its arguments first and returning the document as text chunks."""
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
+from itertools import islice
 
 from .surface import CellId, Params, _grid_lifts
-from .classifier import _farey_runs, _farey_word, _punctured_d, farey_enumerate
-from .hyperbolic import _check_depth, _orbit_cycle
+from .classifier import _farey_line, _farey_runs, _farey_word, _punctured_d
+from .hyperbolic import _check_depth, _orbit_cycle, _triangles
 
 _CELL_COLORS = {
     CellId.X1SQ: "#c6dbef",
@@ -26,74 +29,78 @@ def _fmt(value: float) -> str:
     return f"{value:.4f}"
 
 
-def _document(width: float, height: float, body: list[str]) -> str:
-    head = (
-        '<?xml version="1.0" encoding="UTF-8"?>\n'
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{_fmt(width)}" height="{_fmt(height)}" '
-        f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">'
-    )
-    return "\n".join([head, *body, "</svg>", ""])
+def _svg_chunks(width: float, height: float, body: Iterable[str]) -> Iterator[str]:
+    """The document: head, the body's elements one to a line (1024 to a chunk), end."""
+    yield ('<?xml version="1.0" encoding="UTF-8"?>\n'
+           f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+           f'width="{_fmt(width)}" height="{_fmt(height)}" '
+           f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">\n')
+    body = iter(body)
+    while chunk := "\n".join(islice(body, 1024)):
+        yield chunk + "\n"
+    yield "</svg>\n"
 
 
-def skeleton_svg(params: Params, grid: int, span) -> str:
+def skeleton_svg(params: Params, grid: int, span) -> Iterator[str]:
     """Shaded plane projection: one square per grid node, coloured by cell."""
     _, _, lifts = _grid_lifts(params, grid, span)  # checks grid before size / grid
     size = 480.0
     cell_px = size / grid
-    body = [f'<rect width="{_fmt(size)}" height="{_fmt(size)}" fill="#ffffff"/>']
-    for k, (_, cells) in enumerate(lifts):
-        color = _CELL_COLORS[cells[0]] if len(cells) == 1 else _MIXED_COLOR
-        # Node (k1, k2) sits at the exact ratios k1 / (grid - 1) across and k2 / (grid - 1)
-        # up, one correctly rounded int division each: any span maps onto the picture.
-        k2, k1 = divmod(k, grid)
-        px = k1 / (grid - 1) * (size - cell_px)
-        py = (grid - 1 - k2) / (grid - 1) * (size - cell_px)
-        body.append(
-            f'<rect x="{_fmt(px)}" y="{_fmt(py)}" width="{_fmt(cell_px)}" '
-            f'height="{_fmt(cell_px)}" fill="{color}"/>'
-        )
-    return _document(size, size, body)
+
+    def squares() -> Iterator[str]:
+        yield f'<rect width="{_fmt(size)}" height="{_fmt(size)}" fill="#ffffff"/>'
+        for k, (_, cells) in enumerate(lifts):
+            color = _CELL_COLORS[cells[0]] if len(cells) == 1 else _MIXED_COLOR
+            # Node (k1, k2) sits at the exact ratios k1 / (grid - 1) across and k2 / (grid - 1)
+            # up, one correctly rounded int division each: any span maps onto the picture.
+            k2, k1 = divmod(k, grid)
+            px = k1 / (grid - 1) * (size - cell_px)
+            py = (grid - 1 - k2) / (grid - 1) * (size - cell_px)
+            yield (f'<rect x="{_fmt(px)}" y="{_fmt(py)}" width="{_fmt(cell_px)}" '
+                   f'height="{_fmt(cell_px)}" fill="{color}"/>')
+    return _svg_chunks(size, size, squares())
 
 
-def farey_svg(d, depth: int) -> str:
-    """Three u-coordinate panels with the orbit triangles of the D cell."""
+def farey_svg(d, depth: int) -> Iterator[str]:
+    """Three u-coordinate panels, one after another, with the orbit triangles of
+    the D cell: the triples of `farey_enumerate(depth - 1)` in its order."""
+    _check_depth(depth)  # before d, as the farey listing checks them
     scale = abs(_punctured_d(d)) / 2
-    _check_depth(depth)
-    triples = farey_enumerate(depth - 1) if depth else []
+    line = _farey_line(depth - 1) if depth else []
+    triples = list(_triangles(line, depth - 1)) if depth else []
+    # One factorisation per triple.  The cell-i word shifts each letter by i - 1 mod 3,
+    # so its text is the cell-1 text with the letters 1, 2, 3 shifted.
+    words = [str(_farey_word(_farey_runs(left, right), 1)) for left, _, right in triples]
     panel = 260.0
     margin = 30.0
     # Vertex |d|/2 (a, b) is drawn at its exact ratio a * (|d|/2) / umax to the largest
     # coordinate umax, one correctly rounded int division, so any d scales.
-    amax = max((c for t in triples for pair in (t.left, t.mid, t.right) for c in pair), default=1)
+    amax = max(map(max, line), default=1)  # every pair of the line is in a triple
     num, den = (scale / max(scale * amax, Fraction(1, 10**9))).as_integer_ratio()
     inner = panel - 2 * margin
     oy = panel - margin
-    origins = {cell: (cell - 1) * panel + margin for cell in (1, 2, 3)}
-    panels = {cell: [
-        f'<line x1="{_fmt(ox)}" y1="{_fmt(oy)}" x2="{_fmt(ox + panel - 2 * margin)}" '
-        f'y2="{_fmt(oy)}" stroke="#000000" stroke-width="1"/>',
-        f'<line x1="{_fmt(ox)}" y1="{_fmt(oy)}" x2="{_fmt(ox)}" '
-        f'y2="{_fmt(margin)}" stroke="#000000" stroke-width="1"/>',
-        f'<text x="{_fmt(ox)}" y="{_fmt(margin - 8)}" font-size="12">cell {cell}</text>',
-    ] for cell, ox in origins.items()}
-    for t in triples:
-        runs = _farey_runs(t.left, t.right)  # one factorisation per triple, shifted to each cell
-        for cell, ox in origins.items():
-            pts = " ".join(
-                f"{_fmt(ox + a * num / den * inner)},{_fmt(oy - b * num / den * inner)}"
-                for a, b in (t.left, t.mid, t.right)
-            )
-            panels[cell].append(
-                f'<polygon points="{pts}" fill="none" stroke="#08519c" '
-                f'stroke-width="1"><title>{_farey_word(runs, cell)}</title></polygon>'
-            )
-    body = [f'<rect width="{_fmt(3 * panel)}" height="{_fmt(panel)}" fill="#ffffff"/>',
-            *panels[1], *panels[2], *panels[3]]
-    return _document(3 * panel, panel, body)
+
+    def panels() -> Iterator[str]:
+        yield f'<rect width="{_fmt(3 * panel)}" height="{_fmt(panel)}" fill="#ffffff"/>'
+        for cell in (1, 2, 3):
+            ox = (cell - 1) * panel + margin
+            yield (f'<line x1="{_fmt(ox)}" y1="{_fmt(oy)}" x2="{_fmt(ox + panel - 2 * margin)}" '
+                   f'y2="{_fmt(oy)}" stroke="#000000" stroke-width="1"/>')
+            yield (f'<line x1="{_fmt(ox)}" y1="{_fmt(oy)}" x2="{_fmt(ox)}" '
+                   f'y2="{_fmt(margin)}" stroke="#000000" stroke-width="1"/>')
+            yield f'<text x="{_fmt(ox)}" y="{_fmt(margin - 8)}" font-size="12">cell {cell}</text>'
+            shift = str.maketrans("123", "123"[cell - 1:] + "123"[:cell - 1])
+            for vertices, word in zip(triples, words):
+                pts = " ".join(
+                    f"{_fmt(ox + a * num / den * inner)},{_fmt(oy - b * num / den * inner)}"
+                    for a, b in vertices
+                )
+                yield (f'<polygon points="{pts}" fill="none" stroke="#08519c" '
+                       f'stroke-width="1"><title>{word.translate(shift)}</title></polygon>')
+    return _svg_chunks(3 * panel, panel, panels())
 
 
-def tessellation_svg(depth: int) -> str:
+def tessellation_svg(depth: int) -> Iterator[str]:
     """Orbit of the ideal triangle with vertices 0, 1, infinity, drawn in the
     unit disk via the inverse stereographic chart.
 
@@ -106,11 +113,6 @@ def tessellation_svg(depth: int) -> str:
     size = 480.0
     center = size / 2
     radius = size / 2 - 10
-    body = [
-        f'<rect width="{_fmt(size)}" height="{_fmt(size)}" fill="#ffffff"/>',
-        f'<circle cx="{_fmt(center)}" cy="{_fmt(center)}" r="{_fmt(radius)}" '
-        'fill="none" stroke="#000000" stroke-width="1"/>',
-    ]
     angles = [2.0 * a for a in map(math.atan2, *_orbit_cycle(depth))]  # p/q at 2 atan2(p, q)
     ends = [f"{_fmt(center + radius * math.cos(t))},{_fmt(center - radius * math.sin(t))}"
             for t in angles]
@@ -126,10 +128,15 @@ def tessellation_svg(depth: int) -> str:
             path = f"M {ends[a]} A {r},{r} 0 0,{1 if gap > 0 else 0} {ends[b]}"
         return f'<path d="{path}" fill="none" stroke="#08519c" stroke-width="0.8"/>'
 
-    third = len(angles) // 3
-    body += [edge(0, third), edge(third, 2 * third), edge(2 * third, 0)]
-    for k in range(1, depth + 1):
-        step = 1 << (depth - k)  # the depth-k points are the odd multiples of step
-        for j in range(step, len(angles), 2 * step):
-            body += (edge(j - step, j), edge(j, (j + step) % len(angles)))
-    return _document(size, size, body)
+    def edges() -> Iterator[str]:
+        yield f'<rect width="{_fmt(size)}" height="{_fmt(size)}" fill="#ffffff"/>'
+        yield (f'<circle cx="{_fmt(center)}" cy="{_fmt(center)}" r="{_fmt(radius)}" '
+               'fill="none" stroke="#000000" stroke-width="1"/>')
+        third = len(angles) // 3
+        yield from (edge(0, third), edge(third, 2 * third), edge(2 * third, 0))
+        for k in range(1, depth + 1):
+            step = 1 << (depth - k)  # the depth-k points are the odd multiples of step
+            for j in range(step, len(angles), 2 * step):
+                yield edge(j - step, j)
+                yield edge(j, (j + step) % len(angles))
+    return _svg_chunks(size, size, edges())

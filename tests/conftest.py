@@ -23,14 +23,26 @@ from tropmarkov.arithmetic import (
     SurfacePointL,
     ZpPoint,
 )
-from tropmarkov.classifier import FAREY_ROOT, ClassifyReport, FareyTriple, _factor_in_v_monoid
+from tropmarkov.classifier import (
+    FAREY_ROOT,
+    ClassifyReport,
+    FareyTriple,
+    _factor_in_v_monoid,
+    _farey_runs,
+    _farey_word,
+    exception_rays_punctured,
+    farey_enumerate,
+)
 from tropmarkov.scalars import CF
 from tropmarkov.errors import DomainError, ResourceError, UsageError
 from tropmarkov.hyperbolic import (
     SKELETON_DIRECTIONS,
     SKELETON_NETS,
+    _orbit_cycle,
     _plane_xy,
     bpoint,
+    partial_orbit_boundary,
+    partition_table,
     reflect_boundary,
 )
 from tropmarkov.scalars import ExtRat, ext_min, is_prime, p_adic_valuation, thomae_gcd
@@ -40,12 +52,14 @@ from tropmarkov.surface import (
     Params,
     QUADRATIC_CELLS,
     SUBQUADRATIC_CELLS,
+    _grid_lifts,
     cells_of,
     on_boundary_ray,
     plane_point,
     point_text,
     quadratic_cell,
 )
+from tropmarkov.svgout import _CELL_COLORS, _MIXED_COLOR, _fmt
 from tropmarkov.dynamics import (
     GreedyTrace,
     Word,
@@ -924,3 +938,150 @@ def oracle_csv_text(header, rows) -> str:
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
+
+
+# -- the CLI's CSV and SVG texts built whole, as the library built them -------------
+#
+# Each command's lines (or elements) built first, then joined into one string;
+# the CLI now streams the same bytes in chunks from the integer data.
+
+
+def oracle_csv_join(header, rows) -> str:
+    """A CSV text with one line per tuple, every field through %s, joined once."""
+    line = ",".join(["%s"] * len(header)) + "\n"
+    return "".join([line % row for row in [header, *rows]])
+
+
+def oracle_skeleton_text(n) -> tuple:
+    """The coordinates of the circle point of the direction n = _phi(x) of a coprime
+    pair, as str prints them: the sum is -2M, M = max |n_i|, and any other n_i is
+    prime to M, so no gcd."""
+    m = -min(n)
+    return tuple(["0" if not c else "-1/2" if c == -m else f"{c // 2}/{m}" if c % 2 == 0
+                  else f"{c}/{2 * m}" for c in n])
+
+
+def oracle_pingpong_text(depth: int, side: str, stats: bool) -> str:
+    if stats:
+        rows = [(n, count, f"{delta:.12f}", f"{big_delta:.12f}")
+                for n, (count, delta, big_delta) in enumerate(partition_table(depth, side))]
+        return oracle_csv_join(("n", "count", "delta", "Delta"), rows)
+    if side == "boundary":
+        return oracle_csv_join(("p", "q"), partial_orbit_boundary(depth))
+    rows = map(oracle_skeleton_text, oracle_skeleton_cycle(depth))
+    return oracle_csv_join(("x1", "x2", "x3"), rows)
+
+
+def oracle_rays_text(d, height: int) -> str:
+    return oracle_csv_join(("g1", "g2", "g3"), exception_rays_punctured(d, height))
+
+
+def oracle_grid_samples(params, grid: int, span) -> list:
+    """(v1, v2, point, sorted cell names) per node of the plane grid, v2 outer, the
+    point a Fraction lift."""
+    values, den, lifts = _grid_lifts(params, grid, span)
+    return [(v1, v2, tuple(Fraction(c, den) for c in y), sorted(c.value for c in cells))
+            for (v2, v1), (y, cells) in zip(product(values, values), lifts)]
+
+
+def oracle_skeleton_sample_text(params, grid: int, span, fmt: str) -> str:
+    rows = oracle_grid_samples(params, grid, span)
+    if fmt == "json":
+        return oracle_json_text({
+            "schema_version": 1, "command": "skeleton-sample", "params": str(params),
+            "rows": [{"v1": str(v1), "v2": str(v2), "point": [str(c) for c in x], "cells": cells}
+                     for v1, v2, x, cells in rows]})
+    return oracle_csv_join(("v1", "v2", "x1", "x2", "x3", "cells"),
+                           [(v1, v2, *x, "|".join(cells)) for v1, v2, x, cells in rows])
+
+
+def oracle_svg_document(width: float, height: float, body: list) -> str:
+    head = (
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{_fmt(width)}" height="{_fmt(height)}" '
+        f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">'
+    )
+    return "\n".join([head, *body, "</svg>", ""])
+
+
+def oracle_skeleton_svg(params, grid: int, span) -> str:
+    _, _, lifts = _grid_lifts(params, grid, span)
+    size = 480.0
+    cell_px = size / grid
+    body = [f'<rect width="{_fmt(size)}" height="{_fmt(size)}" fill="#ffffff"/>']
+    for k, (_, cells) in enumerate(lifts):
+        color = _CELL_COLORS[cells[0]] if len(cells) == 1 else _MIXED_COLOR
+        k2, k1 = divmod(k, grid)
+        px = k1 / (grid - 1) * (size - cell_px)
+        py = (grid - 1 - k2) / (grid - 1) * (size - cell_px)
+        body.append(
+            f'<rect x="{_fmt(px)}" y="{_fmt(py)}" width="{_fmt(cell_px)}" '
+            f'height="{_fmt(cell_px)}" fill="{color}"/>'
+        )
+    return oracle_svg_document(size, size, body)
+
+
+def oracle_farey_svg(d, depth: int) -> str:
+    """The three panels built side by side, each triple's word made per cell."""
+    scale = abs(Fraction(d)) / 2
+    triples = farey_enumerate(depth - 1) if depth else []
+    panel = 260.0
+    margin = 30.0
+    amax = max((c for t in triples for pair in (t.left, t.mid, t.right) for c in pair), default=1)
+    num, den = (scale / max(scale * amax, Fraction(1, 10**9))).as_integer_ratio()
+    inner = panel - 2 * margin
+    oy = panel - margin
+    origins = {cell: (cell - 1) * panel + margin for cell in (1, 2, 3)}
+    panels = {cell: [
+        f'<line x1="{_fmt(ox)}" y1="{_fmt(oy)}" x2="{_fmt(ox + panel - 2 * margin)}" '
+        f'y2="{_fmt(oy)}" stroke="#000000" stroke-width="1"/>',
+        f'<line x1="{_fmt(ox)}" y1="{_fmt(oy)}" x2="{_fmt(ox)}" '
+        f'y2="{_fmt(margin)}" stroke="#000000" stroke-width="1"/>',
+        f'<text x="{_fmt(ox)}" y="{_fmt(margin - 8)}" font-size="12">cell {cell}</text>',
+    ] for cell, ox in origins.items()}
+    for t in triples:
+        runs = _farey_runs(t.left, t.right)
+        for cell, ox in origins.items():
+            pts = " ".join(
+                f"{_fmt(ox + a * num / den * inner)},{_fmt(oy - b * num / den * inner)}"
+                for a, b in (t.left, t.mid, t.right)
+            )
+            panels[cell].append(
+                f'<polygon points="{pts}" fill="none" stroke="#08519c" '
+                f'stroke-width="1"><title>{_farey_word(runs, cell)}</title></polygon>'
+            )
+    body = [f'<rect width="{_fmt(3 * panel)}" height="{_fmt(panel)}" fill="#ffffff"/>',
+            *panels[1], *panels[2], *panels[3]]
+    return oracle_svg_document(3 * panel, panel, body)
+
+
+def oracle_tessellation_svg(depth: int) -> str:
+    size = 480.0
+    center = size / 2
+    radius = size / 2 - 10
+    body = [
+        f'<rect width="{_fmt(size)}" height="{_fmt(size)}" fill="#ffffff"/>',
+        f'<circle cx="{_fmt(center)}" cy="{_fmt(center)}" r="{_fmt(radius)}" '
+        'fill="none" stroke="#000000" stroke-width="1"/>',
+    ]
+    angles = [2.0 * a for a in map(math.atan2, *_orbit_cycle(depth))]
+    ends = [f"{_fmt(center + radius * math.cos(t))},{_fmt(center - radius * math.sin(t))}"
+            for t in angles]
+
+    def edge(a: int, b: int) -> str:
+        gap = math.remainder(angles[b] - angles[a], 2 * math.pi)
+        if abs(abs(gap) - math.pi) < 1e-12:
+            path = f"M {ends[a]} L {ends[b]}"
+        else:
+            r = f"{radius * abs(math.tan(gap / 2)):.6f}"
+            path = f"M {ends[a]} A {r},{r} 0 0,{1 if gap > 0 else 0} {ends[b]}"
+        return f'<path d="{path}" fill="none" stroke="#08519c" stroke-width="0.8"/>'
+
+    third = len(angles) // 3
+    body += [edge(0, third), edge(third, 2 * third), edge(2 * third, 0)]
+    for k in range(1, depth + 1):
+        step = 1 << (depth - k)
+        for j in range(step, len(angles), 2 * step):
+            body += (edge(j - step, j), edge(j, (j + step) % len(angles)))
+    return oracle_svg_document(size, size, body)

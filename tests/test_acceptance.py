@@ -271,7 +271,7 @@ def test_criterion_09_farey_orbit():
         }
     for depth in (1, 2):
         golden = (GOLDEN / f"farey_depth{depth}.svg").read_text()
-        assert farey_svg(d, depth) == golden
+        assert "".join(farey_svg(d, depth)) == golden
     _report(9, len(triples) == 127,
             "127 triples verified: mediant/unimodular laws, word replays, "
             "depth-1/2 vertex sets and golden SVGs")

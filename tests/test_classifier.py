@@ -367,5 +367,6 @@ class TestFareySvg:
                 pts = " ".join(f"{ox + float(u / umax) * 200.0:.4f},{oy - float(v / umax) * 200.0:.4f}"
                                for u, v in verts)
                 expected.append((pts, str(word)))
-        got = re.findall(r'<polygon points="([^"]*)"[^>]*><title>([^<]*)</title>', farey_svg(d, depth))
+        got = re.findall(r'<polygon points="([^"]*)"[^>]*><title>([^<]*)</title>',
+                         "".join(farey_svg(d, depth)))
         assert got == expected

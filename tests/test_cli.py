@@ -33,7 +33,17 @@ from tropmarkov.sampling import random_params, random_skeleton_point, random_wor
 from tropmarkov.scalars import parse_rational
 from tropmarkov.surface import GRID_BOUND, Params, point_text
 
-from conftest import oracle_csv_text, oracle_json_text, zp_cases
+from conftest import (
+    oracle_csv_text,
+    oracle_farey_svg,
+    oracle_json_text,
+    oracle_pingpong_text,
+    oracle_rays_text,
+    oracle_skeleton_sample_text,
+    oracle_skeleton_svg,
+    oracle_tessellation_svg,
+    zp_cases,
+)
 
 
 def run_cli(capsys, *argv):
@@ -77,11 +87,15 @@ class TestClassifyCommand:
             assert code == 3, argv
             assert "usage error" in err and out == ""
         assert not (tmp_path / "t.svg").exists()
-        # One wording for a negative depth, whichever command reads it.
-        farey = run_cli(capsys, "farey", "--depth", "-1")
+        # One wording for a negative depth, whichever command reads it: the depth
+        # is checked before d, with or without --svg.
         tessellation = run_cli(capsys, "tessellation", "--depth", "-1",
                                "--svg", str(tmp_path / "t.svg"))
-        assert farey == tessellation and farey[0] == 3
+        assert tessellation[0] == 3
+        for d in ("1", "0", "-2"):
+            for svg in ((), ("--svg", str(tmp_path / "f.svg"))):
+                assert run_cli(capsys, "farey", "--depth", "-1", "--d", d, *svg) == tessellation
+        assert list(tmp_path.iterdir()) == []
 
 
     def test_resource_error_exit_code(self, capsys, tmp_path):
@@ -285,6 +299,88 @@ class TestCsvBytes:
         assert out == oracle_csv_text(["v1", "v2", "x1", "x2", "x3", "cells"], rows)
 
 
+_PARAMS_TEXT = st.lists(st.one_of(st.just("inf"), st.fractions(-5, 5, max_denominator=7).map(str)),
+                        min_size=4, max_size=4).map(",".join)
+
+
+def _written(argv) -> str:
+    """The text main(argv) writes, to stdout or to the file named {tmp}/o."""
+    with tempfile.TemporaryDirectory() as tmp:
+        code, out, err, files = _run_in(tmp, argv)
+    assert (code, err) == (0, "") and not (out and files)
+    return out or files["o"].decode()
+
+
+class TestStreamedBytes:
+    """Each CSV and SVG the CLI streams in chunks against the whole-text route it
+    replaced (conftest), byte for byte."""
+
+    @given(st.integers(0, 12), st.sampled_from(("boundary", "skeleton")), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    @example(12, "boundary", False)
+    @example(12, "skeleton", False)
+    def test_pingpong(self, depth, side, stats):
+        argv = ["pingpong", "--depth", str(depth), "--side", side] + ["--stats"] * stats
+        assert _written(argv) == oracle_pingpong_text(depth, side, stats)
+
+    @given(st.integers(0, 10), st.sampled_from(("-2", "-7/3", "-1/1000", f"-{10**40}")))
+    @settings(max_examples=20, deadline=None)
+    @example(10, "-2")
+    def test_renders(self, depth, d):
+        assert _written(["tessellation", "--depth", str(depth), "--svg", "{tmp}/o"]) == (
+            oracle_tessellation_svg(depth))
+        assert _written(["farey", "--depth", str(depth), "--d", d, "--svg", "{tmp}/o"]) == (
+            oracle_farey_svg(parse_rational(d), depth))
+
+    @given(_PARAMS_TEXT, st.integers(2, 64), st.fractions(-5, 5, max_denominator=7).map(str))
+    @settings(max_examples=20, deadline=None)
+    @example("inf,inf,inf,-2", 64, "4")
+    def test_skeleton(self, params, grid, span):
+        argv = ["skeleton", "sample", "--params", params, "--grid", str(grid), "--range", span]
+        p, r = Params.parse(params), parse_rational(span)
+        assert _written(argv) == oracle_skeleton_sample_text(p, grid, r, "csv")
+        assert _written(argv + ["--format", "json", "--out", "{tmp}/o"]) == (
+            oracle_skeleton_sample_text(p, grid, r, "json"))
+        argv[1] = "svg"
+        assert _written(argv) == oracle_skeleton_svg(p, grid, r)
+
+    @given(st.integers(0, 40), st.sampled_from(("-2", "-7/3", "-1/2", f"-1/{10**40 + 1}")))
+    @settings(max_examples=20, deadline=None)
+    @example(40, "-7/3")
+    def test_rays(self, height, d):
+        argv = ["rays", "--d", d, "--height", str(height)]
+        assert _written(argv) == oracle_rays_text(parse_rational(d), height)
+
+    @pytest.mark.parametrize("argv", [
+        *[["pingpong", "--depth", depth, "--side", side, *stats] for depth in ("17", "-1")
+          for side in ("boundary", "skeleton") for stats in ([], ["--stats"])],
+        *[["tessellation", "--depth", depth, "--svg", "{tmp}/o"] for depth in ("17", "-1")],
+        *[["farey", "--depth", depth, "--d", d, *svg] for depth in ("17", "-1") for d in ("-2", "1")
+          for svg in ([], ["--svg", "{tmp}/o"])],
+        *[["skeleton", *command, "--params", "1,-2,inf,3", "--grid", "257"]
+          for command in (["sample"], ["sample", "--format", "json"], ["svg"])],
+        *[["rays", "--d", "-2", "--height", height] for height in ("257", "-1")],
+        # Past the digit limit: a grid value; a lifted coordinate's numerator; a
+        # lifted coordinate's denominator, on a lattice finer than the limit with
+        # every grid value and numerator inside it; a ray.
+        ["skeleton", "sample", "--params", "1,-2,inf,3", "--range", f"1/{'9' * 4300}"],
+        ["skeleton", "sample", "--params", "1,2,3,4", "--range", "9" * 4300, "--format", "json"],
+        ["skeleton", "sample", "--params", f"-1/{10**4297 + 1},inf,inf,inf", "--grid", "3",
+         "--range", f"1/{10**4299 + 3}"],
+        ["rays", "--d", f"-1/{'9' * 4300}", "--height", "3"],
+    ])
+    @pytest.mark.parametrize("out", [False, True])
+    def test_nothing_written_on_error(self, argv, out):
+        # Every check runs before the first chunk: an error leaves stdout
+        # empty and makes no --out or --svg file.
+        if out and "{tmp}/o" not in argv:
+            argv = [*argv, "--out", "{tmp}/o"]
+        with tempfile.TemporaryDirectory() as tmp:
+            code, stdout, err, files = _run_in(tmp, argv)
+        assert code in (2, 3) and err.count("\n") == 1
+        assert (stdout, files) == ("", {})
+
+
 class TestSkeletonDigests:
     """sha256 of `skeleton sample` (CSV and JSON) and `skeleton svg` at grid 33."""
 
@@ -427,7 +523,7 @@ class TestJsonWriter:
         def recorded(payload):
             lazy = {k: list(v) for k, v in payload.items() if isinstance(v, Iterator)}
             payloads.append({**payload, **lazy})
-            assert list(lazy) == (["triples"] if argv[0] == "farey" else [])
+            assert list(lazy) == {"farey": ["triples"], "skeleton": ["rows"]}.get(argv[0], [])
             return writer({**payload, **{k: iter(v) for k, v in lazy.items()}})
 
         monkeypatch.setattr(cli, "_json_chunks", recorded)

@@ -31,8 +31,8 @@ from tropmarkov.hyperbolic import (
     _orbit_cycle,
     _phi,
     _plane_xy,
-    _skeleton_cycle,
-    _skeleton_text,
+    _skeleton_columns,
+    _skeleton_row,
     _triangles,
 )
 
@@ -55,6 +55,7 @@ from conftest import (
     oracle_reduce_to_nets,
     oracle_reflect_boundary,
     oracle_skeleton_cycle,
+    oracle_skeleton_text,
     oracle_skeleton_direction_act,
     oracle_skeleton_sorted,
     oracle_tessellation_triangles,
@@ -62,6 +63,12 @@ from conftest import (
 )
 
 F = Fraction
+
+
+def skeleton_cycle(n):
+    """The depth-n skeleton orbit as integer directions, from angle 0."""
+    return [_phi(x) for x in zip(*_skeleton_columns(n))]
+
 
 def cycle_points(n):
     """The depth-n boundary cycle as a list of pairs."""
@@ -414,7 +421,7 @@ class TestAgainstSlowPaths:
         # the direct build cut at angle 0, and, in the boundary layout, to the
         # direct build point for point.
         for n in range(7):
-            assert _skeleton_cycle(n) == oracle_skeleton_cycle(n)
+            assert skeleton_cycle(n) == oracle_skeleton_cycle(n)
             assert ([_phi(x) for x in cycle_points(n)]
                     == oracle_orbit_cycle(SKELETON_DIRECTIONS, oracle_direction_act,
                                           BOUNDARY_CCW, n))
@@ -478,7 +485,7 @@ class TestDirectionKernel:
         # library reads the same points off the boundary cycle.
         cycle = oracle_orbit_cycle(SKELETON_DIRECTIONS, oracle_direction_act,
                                    ORACLE_SKELETON_CCW, 10)
-        assert sorted(_skeleton_cycle(10)) == sorted(cycle)
+        assert sorted(skeleton_cycle(10)) == sorted(cycle)
         for x in cycle:
             assert all(type(c) is int for c in x)
             assert math.gcd(*x) == 1 and sum(x) < 0
@@ -577,12 +584,12 @@ class TestConjugacy:
 
     def test_skeleton_cycle_matches_direct_build(self):
         for n in range(13):
-            assert _skeleton_cycle(n) == oracle_skeleton_cycle(n)
+            assert skeleton_cycle(n) == oracle_skeleton_cycle(n)
 
 
 class TestSkeletonText:
-    """The coordinates printed from integer directions against str of the
-    Fractions they stand for."""
+    """The listing rows printed from boundary pairs against str of the Fractions
+    of the skeleton points they stand for, and the whole-text route's tuples."""
 
     @staticmethod
     def fraction_text(x):
@@ -591,8 +598,10 @@ class TestSkeletonText:
 
     def test_orbit_points(self):
         for n in range(11):
-            cycle = _skeleton_cycle(n)
-            assert [_skeleton_text(x) for x in cycle] == [self.fraction_text(x) for x in cycle]
+            cycle = skeleton_cycle(n)
+            rows = [",".join(self.fraction_text(x)) + "\n" for x in cycle]
+            assert [*map(_skeleton_row, *_skeleton_columns(n))] == rows
+            assert [*map(oracle_skeleton_text, cycle)] == [*map(self.fraction_text, cycle)]
             if n <= 8:
                 assert partial_orbit_skeleton(n) == [_circle_point(x) for x in cycle]
 
@@ -610,7 +619,8 @@ class TestSkeletonText:
         if g == 0:
             return
         x = _phi((p // g, q // g))
-        assert _skeleton_text(x) == self.fraction_text(x)
+        assert _skeleton_row(p // g, q // g) == ",".join(self.fraction_text(x)) + "\n"
+        assert oracle_skeleton_text(x) == self.fraction_text(x)
 
 
 # The disk of tessellation_svg, and one edge as it draws it:
@@ -622,7 +632,7 @@ _EDGE = re.compile(r'<path d="M ([\d.]+),([\d.]+) (?:A ([\d.]+),[\d.]+ 0 0,([01]
 
 def _svg_edges(depth: int) -> list[tuple]:
     """(x1, y1, r, sweep, x2, y2) per drawn edge, r and sweep None for a line."""
-    text = tessellation_svg(depth)
+    text = "".join(tessellation_svg(depth))
     edges = [(float(x1), float(y1), float(r) if r else None, int(sweep) if r else None,
               float(x2), float(y2))
              for x1, y1, r, sweep, x2, y2 in _EDGE.findall(text)]

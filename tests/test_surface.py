@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -17,7 +18,6 @@ from tropmarkov.surface import (
     cells_of,
     f0,
     fixed_set_point,
-    grid_samples,
     in_tropicalization,
     is_meromorphic,
     level_set_shift,
@@ -33,6 +33,7 @@ from tropmarkov.surface import (
     ray_point,
     thresholds,
     trop_poly_f,
+    _grid_lifts,
     _lift_on_lattice,
     _threshold,
 )
@@ -401,7 +402,9 @@ class TestLatticeLift:
         expected = [(v1, v2, x, [c for c in CELL_ORDER if c in cells_of(params, x)])
                     for v2 in values for v1 in values
                     for x in [lift_from_plane(params, 0, (v1, v2, -v1 - v2))]]
-        assert list(grid_samples(params, grid, span)) == expected
+        values, den, lifts = _grid_lifts(params, grid, span)
+        assert [(v1, v2, tuple(F(c, den) for c in y), cells) for (v2, v1), (y, cells)
+                in zip(product(values, values), lifts)] == expected
 
     @given(params_with_inf)
     @settings(max_examples=150)
