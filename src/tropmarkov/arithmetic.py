@@ -17,7 +17,7 @@ from fractions import Fraction
 from .errors import DomainError, ResourceError, UsageError
 from .scalars import ExtRat, _int_valuation, is_prime, value_class
 from .surface import (CellId, Params, Point3, _finite_values, cell_has_interior, cells_of,
-                      on_skeleton)
+                      check_index, on_skeleton)
 from .dynamics import Matrix2, Word, mat_mul, trop_vieta
 
 TYPE_CHECKING = False
@@ -115,15 +115,14 @@ def vieta_exact(i: int, point: SurfacePointL) -> SurfacePointL:
     The new X1 is the other root of the surface equation as a quadratic in
     X1, so the image is on the surface by construction and is not rechecked.
     """
+    check_index(i)
     X1, X2, X3 = point.X1, point.X2, point.X3
     if i == 1:
         X1 = point.A - X1 - X2 * X3
     elif i == 2:
         X2 = point.B - X2 - X1 * X3
-    elif i == 3:
-        X3 = point.C - X3 - X1 * X2
     else:
-        raise UsageError(f"generator index must be 1, 2 or 3, got {i}")
+        X3 = point.C - X3 - X1 * X2
     return SurfacePointL._unchecked(X1, X2, X3, point.A, point.B, point.C, point.D)
 
 
@@ -329,11 +328,10 @@ def zp_numerators(p: int, D) -> tuple[list[tuple[int, int, int]], int, int]:
 
 def rational_vieta(i: int, x: tuple[Fraction, Fraction, Fraction], D) -> tuple:
     """Vieta involution on rational points of the surface with A = B = C = 0."""
+    check_index(i)
     x1, x2, x3 = (Fraction(c) for c in x)
     if i == 1:
         return (-x1 - x2 * x3, x2, x3)
     if i == 2:
         return (x1, -x2 - x1 * x3, x3)
-    if i == 3:
-        return (x1, x2, -x3 - x1 * x2)
-    raise UsageError(f"generator index must be 1, 2 or 3, got {i}")
+    return (x1, x2, -x3 - x1 * x2)

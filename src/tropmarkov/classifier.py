@@ -21,6 +21,7 @@ from .surface import (
     Params,
     Point3,
     _threshold,
+    check_index,
     is_meromorphic,
     nxt,
     quadratic_cell,
@@ -280,8 +281,7 @@ def farey_triangle(triple: FareyTriple, i: int, d) -> tuple[Word, tuple[UVec, UV
     """Word whose image of the D cell is the u^i-triangle with vertices
     |d|/2 * (left, mid, right), together with those vertices."""
     d = _punctured_d(d)
-    if i not in (1, 2, 3):
-        raise UsageError(f"cell index must be 1, 2 or 3, got {i}")
+    check_index(i, "cell")
     scale = abs(d) / 2
     return (_farey_word(_farey_runs(triple.left, triple.right), i),
             tuple((scale * a, scale * b) for a, b in (triple.left, triple.mid, triple.right)))

@@ -212,12 +212,14 @@ def _cmd_orbit(args) -> dict:
     letters = [*word.applied_order()]
     limit = 10**ORBIT_DIGIT_BOUND
     points = [x]
+    values = _monomials(finite, x)  # carried from point to point by each reflection
     for k in range(len(letters) + 1):
         if any(abs(c.numerator) >= limit or c.denominator >= limit for c in points[k]):
             raise ResourceError(f"a coordinate after {k} of {len(letters)} letters exceeds the "
                                 f"configured bound of {ORBIT_DIGIT_BOUND} digits")
         if k < len(letters):
-            points.append(_reflect(_monomials(finite, points[k]), letters[k], points[k]))
+            y, values = _reflect(values, finite, letters[k], points[k])
+            points.append(y)
     return {
         "params": str(params),
         "start": _point_json(x),

@@ -26,6 +26,7 @@ from .surface import (
     _finite_values,
     _monomials,
     _on_lattice,
+    check_index,
     nxt,
     point_text,
     prv,
@@ -42,12 +43,6 @@ Run = tuple[int, int, int]
 STEP_BOUND = 2**20
 
 
-def _check_letter(g) -> None:
-    """A letter is the int 1, 2 or 3, not a bool or float that equals one."""
-    if type(g) is not int or g not in (1, 2, 3):
-        raise UsageError(f"generator index must be 1, 2 or 3, got {g}")
-
-
 def _push(runs: list[list[int]], g: int) -> None:
     """Append the letter g, applied after the others, to ``runs``.
 
@@ -57,7 +52,7 @@ def _push(runs: list[list[int]], g: int) -> None:
     when it repeats the letter two back; a lone letter [g, 0, 1] takes any
     next letter.
     """
-    _check_letter(g)
+    check_index(g)
     if not runs:
         runs.append([g, 0, 1])
         return
@@ -138,7 +133,7 @@ class Word:
         """Build a word, cancelling adjacent equal letters (each s_i is an involution)."""
         stack: list[int] = []
         for g in letters:
-            _check_letter(g)
+            check_index(g)
             if stack and stack[-1] == g:
                 stack.pop()
             else:
@@ -192,28 +187,35 @@ class Word:
                        for i, j, n in self.runs)[:-1]
 
 
-def _reflect(values: list, i: int, x: Point3) -> Point3:
-    """x with x_i set to the min of the `_monomials` ``values`` at x free of x_i
-    (all slots but i - 1 and i + 2), minus x_i."""
-    m = min([v for k, v in enumerate(values) if v is not None and k != i - 1 and k != i + 2])
-    return (*x[:i - 1], m - x[i - 1], *x[i:])
+def _reflect(values: list, coeffs, i: int, x: Point3) -> tuple[Point3, list]:
+    """The image y of x under s_i and the seven `_monomials` at y, from the seven
+    ``values`` at x; coeffs are `_finite_values(params)`.  y_i is the min of the
+    slots free of x_i (all but i - 1 and i + 2) minus x_i, and only those two
+    slots change: 2 y_i, and the parameter's monomial (None where it is +inf)."""
+    y = min([v for k, v in enumerate(values) if v is not None and k != i - 1 and k != i + 2]
+            ) - x[i - 1]
+    e = coeffs[i - 1]
+    values = values.copy()
+    values[i - 1], values[i + 2] = 2 * y, e if e is None else e + y
+    return (*x[:i - 1], y, *x[i:]), values
 
 
 def trop_vieta(params: Params, i: int, x: Point3) -> Point3:
     """Apply the i-th tropicalized involution.  Total on R^3; involutive.
 
-    One `_monomials` evaluation at x, then `_reflect`.  `greedy_path` reflects
-    on the monomials its cell test already read, so it never calls this.
+    One `_monomials` evaluation at x, then `_reflect`.  `greedy_path` and
+    `apply_word` carry the monomials from point to point, so they never call this.
     """
-    if i not in (1, 2, 3):
-        raise UsageError(f"generator index must be 1, 2 or 3, got {i}")
-    return _reflect(_monomials(_finite_values(params), x), i, x)
+    check_index(i)
+    finite = _finite_values(params)
+    return _reflect(_monomials(finite, x), finite, i, x)[0]
 
 
 def apply_word(params: Params, word: Word, x: Point3) -> Point3:
     finite = _finite_values(params)
+    values = _monomials(finite, x)
     for g in word.applied_order():
-        x = _reflect(_monomials(finite, x), g, x)
+        x, values = _reflect(values, finite, g, x)
     return x
 
 
@@ -222,8 +224,7 @@ def apply_word(params: Params, word: Word, x: Point3) -> Point3:
 
 def u_coords(i: int, x: Point3) -> UVec:
     """u^i = (x_{i+1} - x_i, x_{i-1} - x_i); defined on the cell C(X_i^2)."""
-    if i not in (1, 2, 3):
-        raise UsageError(f"generator index must be 1, 2 or 3, got {i}")
+    check_index(i)
     xi = x[i - 1]
     u1, u2 = x[nxt(i) - 1] - xi, x[prv(i) - 1] - xi
     if u1 < 0 or u2 < 0:
@@ -234,6 +235,7 @@ def u_coords(i: int, x: Point3) -> UVec:
 
 def u_inverse(i: int, u: UVec) -> Point3:
     """Inverse of u_coords on C(X_i^2); e.g. for i=3 this is (-u2, -u1, -u1-u2)."""
+    check_index(i)
     u1, u2 = Fraction(u[0]), Fraction(u[1])
     if u1 < 0 or u2 < 0:
         raise DomainError(f"u-coordinates must be nonnegative, got ({u1},{u2})")
@@ -298,16 +300,6 @@ class GreedyTrace:
     steps: int = 0
 
 
-def _run_continues(applied: list[int], i: int) -> bool:
-    """Whether the letters j, i, j just applied start a run that i continues.
-
-    ``applied`` ends with the letters applied so far, at least the last four.
-    A longer run was already taken in one jump, so it does not count again.
-    """
-    return (len(applied) >= 3 and applied[-2] == i and applied[-3] == applied[-1]
-            and (len(applied) == 3 or applied[-4] != i))
-
-
 def _run_point(x: Point3, i: int, j: int, t: int) -> Point3:
     """The point t steps into the alternating run i, j, i, ... from x.
 
@@ -332,7 +324,9 @@ def _run_length(coeffs: list[int | None], scale: int, x: Point3, i: int, j: int,
     parity class each monomial is affine in t, with the same growth per two
     steps in both, so the integer tables at t = 0, 1, 2 and one floor division
     per monomial give the first t that fails; the conditions are strict and
-    affine, so no t before it fails.  t = 1 is checked first, as many runs end there.
+    affine, so no t before it fails.  `greedy_path` asks at every point but the
+    start, with j the letter applied last, so t = 1 is checked first: it fails at
+    every point a jump lands on.
     """
     x = [v.numerator * (scale // v.denominator) for v in x]
     odd = _monomials(coeffs, _run_point(x, i, j, 1))
@@ -355,9 +349,14 @@ def greedy_path(params: Params, x: Point3, max_steps: int | None = None) -> Gree
     """Follow the greedy itinerary: reflect by the unique containing quadratic
     cell until a subquadratic cell or a quadratic-quadratic intersection stops it.
 
-    Each run of alternating reflections (one partial quotient of the slope) is
-    taken in one exact jump.  ``max_steps`` caps the reflections and gives
-    kind "exhausted"; past STEP_BOUND reflections ResourceError is raised.
+    At each point after the start, `_run_length` sizes the run i, j, i, ... from
+    its first letter i, j the letter applied last, so each run of alternating
+    reflections (one partial quotient of the slope) is one exact jump.  A single
+    reflection carries the seven monomials to its image (`_reflect`); a jump
+    evaluates them afresh where it lands.  Either way the cell test, with its
+    skeleton check, runs at every point visited.  ``max_steps`` caps the
+    reflections and gives kind "exhausted"; past STEP_BOUND reflections
+    ResourceError is raised.
     """
     if max_steps is not None and max_steps < 0:
         # The first cell test below is the skeleton check; it must run.
@@ -366,11 +365,12 @@ def greedy_path(params: Params, x: Point3, max_steps: int | None = None) -> Gree
     finite = _finite_values(params)
     scale, coeffs = _on_lattice(params, *(v.denominator for v in x))
     runs: list[list[int]] = []  # the word so far, as maximal runs in applied order
-    recent: list[int] = []  # the last letters applied, as many as _run_continues reads
     cur = x
+    values = _monomials(finite, cur)  # the seven monomials at cur, carried by each reflection
+    j = 0  # the letter applied last, 0 before the first
     step = 0
     while True:
-        slots, values = _cell_slots(params, finite, cur)  # slots ascending: quadratic 0-2 first
+        slots = _cell_slots(params, values, cur)  # ascending: quadratic 0-2 first
         # Ray has priority: junction points of subquadratic cells and rays
         # count as ray terminals.  The ray R_i lies on the cells X_{i+1}^2 and X_{i-1}^2.
         if len(slots) > 1 and slots[1] < 3:
@@ -383,23 +383,19 @@ def greedy_path(params: Params, x: Point3, max_steps: int | None = None) -> Gree
         if step == max_steps:
             return GreedyTrace(x, Word._of_runs(_display(runs)), cur, "exhausted",
                                None, None, step)
-        t = 0
-        if _run_continues(recent, i):
-            j = recent[-1]
-            t = _run_length(coeffs, scale, cur, i, j, room - step)
+        t = _run_length(coeffs, scale, cur, i, j, room - step) if j else 0
         if step + max(t, 1) > STEP_BOUND:
             raise ResourceError(
                 f"greedy itinerary exceeds the configured bound of {STEP_BOUND} reflections")
-        if t:
+        if t > 1:
             _extend(runs, i, j, t)
-            recent += [(i, j)[k % 2] for k in range(max(t - 4, 0), t)]
             cur = _run_point(cur, i, j, t)
+            values = _monomials(finite, cur)
+            j = (j, i)[t % 2]
         else:
             _push(runs, i)
-            recent.append(i)
-            cur = _reflect(values, i, cur)
-            t = 1
-        del recent[:-4]
+            cur, values = _reflect(values, finite, i, cur)
+            j, t = i, 1
         step += t
 
 

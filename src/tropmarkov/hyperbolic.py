@@ -26,7 +26,7 @@ from operator import add, neg, sub
 from .errors import DomainError, ResourceError, UsageError
 from .dynamics import Matrix2, Word, mat_mul, trop_vieta
 from .scalars import INF
-from .surface import Params
+from .surface import Params, check_index
 
 BPoint = tuple[int, int]
 
@@ -56,8 +56,7 @@ _REFLECTION_MATRICES: dict[int, Matrix2] = {
 def reflect_boundary(i: int, x: BPoint) -> BPoint:
     """r_i on any projective pair, normalised; the index is checked.  x is normalised
     once and r_i has determinant -1, so its matrix image needs no gcd, only a sign fix."""
-    if i not in (1, 2, 3):
-        raise UsageError(f"reflection index must be 1, 2 or 3, got {i}")
+    check_index(i, "reflection")
     (r00, r01), (r10, r11) = _REFLECTION_MATRICES[i]
     p, q = bpoint(*x)
     return _signed(r00 * p + r01 * q, r10 * p + r11 * q)

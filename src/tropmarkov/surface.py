@@ -65,6 +65,13 @@ SUBQUADRATIC_CELLS = (CellId.AX1, CellId.BX2, CellId.CX3, CellId.D)
 CELL_ORDER = QUADRATIC_CELLS + SUBQUADRATIC_CELLS
 
 
+def check_index(i, what: str = "generator") -> None:
+    """A generator, ray or cell index is the int 1, 2 or 3, not a bool, float or
+    string that equals or names one."""
+    if type(i) is not int or i not in (1, 2, 3):
+        raise UsageError(f"{what} index must be 1, 2 or 3, got {i}")
+
+
 def quadratic_cell(i: int) -> CellId:
     return QUADRATIC_CELLS[i - 1]
 
@@ -139,20 +146,19 @@ def in_tropicalization(params: Params, x: Point3) -> bool:
     return values.count(min(values)) >= 2
 
 
-def _cell_slots(params: Params, coeffs, x: Point3) -> tuple[list[int], list]:
-    """The CELL_ORDER slots of the cells holding x, ascending, and the seven
-    `_monomials` at x they were read from; coeffs are `_finite_values(params)`.
-    DomainError if x is off the skeleton."""
+def _cell_slots(params: Params, values: list, x: Point3) -> list[int]:
+    """The CELL_ORDER slots of the cells holding x, ascending, read off the seven
+    `_monomials` ``values`` at x that the caller holds; DomainError if x is off
+    the skeleton, the check min(values) == x1 + x2 + x3."""
     s = x[0] + x[1] + x[2]
-    values = _monomials(coeffs, x)
     if min([v for v in values if v is not None]) != s:
         raise DomainError(f"point {point_text(x)} is not on the skeleton of {params}")
-    return [k for k, v in enumerate(values) if v == s], values
+    return [k for k, v in enumerate(values) if v == s]
 
 
 def cells_of(params: Params, x: Point3) -> set[CellId]:
     """Cells of the skeleton containing x (nonempty; singleton iff x is interior)."""
-    return {CELL_ORDER[k] for k in _cell_slots(params, _finite_values(params), x)[0]}
+    return {CELL_ORDER[k] for k in _cell_slots(params, _monomials(_finite_values(params), x), x)}
 
 
 def cell_has_interior(params: Params, cell: CellId) -> bool:
@@ -206,20 +212,18 @@ def thresholds(params: Params) -> tuple[ExtRat, ExtRat, ExtRat]:
 def on_boundary_ray(params: Params, i: int, x: Point3) -> bool:
     """Membership in the ray R_i: x is `ray_point(i, t)`, t = x_{i+1}, with t below
     the threshold."""
+    check_index(i, "ray")
     t = x[i % 3]
     return tuple(x) == ray_point(i, t) and _threshold(params, i) >= t
 
 
 def ray_point(i: int, t: Fraction) -> Point3:
+    """The point of the ray R_i at t: x_i = 0 and the other two coordinates t."""
+    check_index(i, "ray")
     t = Fraction(t)
-    zero = Fraction(0)
-    if i == 1:
-        return (zero, t, t)
-    if i == 2:
-        return (t, zero, t)
-    if i == 3:
-        return (t, t, zero)
-    raise UsageError(f"ray index must be 1, 2 or 3, got {i}")
+    out = [t, t, t]
+    out[i - 1] = Fraction(0)
+    return (out[0], out[1], out[2])
 
 
 # -- foliation by level sets ---------------------------------------------------
@@ -333,8 +337,7 @@ def fixed_set_point(params: Params, i: int, w, u) -> Point3:
     of x_{i+1}, x_{i-1}, (e' + x_{i+1})/2, (e'' + x_{i-1})/2 and d/2.
     """
     w, u = Fraction(w), Fraction(u)
-    if i not in (1, 2, 3):
-        raise UsageError(f"generator index must be 1, 2 or 3, got {i}")
+    check_index(i)
     coeffs = _finite_values(params)
     e, up, down, d = coeffs[i - 1], coeffs[nxt(i) - 1], coeffs[prv(i) - 1], coeffs[3]
     t = min(v for v in (u - 2 * w, -u - 2 * w, up if up is None else (2 * up + u - 4 * w) / 3,

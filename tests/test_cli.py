@@ -21,7 +21,7 @@ from tropmarkov import cli, surface
 from tropmarkov.arithmetic import LIFT_WORD_BOUND, ZP_BOX_BOUND
 from tropmarkov.classifier import HEIGHT_BOUND, exception_rays_punctured
 from tropmarkov.cli import main
-from tropmarkov.dynamics import Word
+from tropmarkov.dynamics import Word, apply_word
 from tropmarkov.hyperbolic import (
     DEPTH_BOUND,
     partial_orbit_boundary,
@@ -34,6 +34,7 @@ from tropmarkov.scalars import parse_rational
 from tropmarkov.surface import GRID_BOUND, Params, point_text
 
 from conftest import (
+    WALL_FRACTIONS,
     oracle_csv_text,
     oracle_farey_svg,
     oracle_json_text,
@@ -42,6 +43,8 @@ from conftest import (
     oracle_skeleton_sample_text,
     oracle_skeleton_svg,
     oracle_tessellation_svg,
+    oracle_trop_vieta,
+    params_on_walls,
     zp_cases,
 )
 
@@ -611,6 +614,28 @@ class TestOrbitAndReduce:
         assert code == 0
         assert payload["final"] == ["0", "-1", "-1"]
         assert [s["generator"] for s in payload["steps"]] == ["s3", "s2", "s1"]
+
+    @given(params_on_walls(), st.tuples(*[WALL_FRACTIONS] * 3),
+           st.lists(st.sampled_from((1, 2, 3)), max_size=14))
+    @settings(max_examples=150, deadline=None)
+    def test_orbit_and_apply_word_letter_by_letter(self, params, x, letters):
+        # Both carry the monomials from point to point; the oracle reflects each
+        # point afresh.  The reflection is total, so x need not be on the skeleton.
+        word = Word.reduce(letters)
+        applied = [*word.applied_order()]
+        points = [x]
+        for g in applied:
+            points.append(oracle_trop_vieta(params, g, points[-1]))
+        for k in range(len(applied) + 1):
+            assert apply_word(params, Word(applied[k - 1::-1] if k else ()), x) == points[k]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["orbit", "--params", str(params), "--point", point_text(x),
+                         "--word", str(word) or " "])
+        payload = json.loads(out.getvalue())
+        assert code == 0 and payload["final"] == [str(c) for c in points[-1]]
+        assert [(s["generator"], s["point"]) for s in payload["steps"]] == [
+            (f"s{g}", [str(c) for c in p]) for g, p in zip(applied, points[1:])]
 
     def test_reduce_trace(self, capsys):
         code, out, _ = run_cli(

@@ -12,8 +12,14 @@ from conftest import (
     oracle_monomial_values,
     oracle_run_length,
     oracle_trop_vieta,
+    params_on_walls,
+    WALL_FRACTIONS,
 )
 from tropmarkov import dynamics
+from tropmarkov.arithmetic import rational_vieta, surface_from_seed, vieta_exact
+from tropmarkov.classifier import FAREY_ROOT, farey_triangle
+from tropmarkov.hyperbolic import reflect_boundary, skeleton_direction_act
+from tropmarkov.laurent import LaurentPoly
 from tropmarkov.errors import DomainError, ResourceError, UsageError
 from tropmarkov.sampling import random_params, random_skeleton_point, random_word
 from tropmarkov.scalars import CF, ExtRat, continued_fraction, thomae_gcd
@@ -25,10 +31,13 @@ from tropmarkov.surface import (
     SUBQUADRATIC_CELLS,
     _cell_slots,
     _finite_values,
+    _monomials,
     _on_lattice,
     cells_of,
     f0,
+    fixed_set_point,
     lift_from_plane,
+    on_boundary_ray,
     on_skeleton,
     plane_point,
     quadratic_cell,
@@ -205,6 +214,36 @@ class TestErrorText:
                 cells(PT, pt(0, 0, 0))
             messages.append(str(exc.value))
         assert messages == ["point 0,0,0 is not on the skeleton of inf,inf,inf,-2"] * 2
+
+
+_SEED = surface_from_seed(*(LaurentPoly.parse(v) for v in ("t^-1", "t^-1", "t^-1", "0", "0", "0")))
+# Every public function that takes a generator, ray or cell index, with the
+# noun its UsageError names.
+_INDEXED = {
+    "trop_vieta": ("generator", lambda i: trop_vieta(PT, i, pt(-2, -3, -5))),
+    "u_coords": ("generator", lambda i: u_coords(i, pt(-1, -1, -1))),
+    "u_inverse": ("generator", lambda i: u_inverse(i, (1, 2))),
+    "skeleton_direction_act": ("generator", lambda i: skeleton_direction_act(i, pt(-1, -2, -1))),
+    "rational_vieta": ("generator", lambda i: rational_vieta(i, (1, 1, 1), F(1, 4))),
+    "vieta_exact": ("generator", lambda i: vieta_exact(i, _SEED)),
+    "fixed_set_point": ("generator", lambda i: fixed_set_point(PT, i, 0, 0)),
+    "reflect_boundary": ("reflection", lambda i: reflect_boundary(i, (1, 2))),
+    "ray_point": ("ray", lambda i: ray_point(i, F(-1))),
+    "on_boundary_ray": ("ray", lambda i: on_boundary_ray(PT, i, pt(0, -1, -1))),
+    "farey_triangle": ("cell", lambda i: farey_triangle(FAREY_ROOT, i, F(-2))),
+}
+
+
+class TestIndexChecks:
+    @pytest.mark.parametrize("bad", [0, 4, True, 2.0, "1"], ids=repr)
+    @pytest.mark.parametrize("name", sorted(_INDEXED))
+    def test_only_the_ints_one_to_three(self, name, bad):
+        what, call = _INDEXED[name]
+        with pytest.raises(UsageError) as info:
+            call(bad)
+        assert str(info.value) == f"{what} index must be 1, 2 or 3, got {bad}"
+        for i in (1, 2, 3):
+            call(i)
 
 
 class TestInvolutions:
@@ -507,7 +546,9 @@ class TestGreedyJumps:
         monkeypatch.setattr(dynamics, "_cell_slots", counted)
         trace = greedy_path(params, u_inverse(1, (scale * m.denominator, scale * m.numerator)))
         assert trace.kind == kind and trace.steps == len(trace.word) == steps
-        assert len(calls) <= 4 * len(continued_fraction(m).terms) + 4
+        # One cell test where each run lands and one after the single step
+        # that leaves it.
+        assert len(calls) <= 2 * len(continued_fraction(m).terms) + 2
 
     def test_step_bound(self):
         # Slope [1; 10^9]: the bound check runs, the run is never expanded.
@@ -555,7 +596,8 @@ def _skeleton_cases(draw):
 
 
 class TestReflect:
-    """The greedy's reflection on its cell test's monomials against conftest."""
+    """The greedy's reflection on its cell test's monomials against conftest,
+    and the monomials it carries to the image against a fresh evaluation."""
 
     @given(_skeleton_cases())
     @settings(max_examples=300, deadline=None)
@@ -563,10 +605,37 @@ class TestReflect:
     @example((Params.parse("0,0,0,0"), pt(0, 0, 0)))  # all seven cells
     def test_matches_oracle_trop_vieta(self, case):
         params, x = case
-        slots, values = _cell_slots(params, _finite_values(params), x)
+        finite = _finite_values(params)
+        values = _monomials(finite, x)
+        slots = _cell_slots(params, values, x)
         assert {CELL_ORDER[k] for k in slots} == oracle_cells_of(params, x)
         for i in (1, 2, 3):
-            assert dynamics._reflect(values, i, x) == oracle_trop_vieta(params, i, x)
+            y, carried = dynamics._reflect(values, finite, i, x)
+            assert y == oracle_trop_vieta(params, i, x)
+            assert carried == _monomials(finite, y)
+            assert {CELL_ORDER[k] for k in _cell_slots(params, carried, y)} == oracle_cells_of(
+                params, y)
+
+    @given(_skeleton_cases(), st.lists(st.sampled_from((1, 2, 3)), max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_carried_slots_along_letters(self, case, letters):
+        # Each image's slots come from the last point's, never from a fresh
+        # evaluation; letters may repeat, so a step can undo the one before.
+        params, x = case
+        finite = _finite_values(params)
+        values = _monomials(finite, x)
+        for i in letters:
+            expected = oracle_trop_vieta(params, i, x)
+            x, values = dynamics._reflect(values, finite, i, x)
+            assert x == expected and values == _monomials(finite, x)
+
+    @given(params_on_walls(), st.tuples(*[WALL_FRACTIONS] * 3), st.sampled_from((1, 2, 3)))
+    @settings(max_examples=200, deadline=None)
+    def test_carried_slots_off_the_skeleton(self, params, x, i):
+        # The reflection is total on R^3; parameters on walls tie monomials.
+        finite = _finite_values(params)
+        y, carried = dynamics._reflect(_monomials(finite, x), finite, i, x)
+        assert y == oracle_trop_vieta(params, i, x) and carried == _monomials(finite, y)
 
 
 def _run_case(i, j, u1, u2, den, offsets):

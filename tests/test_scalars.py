@@ -12,11 +12,12 @@ from conftest import VALUE_TWINS
 from tropmarkov.arithmetic import SurfacePointL, fatou_condition, fatou_witness, surface_from_seed
 from tropmarkov.classifier import FareyTriple, classify, farey_enumerate
 from tropmarkov.dynamics import Word, greedy_path
-from tropmarkov.errors import DomainError, UsageError
+from tropmarkov.errors import DomainError, ResourceError, UsageError
 from tropmarkov.laurent import LaurentPoly
 from tropmarkov.scalars import (
     CF,
     INF,
+    PRIME_BOUND,
     ExtRat,
     continued_fraction,
     ext_min,
@@ -273,6 +274,18 @@ class TestPAdic:
 
     def test_is_prime(self):
         assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+    def test_prime_bound(self):
+        # At the bound the trial division runs; one past it, it never starts.
+        assert PRIME_BOUND == 2**32 and not is_prime(PRIME_BOUND)
+        assert is_prime(PRIME_BOUND - 5)  # the largest prime below 2^32
+        assert not is_prime(65_537 * 65_521)  # the product of the two primes nearest 2^16
+        for n in (PRIME_BOUND + 1, 10**5000):
+            with pytest.raises(ResourceError, match="configured bound 4294967296"):
+                is_prime(n)
+            with pytest.raises(ResourceError):
+                p_adic_valuation(Fraction(1, 4), n)
+        assert p_adic_valuation(PRIME_BOUND - 5, PRIME_BOUND - 5) == 1
 
     @given(rationals, rationals, st.sampled_from([2, 3, 5, 7]))
     def test_valuation_laws(self, x, y, p):
