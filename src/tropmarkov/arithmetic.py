@@ -169,9 +169,9 @@ def lift_consistency(point: SurfacePointL, word: Word) -> LiftReport:
     longer than LIFT_WORD_BOUND raises ResourceError before any step, and an
     exact step past LIFT_STEP_BOUND before that step.
     """
-    if len(word) > LIFT_WORD_BOUND:
+    if word.length > LIFT_WORD_BOUND:
         raise ResourceError(
-            f"word length {len(word)} exceeds the configured bound {LIFT_WORD_BOUND}")
+            f"word length {word.length} exceeds the configured bound {LIFT_WORD_BOUND}")
     params = point.params()
     vals = point.valuation_vector()
     if any(v.is_infinite for v in vals):
@@ -187,7 +187,7 @@ def lift_consistency(point: SurfacePointL, word: Word) -> LiftReport:
         Xj, Xk = (X for i, X in enumerate((cur_exact.X1, cur_exact.X2, cur_exact.X3), 1)
                   if i != g)
         if _lift_size(Xj) * _lift_size(Xk) > LIFT_STEP_BOUND:
-            raise ResourceError(f"exact step {k} of {len(word)} exceeds the configured "
+            raise ResourceError(f"exact step {k} of {word.length} exceeds the configured "
                                 f"bound of {LIFT_STEP_BOUND} cost units")
         cur_exact = vieta_exact(g, cur_exact)
         cur_trop = trop_vieta(params, g, cur_trop)
@@ -228,9 +228,10 @@ def matrix_divergence(signs: Sequence[int]) -> list[int]:
 
 # -- Z[1/p]-points on the compact component ------------------------------------------
 
-# Largest half-width of the integer box |n_i| <= nmax that enumerate_zp_points
-# searches; its loop is quadratic in nmax, over the pairs (n1, n2).  256 admits
-# K = 14 at p = 2 (nmax 221).  Every p above ZP_BOX_BOUND^2 exceeds it: D = m/p^K
+# Largest half-width of the integer box |n_i| <= nmax, nmax^2 < 3 m p^K, around
+# the ball that holds the points of enumerate_zp_points; its loop is quadratic in
+# nmax, over the pairs (n1, n2) with n1^2 < m p^K.  256 admits K = 14 at p = 2
+# (nmax 221, rows |n1| <= 127).  Every p above ZP_BOX_BOUND^2 exceeds it: D = m/p^K
 # with K >= 1 makes the ball 3 m p^K at least 3p, so nmax >= sqrt(3p) - 1 > 256.
 ZP_BOX_BOUND = 256
 
@@ -272,11 +273,13 @@ def zp_numerators(p: int, D) -> tuple[list[tuple[int, int, int]], int, int]:
 
     The surface equation scaled by p^(3K) becomes the integer identity
     p^K (n1^2+n2^2+n3^2) + n1 n2 n3 = D p^(3K), and the exponent box is
-    equivalent to n_i nonzero and p^K not dividing n_i.  For each pair
-    (n1, n2) the identity is a quadratic in n3, solved exactly with an
-    integer square root, so the cost is O(nmax^2) for the box half-width
-    nmax.  A half-width beyond ZP_BOX_BOUND, or any p above ZP_BOX_BOUND^2,
-    raises ResourceError.
+    equivalent to n_i nonzero and p^K not dividing n_i.  Every point of the
+    compact component has x1^2 < D, so n1 runs over the rows n1^2 < m p^K
+    only, m the numerator of D: about 1/sqrt(3) of the box half-width nmax.
+    For each pair (n1, n2) inside the ball the identity is a quadratic in n3,
+    solved exactly with an integer square root, so the cost is O(nmax^2).  A
+    half-width beyond ZP_BOX_BOUND, or any p above ZP_BOX_BOUND^2, raises
+    ResourceError.
     """
     if p > ZP_BOX_BOUND ** 2:
         # Checked before is_prime, whose trial division is slow for huge p.
@@ -302,8 +305,11 @@ def zp_numerators(p: int, D) -> tuple[list[tuple[int, int, int]], int, int]:
         raise ResourceError(
             f"enumeration box half-width {nmax} exceeds the configured bound {ZP_BOX_BOUND}")
     allowed = [n for n in range(-nmax, nmax + 1) if n != 0 and n % pk != 0]
+    # n2 and n3 are nonzero, so x1^2 = D - (x2^2 + x1 x2 x3 + x3^2) < D, the form
+    # being positive definite for |x1| < 2: only the rows n1^2 < m p^K hold a point.
+    r1 = math.isqrt(D.numerator * pk - 1)
     out = []
-    for n1 in allowed:
+    for n1 in allowed[bisect_left(allowed, -r1):bisect_right(allowed, r1)]:
         s1 = n1 * n1
         r2 = math.isqrt(ball - 1 - s1)  # the largest |n2| inside the ball
         for n2 in allowed[bisect_left(allowed, -r2):bisect_right(allowed, r2)]:

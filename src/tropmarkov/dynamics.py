@@ -12,6 +12,7 @@ Euclidean step euc on the first quadrant.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
 
@@ -178,8 +179,17 @@ class Word:
         """Generator indices in the order they act (rightmost first)."""
         return reversed(self.letters)
 
-    def __len__(self):
+    @property
+    def length(self) -> int:
+        """The number of letters, with no 2^63 limit."""
         return sum(n for _, _, n in self.runs)
+
+    def __len__(self):
+        """The number of letters; ResourceError past sys.maxsize, which len() cannot return."""
+        n = self.length
+        if n > sys.maxsize:
+            raise ResourceError(f"word length {n} exceeds the configured bound {sys.maxsize}")
+        return n
 
     def __str__(self):
         # One string repetition per run; each piece ends in a space.
@@ -324,9 +334,10 @@ def _run_length(coeffs: list[int | None], scale: int, x: Point3, i: int, j: int,
     parity class each monomial is affine in t, with the same growth per two
     steps in both, so the integer tables at t = 0, 1, 2 and one floor division
     per monomial give the first t that fails; the conditions are strict and
-    affine, so no t before it fails.  `greedy_path` asks at every point but the
-    start, with j the letter applied last, so t = 1 is checked first: it fails at
-    every point a jump lands on.
+    affine, so no t before it fails.  `greedy_path` asks with j the letter
+    applied last, so t = 1 is checked first.  It does not ask at run point t of
+    a call that returned t >= 1: run point t + 1 leaves its cell, so the answer
+    there is 0.
     """
     x = [v.numerator * (scale // v.denominator) for v in x]
     odd = _monomials(coeffs, _run_point(x, i, j, 1))
@@ -349,9 +360,10 @@ def greedy_path(params: Params, x: Point3, max_steps: int | None = None) -> Gree
     """Follow the greedy itinerary: reflect by the unique containing quadratic
     cell until a subquadratic cell or a quadratic-quadratic intersection stops it.
 
-    At each point after the start, `_run_length` sizes the run i, j, i, ... from
-    its first letter i, j the letter applied last, so each run of alternating
-    reflections (one partial quotient of the slope) is one exact jump.  A single
+    `_run_length` sizes the run i, j, i, ... from its first letter i, j the
+    letter applied last, so each run of alternating reflections (one partial
+    quotient of the slope) is one exact jump.  It is not asked where such a run
+    ends, or at the start: there the greedy takes one reflection.  A single
     reflection carries the seven monomials to its image (`_reflect`); a jump
     evaluates them afresh where it lands.  Either way the cell test, with its
     skeleton check, runs at every point visited.  ``max_steps`` caps the
@@ -367,7 +379,7 @@ def greedy_path(params: Params, x: Point3, max_steps: int | None = None) -> Gree
     runs: list[list[int]] = []  # the word so far, as maximal runs in applied order
     cur = x
     values = _monomials(finite, cur)  # the seven monomials at cur, carried by each reflection
-    j = 0  # the letter applied last, 0 before the first
+    j = 0  # the letter applied last; 0 where the next point takes one reflection
     step = 0
     while True:
         slots = _cell_slots(params, values, cur)  # ascending: quadratic 0-2 first
@@ -391,12 +403,13 @@ def greedy_path(params: Params, x: Point3, max_steps: int | None = None) -> Gree
             _extend(runs, i, j, t)
             cur = _run_point(cur, i, j, t)
             values = _monomials(finite, cur)
-            j = (j, i)[t % 2]
         else:
             _push(runs, i)
             cur, values = _reflect(values, finite, i, cur)
-            j, t = i, 1
-        step += t
+        # After a run of t >= 1, run point t + 1 leaves its cell: the point
+        # reached takes one reflection.
+        j = 0 if t else i
+        step += max(t, 1)
 
 
 def u_slope(i: int, x: Point3) -> ExtRat:

@@ -236,16 +236,6 @@ def skeleton_direction_act(i: int, x: CirclePointS) -> CirclePointS:
     return _circle_point(m)
 
 
-def _plane_xy(x: CirclePointS | Direction) -> tuple:
-    return (x[0] - x[1], x[0] + x[1] - 2 * x[2])
-
-
-def _plane_vector(n: Direction) -> tuple[bool, int, int]:
-    """Whether the plane image of n has its angle in [0, pi), and that image."""
-    p, q = _plane_xy(n)
-    return (q > 0 or (q == 0 and p > 0), p, q)
-
-
 def _skeleton_columns(n: int) -> tuple[list[int], list[int]]:
     """The boundary pairs whose _phi images are the depth-n skeleton orbit from angle 0,
     as columns: _phi reverses the boundary cycle, read back from 1/3 (0 at n <= 1)."""
@@ -278,11 +268,14 @@ def partial_orbit_skeleton(n: int) -> list[CirclePointS]:
 # -- arc statistics -----------------------------------------------------------------
 
 
-def skeleton_angle(x: CirclePointS | Direction) -> float:
-    """Angle of the plane image; one rounding, so a direction and its circle point agree."""
-    s = -(x[0] + x[1] + x[2])
-    p, q = _plane_xy(x)
-    return math.atan2(q / s, p / s)
+def _skeleton_plane(p: int, q: int) -> tuple[int, int, int]:
+    """The plane image (x1 - x2, x1 + x2 - 2 x3) of the direction _phi((p, q)), and
+    the sum s of its negated coordinates: with a = |p| and c = |p - q|, the image
+    is (q - a, 2c - a - q) and s = a + q + c.  Its angle atan2(y / s, x / s) takes
+    one rounding per quotient, so it is that of the circle point too."""
+    a = -p if p < 0 else p
+    c = q - p if p < q else p - q
+    return q - a, 2 * c - a - q, a + q + c
 
 
 def partition_table(n: int, side: str) -> list[tuple[int, float, float]]:
@@ -291,7 +284,7 @@ def partition_table(n: int, side: str) -> list[tuple[int, float, float]]:
     if side == "boundary":  # p/q at angle 2 atan2(p, q), its inverse stereographic image
         angles = [2.0 * a for a in map(math.atan2, *_orbit_cycle(n))]
     elif side == "skeleton":
-        angles = [skeleton_angle(_phi(x)) for x in zip(*_orbit_cycle(n))]
+        angles = [math.atan2(y / s, x / s) for x, y, s in map(_skeleton_plane, *_orbit_cycle(n))]
     else:
         raise UsageError(f"side must be 'boundary' or 'skeleton', got {side!r}")
     rows = []
@@ -321,8 +314,10 @@ def _angle_step(u: tuple[bool, int, int], v: tuple[bool, int, int]) -> int:
 def order_isomorphism_check(n: int) -> bool:
     """Whether the label bijection between the two depth-n orbits, each boundary
     net matched with the skeleton net of its index, is a cyclic-order isomorphism."""
-    # The boundary cycle ascends; at label (i, w) sits w s_i = _phi(w b_i).
-    skl = [_plane_vector(_phi(x)) for x in zip(*_orbit_cycle(n))]
+    # The boundary cycle ascends; at label (i, w) sits w s_i = _phi(w b_i).  Each
+    # plane image (x, y) is led by whether its angle lies in [0, pi).
+    skl = [(y > 0 or (y == 0 and x > 0), x, y)
+           for x, y, _ in map(_skeleton_plane, *_orbit_cycle(n))]
     # Strict cyclic order: exactly one step is not an ascent (or, reversed, not a
     # descent); ties count both ways, so a repeated point fails.
     steps_s = [_angle_step(u, v) for u, v in zip(skl, skl[1:] + skl[:1])]

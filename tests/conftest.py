@@ -8,7 +8,7 @@ import csv
 import io
 import json
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -39,7 +39,6 @@ from tropmarkov.hyperbolic import (
     SKELETON_DIRECTIONS,
     SKELETON_NETS,
     _orbit_cycle,
-    _plane_xy,
     bpoint,
     partial_orbit_boundary,
     partition_table,
@@ -562,10 +561,28 @@ def oracle_boundary_key(x):
     return (0, Fraction(p, q))
 
 
+def oracle_plane_xy(x) -> tuple:
+    """The plane image (x1 - x2, x1 + x2 - 2 x3) of a skeleton direction or circle point."""
+    return (x[0] - x[1], x[0] + x[1] - 2 * x[2])
+
+
+def oracle_skeleton_angle(x) -> float:
+    """Angle of the plane image, scaled by the sum s of the negated coordinates."""
+    s = -(x[0] + x[1] + x[2])
+    p, q = oracle_plane_xy(x)
+    return math.atan2(q / s, p / s)
+
+
+def oracle_plane_vector(n) -> tuple:
+    """Whether the plane image of n has its angle in [0, pi), and that image."""
+    p, q = oracle_plane_xy(n)
+    return (q > 0 or (q == 0 and p > 0), p, q)
+
+
 def oracle_skeleton_key(x):
     """Exact angle order of the plane image (p, q): half-plane [0, pi) first,
     then the point on the p-axis, then decreasing cotangent p/q."""
-    p, q = _plane_xy(x)
+    p, q = oracle_plane_xy(x)
     return (0 if q > 0 or (q == 0 and p > 0) else 1, q != 0, -p / q if q else 0)
 
 
@@ -632,7 +649,7 @@ def oracle_skeleton_cycle(n: int) -> list:
     counterclockwise layout, cut at angle 0 by bisection: angle 0 lies in
     arc 2, the last one, which runs from 270 to 45 degrees."""
     cycle = oracle_orbit_cycle(SKELETON_DIRECTIONS, oracle_direction_act, ORACLE_SKELETON_CCW, n)
-    p_q = [_plane_xy(x) for x in cycle]
+    p_q = [oracle_plane_xy(x) for x in cycle]
     upper = [q > 0 or (q == 0 and p > 0) for p, q in p_q]
     cut = bisect_left(upper, True, (2 << n) + 1)
     return cycle[cut:] + cycle[:cut]
@@ -921,6 +938,44 @@ def oracle_zp_points_cubic(p: int, D) -> list:
                     exps = tuple(int(p_adic_valuation(c, p).finite) for c in coords)
                     out.append(ZpPoint(coords, exps))
     return sorted(out, key=lambda z: z.coords)
+
+
+def oracle_zp_numerators_ball(p: int, D: Fraction) -> tuple:
+    """`arithmetic.zp_numerators` as it ran before its rows were cut to
+    n1^2 < m p^K: every row n1 of the box around the ball n1^2+n2^2+n3^2 <
+    3 D p^(2K).  Takes a prime p and a D = m/p^K the enumerator accepts."""
+    pk = D.denominator
+    K = 0
+    while p ** K < pk:
+        K += 1
+    rhs = D.numerator * pk * pk  # D p^(3K)
+    ball = 3 * D.numerator * pk  # n1^2+n2^2+n3^2 < 3 D p^(2K)
+    nmax = math.isqrt(ball)
+    if nmax * nmax >= ball:
+        nmax -= 1
+    allowed = [n for n in range(-nmax, nmax + 1) if n != 0 and n % pk != 0]
+    out = []
+    for n1 in allowed:
+        s1 = n1 * n1
+        r2 = math.isqrt(ball - 1 - s1)  # the largest |n2| inside the ball
+        for n2 in allowed[bisect_left(allowed, -r2):bisect_right(allowed, r2)]:
+            s2 = s1 + n2 * n2
+            # pk n3^2 + b n3 + c = 0 with b = n1 n2 and c = pk s2 - rhs.
+            b = n1 * n2
+            disc = b * b - 4 * pk * (pk * s2 - rhs)
+            if disc < 0:
+                continue
+            r = math.isqrt(disc)
+            if r * r != disc:
+                continue
+            for num in {-b + r, -b - r}:
+                n3, rem = divmod(num, 2 * pk)
+                # pk | n3 covers n3 = 0.
+                if rem or n3 % pk == 0 or s2 + n3 * n3 >= ball:
+                    continue
+                out.append((n1, n2, n3))
+    out.sort()
+    return out, pk, K
 
 
 # -- CLI text through the standard library's writers ---------------------------

@@ -12,6 +12,7 @@ from tropmarkov.surface import CellId, Params, cell_has_interior, cells_of, on_s
 from tropmarkov.dynamics import Word
 from tropmarkov.arithmetic import (
     LIFT_WORD_BOUND,
+    ZP_BOX_BOUND,
     SurfacePointL,
     compact_radius,
     enumerate_zp_points,
@@ -23,6 +24,7 @@ from tropmarkov.arithmetic import (
     surface_from_seed,
     v_partial_products,
     vieta_exact,
+    zp_numerators,
 )
 
 from conftest import (assert_same_outcome, oracle_fatou_witness, oracle_on_surface,
@@ -154,8 +156,9 @@ class TestLiftConsistency:
         # The length is checked before any step, so even a billion-letter word
         # fails at once.  At the bound, a constant seed keeps the replay cheap.
         P = seed_point("t^-1", "t^-1", "t^-1")
+        # Past 2^63 letters len() cannot answer, and the bound still raises.
         for word in (Word.from_runs([(1, 2, LIFT_WORD_BOUND + 1)]),
-                     Word.from_runs([(1, 2, 10**9)])):
+                     Word.from_runs([(1, 2, 10**9)]), Word.from_runs([(1, 2, 10**30)])):
             with pytest.raises(ResourceError, match="exceeds the configured bound"):
                 lift_consistency(P, word)
         at_bound = Word.from_runs([(1, 2, LIFT_WORD_BOUND)])
@@ -247,6 +250,28 @@ class TestMatrixDivergence:
 _SIGN_FLIPS = ((1, 1, 1), (-1, -1, 1), (-1, 1, -1), (1, -1, -1))
 
 
+def _zp_box_sizes():
+    """(p, K, smallest m, largest m) for p in {2, 3, 5, 7} and every K at which
+    some D = m/p^K in the enumerator's domain has a box inside ZP_BOX_BOUND:
+    p does not divide m, 3m < p^K and isqrt(3 m p^K - 1) <= ZP_BOX_BOUND."""
+    sizes = []
+    for p in (2, 3, 5, 7):
+        K = 1
+        while 3 * p**K <= (ZP_BOX_BOUND + 1) ** 2:
+            pk = p**K
+            m_hi = min((pk - 1) // 3, (ZP_BOX_BOUND + 1) ** 2 // (3 * pk))
+            if m_hi % p == 0:
+                m_hi -= 1
+            if m_hi >= 1:
+                sizes.append((p, K, 1, m_hi))
+            K += 1
+    return sizes
+
+
+ZP_BOX_SIZES = _zp_box_sizes()
+ZP_BOX_EDGES = sorted({(p, K, m) for p, K, lo, hi in ZP_BOX_SIZES for m in (lo, hi)})
+
+
 class TestZpEnumeration:
     def test_empty_cases(self):
         assert enumerate_zp_points(2, F(1, 4)) == []
@@ -305,6 +330,28 @@ class TestZpEnumeration:
                 for signs in _SIGN_FLIPS:
                     image = tuple(s * coords[k] for s, k in zip(signs, order))
                     assert points.get(image) == tuple(exps[k] for k in order)
+
+    @pytest.mark.parametrize("case", ZP_BOX_EDGES, ids=lambda c: f"{c[0]}^{c[1]}-m{c[2]}")
+    def test_rows_match_ball_scan_at_box_edges(self, case):
+        from conftest import oracle_zp_numerators_ball
+
+        p, K, m = case
+        D = F(m, p**K)
+        assert zp_numerators(p, D) == oracle_zp_numerators_ball(p, D)
+
+    @given(st.sampled_from(ZP_BOX_SIZES).flatmap(
+        lambda c: st.tuples(st.just(c[0]), st.just(c[1]),
+                            st.integers(1, c[3]).filter(lambda m: m % c[0] != 0))))
+    @settings(max_examples=25, deadline=None)
+    def test_rows_match_ball_scan(self, case):
+        from conftest import oracle_zp_numerators_ball
+
+        p, K, m = case
+        D = F(m, p**K)
+        triples, pk, _ = zp_numerators(p, D)
+        assert (triples, pk, K) == oracle_zp_numerators_ball(p, D)
+        # Every point has x_i^2 < D: (n_i / p^K)^2 < m / p^K.
+        assert all(n * n < m * pk for t in triples for n in t)
 
     def test_benchmark_anchors(self):
         from conftest import oracle_zp_points_cubic

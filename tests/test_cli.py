@@ -3,6 +3,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -566,6 +567,20 @@ class TestListingDigests:
             digest.update(f"{code}\n{out}{err}\n".encode())
         assert len(cases) == 96 and digest.hexdigest() == (
             "419554aacd1e3950640410e475b8f36e96471ef9cd570011a673588deba439bd")
+
+    @pytest.mark.parametrize("p, D, nmax, count, digest", [
+        (2, "83/256", 252, 336, "ba4f256d5ead8db72a3ced17bc908b4e97d6d60ccc30ef61da831f494c89bf76"),
+        (3, "74/243", 232, 240, "f74b323b11b346a2bfe9843f157cced2fe01d98011fd30348b7419b863d672b3"),
+        (5, "26/625", 220, 48, "9fe93e0c2cb04abb7bbfe7466e07945cff48c22e1960a7bbcbff80df450dfce9"),
+        (7, "40/343", 202, 120, "cfae691d9a426b68b906bc05e179323f63aec1fbd29a4872bcb88078992f791b"),
+    ])
+    def test_enumerate_zp_large_boxes(self, capsys, p, D, nmax, count, digest):
+        # Boxes near ZP_BOX_BOUND that hold points, pinned on the whole-ball row scan.
+        m, pk = map(int, D.split("/"))
+        assert math.isqrt(3 * m * pk - 1) == nmax
+        code, out, err = run_cli(capsys, "enumerate-zp", "--p", str(p), "--D", D)
+        assert (code, err, len(json.loads(out)["points"])) == (0, "", count)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestFareyDigitLimit:

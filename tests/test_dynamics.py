@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -193,6 +194,21 @@ class TestWordRuns:
         assert Word.from_runs(()) == Word() and str(Word()) == ""
         with pytest.raises(UsageError):
             Word().first_applied
+
+    @pytest.mark.parametrize("runs", [((1, 2, sys.maxsize),),
+                                      ((3, 0, 1), (1, 2, sys.maxsize - 1))])
+    def test_len_up_to_maxsize(self, runs):
+        word = Word.from_runs(runs)
+        assert len(word) == word.length == sys.maxsize
+
+    @pytest.mark.parametrize("runs", [((1, 2, sys.maxsize + 1),), ((3, 0, 1), (1, 2, sys.maxsize)),
+                                      ((1, 2, 10**30),)])
+    def test_len_past_maxsize_raises_resource_error(self, runs):
+        # len() cannot return an int past sys.maxsize; length has no limit.
+        word = Word.from_runs(runs)
+        assert word.length == sum(n for _, _, n in runs)
+        with pytest.raises(ResourceError, match="exceeds the configured bound"):
+            len(word)
 
     def test_long_greedy_word(self):
         # Slope 10^6/(10^6+1): 10^6 + 1 reflections in two runs.
@@ -549,6 +565,24 @@ class TestGreedyJumps:
         # One cell test where each run lands and one after the single step
         # that leaves it.
         assert len(calls) <= 2 * len(continued_fraction(m).terms) + 2
+
+    def test_no_run_length_call_where_a_run_ends(self, monkeypatch):
+        # Where a call returned t >= 1, the next answer is certainly 0, and the
+        # greedy skips it: 10 calls on this slope become the 5 nonzero ones.
+        sizes = []
+        run_length = dynamics._run_length
+
+        def counted(*args):
+            sizes.append(run_length(*args))
+            return sizes[-1]
+
+        monkeypatch.setattr(dynamics, "_run_length", counted)
+        m = F(10**9 + 7, 12345678)
+        trace = greedy_path(PT, u_inverse(1, (m.denominator, m.numerator)))
+        assert sizes == [80, 138714, 1, 13, 1]
+        assert (trace.kind, trace.ray_index, trace.steps) == ("ray", 3, 138815)
+        assert trace.terminal == (-1, -1, 0)
+        assert trace.word.runs == ((3, 1, 2), (3, 2, 14), (3, 1, 2), (3, 2, 138715), (2, 1, 82))
 
     def test_step_bound(self):
         # Slope [1; 10^9]: the bound check runs, the run is never expanded.

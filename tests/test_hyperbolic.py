@@ -6,7 +6,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tropmarkov.errors import DomainError, ResourceError, UsageError
 from tropmarkov.dynamics import Word
@@ -25,12 +25,11 @@ from tropmarkov.hyperbolic import (
     partition_table,
     reduce_to_nets,
     reflect_boundary,
-    skeleton_angle,
     skeleton_direction_act,
     _circle_point,
     _orbit_cycle,
     _phi,
-    _plane_xy,
+    _skeleton_plane,
     _skeleton_columns,
     _skeleton_row,
     _triangles,
@@ -51,9 +50,12 @@ from conftest import (
     oracle_labels,
     oracle_order_isomorphism_check,
     oracle_orbit_cycle,
+    oracle_plane_vector,
+    oracle_plane_xy,
     oracle_realise,
     oracle_reduce_to_nets,
     oracle_reflect_boundary,
+    oracle_skeleton_angle,
     oracle_skeleton_cycle,
     oracle_skeleton_text,
     oracle_skeleton_direction_act,
@@ -295,6 +297,21 @@ class TestPartitions:
                     assert big < prev
                 prev = big
 
+    @given(st.tuples(st.integers(-10**12, 10**12), st.integers(0, 10**12))
+           .filter(lambda x: math.gcd(*x) == 1))
+    @example((-3, 5))
+    @example((7, 2))
+    @example((1, 0))
+    @example((-1, 0))
+    @settings(max_examples=300)
+    def test_skeleton_plane_matches_phi(self, x):
+        # The tables read (p, q) through _skeleton_plane; the circle point is _phi((p, q)).
+        px, py, s = _skeleton_plane(*x)
+        n = _phi(x)
+        assert (px, py) == oracle_plane_xy(n) and s == -sum(n)
+        assert math.atan2(py / s, px / s) == oracle_skeleton_angle(n)
+        assert (py > 0 or (py == 0 and px > 0), px, py) == oracle_plane_vector(n)
+
     def test_depth_ten_decay_beats_one_eighth(self):
         for side in ("boundary", "skeleton"):
             assert partition_stats(10, side)[1] < partition_stats(0, side)[1] / 8
@@ -337,7 +354,7 @@ def _direction(a, b):
 
 def _comparator_sorted(points):
     return sorted(points, key=cmp_to_key(
-        lambda u, v: oracle_angular_cmp(_plane_xy(u), _plane_xy(v))))
+        lambda u, v: oracle_angular_cmp(oracle_plane_xy(u), oracle_plane_xy(v))))
 
 
 class TestAgainstSlowPaths:
@@ -435,7 +452,7 @@ class TestAgainstSlowPaths:
 
     def test_partition_table_matches_orbits(self):
         for side, orbit, angle in (("boundary", partial_orbit_boundary, oracle_boundary_angle),
-                                   ("skeleton", partial_orbit_skeleton, skeleton_angle)):
+                                   ("skeleton", partial_orbit_skeleton, oracle_skeleton_angle)):
             rows = []
             for k in range(9):
                 angles = sorted(angle(x) for x in orbit(k))
