@@ -230,9 +230,9 @@ def matrix_divergence(signs: Sequence[int]) -> list[int]:
 
 # Largest half-width of the integer box |n_i| <= nmax, nmax^2 < 3 m p^K, around
 # the ball that holds the points of enumerate_zp_points; its loop is quadratic in
-# nmax, over the pairs (n1, n2) with n1^2 < m p^K.  256 admits K = 14 at p = 2
-# (nmax 221, rows |n1| <= 127).  Every p above ZP_BOX_BOUND^2 exceeds it: D = m/p^K
-# with K >= 1 makes the ball 3 m p^K at least 3p, so nmax >= sqrt(3p) - 1 > 256.
+# nmax, over the pairs (n1, n2) with n1^2 < m p^K and a real n3.  256 admits K = 14
+# at p = 2 (nmax 221, rows |n1| <= 127).  Every p above ZP_BOX_BOUND^2 exceeds it:
+# D = m/p^K, K >= 1, makes the ball 3 m p^K at least 3p, so nmax >= sqrt(3p) - 1 > 256.
 ZP_BOX_BOUND = 256
 
 
@@ -276,10 +276,10 @@ def zp_numerators(p: int, D) -> tuple[list[tuple[int, int, int]], int, int]:
     equivalent to n_i nonzero and p^K not dividing n_i.  Every point of the
     compact component has x1^2 < D, so n1 runs over the rows n1^2 < m p^K
     only, m the numerator of D: about 1/sqrt(3) of the box half-width nmax.
-    For each pair (n1, n2) inside the ball the identity is a quadratic in n3,
-    solved exactly with an integer square root, so the cost is O(nmax^2).  A
-    half-width beyond ZP_BOX_BOUND, or any p above ZP_BOX_BOUND^2, raises
-    ResourceError.
+    For each pair (n1, n2) the identity is a quadratic in n3, solved exactly
+    with an integer square root; each row stops at `_column_bound`, the last n2
+    with real roots, inside the ball.  So the cost is O(nmax^2).  A half-width
+    beyond ZP_BOX_BOUND, or any p above ZP_BOX_BOUND^2, raises ResourceError.
     """
     if p > ZP_BOX_BOUND ** 2:
         # Checked before is_prime, whose trial division is slow for huge p.
@@ -311,14 +311,12 @@ def zp_numerators(p: int, D) -> tuple[list[tuple[int, int, int]], int, int]:
     out = []
     for n1 in allowed[bisect_left(allowed, -r1):bisect_right(allowed, r1)]:
         s1 = n1 * n1
-        r2 = math.isqrt(ball - 1 - s1)  # the largest |n2| inside the ball
+        r2 = _column_bound(pk, D.numerator, s1)
         for n2 in allowed[bisect_left(allowed, -r2):bisect_right(allowed, r2)]:
             s2 = s1 + n2 * n2
             # pk n3^2 + b n3 + c = 0 with b = n1 n2 and c = pk s2 - rhs.
             b = n1 * n2
             disc = b * b - 4 * pk * (pk * s2 - rhs)
-            if disc < 0:
-                continue
             r = math.isqrt(disc)
             if r * r != disc:
                 continue
@@ -330,6 +328,14 @@ def zp_numerators(p: int, D) -> tuple[list[tuple[int, int, int]], int, int]:
                 out.append((n1, n2, n3))
     out.sort()
     return out, pk, K
+
+
+def _column_bound(pk: int, m: int, s1: int) -> int:
+    """The largest n2 >= 0 giving the quadratic in n3 of `zp_numerators` real
+    roots in the row s1 = n1^2 < m pk: its discriminant n2^2 (s1 - 4 pk^2) +
+    4 pk^2 (m pk - s1) falls as n2^2 grows, since s1 < m pk < pk^2 / 3."""
+    q = 4 * pk * pk
+    return math.isqrt(q * (m * pk - s1) // (q - s1))
 
 
 def rational_vieta(i: int, x: tuple[Fraction, Fraction, Fraction], D) -> tuple:

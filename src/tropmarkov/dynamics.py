@@ -98,8 +98,9 @@ class Word:
     ``runs`` lists (i, j, n) in display order, each the n letters i, j, i, ...
     read left to right, cut greedily from the rightmost letter.  So two
     Words with the same letters have the same runs, and only the leftmost
-    run can be a lone letter, written (i, 0, 1).  Length, printing and the
-    first-applied letter take one step per run; ``letters`` expands them.
+    run can be a lone letter, written (i, 0, 1).  Length and the first-applied
+    letter take one step per run; ``letters`` and printing expand at most
+    STEP_BOUND letters.
     """
 
     runs: tuple[Run, ...]
@@ -159,7 +160,7 @@ class Word:
     def letters(self) -> tuple[int, ...]:
         """Generator indices in display order, one per reflection."""
         out: list[int] = []
-        for i, j, n in self.runs:
+        for i, j, n in self._expandable():
             out += (i, j) * (n // 2) + (i,) * (n % 2)
         return tuple(out)
 
@@ -184,6 +185,13 @@ class Word:
         """The number of letters, with no 2^63 limit."""
         return sum(n for _, _, n in self.runs)
 
+    def _expandable(self) -> tuple[Run, ...]:
+        """The runs; past STEP_BOUND letters, the longest greedy word, ResourceError."""
+        if self.length > STEP_BOUND:
+            raise ResourceError(
+                f"word length {self.length} exceeds the configured bound {STEP_BOUND}")
+        return self.runs
+
     def __len__(self):
         """The number of letters; ResourceError past sys.maxsize, which len() cannot return."""
         n = self.length
@@ -194,7 +202,7 @@ class Word:
     def __str__(self):
         # One string repetition per run; each piece ends in a space.
         return "".join(f"s{i} s{j} " * (n // 2) + (f"s{i} " if n % 2 else "")
-                       for i, j, n in self.runs)[:-1]
+                       for i, j, n in self._expandable())[:-1]
 
 
 def _reflect(values: list, coeffs, i: int, x: Point3) -> tuple[Point3, list]:
@@ -222,6 +230,7 @@ def trop_vieta(params: Params, i: int, x: Point3) -> Point3:
 
 
 def apply_word(params: Params, word: Word, x: Point3) -> Point3:
+    """One reflection per letter; past STEP_BOUND letters ResourceError, before the first."""
     finite = _finite_values(params)
     values = _monomials(finite, x)
     for g in word.applied_order():

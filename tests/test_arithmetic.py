@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import permutations, product
@@ -24,6 +25,7 @@ from tropmarkov.arithmetic import (
     surface_from_seed,
     v_partial_products,
     vieta_exact,
+    _column_bound,
     zp_numerators,
 )
 
@@ -352,6 +354,24 @@ class TestZpEnumeration:
         assert (triples, pk, K) == oracle_zp_numerators_ball(p, D)
         # Every point has x_i^2 < D: (n_i / p^K)^2 < m / p^K.
         assert all(n * n < m * pk for t in triples for n in t)
+
+    def test_column_bound_is_exact(self):
+        # In every row the discriminant in n3 is nonnegative at the bound and
+        # negative one past it, so no point on the edge of a row is dropped.
+        seen = set()
+        for p, D in zp_cases(128):
+            m, pk = D.numerator, D.denominator
+            r1 = math.isqrt(m * pk - 1)
+            for n1 in range(-r1, r1 + 1):
+                s1 = n1 * n1
+                b = _column_bound(pk, m, s1)
+
+                def disc(n2):
+                    return (n1 * n2) ** 2 - 4 * pk * (pk * (s1 + n2 * n2) - m * pk * pk)
+
+                assert disc(b) >= 0 > disc(b + 1), (p, D, n1)
+            seen.add(p)
+        assert seen == {2, 3, 5, 7}
 
     def test_benchmark_anchors(self):
         from conftest import oracle_zp_points_cubic

@@ -1,9 +1,10 @@
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import (
     OracleWord,
@@ -210,6 +211,30 @@ class TestWordRuns:
         with pytest.raises(ResourceError, match="exceeds the configured bound"):
             len(word)
 
+    @given(st.lists(st.tuples(st.sampled_from(_PAIRS), st.integers(1, 4)), max_size=3),
+           st.sampled_from(_PAIRS),
+           st.one_of(st.integers(STEP_BOUND - 3, STEP_BOUND + 3),
+                     st.integers(sys.maxsize - 2, sys.maxsize + 2), st.just(10**30)))
+    @example([], (1, 2), STEP_BOUND)
+    @example([], (1, 2), STEP_BOUND + 1)
+    @example([((2, 3), 1)], (1, 2), 2**63)
+    @settings(max_examples=10, deadline=None)
+    def test_expansions_bounded(self, head, tail, length):
+        # Each reader expands the word only up to STEP_BOUND letters; past it,
+        # and past 2^63, it raises ResourceError before building anything.
+        runs = [(*pair, n) for pair, n in head] + [(*tail, length - sum(n for _, n in head))]
+        # Two runs may meet at an equal letter; such runs are no word.
+        assume(all(a[0] != b[(b[2] - 1) % 2] for b, a in zip(runs, runs[1:])))
+        word = Word.from_runs(runs)
+        readers = (lambda: word.letters, lambda: tuple(word.applied_order()), lambda: str(word))
+        if length > STEP_BOUND:
+            for read in readers:
+                with pytest.raises(ResourceError, match="exceeds the configured bound"):
+                    read()
+            return
+        ref = OracleWord(tuple((i, j)[k % 2] for i, j, n in runs for k in range(n)))
+        assert [read() for read in readers] == [ref.letters, ref.letters[::-1], str(ref)]
+
     def test_long_greedy_word(self):
         # Slope 10^6/(10^6+1): 10^6 + 1 reflections in two runs.
         trace = greedy_path(PT, u_inverse(1, (10**6 + 1, 10**6)))
@@ -271,6 +296,21 @@ class TestInvolutions:
         assert apply_word(PT, Word(), pt(-2, -3, -5)) == pt(-2, -3, -5)
         assert apply_word(PT, Word.parse("s2 s3"), pt(-2, -3, -5)) == pt(-2, -1, -1)
         assert apply_word(PT, Word.parse("s1 s2 s3"), pt(-2, -3, -5)) == pt(0, -1, -1)
+
+    def test_apply_word_step_bound(self, monkeypatch):
+        # Past STEP_BOUND letters apply_word raises before its first reflection.
+        start = time.perf_counter()
+        with pytest.raises(ResourceError, match="exceeds the configured bound"):
+            apply_word(PT, Word.from_runs([(1, 2, 10**8)]), pt(-2, -3, -5))
+        assert time.perf_counter() - start < 1
+        monkeypatch.setattr(dynamics, "STEP_BOUND", 100)
+        x = pt(-2, -3, -5)
+        expected = x
+        for g in reversed((1, 2) * 50):
+            expected = oracle_trop_vieta(PT, g, expected)
+        assert apply_word(PT, Word.from_runs([(1, 2, 100)]), x) == expected
+        with pytest.raises(ResourceError):
+            apply_word(PT, Word.from_runs([(3, 1, 1), (1, 2, 100)]), x)
 
     @given(
         st.integers(min_value=0, max_value=2**16),
