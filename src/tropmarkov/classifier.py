@@ -14,6 +14,7 @@ from fractions import Fraction
 from itertools import groupby
 from math import gcd
 
+from . import dynamics
 from .errors import DomainError, ResourceError, UsageError
 from .scalars import ExtRat, continued_fraction, value_class
 from .surface import (
@@ -91,8 +92,14 @@ def stopping_time(m) -> int:
 
 
 def index_shift_bruteforce(m) -> int:
-    """Signed count of orbit values >= 1 minus values < 1 before the stopping time."""
+    """Signed count of orbit values >= 1 minus values < 1 before the stopping time.
+    One T step per unit of stopping time: past dynamics.STEP_BOUND steps, read from
+    the continued-fraction term sum, ResourceError before the first step."""
     v = _finite_positive_slope(m, "index shift")
+    steps = stopping_time(v)
+    if steps > dynamics.STEP_BOUND:
+        raise ResourceError(
+            f"stopping time {steps} exceeds the configured bound {dynamics.STEP_BOUND}")
     return sum(1 if t >= 1 else -1 for t in _t_orbit(v))
 
 

@@ -320,15 +320,15 @@ def _cmd_tessellation(args) -> None:
 
 
 def _cmd_pingpong(args) -> Iterator[str]:
-    from .hyperbolic import _boundary_columns, _skeleton_columns, _skeleton_row, partition_table
+    from .hyperbolic import _boundary_lines, _skeleton_lines, partition_table
 
     if args.stats:
         table = enumerate(partition_table(args.depth, args.side))
         return _csv_chunks("n,count,delta,Delta", [f"{n},{count},{delta:.12f},{big_delta:.12f}\n"
                                                    for n, (count, delta, big_delta) in table])
     if args.side == "boundary":
-        return _csv_chunks("p,q", (f"{p},{q}\n" for p, q in zip(*_boundary_columns(args.depth))))
-    return _csv_chunks("x1,x2,x3", map(_skeleton_row, *_skeleton_columns(args.depth)))
+        return _csv_chunks("p,q", _boundary_lines(args.depth))
+    return _csv_chunks("x1,x2,x3", _skeleton_lines(args.depth))
 
 
 def _cmd_fatou(args) -> dict:

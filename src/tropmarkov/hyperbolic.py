@@ -14,6 +14,13 @@ each gap p/q, r/s, so `_orbit_cycle` is mediant refinement of integer columns.
 The skeleton orbit, of the fully degenerate skeleton's boundary-ray directions,
 is the image of the boundary orbit under `_phi`; `partial_orbit_skeleton` and
 `skeleton_direction_act` alone return Fractions.
+
+Two symmetries of the group fix the depth-n listings.  On the boundary circle,
+r3 carries the even interior points of the half 0/1 .. 1/0 of the cycle (its
+depth n-1 points) onto the rest of it.  On the skeleton circle, the cyclic
+shift of coordinates (x1, x2, x3) -> (x3, x1, x2), which permutes the
+generators, carries each third of the orbit onto the next.  So the listings
+format one half, or one third, and print the rest from that text.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from fractions import Fraction
+from itertools import chain, islice, repeat
 from operator import add, neg, sub
 
 from .errors import DomainError, ResourceError, UsageError
@@ -156,6 +164,13 @@ def _refine(column: list[int], n: int) -> list[int]:
     return column
 
 
+def _orbit_half(n: int) -> list[int]:
+    """The numerators of the depth-n cycle's line 0/1 .. 1/0; its denominators are the
+    same column reversed.  The depth is checked against DEPTH_BOUND first."""
+    _check_depth(n)
+    return _refine([0, 1, 1], n)
+
+
 def _orbit_cycle(n: int) -> tuple[list[int], list[int]]:
     """Boundary orbit points of the labels of length <= n (a net and a reduced
     word modulo the net's stabiliser) in cyclic order from 0, as the columns of
@@ -164,9 +179,8 @@ def _orbit_cycle(n: int) -> tuple[list[int], list[int]]:
     of mediant refinement of the lines 0/1, 1/1, 1/0 and -1/0, 0/1.  Only one
     column is refined: z -> 1/z reverses the first line, and z -> -z maps every
     other point of it onto the second.  The slice with step 2^(n-k) is the
-    depth-k cycle.  The depth is checked against DEPTH_BOUND first."""
-    _check_depth(n)
-    p = _refine([0, 1, 1], n)
+    depth-k cycle."""
+    p = _orbit_half(n)
     q = p[::-1]
     return p + list(map(neg, p[-3:1:-2])), q + q[-3:1:-2]  # inf back to 0, ends left out
 
@@ -189,6 +203,22 @@ def _boundary_columns(n: int) -> tuple[list[int], list[int]]:
     p, q = _orbit_cycle(n)
     cut = (2 << n) + 1
     return p[cut:] + p[:cut], q[cut:] + q[:cut]
+
+
+def _boundary_lines(n: int) -> Iterator[str]:
+    """The listing lines "p,q\n" of `partial_orbit_boundary`, from the half 0/1 .. 1/0
+    alone: its lines are p over the reversed p, each int made a string once, and the
+    r3 images -p/q that open the listing are its even interior lines, in reverse,
+    behind "-".  The depth is checked when this is called."""
+    texts = [*map(str, _orbit_half(n))]
+    half = [f"{p},{q}\n" for p, q in zip(texts, reversed(texts))]
+    return chain(map("-".__add__, half[-3:1:-2]), half)
+
+
+def _boundary_angles(n: int) -> list[float]:
+    """The angle 2 atan2(p, q) of each point p/q of the depth-n cycle (`_orbit_cycle`),
+    that of its inverse stereographic image on the unit circle."""
+    return [2.0 * a for a in map(math.atan2, *_orbit_cycle(n))]
 
 
 def _triangles(line: list[BPoint], n: int) -> Iterator[tuple[BPoint, BPoint, BPoint]]:
@@ -244,8 +274,8 @@ def _skeleton_columns(n: int) -> tuple[list[int], list[int]]:
     return p[cut::-1] + p[:cut:-1], q[cut::-1] + q[:cut:-1]
 
 
-def _skeleton_row(p: int, q: int) -> str:
-    """The listing row "x1,x2,x3\n" of _circle_point(_phi((p, q))) for a coprime pair:
+def _skeleton_text(p: int, q: int) -> str:
+    """The listing text "x1,x2,x3" of _circle_point(_phi((p, q))) for a coprime pair:
     -(a, q, c) / 2m with a = |p|, c = |p - q|, m their largest, and any other prime
     to m, so each is 0, -1/2, -(x/2)/m or -x/2m with no gcd; no abs or max calls."""
     a = -p if p < 0 else p
@@ -256,7 +286,20 @@ def _skeleton_row(p: int, q: int) -> str:
     x1 = "0" if not a else "-1/2" if a == m else f"-{a >> 1}/{m}" if a & 1 == 0 else f"-{a}/{2 * m}"
     x2 = "0" if not q else "-1/2" if q == m else f"-{q >> 1}/{m}" if q & 1 == 0 else f"-{q}/{2 * m}"
     x3 = "0" if not c else "-1/2" if c == m else f"-{c >> 1}/{m}" if c & 1 == 0 else f"-{c}/{2 * m}"
-    return f"{x1},{x2},{x3}\n"
+    return f"{x1},{x2},{x3}"
+
+
+def _skeleton_lines(n: int) -> Iterator[str]:
+    """The listing lines "x1,x2,x3\n" of `partial_orbit_skeleton`, from its first third.
+    The shift (x1, x2, x3) -> (x3, x1, x2) permutes the nets, so it carries each third
+    of the orbit onto the next: the first third's texts are made once, and the other
+    two print them with the last field, then the last two, moved to the front.  The
+    depth is checked when this is called."""
+    p, q = (column[:1 << n] for column in _skeleton_columns(n))
+    first = [*map(_skeleton_text, p, q)]
+    return chain((f"{x}\n" for x in first),
+                 (f"{x3},{x12}\n" for x12, _, x3 in map(str.rpartition, first, repeat(","))),
+                 (f"{x23},{x1}\n" for x1, _, x23 in map(str.partition, first, repeat(","))))
 
 
 def partial_orbit_skeleton(n: int) -> list[CirclePointS]:
@@ -281,17 +324,33 @@ def _skeleton_plane(p: int, q: int) -> tuple[int, int, int]:
 def partition_table(n: int, side: str) -> list[tuple[int, float, float]]:
     """Rows (count, min, max) of the arc lengths between adjacent orbit points
     at depths k = 0..n, all read from one depth-n orbit cycle."""
-    if side == "boundary":  # p/q at angle 2 atan2(p, q), its inverse stereographic image
-        angles = [2.0 * a for a in map(math.atan2, *_orbit_cycle(n))]
-    elif side == "skeleton":
-        angles = [math.atan2(y / s, x / s) for x, y, s in map(_skeleton_plane, *_orbit_cycle(n))]
-    else:
+    if side == "boundary":
+        return _boundary_table(n)
+    if side != "skeleton":
         raise UsageError(f"side must be 'boundary' or 'skeleton', got {side!r}")
+    angles = [math.atan2(y / s, x / s) for x, y, s in map(_skeleton_plane, *_orbit_cycle(n))]
     rows = []
     for k in range(n + 1):
         level = sorted(angles[::1 << (n - k)])  # the depth-k orbit
         gaps = list(map(sub, level[1:], level))
         gaps.append(2.0 * math.pi - (level[-1] - level[0]))
+        rows.append((3 << k, min(gaps), max(gaps)))
+    return rows
+
+
+def _boundary_table(n: int) -> list[tuple[int, float, float]]:
+    """The boundary rows of `partition_table`, each level read in cycle order with no
+    sorted copy: its angles ascend 0 .. pi over the half 0/1 .. 1/0, then -pi .. 0 over
+    its r3 image (none at depth 0).  So the gaps of the sorted level are the steps
+    round the cycle, save the step on from pi: that is the wrap 2 pi - (pi - least)."""
+    angles = _boundary_angles(n)
+    rows = []
+    for k in range(n + 1):
+        level = angles[::1 << (n - k)] if k < n else angles  # the depth-k cycle
+        gaps = list(map(sub, islice(level, 1, None), level))
+        gaps.append(level[0] - level[-1])
+        pi = 2 << k  # the index of 1/0, at angle pi
+        gaps[pi] = 2.0 * math.pi - (level[pi] - level[(pi + 1) % len(level)])
         rows.append((3 << k, min(gaps), max(gaps)))
     return rows
 

@@ -11,7 +11,7 @@ from itertools import islice
 
 from .surface import CellId, Params, _grid_lifts
 from .classifier import _farey_line, _farey_runs, _farey_word, _punctured_d
-from .hyperbolic import _check_depth, _orbit_cycle, _triangles
+from .hyperbolic import _boundary_angles, _check_depth, _triangles
 
 _CELL_COLORS = {
     CellId.X1SQ: "#c6dbef",
@@ -113,7 +113,7 @@ def tessellation_svg(depth: int) -> Iterator[str]:
     size = 480.0
     center = size / 2
     radius = size / 2 - 10
-    angles = [2.0 * a for a in map(math.atan2, *_orbit_cycle(depth))]  # p/q at 2 atan2(p, q)
+    angles = _boundary_angles(depth)
     ends = [f"{_fmt(center + radius * math.cos(t))},{_fmt(center - radius * math.sin(t))}"
             for t in angles]
 

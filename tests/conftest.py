@@ -38,7 +38,9 @@ from tropmarkov.errors import DomainError, ResourceError, UsageError
 from tropmarkov.hyperbolic import (
     SKELETON_DIRECTIONS,
     SKELETON_NETS,
+    _boundary_columns,
     _orbit_cycle,
+    _skeleton_columns,
     bpoint,
     partial_orbit_boundary,
     partition_table,
@@ -1014,6 +1016,27 @@ def oracle_skeleton_text(n) -> tuple:
     m = -min(n)
     return tuple(["0" if not c else "-1/2" if c == -m else f"{c // 2}/{m}" if c % 2 == 0
                   else f"{c}/{2 * m}" for c in n])
+
+
+def oracle_boundary_lines(n: int) -> list:
+    """The boundary listing's lines, one per point of the whole cycle from just after inf."""
+    return [f"{p},{q}\n" for p, q in zip(*_boundary_columns(n))]
+
+
+def oracle_skeleton_row(p: int, q: int) -> str:
+    """The listing line "x1,x2,x3\n" of _circle_point(_phi((p, q))) for a coprime pair:
+    -(a, q, c) / 2m with a = |p|, c = |p - q|, m their largest, and any other prime
+    to m, so each is 0, -1/2, -(x/2)/m or -x/2m with no gcd."""
+    a, c = abs(p), abs(p - q)
+    m = max(a, q, c)
+    fields = ["0" if not x else "-1/2" if x == m else f"-{x >> 1}/{m}" if x & 1 == 0
+              else f"-{x}/{2 * m}" for x in (a, q, c)]
+    return ",".join(fields) + "\n"
+
+
+def oracle_skeleton_lines(n: int) -> list:
+    """The skeleton listing's lines, one formula call per point of the whole orbit."""
+    return [*map(oracle_skeleton_row, *_skeleton_columns(n))]
 
 
 def oracle_pingpong_text(depth: int, side: str, stats: bool) -> str:

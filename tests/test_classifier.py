@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import time
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
@@ -15,8 +16,8 @@ from conftest import (
     oracle_farey_word,
     oracle_table_orbit_triangles,
 )
-from tropmarkov import classifier as classifier_module
-from tropmarkov.errors import DomainError, UsageError
+from tropmarkov import classifier as classifier_module, dynamics
+from tropmarkov.errors import DomainError, ResourceError, UsageError
 from tropmarkov.sampling import random_params, random_skeleton_point
 from tropmarkov.scalars import continued_fraction
 from tropmarkov.surface import CellId, Params, on_skeleton
@@ -77,6 +78,20 @@ class TestSlopeTransformation:
         assert index_shift_cf(F(1, 2)) == 0
         assert index_shift_cf(F(2, 3)) == -1
         assert index_shift_cf(1) == 1
+
+    def test_bruteforce_step_bound(self, monkeypatch):
+        # Past STEP_BOUND steps the T-orbit count raises before its first step.
+        start = time.perf_counter()
+        with pytest.raises(ResourceError, match="exceeds the configured bound"):
+            index_shift_bruteforce(F(10**9))
+        assert time.perf_counter() - start < 1
+        monkeypatch.setattr(dynamics, "STEP_BOUND", 100)
+        for at_bound in (F(100), F(2501, 50), F(1, 100)):  # [100], [50; 50], [0; 100]
+            assert stopping_time(at_bound) == 100
+            assert index_shift_bruteforce(at_bound) == index_shift_cf(at_bound)
+        for past in (F(101), F(2551, 51), F(1, 101)):  # [101], [50; 51], [0; 101]
+            with pytest.raises(ResourceError):
+                index_shift_bruteforce(past)
 
     def test_formula_matches_bruteforce_spotcheck(self):
         for p in range(1, 41):

@@ -13,6 +13,7 @@ from tropmarkov.dynamics import Word
 from tropmarkov import hyperbolic
 from tropmarkov.svgout import tessellation_svg
 from tropmarkov.hyperbolic import (
+    DEPTH_BOUND,
     SKELETON_DIRECTIONS,
     SKELETON_NETS,
     apply_reflection_word,
@@ -26,12 +27,14 @@ from tropmarkov.hyperbolic import (
     reduce_to_nets,
     reflect_boundary,
     skeleton_direction_act,
+    _boundary_lines,
     _circle_point,
     _orbit_cycle,
     _phi,
     _skeleton_plane,
     _skeleton_columns,
-    _skeleton_row,
+    _skeleton_lines,
+    _skeleton_text,
     _triangles,
 )
 
@@ -45,6 +48,7 @@ from conftest import (
     oracle_apply_reflection_word,
     oracle_boundary_angle,
     oracle_boundary_key,
+    oracle_boundary_lines,
     oracle_direction_act,
     oracle_geodesic_points,
     oracle_labels,
@@ -57,6 +61,7 @@ from conftest import (
     oracle_reflect_boundary,
     oracle_skeleton_angle,
     oracle_skeleton_cycle,
+    oracle_skeleton_lines,
     oracle_skeleton_text,
     oracle_skeleton_direction_act,
     oracle_skeleton_sorted,
@@ -451,16 +456,42 @@ class TestAgainstSlowPaths:
             assert set(triangles) == oracle_tessellation_triangles(n)
 
     def test_partition_table_matches_orbits(self):
-        for side, orbit, angle in (("boundary", partial_orbit_boundary, oracle_boundary_angle),
-                                   ("skeleton", partial_orbit_skeleton, oracle_skeleton_angle)):
+        for side, orbit, angle, depth in (
+                ("boundary", partial_orbit_boundary, oracle_boundary_angle, 16),
+                ("skeleton", partial_orbit_skeleton, oracle_skeleton_angle, 12)):
             rows = []
-            for k in range(9):
+            for k in range(depth + 1):
                 angles = sorted(angle(x) for x in orbit(k))
                 gaps = [b - a for a, b in zip(angles, angles[1:])]
                 gaps.append(2 * math.pi - (angles[-1] - angles[0]))
                 rows.append((3 * 2**k, min(gaps), max(gaps)))
-            for n in range(9):
+            for n in range(depth + 1):
                 assert partition_table(n, side) == rows[:n + 1]
+
+    def test_listings_match_whole_orbit_routes(self):
+        # The listings built from one half (boundary) or one third (skeleton) of
+        # the orbit against a line made for every point of the whole cycle.
+        for n in range(DEPTH_BOUND + 1):
+            assert [*_boundary_lines(n)] == oracle_boundary_lines(n)
+            assert [*_skeleton_lines(n)] == oracle_skeleton_lines(n)
+
+    def test_listing_symmetries(self):
+        # The two facts the listings rest on, at every depth: the boundary listing
+        # is the r3 images -p/q of the half's even interior points (its depth
+        # n - 1 points), in reverse, then the half 0/1 .. 1/0, whose denominators
+        # are its numerators reversed; each third of the skeleton listing is the
+        # previous third under (x1, x2, x3) -> (x3, x1, x2).
+        for n in range(DEPTH_BOUND + 1):
+            cycle = partial_orbit_boundary(n)
+            image, half = cycle[:(1 << n) - 1], cycle[(1 << n) - 1:]
+            assert half[0] == (0, 1) and half[-1] == (1, 0) and all(p >= 0 for p, _ in half)
+            assert [q for _, q in half] == [p for p, _ in reversed(half)]
+            assert image == [reflect_boundary(3, x) for x in half[-3:1:-2]]
+            directions = skeleton_cycle(n)
+            third = 1 << n
+            for start in (third, 2 * third):
+                assert directions[start:start + third] == [
+                    (x3, x1, x2) for x1, x2, x3 in directions[start - third:start]]
 
 
 class TestDirectionKernel:
@@ -617,7 +648,7 @@ class TestSkeletonText:
         for n in range(11):
             cycle = skeleton_cycle(n)
             rows = [",".join(self.fraction_text(x)) + "\n" for x in cycle]
-            assert [*map(_skeleton_row, *_skeleton_columns(n))] == rows
+            assert [*_skeleton_lines(n)] == rows
             assert [*map(oracle_skeleton_text, cycle)] == [*map(self.fraction_text, cycle)]
             if n <= 8:
                 assert partial_orbit_skeleton(n) == [_circle_point(x) for x in cycle]
@@ -636,7 +667,7 @@ class TestSkeletonText:
         if g == 0:
             return
         x = _phi((p // g, q // g))
-        assert _skeleton_row(p // g, q // g) == ",".join(self.fraction_text(x)) + "\n"
+        assert _skeleton_text(p // g, q // g) == ",".join(self.fraction_text(x))
         assert oracle_skeleton_text(x) == self.fraction_text(x)
 
 
