@@ -23,6 +23,7 @@ from .surface import (
     Point3,
     _threshold,
     check_index,
+    check_size,
     is_meromorphic,
     nxt,
     quadratic_cell,
@@ -202,6 +203,7 @@ def _ray_patterns(d, height: int) -> tuple[Fraction, list[tuple[int, int, int]]]
     """d/2 and the integer patterns of `exception_rays_punctured`, checked as it
     checks them, sorted so that their images ascend."""
     d = _punctured_d(d)
+    check_size(height, "height")
     if height < 0:
         raise UsageError(f"height must be nonnegative, got {height}")
     if height > HEIGHT_BOUND:
@@ -244,7 +246,7 @@ def farey_enumerate(depth: int) -> list[FareyTriple]:
     ``depth`` rounds of mediant refinement of that line.  A depth beyond
     DEPTH_BOUND raises ResourceError."""
     # hyperbolic loads here, not at import: classify never reads it.
-    from .hyperbolic import _triangles
+    from .hyperbolic import _farey_line, _triangles
 
     triangles = list(_triangles(_farey_line(depth), depth))
     triples = [object.__new__(FareyTriple) for _ in triangles]  # valid: skip the checks
@@ -252,17 +254,6 @@ def farey_enumerate(depth: int) -> list[FareyTriple]:
         for triple, t in zip(triples, triangles):
             slot.__set__(triple, t[k])
     return triples
-
-
-def _farey_line(depth: int) -> list[tuple[int, int]]:
-    """The pairs of ``depth`` rounds of mediant refinement of the line (0, 1),
-    (1, 1), (1, 0), in order; the pairs of the first column reversed make the
-    second.  The depth is checked against DEPTH_BOUND first."""
-    from .hyperbolic import _check_depth, _refine
-
-    _check_depth(depth)
-    column = _refine([0, 1, 1], depth)
-    return list(zip(column, reversed(column)))
 
 
 def _factor_in_v_monoid(m: Matrix2) -> list[int]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import re
 import sys
 from collections.abc import Iterable, Iterator
@@ -89,16 +90,24 @@ def _emit(chunks: Iterable[str], out_path: str | None):
     """Write the text, given as an iterable of chunks, to out_path or stdout.
     Each chunk is written as it comes, so a streamed command runs every check
     (sizes, domain, the digit limit) before it returns its chunks: a failing
-    call leaves stdout empty and writes no out_path file."""
-    if out_path:
-        try:
+    call leaves stdout empty and writes no out_path file.  An output that cannot
+    be written, stdout included (closed, full, or a pipe whose reader has gone),
+    is a ResourceError; a failed stdout is pointed at os.devnull for the exit flush."""
+    if not (out_path or sys.stdout):
+        raise ResourceError("cannot write stdout: it is closed")
+    try:
+        if out_path:
             with open(out_path, "w", encoding="utf-8") as fh:
                 fh.writelines(chunks)
-        except OSError as exc:
-            raise ResourceError(f"cannot write {out_path}: {exc.strerror or exc}") from exc
-    else:
-        for chunk in chunks:
-            sys.stdout.write(chunk)
+        else:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()  # its last bytes are checked too
+    except OSError as exc:
+        if not out_path:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        raise ResourceError(f"cannot write {out_path or 'stdout'}: {exc.strerror or exc}") from exc
 
 
 def _json_text(value, indent: str) -> str:
@@ -284,8 +293,8 @@ def _cmd_rays(args) -> Iterator[str]:
 def _cmd_farey(args) -> dict | None:
     from math import gcd
 
-    from .classifier import _farey_line, _farey_runs, _farey_word, _punctured_d
-    from .hyperbolic import _triangles
+    from .classifier import _farey_runs, _farey_word, _punctured_d
+    from .hyperbolic import _farey_line, _triangles
     from .scalars import parse_rational
     from .svgout import farey_svg
 

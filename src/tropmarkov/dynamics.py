@@ -28,6 +28,7 @@ from .surface import (
     _monomials,
     _on_lattice,
     check_index,
+    check_size,
     nxt,
     point_text,
     prv,
@@ -379,9 +380,11 @@ def greedy_path(params: Params, x: Point3, max_steps: int | None = None) -> Gree
     reflections and gives kind "exhausted"; past STEP_BOUND reflections
     ResourceError is raised.
     """
-    if max_steps is not None and max_steps < 0:
-        # The first cell test below is the skeleton check; it must run.
-        raise UsageError(f"max_steps must be nonnegative, got {max_steps}")
+    if max_steps is not None:
+        check_size(max_steps, "max_steps")
+        if max_steps < 0:
+            # The first cell test below is the skeleton check; it must run.
+            raise UsageError(f"max_steps must be nonnegative, got {max_steps}")
     room = STEP_BOUND + 1 if max_steps is None else min(max_steps, STEP_BOUND + 1)
     finite = _finite_values(params)
     scale, coeffs = _on_lattice(params, *(v.denominator for v in x))

@@ -10,9 +10,10 @@ The nets 0, inf, 1 (for r1, r2, r3 respectively) generate the full rational
 boundary under the group, by strict height descent.  Each r_i has determinant
 -1, so the orbit stays coprime with no gcd (`reflect_boundary`); `bpoint` works
 only at the API edges.  Each orbit level puts the mediant (p + r)/(q + s) in
-each gap p/q, r/s, so `_orbit_cycle` is mediant refinement of integer columns.
-The skeleton orbit, of the fully degenerate skeleton's boundary-ray directions,
-is the image of the boundary orbit under `_phi`; `partial_orbit_skeleton` and
+each gap p/q, r/s, so `_orbit_cycle` is mediant refinement of integer columns,
+and its half 0/1 .. 1/0 (`_orbit_half`) is the Farey line (`_farey_line`).  The
+skeleton orbit, of the fully degenerate skeleton's boundary-ray directions, is the
+image of the boundary orbit under `_phi`; `partial_orbit_skeleton` and
 `skeleton_direction_act` alone return Fractions.
 
 Two symmetries of the group fix the depth-n listings.  On the boundary circle,
@@ -20,13 +21,15 @@ r3 carries the even interior points of the half 0/1 .. 1/0 of the cycle (its
 depth n-1 points) onto the rest of it.  On the skeleton circle, the cyclic
 shift of coordinates (x1, x2, x3) -> (x3, x1, x2), which permutes the
 generators, carries each third of the orbit onto the next.  So the listings
-format one half, or one third, and print the rest from that text.
+format one half, or one third, and print the rest from that text.  The arc
+tables read each level in cycle order: _phi reverses the orientation, so the
+skeleton angles negated ascend round the cycle, as the boundary angles do.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from itertools import chain, islice, repeat
 from operator import add, neg, sub
@@ -34,7 +37,7 @@ from operator import add, neg, sub
 from .errors import DomainError, ResourceError, UsageError
 from .dynamics import Matrix2, Word, mat_mul, trop_vieta
 from .scalars import INF
-from .surface import Params, check_index
+from .surface import Params, check_index, check_size
 
 BPoint = tuple[int, int]
 
@@ -155,8 +158,12 @@ def _drop_last(runs: list[list[int]]) -> None:
 # -- partial orbits ----------------------------------------------------------------
 
 
-def _refine(column: list[int], n: int) -> list[int]:
-    """n rounds of mediant refinement of a column: each puts neighbour sums between."""
+def _orbit_half(n: int) -> list[int]:
+    """The numerators of the depth-n cycle's line 0/1 .. 1/0: n rounds of mediant
+    refinement of the column 0, 1, 1, each putting neighbour sums between.  Its
+    denominators are the same column reversed.  The depth is checked first."""
+    _check_depth(n)
+    column = [0, 1, 1]
     for _ in range(n):
         refined = column + column[1:]
         refined[::2], refined[1::2] = column, map(add, column, column[1:])
@@ -164,28 +171,19 @@ def _refine(column: list[int], n: int) -> list[int]:
     return column
 
 
-def _orbit_half(n: int) -> list[int]:
-    """The numerators of the depth-n cycle's line 0/1 .. 1/0; its denominators are the
-    same column reversed.  The depth is checked against DEPTH_BOUND first."""
-    _check_depth(n)
-    return _refine([0, 1, 1], n)
-
-
 def _orbit_cycle(n: int) -> tuple[list[int], list[int]]:
-    """Boundary orbit points of the labels of length <= n (a net and a reduced
-    word modulo the net's stabiliser) in cyclic order from 0, as the columns of
-    numerators and denominators.  Each level puts one point in each gap
-    (criterion 7), the mediant of its older neighbours, so the cycle is n rounds
-    of mediant refinement of the lines 0/1, 1/1, 1/0 and -1/0, 0/1.  Only one
-    column is refined: z -> 1/z reverses the first line, and z -> -z maps every
-    other point of it onto the second.  The slice with step 2^(n-k) is the
-    depth-k cycle."""
+    """Boundary orbit points of the labels of length <= n (a net and a reduced word
+    modulo its stabiliser) in cyclic order from 0, as columns of numerators and
+    denominators: the half 0/1 .. 1/0 (`_orbit_half`), then -p/q for its even
+    interior points p/q, from inf back to 0 (criterion 7: each level puts one point
+    in each gap).  The slice with step 2^(n-k) is the depth-k cycle."""
     p = _orbit_half(n)
     q = p[::-1]
     return p + list(map(neg, p[-3:1:-2])), q + q[-3:1:-2]  # inf back to 0, ends left out
 
 
 def _check_depth(n: int):
+    check_size(n, "orbit depth")
     if n < 0:
         raise UsageError("orbit depth must be nonnegative")
     if n > DEPTH_BOUND:
@@ -194,15 +192,17 @@ def _check_depth(n: int):
 
 def partial_orbit_boundary(n: int) -> list[BPoint]:
     """The 3 * 2^n distinct orbit points of the nets under words of length <= n,
-    in circular order on the boundary circle, ending with inf."""
-    return list(zip(*_boundary_columns(n)))
+    in circular order on the boundary circle, ending with inf: the r3 images -p/q
+    of the even interior points of the half 0/1 .. 1/0, in reverse, then the half."""
+    half = _farey_line(n)
+    return [(-a, b) for a, b in half[-3:1:-2]] + half
 
 
-def _boundary_columns(n: int) -> tuple[list[int], list[int]]:
-    """The columns of `partial_orbit_boundary`: the cycle from just after inf, the third net."""
-    p, q = _orbit_cycle(n)
-    cut = (2 << n) + 1
-    return p[cut:] + p[:cut], q[cut:] + q[:cut]
+def _farey_line(n: int) -> list[BPoint]:
+    """The pairs of the half 0/1 .. 1/0 of the depth-n cycle, in order: n rounds of
+    mediant refinement of the line (0, 1), (1, 1), (1, 0).  The depth is checked first."""
+    p = _orbit_half(n)
+    return list(zip(p, reversed(p)))
 
 
 def _boundary_lines(n: int) -> Iterator[str]:
@@ -221,7 +221,7 @@ def _boundary_angles(n: int) -> list[float]:
     return [2.0 * a for a in map(math.atan2, *_orbit_cycle(n))]
 
 
-def _triangles(line: list[BPoint], n: int) -> Iterator[tuple[BPoint, BPoint, BPoint]]:
+def _triangles(line: Sequence, n: int) -> Iterator[tuple]:
     """The root (positions 0, 2^n, 2^(n+1)) of a depth-n refined line, then level
     by level each new point with its two older neighbours, (older, new, older),
     made one at a time."""
@@ -322,35 +322,24 @@ def _skeleton_plane(p: int, q: int) -> tuple[int, int, int]:
 
 
 def partition_table(n: int, side: str) -> list[tuple[int, float, float]]:
-    """Rows (count, min, max) of the arc lengths between adjacent orbit points
-    at depths k = 0..n, all read from one depth-n orbit cycle."""
+    """Rows (count, min, max) of the arc lengths between adjacent orbit points at
+    depths k = 0..n, from one depth-n cycle, each level read in cycle order: the
+    boundary angles, and the skeleton ones negated, ascend round it save one step
+    down, the seam, whose arc is that step plus 2 pi.  On the boundary the seam is
+    the step on from 1/0, at angle pi; on the skeleton it is the least step."""
     if side == "boundary":
-        return _boundary_table(n)
-    if side != "skeleton":
+        angles = _boundary_angles(n)
+    elif side == "skeleton":
+        angles = [-math.atan2(y / s, x / s) for x, y, s in map(_skeleton_plane, *_orbit_cycle(n))]
+    else:
         raise UsageError(f"side must be 'boundary' or 'skeleton', got {side!r}")
-    angles = [math.atan2(y / s, x / s) for x, y, s in map(_skeleton_plane, *_orbit_cycle(n))]
-    rows = []
-    for k in range(n + 1):
-        level = sorted(angles[::1 << (n - k)])  # the depth-k orbit
-        gaps = list(map(sub, level[1:], level))
-        gaps.append(2.0 * math.pi - (level[-1] - level[0]))
-        rows.append((3 << k, min(gaps), max(gaps)))
-    return rows
-
-
-def _boundary_table(n: int) -> list[tuple[int, float, float]]:
-    """The boundary rows of `partition_table`, each level read in cycle order with no
-    sorted copy: its angles ascend 0 .. pi over the half 0/1 .. 1/0, then -pi .. 0 over
-    its r3 image (none at depth 0).  So the gaps of the sorted level are the steps
-    round the cycle, save the step on from pi: that is the wrap 2 pi - (pi - least)."""
-    angles = _boundary_angles(n)
     rows = []
     for k in range(n + 1):
         level = angles[::1 << (n - k)] if k < n else angles  # the depth-k cycle
         gaps = list(map(sub, islice(level, 1, None), level))
         gaps.append(level[0] - level[-1])
-        pi = 2 << k  # the index of 1/0, at angle pi
-        gaps[pi] = 2.0 * math.pi - (level[pi] - level[(pi + 1) % len(level)])
+        seam = 2 << k if side == "boundary" else gaps.index(min(gaps))
+        gaps[seam] += 2.0 * math.pi
         rows.append((3 << k, min(gaps), max(gaps)))
     return rows
 

@@ -72,6 +72,12 @@ def check_index(i, what: str = "generator") -> None:
         raise UsageError(f"{what} index must be 1, 2 or 3, got {i}")
 
 
+def check_size(n, what: str) -> None:
+    """A size (orbit depth, height, grid or step cap) is an int, not a bool, float or str."""
+    if type(n) is not int:
+        raise UsageError(f"{what} must be an int, got {type(n).__name__}")
+
+
 def quadratic_cell(i: int) -> CellId:
     return QUADRATIC_CELLS[i - 1]
 
@@ -258,6 +264,7 @@ def plane_grid(grid: int, span) -> list[Fraction]:
 
     Fewer than 2 nodes is a UsageError, more than GRID_BOUND a ResourceError.
     """
+    check_size(grid, "grid")
     if grid < 2:
         raise UsageError("grid needs at least 2 nodes per axis")
     if grid > GRID_BOUND:

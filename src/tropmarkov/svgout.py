@@ -10,8 +10,8 @@ from fractions import Fraction
 from itertools import islice
 
 from .surface import CellId, Params, _grid_lifts
-from .classifier import _farey_line, _farey_runs, _farey_word, _punctured_d
-from .hyperbolic import _boundary_angles, _check_depth, _triangles
+from .classifier import _farey_runs, _farey_word, _punctured_d
+from .hyperbolic import _boundary_angles, _check_depth, _farey_line, _triangles
 
 _CELL_COLORS = {
     CellId.X1SQ: "#c6dbef",
@@ -104,8 +104,8 @@ def tessellation_svg(depth: int) -> Iterator[str]:
     """Orbit of the ideal triangle with vertices 0, 1, infinity, drawn in the
     unit disk via the inverse stereographic chart.
 
-    The edges come straight off the depth-n orbit cycle: the three root
-    edges, then level by level each new point joined to its two older
+    The edges are those of the `_triangles` of the depth-n orbit cycle: the
+    root's three, then level by level each new point joined to its two older
     neighbours, 3 * 2^(n+1) - 3 edges, each drawn once.  An edge is the exact
     SVG arc of the geodesic (the circle through both ends orthogonal to the
     boundary), or a line for a diameter.
@@ -114,6 +114,7 @@ def tessellation_svg(depth: int) -> Iterator[str]:
     center = size / 2
     radius = size / 2 - 10
     angles = _boundary_angles(depth)
+    angles.append(angles[0])  # close the cycle
     ends = [f"{_fmt(center + radius * math.cos(t))},{_fmt(center - radius * math.sin(t))}"
             for t in angles]
 
@@ -132,11 +133,10 @@ def tessellation_svg(depth: int) -> Iterator[str]:
         yield f'<rect width="{_fmt(size)}" height="{_fmt(size)}" fill="#ffffff"/>'
         yield (f'<circle cx="{_fmt(center)}" cy="{_fmt(center)}" r="{_fmt(radius)}" '
                'fill="none" stroke="#000000" stroke-width="1"/>')
-        third = len(angles) // 3
-        yield from (edge(0, third), edge(third, 2 * third), edge(2 * third, 0))
-        for k in range(1, depth + 1):
-            step = 1 << (depth - k)  # the depth-k points are the odd multiples of step
-            for j in range(step, len(angles), 2 * step):
-                yield edge(j - step, j)
-                yield edge(j, (j + step) % len(angles))
+        triangles = _triangles(range(len(angles)), depth)
+        a, b, c = next(triangles)
+        yield from (edge(a, b), edge(b, c), edge(c, a))
+        for a, b, c in triangles:
+            yield edge(a, b)
+            yield edge(b, c)
     return _svg_chunks(size, size, edges())

@@ -38,7 +38,6 @@ from tropmarkov.errors import DomainError, ResourceError, UsageError
 from tropmarkov.hyperbolic import (
     SKELETON_DIRECTIONS,
     SKELETON_NETS,
-    _boundary_columns,
     _orbit_cycle,
     _skeleton_columns,
     bpoint,
@@ -1020,7 +1019,9 @@ def oracle_skeleton_text(n) -> tuple:
 
 def oracle_boundary_lines(n: int) -> list:
     """The boundary listing's lines, one per point of the whole cycle from just after inf."""
-    return [f"{p},{q}\n" for p, q in zip(*_boundary_columns(n))]
+    p, q = _orbit_cycle(n)
+    cut = (2 << n) + 1  # just after inf, the third net
+    return [f"{a},{b}\n" for a, b in zip(p[cut:] + p[:cut], q[cut:] + q[:cut])]
 
 
 def oracle_skeleton_row(p: int, q: int) -> str:

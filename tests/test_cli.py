@@ -56,6 +56,14 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
+def child_env() -> dict:
+    """os.environ with this package's source first on PYTHONPATH, for a new interpreter."""
+    env = dict(os.environ)
+    src = str(Path(tropmarkov.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
+
+
 class TestClassifyCommand:
     def test_borderline_point_report(self, capsys):
         code, out, _ = run_cli(
@@ -156,6 +164,60 @@ class TestUnwritableOutput:
         assert code == 2 and out == ""
         assert err.startswith("error: cannot write ") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
+
+    # A stdout that cannot be written is one too, in a fresh process, with no
+    # traceback and no "Exception ignored" line from the interpreter's exit flush.
+    # The depth-14 boundary listing is larger than a 64 KB pipe buffer.  Each case
+    # runs with stdout buffered, where a small output fails only at a flush, and
+    # unbuffered (PYTHONUNBUFFERED), where every write reaches the descriptor.
+    _LISTING = ("pingpong", "--depth", "14", "--side", "boundary")
+    _SMALL = ("reduce", "--params", "inf,inf,inf,-2", "--point", "-2,-3,-5")
+
+    @pytest.fixture(params=["buffered", "unbuffered"])
+    def _cli(self, request):
+        env = child_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if request.param == "unbuffered":
+            env["PYTHONUNBUFFERED"] = "1"
+        return lambda argv, **kwargs: subprocess.Popen(argv, stderr=subprocess.PIPE, env=env,
+                                                       **kwargs)
+
+    @staticmethod
+    def _assert_one_error(proc: subprocess.Popen, reason: str):
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait() == 2
+        assert err == f"error: cannot write stdout: {reason}\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", [_LISTING, _SMALL, ("farey", "--depth", "12")], ids=" ".join)
+    def test_stdout_full(self, _cli, argv):
+        with open("/dev/full", "wb") as full:
+            proc = _cli([sys.executable, "-m", "tropmarkov.cli", *argv], stdout=full)
+        self._assert_one_error(proc, "No space left on device")
+
+    def test_stdout_pipe_closed(self, _cli):
+        proc = _cli([sys.executable, "-m", "tropmarkov.cli", *self._LISTING],
+                    stdout=subprocess.PIPE)
+        assert proc.stdout.read(10) == b"p,q\n-14,1\n"
+        proc.stdout.close()
+        self._assert_one_error(proc, "Broken pipe")
+
+    def test_stdout_pipe_closed_before_a_small_output(self, _cli):
+        # The reader is gone before the first byte; a buffered stdout fails at the
+        # flush, after every write has gone into its buffer.
+        proc = _cli([sys.executable, "-c", "import sys, tropmarkov.cli; sys.stdin.read(); "
+                     "sys.exit(tropmarkov.cli.main(sys.argv[1:]))", *self._SMALL],
+                    stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+        proc.stdout.close()
+        proc.stdin.close()
+        self._assert_one_error(proc, "Broken pipe")
+
+    @pytest.mark.parametrize("argv", [_LISTING, _SMALL], ids=" ".join)
+    def test_stdout_closed(self, _cli, argv):
+        proc = _cli(["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "tropmarkov.cli",
+                     *argv])
+        self._assert_one_error(proc, "it is closed")
 
 
 class TestWordSyntax:
@@ -965,12 +1027,9 @@ print(json.dumps(out))
 
 def _fresh(*argvs) -> dict:
     """Run the CLI's main on each argv in one new interpreter; report sys.modules."""
-    env = dict(os.environ)
-    src = str(Path(tropmarkov.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     # -S: no site module, which may itself import shutil.
     proc = subprocess.run([sys.executable, "-S", "-c", _FRESH_SCRIPT, json.dumps(argvs)],
-                          capture_output=True, text=True, env=env, check=True)
+                          capture_output=True, text=True, env=child_env(), check=True)
     return json.loads(proc.stdout)
 
 

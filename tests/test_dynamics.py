@@ -19,8 +19,22 @@ from conftest import (
 )
 from tropmarkov import dynamics
 from tropmarkov.arithmetic import rational_vieta, surface_from_seed, vieta_exact
-from tropmarkov.classifier import FAREY_ROOT, farey_triangle
-from tropmarkov.hyperbolic import reflect_boundary, skeleton_direction_act
+from tropmarkov.classifier import (
+    FAREY_ROOT,
+    exception_rays_punctured,
+    farey_enumerate,
+    farey_triangle,
+    table_orbit_triangles,
+)
+from tropmarkov.hyperbolic import (
+    order_isomorphism_check,
+    partial_orbit_boundary,
+    partial_orbit_skeleton,
+    partition_stats,
+    partition_table,
+    reflect_boundary,
+    skeleton_direction_act,
+)
 from tropmarkov.laurent import LaurentPoly
 from tropmarkov.errors import DomainError, ResourceError, UsageError
 from tropmarkov.sampling import random_params, random_skeleton_point, random_word
@@ -41,6 +55,7 @@ from tropmarkov.surface import (
     lift_from_plane,
     on_boundary_ray,
     on_skeleton,
+    plane_grid,
     plane_point,
     quadratic_cell,
     ray_point,
@@ -285,6 +300,35 @@ class TestIndexChecks:
         assert str(info.value) == f"{what} index must be 1, 2 or 3, got {bad}"
         for i in (1, 2, 3):
             call(i)
+
+
+# Every public function that takes a size (a step cap, an orbit depth, a height
+# or a grid), with the noun its UsageError names.
+_SIZED = {
+    "greedy_path": ("max_steps", lambda n: greedy_path(PT, pt(-2, -3, -5), n)),
+    "partial_orbit_boundary": ("orbit depth", partial_orbit_boundary),
+    "partial_orbit_skeleton": ("orbit depth", partial_orbit_skeleton),
+    "partition_table": ("orbit depth", lambda n: partition_table(n, "boundary")),
+    "partition_stats": ("orbit depth", lambda n: partition_stats(n, "skeleton")),
+    "order_isomorphism_check": ("orbit depth", order_isomorphism_check),
+    "farey_enumerate": ("orbit depth", farey_enumerate),
+    "table_orbit_triangles": ("orbit depth", lambda n: table_orbit_triangles(F(-2), n)),
+    "exception_rays_punctured": ("height", lambda n: exception_rays_punctured(F(-2), n)),
+    "plane_grid": ("grid", lambda n: plane_grid(n, 1)),
+}
+
+
+class TestSizeChecks:
+    @pytest.mark.parametrize("bad", [2.0, True, "3"], ids=repr)
+    @pytest.mark.parametrize("name", sorted(_SIZED))
+    def test_only_ints(self, name, bad):
+        # A float or bool equal to an int, or a string naming one, is refused
+        # before any work, as an index is.
+        what, call = _SIZED[name]
+        with pytest.raises(UsageError) as info:
+            call(bad)
+        assert str(info.value) == f"{what} must be an int, got {type(bad).__name__}"
+        call(3)
 
 
 class TestInvolutions:

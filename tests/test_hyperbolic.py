@@ -321,6 +321,25 @@ class TestPartitions:
         for side in ("boundary", "skeleton"):
             assert partition_stats(10, side)[1] < partition_stats(0, side)[1] / 8
 
+    def test_levels_ascend_round_the_cycle(self):
+        # partition_table reads every level in cycle order and adds 2 pi at its one
+        # step down.  So at every depth and level the float angles it reads, the
+        # boundary ones and the skeleton ones negated (_phi reverses the
+        # orientation), must ascend strictly round the cycle save one step, which
+        # on the boundary is the step on from 1/0, at index 2^(k+1).
+        for n in range(DEPTH_BOUND + 1):
+            p, q = _orbit_cycle(n)
+            skeleton = [-math.atan2(y / s, x / s) for x, y, s in map(_skeleton_plane, p, q)]
+            for side, angles in (("boundary", hyperbolic._boundary_angles(n)),
+                                 ("skeleton", skeleton)):
+                for k in range(n + 1):
+                    level = angles[::2**(n - k)]
+                    downs = [i for i, (a, b) in enumerate(zip(level, level[1:] + level[:1]))
+                             if b <= a]
+                    assert len(downs) == 1, (side, n, k)
+                    if side == "boundary":
+                        assert downs == [2 << k]
+
 
 class TestOrderIsomorphism:
     def test_small_depths(self):
