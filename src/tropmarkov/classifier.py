@@ -5,13 +5,14 @@ union of rays.  Whether a quadratic-cell point x belongs to the orbit (the
 dense open set U) is decided by the gcd of its difference coordinates against
 a ray threshold picked out by the index shift of its slope.  The index shift
 is computed two ways: by iterating the slope transformation T (brute force)
-and by a closed formula over the continued fraction of the slope.
+and by a closed formula over the continued fraction of the slope.  The words of
+the Farey triangles are read off the boundary height descent of `hyperbolic`,
+which loads at the first Farey call.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import groupby
 from math import gcd
 
 from . import dynamics
@@ -29,7 +30,6 @@ from .surface import (
     quadratic_cell,
 )
 from .dynamics import (
-    Matrix2,
     Run,
     UVec,
     Word,
@@ -256,63 +256,22 @@ def farey_enumerate(depth: int) -> list[FareyTriple]:
     return triples
 
 
-def _factor_in_v_monoid(m: Matrix2) -> list[int]:
-    """Signs (leftmost factor first) with m = V_{e_k} ... V_{e_1}; m must be a
-    nonnegative integer matrix of determinant one."""
-    (a, b), (c, d) = m
-    if a * d - b * c != 1 or min(a, b, c, d) < 0:
-        raise DomainError(f"matrix {m} is not in the V-monoid")
-    signs: list[int] = []
-    while (a, b, c, d) != (1, 0, 0, 1):
-        if a >= c and b >= d:
-            signs.append(1)
-            a, b = a - c, b - d
-        elif c >= a and d >= b:
-            signs.append(-1)
-            c, d = c - a, d - b
-        else:
-            raise DomainError(f"matrix {m} is not in the V-monoid")
-    return signs
-
-
 def farey_triangle(triple: FareyTriple, i: int, d) -> tuple[Word, tuple[UVec, UVec, UVec]]:
     """Word whose image of the D cell is the u^i-triangle with vertices
-    |d|/2 * (left, mid, right), together with those vertices."""
+    |d|/2 * (left, mid, right), together with those vertices; one step per
+    partial quotient of the mediant."""
+    from .hyperbolic import _farey_runs
+
     d = _punctured_d(d)
     check_index(i, "cell")
     scale = abs(d) / 2
-    return (_farey_word(_farey_runs(triple.left, triple.right), i),
+    return (_farey_word(Word.from_runs(_farey_runs(triple.mid)).runs, i),
             tuple((scale * a, scale * b) for a, b in (triple.left, triple.mid, triple.right)))
 
 
-def _farey_runs(left: tuple[int, int], right: tuple[int, int]) -> tuple[Run, ...]:
-    """The display-order runs of the cell-1 word of `farey_triangle` for the triple
-    with these ends, cut as `Word` cuts them.  Read left to right, the word starts at
-    1 and steps by -(-1)^t eta_t mod 3 for Q = V_{eta_0} V_{eta_1} ... = ((ga, al),
-    (de, be)), so n equal factors make a stretch of n + 1 alternating letters,
-    sharing its ends with its neighbours."""
-    (al, be), (ga, de) = left, right
-    stretches = [(1, 0, 0)]  # (prev, first, n); the letter 1 alone first
-    prev, t = 1, 0
-    for sign, factors in groupby(_factor_in_v_monoid(((ga, al), (de, be)))):
-        n = len(list(factors))
-        first = _mod3(prev + (sign if t % 2 else -sign))
-        stretches.append((prev, first, n))
-        prev, t = first if n % 2 else prev, t + n
-    runs: list[Run] = []
-    avail = stretches[-1][2] + 1  # the letters of stretch k no run took, from its left
-    for k in range(len(stretches) - 1, 0, -1):
-        if avail > 1:
-            runs.append((*stretches[k][:2], avail))
-            avail = stretches[k - 1][2]  # its last letter is in this run
-        else:  # the lone letter left ends stretch k - 1, which one run then takes whole
-            avail = stretches[k - 1][2] + 1
-    return (((1, 0, 1),) if avail else ()) + tuple(reversed(runs))
-
-
 def _farey_word(runs: tuple[Run, ...], i: int) -> Word:
-    """The cell-i word of `farey_triangle` from `_farey_runs`: every letter
-    shifted by i - 1 mod 3, which keeps the runs maximal."""
+    """The cell-i word of `farey_triangle` from the maximal runs of its cell-1 word:
+    every letter shifted by i - 1 mod 3, which keeps the runs maximal."""
     return Word._of_runs(tuple((_mod3(a + i - 1), b and _mod3(b + i - 1), n) for a, b, n in runs))
 
 
@@ -321,13 +280,13 @@ def table_orbit_triangles(d, depth: int) -> dict[int, list[tuple[Word, tuple[UVe
     per quadratic cell in the u-coordinates of the cell containing each image:
     the words of length <= D ending in cell i are the `farey_triangle` words of
     the depth-(D - 1) triples.  A depth beyond DEPTH_BOUND raises ResourceError."""
-    from .hyperbolic import _check_depth
+    from .hyperbolic import _check_depth, _farey_runs
 
     scale = abs(_punctured_d(d)) / 2
     _check_depth(depth)
     table = {1: [], 2: [], 3: []}
     for t in farey_enumerate(depth - 1) if depth else []:
-        runs = _farey_runs(t.left, t.right)  # one factorisation per triple, shifted to each cell
+        runs = Word.from_runs(_farey_runs(t.mid)).runs  # cut once per triple, shifted to each cell
         vertices = tuple((scale * a, scale * b) for a, b in (t.left, t.mid, t.right))
         for i, row in table.items():
             row.append((_farey_word(runs, i), vertices))

@@ -104,10 +104,15 @@ def _emit(chunks: Iterable[str], out_path: str | None):
             sys.stdout.flush()  # its last bytes are checked too
     except OSError as exc:
         if not out_path:
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
+            _to_devnull(sys.stdout)
         raise ResourceError(f"cannot write {out_path or 'stdout'}: {exc.strerror or exc}") from exc
+
+
+def _to_devnull(stream) -> None:
+    """Point a standard stream whose write failed at os.devnull, for the exit flush."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
 
 
 def _json_text(value, indent: str) -> str:
@@ -293,8 +298,9 @@ def _cmd_rays(args) -> Iterator[str]:
 def _cmd_farey(args) -> dict | None:
     from math import gcd
 
-    from .classifier import _farey_runs, _farey_word, _punctured_d
-    from .hyperbolic import _farey_line, _triangles
+    from .classifier import _punctured_d
+    from .dynamics import _runs_text
+    from .hyperbolic import _farey_line, _farey_runs, _triangles
     from .scalars import parse_rational
     from .svgout import farey_svg
 
@@ -314,9 +320,10 @@ def _cmd_farey(args) -> dict | None:
         g = gcd(a, den)
         return str(num * a // g) if g == den else f"{num * a // g}/{den // g}"
 
-    # The triples of farey_enumerate, in its order, made one at a time.
+    # The triples of farey_enumerate, in its order, made one at a time; words from the descent.
+    shift = str.maketrans("123", "123"[args.cell - 1:] + "123"[:args.cell - 1])
     entries = ({"triple": [list(left), list(mid), list(right)],
-                "word": str(_farey_word(_farey_runs(left, right), args.cell)),
+                "word": _runs_text(_farey_runs(mid)).translate(shift),
                 "vertices": [[coordinate(a), coordinate(b)] for a, b in (left, mid, right)]}
                for left, mid, right in _triangles(line, args.depth))
     return {"d": str(d), "cell": args.cell, "triples": entries}
@@ -496,19 +503,22 @@ def main(argv: list[str] | None = None) -> int:
             _emit(result, getattr(args, "out", None))
         return 0
     except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 3
+        code, line = 3, f"usage error: {exc}"
     except (DomainError, ResourceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code, line = 2, f"error: {exc}"
     except ValueError as exc:
         # CPython prints no int past sys.get_int_max_str_digits() digits; an
         # output value that large is a size past a bound.
         if "integer string conversion" not in str(exc):
             raise
-        print(f"error: an output value exceeds the limit of {sys.get_int_max_str_digits()} "
-              "digits for a numerator or denominator", file=sys.stderr)
-        return 2
+        code, line = 2, (f"error: an output value exceeds the limit of "
+                         f"{sys.get_int_max_str_digits()} digits for a numerator or denominator")
+    try:  # a stderr that cannot be written loses the line, not the exit status
+        if sys.stderr:  # None if closed at start, where print would write to stdout
+            print(line, file=sys.stderr, flush=True)
+    except OSError:
+        _to_devnull(sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -45,44 +45,29 @@ Run = tuple[int, int, int]
 STEP_BOUND = 2**20
 
 
-def _push(runs: list[list[int]], g: int) -> None:
-    """Append the letter g, applied after the others, to ``runs``.
-
-    ``runs`` holds a word in applied order as maximal alternating runs: each
-    [a, b, n] is the n letters a, b, a, ... in the order they act, cut
-    greedily from the first letter applied.  A letter extends the last run
-    when it repeats the letter two back; a lone letter [g, 0, 1] takes any
-    next letter.
-    """
-    check_index(g)
-    if not runs:
-        runs.append([g, 0, 1])
-        return
-    run = runs[-1]
-    a, b, n = run
-    last, before = (a, b) if n % 2 else (b, a)
-    if g == last:
-        raise UsageError(f"word is not reduced: s{g} follows s{g}")
-    if n == 1:
-        run[1:] = [g, 2]
-    elif g == before:
-        run[2] = n + 1
-    else:
-        runs.append([g, 0, 1])
-
-
 def _extend(runs: list[list[int]], a: int, b: int, t: int) -> None:
-    """Append the t letters a, b, a, ... (in applied order) to ``runs``.
-
-    Once the last run ends in a, b the rest continue it, so at most three
-    letters are pushed one by one.
-    """
-    pushed = 0
-    while pushed < t and (pushed < 2 or runs[-1][2] == 1):
-        _push(runs, b if pushed % 2 else a)
-        pushed += 1
-    if pushed < t:
-        runs[-1][2] += t - pushed
+    """Append the t >= 1 letters a, b, a, ... (b read only if t > 1) to ``runs``, a word
+    in applied order as maximal alternating runs [a, b, n], each the n letters a, b,
+    a, ... in the order they act, cut greedily from the first letter applied.  A letter
+    extends the last run when it repeats the letter two back, and a lone letter
+    [g, 0, 1] takes any next letter.  If a extends the last run, all t letters do when
+    b is then two back; the rest open one run.  O(1), whatever t."""
+    check_index(a)
+    if t > 1:
+        check_index(b)
+    x, y, n = run = runs[-1] if runs else [0, 0, 0]  # no run: no letter to follow
+    last, before = (x, y) if n % 2 else (y, x)
+    if a == last or t > 1 and b == a:
+        raise UsageError(f"word is not reduced: s{a} follows s{a}")
+    if n == 1 or a == before:
+        if n == 1:
+            run[1] = a
+        if t == 1 or b == last:
+            run[2] = n + t
+            return
+        run[2] = n + 1
+        a, b, t = b, a, t - 1
+    runs.append([a, b, t] if t > 1 else [a, 0, 1])
 
 
 def _display(runs: list[list[int]]) -> tuple[Run, ...]:
@@ -109,7 +94,7 @@ class Word:
     def __init__(self, letters: Iterable[int] = ()):
         runs: list[list[int]] = []
         for g in reversed(tuple(letters)):
-            _push(runs, g)
+            _extend(runs, g, 0, 1)
         object.__setattr__(self, "runs", _display(runs))
 
     @classmethod
@@ -126,7 +111,7 @@ class Word:
         letter may be 0.  One step per run."""
         applied: list[list[int]] = []
         for i, j, n in reversed(tuple(runs)):
-            if not (isinstance(n, int) and n >= 1 and j != i and j in (0, 1, 2, 3)):
+            if not (type(n) is int and n >= 1 and j != i and j in (0, 1, 2, 3)):
                 raise UsageError(f"run {(i, j, n)} is not n >= 1 alternating letters i, j")
             _extend(applied, *((i, j) if n % 2 else (j, i)), n)
         return cls._of_runs(_display(applied))
@@ -201,9 +186,12 @@ class Word:
         return n
 
     def __str__(self):
-        # One string repetition per run; each piece ends in a space.
-        return "".join(f"s{i} s{j} " * (n // 2) + (f"s{i} " if n % 2 else "")
-                       for i, j, n in self._expandable())[:-1]
+        return _runs_text(self._expandable())
+
+
+def _runs_text(runs: Iterable[Run]) -> str:
+    """The text "s1 s2 ..." of display-order runs, maximal or not: one repetition per run."""
+    return "".join(f"s{i} s{j} " * (n // 2) + (f"s{i} " if n % 2 else "") for i, j, n in runs)[:-1]
 
 
 def _reflect(values: list, coeffs, i: int, x: Point3) -> tuple[Point3, list]:
@@ -411,12 +399,11 @@ def greedy_path(params: Params, x: Point3, max_steps: int | None = None) -> Gree
         if step + max(t, 1) > STEP_BOUND:
             raise ResourceError(
                 f"greedy itinerary exceeds the configured bound of {STEP_BOUND} reflections")
+        _extend(runs, i, j, max(t, 1))
         if t > 1:
-            _extend(runs, i, j, t)
             cur = _run_point(cur, i, j, t)
             values = _monomials(finite, cur)
         else:
-            _push(runs, i)
             cur, values = _reflect(values, finite, i, cur)
         # After a run of t >= 1, run point t + 1 leaves its cell: the point
         # reached takes one reflection.

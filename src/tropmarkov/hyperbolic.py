@@ -7,7 +7,8 @@ p/q in Q union {inf}; the three reflections act by
     r1: p/q -> (2q-p)/q,   r2: p/q -> p/(2p-q),   r3: p/q -> -p/q.
 
 The nets 0, inf, 1 (for r1, r2, r3 respectively) generate the full rational
-boundary under the group, by strict height descent.  Each r_i has determinant
+boundary under the group, by strict height descent (`_descent`, one step per
+partial quotient, which labels the Farey triangles too).  Each r_i has determinant
 -1, so the orbit stays coprime with no gcd (`reflect_boundary`); `bpoint` works
 only at the API edges.  Each orbit level puts the mediant (p + r)/(q + s) in
 each gap p/q, r/s, so `_orbit_cycle` is mediant refinement of integer columns,
@@ -117,31 +118,48 @@ def reduce_to_nets(x: BPoint) -> tuple[Word, BPoint]:
     partial quotient of x), is taken in one jump, so the cost grows with
     the number of partial quotients, not with the height.
     """
-    cur = bpoint(*x)
-    runs: list[list[int]] = []  # display order, [a, b, n] the letters a, b, a, ...
-    while cur[1] != 0 and cur not in ((0, 1), (1, 1)):
-        p, q = cur
-        if cur == (-1, 1):
-            move, cur = [3, 0, 1], (1, 1)  # -1 -> 1, a net
+    runs, net = _descent(*bpoint(*x))
+    return Word.from_runs(runs), net
+
+
+# The reflections that fix each net: all but r_i fix the net of r_i.
+_NET_STABILISERS = {(0, 1): (2, 3), (1, 0): (1, 3), (1, 1): (1, 2)}
+
+
+def _descent(p: int, q: int) -> tuple[list[list[int]], BPoint]:
+    """The display-order runs [a, b, n] of the word of `reduce_to_nets` at the normalised
+    pair (p, q), cut where moves meet (not maximal), and its net."""
+    runs: list[list[int]] = []
+    while q != 0 and (p, q) not in ((0, 1), (1, 1)):
+        if (p, q) == (-1, 1):
+            move, p = [3, 0, 1], 1  # -1 -> 1, a net
         elif abs(p) > q:
             # z -> z - 2 (r1 then r3) or z + 2 (r3 then r1) while |z| > 1
             k = (abs(p) + q - 1) // (2 * q)
             move = [1, 3, 2 * k] if p > 0 else [3, 1, 2 * k]
-            cur = (p - 2 * k * q if p > 0 else p + 2 * k * q, q)
+            p = p - 2 * k * q if p > 0 else p + 2 * k * q
         else:
             # 1/z -> 1/z - 2 (r2 then r3) or 1/z + 2 (r3 then r2) while |z| < 1
             k = (q + abs(p) - 1) // (2 * abs(p))
             move = [2, 3, 2 * k] if p > 0 else [3, 2, 2 * k]
-            cur = _signed(p, q - 2 * k * abs(p))
+            p, q = _signed(p, q - 2 * k * abs(p))
         while runs and move[2] and _last_letter(runs) == move[0]:
             _drop_last(runs)  # s_i s_i cancels
             move = [move[1], move[0], move[2] - 1]
         if move[2]:
             runs.append(move)
-    stab = {i for i in (1, 2, 3) if reflect_boundary(i, cur) == cur}
+    stab = _NET_STABILISERS[p, q]
     while runs and _last_letter(runs) in stab:
         _drop_last(runs)  # the first letter applied to the net acts trivially
-    return Word.from_runs(runs), cur
+    return runs, (p, q)
+
+
+def _farey_runs(mid: BPoint) -> list[list[int]]:
+    """The display-order runs, not maximal, of the cell-1 word of the Farey triangle with
+    this mediant (`classifier.farey_triangle`): s1, then the mediant's label with the
+    letters 1 and 3 exchanged; tests check it against the V-monoid factorisation."""
+    runs, _ = _descent(*mid)
+    return [[1, 0, 1], *([4 - a, b and 4 - b, n] for a, b, n in runs)]
 
 
 def _last_letter(runs: list[list[int]]) -> int:

@@ -10,8 +10,9 @@ from fractions import Fraction
 from itertools import islice
 
 from .surface import CellId, Params, _grid_lifts
-from .classifier import _farey_runs, _farey_word, _punctured_d
-from .hyperbolic import _boundary_angles, _check_depth, _farey_line, _triangles
+from .classifier import _punctured_d
+from .dynamics import _runs_text
+from .hyperbolic import _boundary_angles, _check_depth, _farey_line, _farey_runs, _triangles
 
 _CELL_COLORS = {
     CellId.X1SQ: "#c6dbef",
@@ -68,9 +69,9 @@ def farey_svg(d, depth: int) -> Iterator[str]:
     scale = abs(_punctured_d(d)) / 2
     line = _farey_line(depth - 1) if depth else []
     triples = list(_triangles(line, depth - 1)) if depth else []
-    # One factorisation per triple.  The cell-i word shifts each letter by i - 1 mod 3,
+    # One descent per triple.  The cell-i word shifts each letter by i - 1 mod 3,
     # so its text is the cell-1 text with the letters 1, 2, 3 shifted.
-    words = [str(_farey_word(_farey_runs(left, right), 1)) for left, _, right in triples]
+    words = [_runs_text(_farey_runs(mid)) for _, mid, _ in triples]
     panel = 260.0
     margin = 30.0
     # Vertex |d|/2 (a, b) is drawn at its exact ratio a * (|d|/2) / umax to the largest

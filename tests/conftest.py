@@ -27,9 +27,6 @@ from tropmarkov.classifier import (
     FAREY_ROOT,
     ClassifyReport,
     FareyTriple,
-    _factor_in_v_monoid,
-    _farey_runs,
-    _farey_word,
     exception_rays_punctured,
     farey_enumerate,
 )
@@ -54,6 +51,7 @@ from tropmarkov.surface import (
     SUBQUADRATIC_CELLS,
     _grid_lifts,
     cells_of,
+    check_index,
     on_boundary_ray,
     plane_point,
     point_text,
@@ -122,6 +120,34 @@ class OracleWord:
 
     def __str__(self):
         return " ".join(f"s{g}" for g in self.letters)
+
+
+def oracle_push(runs: list, g: int) -> None:
+    """Append the letter g, applied after the others, to applied-order maximal
+    runs [a, b, n], as the library appended letters before its runs took t
+    letters in one step: a letter extends the last run when it repeats the
+    letter two back; a lone letter [g, 0, 1] takes any next letter."""
+    check_index(g)
+    if not runs:
+        runs.append([g, 0, 1])
+        return
+    run = runs[-1]
+    a, b, n = run
+    last, before = (a, b) if n % 2 else (b, a)
+    if g == last:
+        raise UsageError(f"word is not reduced: s{g} follows s{g}")
+    if n == 1:
+        run[1:] = [g, 2]
+    elif g == before:
+        run[2] = n + 1
+    else:
+        runs.append([g, 0, 1])
+
+
+def oracle_extend(runs: list, a: int, b: int, t: int) -> None:
+    """The t letters a, b, a, ... appended one by one with `oracle_push`."""
+    for k in range(t):
+        oracle_push(runs, b if k % 2 else a)
 
 
 # -- the tropical Markov polynomial over ExtRat, monomial by monomial ------------
@@ -746,7 +772,19 @@ def oracle_farey_word(triple, i: int):
     """The word of `farey_triangle` as the library built it: the V-monoid
     factorisation of the triple once per cell, then the letters one by one."""
     (al, be), (ga, de) = triple.left, triple.right
-    eta = _factor_in_v_monoid(((ga, al), (de, be)))  # leftmost factor first
+    # The signs eta (leftmost factor first) with ((ga, al), (de, be)) = V_eta1 V_eta2 ...:
+    # peel the row that is at least the other entrywise.
+    a, b, c, d = ga, al, de, be
+    eta: list[int] = []
+    while (a, b, c, d) != (1, 0, 0, 1):
+        if a >= c and b >= d:
+            eta.append(1)
+            a, b = a - c, b - d
+        elif c >= a and d >= b:
+            eta.append(-1)
+            c, d = c - a, d - b
+        else:
+            raise DomainError(f"{triple} has no V-monoid factorisation")
     m = len(eta)
     # Applied-order step signs: eps_j = (-1)^(m-j) * eta_j, eta_j = eta[m-j].
     eps = [(-1) ** (m - j) * eta[m - j] for j in range(1, m + 1)]
@@ -1120,7 +1158,6 @@ def oracle_farey_svg(d, depth: int) -> str:
         f'<text x="{_fmt(ox)}" y="{_fmt(margin - 8)}" font-size="12">cell {cell}</text>',
     ] for cell, ox in origins.items()}
     for t in triples:
-        runs = _farey_runs(t.left, t.right)
         for cell, ox in origins.items():
             pts = " ".join(
                 f"{_fmt(ox + a * num / den * inner)},{_fmt(oy - b * num / den * inner)}"
@@ -1128,7 +1165,7 @@ def oracle_farey_svg(d, depth: int) -> str:
             )
             panels[cell].append(
                 f'<polygon points="{pts}" fill="none" stroke="#08519c" '
-                f'stroke-width="1"><title>{_farey_word(runs, cell)}</title></polygon>'
+                f'stroke-width="1"><title>{oracle_farey_word(t, cell)}</title></polygon>'
             )
     body = [f'<rect width="{_fmt(3 * panel)}" height="{_fmt(panel)}" fill="#ffffff"/>',
             *panels[1], *panels[2], *panels[3]]

@@ -14,6 +14,7 @@ from conftest import (
     oracle_matches_exception_ray,
     oracle_farey_triples,
     oracle_farey_word,
+    oracle_reduce_to_nets,
     oracle_table_orbit_triangles,
 )
 from tropmarkov import classifier as classifier_module, dynamics
@@ -38,6 +39,7 @@ from tropmarkov.classifier import (
     table_orbit_triangles,
 )
 from tropmarkov.dynamics import greedy_path
+from tropmarkov.hyperbolic import reduce_to_nets
 from tropmarkov.svgout import farey_svg
 
 F = Fraction
@@ -278,6 +280,18 @@ class TestFarey:
             word, _ = farey_triangle(triple, i, F(-2))
             expected = oracle_farey_word(triple, i)
             assert word == expected and word.runs == expected.runs and str(word) == str(expected)
+
+    def test_huge_partial_quotient(self):
+        # One descent step per partial quotient: the height 10^12 costs one step.
+        # The boundary label of 1/n, n even, is s2 s3 s2 ... (n - 1 letters) on inf,
+        # as the move loop of conftest finds for each even n up to 100.
+        n = 10**12
+        triple = FareyTriple((0, 1), (1, n), (1, n - 1))
+        for i in (1, 2, 3):
+            assert farey_triangle(triple, i, F(-2))[0] == Word.from_runs([(i, i % 3 + 1, n)])
+        assert reduce_to_nets((1, n)) == (Word.from_runs([(2, 3, n - 1)]), (1, 0))
+        for m in range(2, 101, 2):
+            assert oracle_reduce_to_nets((1, m)) == (Word.from_runs([(2, 3, m - 1)]), (1, 0))
 
     def test_words_verified_by_dynamics(self):
         d = F(-2)

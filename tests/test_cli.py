@@ -219,6 +219,20 @@ class TestUnwritableOutput:
                      *argv])
         self._assert_one_error(proc, "it is closed")
 
+    # An error line that cannot be written loses the line, not the exit status.
+    @pytest.mark.parametrize("argv, code", [
+        (("reduce", "--params", "1", "--point", "1,2,3"), 3),
+        (("pingpong", "--depth", "99", "--side", "boundary"), 2),
+    ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v))
+    @pytest.mark.parametrize("stderr", ["closed", "full"])
+    def test_stderr_unwritable(self, argv, code, stderr):
+        if stderr == "full" and not os.path.exists("/dev/full"):
+            pytest.skip("needs /dev/full")
+        redirect = "2>&-" if stderr == "closed" else "2>/dev/full"
+        proc = subprocess.run(["sh", "-c", f'exec "$@" {redirect}', "sh", sys.executable, "-m",
+                               "tropmarkov.cli", *argv], stdout=subprocess.PIPE, env=child_env())
+        assert proc.returncode == code and proc.stdout == b""
+
 
 class TestWordSyntax:
     def test_one_prefix_per_generator(self, capsys):

@@ -10,6 +10,7 @@ from conftest import (
     OracleWord,
     oracle_cells_of,
     oracle_euc_limit,
+    oracle_extend,
     oracle_greedy_path,
     oracle_monomial_values,
     oracle_run_length,
@@ -192,11 +193,40 @@ class TestWordRuns:
         assert (Word(a) == Word(b)) == (a == b)
         assert hash(Word(a)) == hash(Word.reduce(list(a))) == hash(Word.parse(str(Word(a))))
 
+    # Calls that append t letters a, b, a, ...: mostly letters, with an invalid one
+    # (0, 4, the bool True) or a repeat now and then.
+    _CALL_LETTERS = st.sampled_from((1, 2, 3) * 5 + (0, 4, True))
+
+    @given(st.lists(st.tuples(_CALL_LETTERS, _CALL_LETTERS,
+                              st.integers(min_value=1, max_value=40)), max_size=12))
+    @example([(1, 2, 3), (1, 3, 1), (2, 3, 5), (3, 1, 2), (2, 1, 1), (3, 2, 7)])
+    @example([(1, 0, 1), (2, 1, 4), (1, 3, 2)])
+    @example([(1, 2, 2), (2, 1, 1)])
+    @settings(max_examples=500)
+    def test_extend_matches_the_letter_by_letter_route(self, calls):
+        # _extend appends t letters in one step; oracle_extend pushes them one by one.
+        # The runs agree after every call, and either both raise UsageError or neither.
+        fast, slow = [], []
+        for a, b, t in calls:
+            raised = []
+            for extend, runs in ((dynamics._extend, fast), (oracle_extend, slow)):
+                try:
+                    extend(runs, a, b, t)
+                except UsageError:
+                    raised.append(True)
+                else:
+                    raised.append(False)
+            assert raised[0] == raised[1]
+            if raised[0]:
+                return
+            assert fast == slow
+
     @pytest.mark.parametrize("runs", [
         ((1, 1, 2),), ((1, 2, 0),), ((1, 0, 2),), ((4, 0, 1),), ((1, 4, 2),), ((1, 1, 1),), ((1, 7, 1),),
         ((1, 2, 3), (1, 3, 1)),  # s1 s2 s1 s1
         ((2, 3, 2), (3, 1, 5)),  # s2 s3 s3 ...
         ((1, 2, F(3)),),
+        ((1, 2, True),),
     ])
     def test_run_constructor_rejects_invalid_runs(self, runs):
         with pytest.raises(UsageError):
