@@ -6,8 +6,9 @@ dense open set U) is decided by the gcd of its difference coordinates against
 a ray threshold picked out by the index shift of its slope.  The index shift
 is computed two ways: by iterating the slope transformation T (brute force)
 and by a closed formula over the continued fraction of the slope.  The words of
-the Farey triangles are read off the boundary height descent of `hyperbolic`,
-which loads at the first Farey call.
+the Farey triangles are read off the boundary colour path of `hyperbolic`, one
+run per partial quotient of the mediant at any height; it loads at the first
+Farey call.
 """
 
 from __future__ import annotations
@@ -259,7 +260,7 @@ def farey_enumerate(depth: int) -> list[FareyTriple]:
 def farey_triangle(triple: FareyTriple, i: int, d) -> tuple[Word, tuple[UVec, UVec, UVec]]:
     """Word whose image of the D cell is the u^i-triangle with vertices
     |d|/2 * (left, mid, right), together with those vertices; one step per
-    partial quotient of the mediant."""
+    partial quotient of the mediant, whatever its height (by a cusp too)."""
     from .hyperbolic import _farey_runs
 
     d = _punctured_d(d)

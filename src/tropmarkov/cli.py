@@ -320,7 +320,7 @@ def _cmd_farey(args) -> dict | None:
         g = gcd(a, den)
         return str(num * a // g) if g == den else f"{num * a // g}/{den // g}"
 
-    # The triples of farey_enumerate, in its order, made one at a time; words from the descent.
+    # The triples of farey_enumerate, in its order, made one at a time; words from the colour path.
     shift = str.maketrans("123", "123"[args.cell - 1:] + "123"[:args.cell - 1])
     entries = ({"triple": [list(left), list(mid), list(right)],
                 "word": _runs_text(_farey_runs(mid)).translate(shift),

@@ -7,8 +7,9 @@ p/q in Q union {inf}; the three reflections act by
     r1: p/q -> (2q-p)/q,   r2: p/q -> p/(2p-q),   r3: p/q -> -p/q.
 
 The nets 0, inf, 1 (for r1, r2, r3 respectively) generate the full rational
-boundary under the group, by strict height descent (`_descent`, one step per
-partial quotient, which labels the Farey triangles too).  Each r_i has determinant
+boundary under the group: the label of p/q is read off its continued fraction
+along the Stern-Brocot path (`_colour_runs`, one run per partial quotient at any
+height, which labels the Farey triangles too).  Each r_i has determinant
 -1, so the orbit stays coprime with no gcd (`reflect_boundary`); `bpoint` works
 only at the API edges.  Each orbit level puts the mediant (p + r)/(q + s) in
 each gap p/q, r/s, so `_orbit_cycle` is mediant refinement of integer columns,
@@ -37,7 +38,7 @@ from operator import add, neg, sub
 
 from .errors import DomainError, ResourceError, UsageError
 from .dynamics import Matrix2, Word, mat_mul, trop_vieta
-from .scalars import INF
+from .scalars import INF, _quotients
 from .surface import Params, check_index, check_size
 
 BPoint = tuple[int, int]
@@ -105,72 +106,48 @@ def apply_reflection_word(word: Word, x: BPoint) -> BPoint:
     return _signed(p, q)
 
 
-def height(x: BPoint) -> int:
-    return max(abs(x[0]), abs(x[1]))
-
-
 def reduce_to_nets(x: BPoint) -> tuple[Word, BPoint]:
-    """Word w and net n with w applied to n giving x, by strict height descent.
+    """Word w and net n with w applied to n giving x, read off the continued fraction.
 
     The displayed word lists the reflections in the order they were applied
     to x (leftmost first), which is the reverse of their action order on n.
-    Each run of one move, z -> z - 2 or z + 2 in the chart z or 1/z (one
-    partial quotient of x), is taken in one jump, so the cost grows with
-    the number of partial quotients, not with the height.
+    0 and inf are nets; -p/q is r3 of p/q, and p/q > 0 is reached from the net of
+    its parity colour along the colour path (`_colour_runs`), one run per partial
+    quotient, so the cost grows with the number of partial quotients, not with the
+    height, at every cusp.
     """
-    runs, net = _descent(*bpoint(*x))
-    return Word.from_runs(runs), net
+    p, q = bpoint(*x)
+    if p == 0 or q == 0:
+        return Word(), (p, q)
+    runs = _colour_runs(abs(p), q)
+    return Word.from_runs([(3, 0, 1), *runs] if p < 0 else runs), (p & 1, q & 1)
 
 
-# The reflections that fix each net: all but r_i fix the net of r_i.
-_NET_STABILISERS = {(0, 1): (2, 3), (1, 0): (1, 3), (1, 1): (1, 2)}
-
-
-def _descent(p: int, q: int) -> tuple[list[list[int]], BPoint]:
-    """The display-order runs [a, b, n] of the word of `reduce_to_nets` at the normalised
-    pair (p, q), cut where moves meet (not maximal), and its net."""
-    runs: list[list[int]] = []
-    while q != 0 and (p, q) not in ((0, 1), (1, 1)):
-        if (p, q) == (-1, 1):
-            move, p = [3, 0, 1], 1  # -1 -> 1, a net
-        elif abs(p) > q:
-            # z -> z - 2 (r1 then r3) or z + 2 (r3 then r1) while |z| > 1
-            k = (abs(p) + q - 1) // (2 * q)
-            move = [1, 3, 2 * k] if p > 0 else [3, 1, 2 * k]
-            p = p - 2 * k * q if p > 0 else p + 2 * k * q
-        else:
-            # 1/z -> 1/z - 2 (r2 then r3) or 1/z + 2 (r3 then r2) while |z| < 1
-            k = (q + abs(p) - 1) // (2 * abs(p))
-            move = [2, 3, 2 * k] if p > 0 else [3, 2, 2 * k]
-            p, q = _signed(p, q - 2 * k * abs(p))
-        while runs and move[2] and _last_letter(runs) == move[0]:
-            _drop_last(runs)  # s_i s_i cancels
-            move = [move[1], move[0], move[2] - 1]
-        if move[2]:
-            runs.append(move)
-    stab = _NET_STABILISERS[p, q]
-    while runs and _last_letter(runs) in stab:
-        _drop_last(runs)  # the first letter applied to the net acts trivially
-    return runs, (p, q)
+def _colour_runs(p: int, q: int) -> list[list[int]]:
+    """The display-order runs [a, b, n], not maximal, of the label of p/q > 0: the
+    Stern-Brocot path from 1/1 to p/q, one run per partial quotient t, the last taken
+    minus one.  The path's triangles (lo, lo + hi, hi) start at (0/1, 1/1, 1/0); a step
+    crosses one edge, read as the parity colour c(a, b) = 2(a & 1) + (b & 1) (a net's
+    index: 0/1, 1/0 and 1/1 are 1, 2 and 3) of the vertex it leaves.  So t steps right
+    give the colours of lo, lo + hi, lo + 2 hi, ..., and lo += t hi; t steps left are
+    the mirror image, with lo and hi exchanged.  As c(lo + hi) = c(lo) ^ c(hi), only
+    the colours of the bound that moves and of the other are kept."""
+    terms = _quotients(p, q)
+    terms[-1] -= 1
+    runs = []
+    moving, other = 1, 2  # lo, then hi: the quotients alternate right and left
+    for t in terms:
+        if t:
+            runs.append([moving, moving ^ other, t])
+        moving, other = other, moving ^ other if t & 1 else moving
+    return runs
 
 
 def _farey_runs(mid: BPoint) -> list[list[int]]:
     """The display-order runs, not maximal, of the cell-1 word of the Farey triangle with
-    this mediant (`classifier.farey_triangle`): s1, then the mediant's label with the
-    letters 1 and 3 exchanged; tests check it against the V-monoid factorisation."""
-    runs, _ = _descent(*mid)
-    return [[1, 0, 1], *([4 - a, b and 4 - b, n] for a, b, n in runs)]
-
-
-def _last_letter(runs: list[list[int]]) -> int:
-    a, b, n = runs[-1]
-    return a if n % 2 else b
-
-
-def _drop_last(runs: list[list[int]]) -> None:
-    runs[-1][2] -= 1
-    if not runs[-1][2]:
-        runs.pop()
+    this mediant (`classifier.farey_triangle`): s1, then the mediant's colour path with
+    the letters 1 and 3 exchanged; tests check it against the V-monoid factorisation."""
+    return [[1, 0, 1], *([4 - a, 4 - b, n] for a, b, n in _colour_runs(*mid))]
 
 
 # -- partial orbits ----------------------------------------------------------------

@@ -336,15 +336,17 @@ def continued_fraction(m: RationalLike | ExtRat) -> CF:
     m = Fraction(m)
     if m < 0:
         raise DomainError("continued fraction requires a nonnegative input")
-    p, q = m.numerator, m.denominator
+    return CF(tuple(_quotients(m.numerator, m.denominator)))
+
+
+def _quotients(p: int, q: int) -> list[int]:
+    """The partial quotients of p/q for integers p >= 0 and q > 0: Euclid's loop."""
     terms = []
-    while True:
+    while q:
         a, r = divmod(p, q)
         terms.append(a)
-        if r == 0:
-            break
         p, q = q, r
-    return CF(tuple(terms))
+    return terms
 
 
 # -- p-adic valuations -------------------------------------------------------

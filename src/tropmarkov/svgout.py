@@ -69,7 +69,7 @@ def farey_svg(d, depth: int) -> Iterator[str]:
     scale = abs(_punctured_d(d)) / 2
     line = _farey_line(depth - 1) if depth else []
     triples = list(_triangles(line, depth - 1)) if depth else []
-    # One descent per triple.  The cell-i word shifts each letter by i - 1 mod 3,
+    # One colour path per triple.  The cell-i word shifts each letter by i - 1 mod 3,
     # so its text is the cell-1 text with the letters 1, 2, 3 shifted.
     words = [_runs_text(_farey_runs(mid)) for _, mid, _ in triples]
     panel = 260.0

@@ -507,6 +507,68 @@ def oracle_reduce_to_nets(x):
     return Word(letters), cur
 
 
+def height(x) -> int:
+    return max(abs(x[0]), abs(x[1]))
+
+
+# The reflections that fix each net: all but r_i fix the net of r_i.
+_NET_STABILISERS = {(0, 1): (2, 3), (1, 0): (1, 3), (1, 1): (1, 2)}
+
+
+def oracle_descent(p: int, q: int):
+    """The display-order runs [a, b, n] of the label of the normalised pair (p, q), cut
+    where moves meet (not maximal), and its net, by strict height descent with each run
+    of one move jumped, as the library took it before the colour path.  Near z = +-1 the
+    moves switch chart at every step, so it is linear in the height there."""
+    runs: list[list[int]] = []
+    while q != 0 and (p, q) not in ((0, 1), (1, 1)):
+        if (p, q) == (-1, 1):
+            move, p = [3, 0, 1], 1  # -1 -> 1, a net
+        elif abs(p) > q:
+            # z -> z - 2 (r1 then r3) or z + 2 (r3 then r1) while |z| > 1
+            k = (abs(p) + q - 1) // (2 * q)
+            move = [1, 3, 2 * k] if p > 0 else [3, 1, 2 * k]
+            p = p - 2 * k * q if p > 0 else p + 2 * k * q
+        else:
+            # 1/z -> 1/z - 2 (r2 then r3) or 1/z + 2 (r3 then r2) while |z| < 1
+            k = (q + abs(p) - 1) // (2 * abs(p))
+            move = [2, 3, 2 * k] if p > 0 else [3, 2, 2 * k]
+            p, q = bpoint(p, q - 2 * k * abs(p))
+        while runs and move[2] and _last_letter(runs) == move[0]:
+            _drop_last(runs)  # s_i s_i cancels
+            move = [move[1], move[0], move[2] - 1]
+        if move[2]:
+            runs.append(move)
+    stab = _NET_STABILISERS[p, q]
+    while runs and _last_letter(runs) in stab:
+        _drop_last(runs)  # the first letter applied to the net acts trivially
+    return runs, (p, q)
+
+
+def _last_letter(runs: list) -> int:
+    a, b, n = runs[-1]
+    return a if n % 2 else b
+
+
+def _drop_last(runs: list) -> None:
+    runs[-1][2] -= 1
+    if not runs[-1][2]:
+        runs.pop()
+
+
+def oracle_descent_label(x):
+    """The label of `reduce_to_nets` by the height descent."""
+    runs, net = oracle_descent(*bpoint(*x))
+    return Word.from_runs(runs), net
+
+
+def oracle_descent_farey_word(mid):
+    """The cell-1 word of the Farey triangle with this mediant by the height descent:
+    s1, then the mediant's descent with the letters 1 and 3 exchanged."""
+    runs, _ = oracle_descent(*mid)
+    return Word.from_runs([(1, 0, 1), *((4 - a, b and 4 - b, n) for a, b, n in runs)])
+
+
 def oracle_direction_act(i, n):
     """r_i on a direction by its formula, one branch per generator: n_i becomes
     2 min(n_j, n_k) - n_i."""

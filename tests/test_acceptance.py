@@ -11,6 +11,7 @@ from pathlib import Path
 
 from conftest import (
     brute_force_zp_points,
+    height,
     oracle_boundary_key,
     oracle_matches_exception_ray,
     oracle_skeleton_sorted,
@@ -46,7 +47,6 @@ from tropmarkov.classifier import (
 from tropmarkov.hyperbolic import (
     apply_reflection_word,
     bpoint,
-    height,
     order_isomorphism_check,
     partial_orbit_boundary,
     partial_orbit_skeleton,

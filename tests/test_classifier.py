@@ -10,6 +10,7 @@ from hypothesis import example, given, strategies as st
 
 from conftest import (
     _oracle_farey_children,
+    oracle_descent_farey_word,
     oracle_exception_rays_punctured,
     oracle_matches_exception_ray,
     oracle_farey_triples,
@@ -24,6 +25,7 @@ from tropmarkov.scalars import continued_fraction
 from tropmarkov.surface import CellId, Params, on_skeleton
 from tropmarkov.dynamics import Word, apply_word, u_coords
 from tropmarkov.classifier import (
+    _farey_word,
     _t_orbit,
     FAREY_ROOT,
     FareyTriple,
@@ -39,7 +41,7 @@ from tropmarkov.classifier import (
     table_orbit_triangles,
 )
 from tropmarkov.dynamics import greedy_path
-from tropmarkov.hyperbolic import reduce_to_nets
+from tropmarkov.hyperbolic import _farey_runs, reduce_to_nets
 from tropmarkov.svgout import farey_svg
 
 F = Fraction
@@ -282,7 +284,7 @@ class TestFarey:
             assert word == expected and word.runs == expected.runs and str(word) == str(expected)
 
     def test_huge_partial_quotient(self):
-        # One descent step per partial quotient: the height 10^12 costs one step.
+        # One step per partial quotient: the height 10^12 costs one step.
         # The boundary label of 1/n, n even, is s2 s3 s2 ... (n - 1 letters) on inf,
         # as the move loop of conftest finds for each even n up to 100.
         n = 10**12
@@ -292,6 +294,31 @@ class TestFarey:
         assert reduce_to_nets((1, n)) == (Word.from_runs([(2, 3, n - 1)]), (1, 0))
         for m in range(2, 101, 2):
             assert oracle_reduce_to_nets((1, m)) == (Word.from_runs([(2, 3, m - 1)]), (1, 0))
+        # By the cusp 1, mediants (n + 1)/n and (n - 1)/n, n even, in closed form, as
+        # the V-monoid factorisation finds for each even n up to 100.
+        for n in (*range(2, 101, 2), 10**12, 10**100):
+            for i in (1, 2, 3):
+                nxt, prv = i % 3 + 1, (i + 1) % 3 + 1
+                cusp = {FareyTriple((1, 1), (n + 1, n), (n, n - 1)):
+                        Word.from_runs([(i, 0, 1), (prv, nxt, n)]),
+                        FareyTriple((n - 2, n - 1), (n - 1, n), (1, 1)):
+                        Word.from_runs([(i, 0, 1), (nxt, prv, n - 1)])}
+                for triple, word in cusp.items():
+                    assert farey_triangle(triple, i, F(-2))[0] == word
+                    if n <= 100:
+                        assert oracle_farey_word(triple, i) == word
+
+    def test_words_match_descent_at_depth_16(self):
+        # The cell-1 word of every depth-16 triple against the conftest height
+        # descent, and its runs shifted to cells 2 and 3, as farey_triangle shifts them.
+        shifts = {i: {0: 0, 1: i, 2: i % 3 + 1, 3: (i + 1) % 3 + 1} for i in (2, 3)}
+        for t in farey_enumerate(16):
+            runs = Word.from_runs(_farey_runs(t.mid)).runs
+            expected = oracle_descent_farey_word(t.mid).runs
+            assert runs == expected
+            for i, shift in shifts.items():
+                assert _farey_word(runs, i).runs == tuple(
+                    (shift[a], shift[b], n) for a, b, n in expected)
 
     def test_words_verified_by_dynamics(self):
         d = F(-2)

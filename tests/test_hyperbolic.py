@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import re
 from collections import Counter
 from fractions import Fraction
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from tropmarkov.errors import DomainError, ResourceError, UsageError
 from tropmarkov.dynamics import Word
+from tropmarkov.scalars import continued_fraction
 from tropmarkov import hyperbolic
 from tropmarkov.svgout import tessellation_svg
 from tropmarkov.hyperbolic import (
@@ -18,7 +20,6 @@ from tropmarkov.hyperbolic import (
     SKELETON_NETS,
     apply_reflection_word,
     bpoint,
-    height,
     order_isomorphism_check,
     partial_orbit_boundary,
     partial_orbit_skeleton,
@@ -44,11 +45,13 @@ from conftest import (
     ORACLE_SKELETON_CCW,
     assert_same_outcome,
     bpoint_from_rational,
+    height,
     oracle_angular_cmp,
     oracle_apply_reflection_word,
     oracle_boundary_angle,
     oracle_boundary_key,
     oracle_boundary_lines,
+    oracle_descent_label,
     oracle_direction_act,
     oracle_geodesic_points,
     oracle_labels,
@@ -179,6 +182,38 @@ class TestReductionRuns:
         x = _from_terms([10**6, 10**6, 10**6], 1)
         word, net = reduce_to_nets((x[1], x[0]))
         assert len(word.runs) <= 6 and len(word) <= 2 * height(x)
+        # By the cusp 1, where a height descent takes one letter per step: (n + 1)/n,
+        # (n - 1)/n and -(n + 1)/n, n even, in closed form, as the move loop finds
+        # for each even n up to 100.
+        for n in (*range(2, 101, 2), 10**12, 10**100):
+            cusp = {(n + 1, n): Word.from_runs([(1, 2, n)]),
+                    (n - 1, n): Word.from_runs([(2, 1, n - 1)]),
+                    (-n - 1, n): Word.from_runs([(3, 0, 1), (1, 2, n)])}
+            for x, word in cusp.items():
+                assert reduce_to_nets(x) == (word, (1, 0))
+                if n <= 100:
+                    assert oracle_reduce_to_nets(x) == (word, (1, 0))
+
+    @given(st.lists(st.integers(min_value=1, max_value=10**40), min_size=1, max_size=8),
+           st.sampled_from((1, -1)), st.booleans())
+    @example([1, 10**40], -1, False)
+    @example([10**40, 10**40], 1, True)
+    def test_runs_within_partial_quotients(self, terms, sign, invert):
+        p, q = _from_terms(terms, 1)
+        x = (sign * q, p) if invert else (sign * p, q)
+        word, net = reduce_to_nets(x)
+        assert len(word.runs) <= len(continued_fraction(F(abs(x[0]), x[1])).terms)
+        assert apply_reflection_word(word, net) == x
+
+    def test_matches_descent_on_the_depth_16_cycle(self):
+        for x in zip(*_orbit_cycle(16)):
+            assert reduce_to_nets(x) == oracle_descent_label(x)
+
+    def test_matches_descent_on_random_pairs(self):
+        rng = random.Random(31)
+        pairs = [(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)) for _ in range(20000)]
+        for x in pairs:
+            assert reduce_to_nets(x) == oracle_descent_label(x)
 
 
 class TestReplayByRuns:
