@@ -14,7 +14,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .errors import DomainError, ResourceError, UsageError
+from .errors import DomainError, ResourceError, UsageError, bound_error
 from .scalars import ExtRat, _int_valuation, is_prime, value_class
 from .surface import (CellId, Params, Point3, _finite_values, cell_has_interior, cells_of,
                       check_index, on_skeleton)
@@ -170,8 +170,7 @@ def lift_consistency(point: SurfacePointL, word: Word) -> LiftReport:
     exact step past LIFT_STEP_BOUND before that step.
     """
     if word.length > LIFT_WORD_BOUND:
-        raise ResourceError(
-            f"word length {word.length} exceeds the configured bound {LIFT_WORD_BOUND}")
+        raise bound_error("word length", word.length, LIFT_WORD_BOUND)
     params = point.params()
     vals = point.valuation_vector()
     if any(v.is_infinite for v in vals):
@@ -230,8 +229,8 @@ def matrix_divergence(signs: Sequence[int]) -> list[int]:
 
 # Largest half-width of the integer box |n_i| <= nmax, nmax^2 < 3 m p^K, around
 # the ball that holds the points of enumerate_zp_points; its loop is quadratic in
-# nmax, over the pairs (n1, n2) with n1^2 < m p^K and a real n3.  256 admits K = 14
-# at p = 2 (nmax 221, rows |n1| <= 127).  Every p above ZP_BOX_BOUND^2 exceeds it:
+# nmax, over the pairs (n1, n2) with 0 < n1 < sqrt(m p^K) and a real n3.  256 admits
+# K = 14 at p = 2 (nmax 221, rows 0 < n1 <= 127).  Every p above ZP_BOX_BOUND^2 exceeds it:
 # D = m/p^K, K >= 1, makes the ball 3 m p^K at least 3p, so nmax >= sqrt(3p) - 1 > 256.
 ZP_BOX_BOUND = 256
 
@@ -274,18 +273,19 @@ def zp_numerators(p: int, D) -> tuple[list[tuple[int, int, int]], int, int]:
     The surface equation scaled by p^(3K) becomes the integer identity
     p^K (n1^2+n2^2+n3^2) + n1 n2 n3 = D p^(3K), and the exponent box is
     equivalent to n_i nonzero and p^K not dividing n_i.  Every point of the
-    compact component has x1^2 < D, so n1 runs over the rows n1^2 < m p^K
-    only, m the numerator of D: about 1/sqrt(3) of the box half-width nmax.
-    For each pair (n1, n2) the identity is a quadratic in n3, solved exactly
-    with an integer square root; each row stops at `_column_bound`, the last n2
-    with real roots, inside the ball.  So the cost is O(nmax^2).  A half-width
-    beyond ZP_BOX_BOUND, or any p above ZP_BOX_BOUND^2, raises ResourceError.
+    compact component has x1^2 < D, so the rows are 0 < n1 < sqrt(m p^K), m
+    the numerator of D: about 1/sqrt(3) of the box half-width nmax, and half
+    the pairs (n1, n2), as (n1, n2, n3) -> (-n1, -n2, n3) keeps the identity,
+    the ball and the rows: each point is found with its mirror.  For each pair
+    the identity is a quadratic in n3, solved exactly with an integer square
+    root; each row stops at `_column_bound`, the last n2 with real roots,
+    inside the ball.  So the cost is O(nmax^2).  A half-width beyond
+    ZP_BOX_BOUND, or any p above ZP_BOX_BOUND^2, raises ResourceError.
     """
     if p > ZP_BOX_BOUND ** 2:
         # Checked before is_prime, whose trial division is slow for huge p.
-        raise ResourceError(
-            f"p = {p} exceeds the configured bound {ZP_BOX_BOUND ** 2}: its enumeration "
-            f"box half-width would exceed {ZP_BOX_BOUND}")
+        raise bound_error("p =", p, f"{ZP_BOX_BOUND ** 2}: its enumeration box half-width "
+                                    f"would exceed {ZP_BOX_BOUND}")
     # Also rejects p < 2, for which dividing D's denominator by p never ends.
     if not is_prime(p):
         raise UsageError(f"{p} is not prime")
@@ -302,14 +302,14 @@ def zp_numerators(p: int, D) -> tuple[list[tuple[int, int, int]], int, int]:
     if nmax * nmax >= ball:
         nmax -= 1
     if nmax > ZP_BOX_BOUND:
-        raise ResourceError(
-            f"enumeration box half-width {nmax} exceeds the configured bound {ZP_BOX_BOUND}")
+        raise bound_error("enumeration box half-width", nmax, ZP_BOX_BOUND)
     allowed = [n for n in range(-nmax, nmax + 1) if n != 0 and n % pk != 0]
     # n2 and n3 are nonzero, so x1^2 = D - (x2^2 + x1 x2 x3 + x3^2) < D, the form
     # being positive definite for |x1| < 2: only the rows n1^2 < m p^K hold a point.
+    # The rows n1 > 0; the mirror (-n1, -n2, n3) has the same b = n1 n2 below.
     r1 = math.isqrt(D.numerator * pk - 1)
     out = []
-    for n1 in allowed[bisect_left(allowed, -r1):bisect_right(allowed, r1)]:
+    for n1 in allowed[bisect_left(allowed, 1):bisect_right(allowed, r1)]:
         s1 = n1 * n1
         r2 = _column_bound(pk, D.numerator, s1)
         for n2 in allowed[bisect_left(allowed, -r2):bisect_right(allowed, r2)]:
@@ -325,7 +325,7 @@ def zp_numerators(p: int, D) -> tuple[list[tuple[int, int, int]], int, int]:
                 # pk | n3 covers n3 = 0.
                 if rem or n3 % pk == 0 or s2 + n3 * n3 >= ball:
                     continue
-                out.append((n1, n2, n3))
+                out += (n1, n2, n3), (-n1, -n2, n3)
     out.sort()
     return out, pk, K
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import dynamics
-from .errors import DomainError, ResourceError, UsageError
+from .errors import DomainError, UsageError, bound_error
 from .scalars import ExtRat, continued_fraction, value_class
 from .surface import (
     CellId,
@@ -100,8 +100,7 @@ def index_shift_bruteforce(m) -> int:
     v = _finite_positive_slope(m, "index shift")
     steps = stopping_time(v)
     if steps > dynamics.STEP_BOUND:
-        raise ResourceError(
-            f"stopping time {steps} exceeds the configured bound {dynamics.STEP_BOUND}")
+        raise bound_error("stopping time", steps, dynamics.STEP_BOUND)
     return sum(1 if t >= 1 else -1 for t in _t_orbit(v))
 
 
@@ -208,7 +207,7 @@ def _ray_patterns(d, height: int) -> tuple[Fraction, list[tuple[int, int, int]]]
     if height < 0:
         raise UsageError(f"height must be nonnegative, got {height}")
     if height > HEIGHT_BOUND:
-        raise ResourceError(f"height {height} exceeds the configured bound {HEIGHT_BOUND}")
+        raise bound_error("height", height, HEIGHT_BOUND)
     # Sorting the integer patterns in reverse sorts their images, as d/2 < 0.
     seen = {pattern for p in range(height + 1) for q in range(height + 1) if gcd(p, q) == 1
             for pattern in ((q, p, p + q), (p + q, q, p), (p, p + q, q))}

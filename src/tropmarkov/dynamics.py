@@ -16,7 +16,7 @@ import sys
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
 
-from .errors import DomainError, ResourceError, UsageError
+from .errors import DomainError, ResourceError, UsageError, bound_error
 from .scalars import ExtRat, thomae_gcd, value_class
 from .surface import (
     CELL_ORDER,
@@ -174,15 +174,14 @@ class Word:
     def _expandable(self) -> tuple[Run, ...]:
         """The runs; past STEP_BOUND letters, the longest greedy word, ResourceError."""
         if self.length > STEP_BOUND:
-            raise ResourceError(
-                f"word length {self.length} exceeds the configured bound {STEP_BOUND}")
+            raise bound_error("word length", self.length, STEP_BOUND)
         return self.runs
 
     def __len__(self):
         """The number of letters; ResourceError past sys.maxsize, which len() cannot return."""
         n = self.length
         if n > sys.maxsize:
-            raise ResourceError(f"word length {n} exceeds the configured bound {sys.maxsize}")
+            raise bound_error("word length", n, sys.maxsize)
         return n
 
     def __str__(self):

@@ -17,3 +17,14 @@ class UsageError(ValueError):
 
 class ResourceError(RuntimeError):
     pass
+
+
+def bound_error(what: str, n: int, bound) -> ResourceError:
+    """The ResourceError "<what> <n> exceeds the configured bound <bound>"; an n
+    with more digits than str() prints (sys.get_int_max_str_digits()) is named
+    by its approximate digit count."""
+    try:
+        text = str(n)
+    except ValueError:
+        text = f"<an integer of about {round(n.bit_length() * 0.30103)} digits>"
+    return ResourceError(f"{what} {text} exceeds the configured bound {bound}")

@@ -36,7 +36,7 @@ from fractions import Fraction
 from itertools import chain, islice, repeat
 from operator import add, neg, sub
 
-from .errors import DomainError, ResourceError, UsageError
+from .errors import DomainError, UsageError, bound_error
 from .dynamics import Matrix2, Word, mat_mul, trop_vieta
 from .scalars import INF, _quotients
 from .surface import Params, check_index, check_size
@@ -182,7 +182,7 @@ def _check_depth(n: int):
     if n < 0:
         raise UsageError("orbit depth must be nonnegative")
     if n > DEPTH_BOUND:
-        raise ResourceError(f"orbit depth {n} exceeds the configured bound {DEPTH_BOUND}")
+        raise bound_error("orbit depth", n, DEPTH_BOUND)
 
 
 def partial_orbit_boundary(n: int) -> list[BPoint]:

@@ -25,7 +25,7 @@ from enum import Enum
 from fractions import Fraction
 from math import lcm
 
-from .errors import DomainError, ResourceError, UsageError
+from .errors import DomainError, UsageError, bound_error
 from .scalars import ExtRat, parse_rational, value_class
 
 Point3 = tuple[Fraction, Fraction, Fraction]
@@ -268,7 +268,7 @@ def plane_grid(grid: int, span) -> list[Fraction]:
     if grid < 2:
         raise UsageError("grid needs at least 2 nodes per axis")
     if grid > GRID_BOUND:
-        raise ResourceError(f"grid {grid} exceeds the configured bound {GRID_BOUND}")
+        raise bound_error("grid", grid, GRID_BOUND)
     span = Fraction(span)
     return [-span + 2 * span * Fraction(k, grid - 1) for k in range(grid)]
 

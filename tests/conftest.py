@@ -1079,6 +1079,43 @@ def oracle_zp_numerators_ball(p: int, D: Fraction) -> tuple:
     return out, pk, K
 
 
+def oracle_zp_numerators_rows(p: int, D: Fraction) -> tuple:
+    """`arithmetic.zp_numerators` as it ran before it took each point with its
+    mirror (-n1, -n2, n3): every row n1^2 < m p^K, each stopped at the last n2
+    whose quadratic in n3 has real roots.  Takes a prime p and a D = m/p^K the
+    enumerator accepts."""
+    m, pk = D.numerator, D.denominator
+    K = 0
+    while p ** K < pk:
+        K += 1
+    rhs = m * pk * pk  # D p^(3K)
+    ball = 3 * m * pk  # n1^2+n2^2+n3^2 < 3 D p^(2K)
+    nmax = math.isqrt(ball)
+    if nmax * nmax >= ball:
+        nmax -= 1
+    allowed = [n for n in range(-nmax, nmax + 1) if n != 0 and n % pk != 0]
+    r1 = math.isqrt(m * pk - 1)
+    q = 4 * pk * pk
+    out = []
+    for n1 in allowed[bisect_left(allowed, -r1):bisect_right(allowed, r1)]:
+        s1 = n1 * n1
+        r2 = math.isqrt(q * (m * pk - s1) // (q - s1))
+        for n2 in allowed[bisect_left(allowed, -r2):bisect_right(allowed, r2)]:
+            s2 = s1 + n2 * n2
+            b = n1 * n2
+            disc = b * b - 4 * pk * (pk * s2 - rhs)
+            r = math.isqrt(disc)
+            if r * r != disc:
+                continue
+            for num in {-b + r, -b - r}:
+                n3, rem = divmod(num, 2 * pk)
+                if rem or n3 % pk == 0 or s2 + n3 * n3 >= ball:
+                    continue
+                out.append((n1, n2, n3))
+    out.sort()
+    return out, pk, K
+
+
 # -- CLI text through the standard library's writers ---------------------------
 
 

@@ -355,6 +355,25 @@ class TestZpEnumeration:
         # Every point has x_i^2 < D: (n_i / p^K)^2 < m / p^K.
         assert all(n * n < m * pk for t in triples for n in t)
 
+    @given(st.sampled_from(zp_cases(256)))
+    @example((2, F(79, 256)))  # eight double roots, pinned by test_double_roots_listed_once
+    @settings(max_examples=60, deadline=None)
+    def test_mirror_pairs_match_full_row_scan(self, case):
+        # The rows n1 > 0, each point taken with its mirror (-n1, -n2, n3), give
+        # what every row n1^2 < m p^K gives.
+        from conftest import oracle_zp_numerators_rows
+
+        p, D = case
+        assert zp_numerators(p, D) == oracle_zp_numerators_rows(p, D)
+
+    @pytest.mark.parametrize("case", ZP_BOX_EDGES, ids=lambda c: f"{c[0]}^{c[1]}-m{c[2]}")
+    def test_mirror_pairs_match_full_row_scan_at_box_edges(self, case):
+        from conftest import oracle_zp_numerators_rows
+
+        p, K, m = case
+        D = F(m, p**K)
+        assert zp_numerators(p, D) == oracle_zp_numerators_rows(p, D)
+
     def test_column_bound_is_exact(self):
         # In every row the discriminant in n3 is nonnegative at the bound and
         # negative one past it, so no point on the edge of a row is dropped.

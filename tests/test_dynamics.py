@@ -19,12 +19,14 @@ from conftest import (
     WALL_FRACTIONS,
 )
 from tropmarkov import dynamics
-from tropmarkov.arithmetic import rational_vieta, surface_from_seed, vieta_exact
+from tropmarkov.arithmetic import (lift_consistency, rational_vieta, surface_from_seed,
+                                   vieta_exact, zp_numerators)
 from tropmarkov.classifier import (
     FAREY_ROOT,
     exception_rays_punctured,
     farey_enumerate,
     farey_triangle,
+    index_shift_bruteforce,
     table_orbit_triangles,
 )
 from tropmarkov.hyperbolic import (
@@ -348,7 +350,33 @@ _SIZED = {
 }
 
 
+# A size past its bound by thousands of digits, more than str() prints: every
+# sized call but greedy_path (which caps its step count at the bound), and the
+# other bound checks that name the size they refuse.
+_HUGE = 10**5000
+_HUGE_WORD = Word.from_runs([(1, 2, _HUGE)])
+_PAST_STR = {
+    "len(Word)": lambda: len(_HUGE_WORD),
+    "str(Word)": lambda: str(_HUGE_WORD),
+    "apply_word": lambda: apply_word(PT, _HUGE_WORD, pt(-2, -3, -5)),
+    "index_shift_bruteforce": lambda: index_shift_bruteforce(_HUGE),
+    "lift_consistency": lambda: lift_consistency(
+        surface_from_seed(*[LaurentPoly.zero()] * 6), _HUGE_WORD),
+    "zp_numerators(p)": lambda: zp_numerators(_HUGE + 1, F(1, 4)),
+    "zp_numerators(D)": lambda: zp_numerators(2, F(1, 2**34000)),
+}
+
+
 class TestSizeChecks:
+    @pytest.mark.parametrize("name", sorted(set(_SIZED) - {"greedy_path"}) + sorted(_PAST_STR))
+    def test_sizes_past_the_digit_limit(self, name):
+        # The message names such a size by its digit count, so the bound's
+        # ResourceError is raised, not str()'s ValueError.
+        call = _PAST_STR[name] if name in _PAST_STR else lambda: _SIZED[name][1](_HUGE)
+        with pytest.raises(ResourceError, match="exceeds the configured bound") as info:
+            call()
+        assert "digits>" in str(info.value) and len(str(info.value)) < 200
+
     @pytest.mark.parametrize("bad", [2.0, True, "3"], ids=repr)
     @pytest.mark.parametrize("name", sorted(_SIZED))
     def test_only_ints(self, name, bad):
