@@ -265,7 +265,7 @@ def farey_triangle(triple: FareyTriple, i: int, d) -> tuple[Word, tuple[UVec, UV
     d = _punctured_d(d)
     check_index(i, "cell")
     scale = abs(d) / 2
-    return (_farey_word(Word.from_runs(_farey_runs(triple.mid)).runs, i),
+    return (_farey_word(_farey_runs(triple.mid), i),
             tuple((scale * a, scale * b) for a, b in (triple.left, triple.mid, triple.right)))
 
 
@@ -286,7 +286,7 @@ def table_orbit_triangles(d, depth: int) -> dict[int, list[tuple[Word, tuple[UVe
     _check_depth(depth)
     table = {1: [], 2: [], 3: []}
     for t in farey_enumerate(depth - 1) if depth else []:
-        runs = Word.from_runs(_farey_runs(t.mid)).runs  # cut once per triple, shifted to each cell
+        runs = _farey_runs(t.mid)  # cut once per triple, shifted to each cell
         vertices = tuple((scale * a, scale * b) for a, b in (t.left, t.mid, t.right))
         for i, row in table.items():
             row.append((_farey_word(runs, i), vertices))

@@ -23,6 +23,7 @@ from json.encoder import encode_basestring_ascii as _json_string  # the C encode
 from .errors import DomainError, ResourceError, UsageError
 
 SCHEMA_VERSION = 1
+_RECORD = "\n    "  # the indent of a JSON listing's records: the payload's arrays, two deep
 
 # Most decimal digits a numerator or denominator of an `orbit` point may have.
 # Along a hyperbolic word the digits grow about linearly with its length, and
@@ -119,7 +120,7 @@ def _json_text(value, indent: str) -> str:
     """The text json.dumps(value, indent=2, sort_keys=True) prints for a value
     nested at ``indent`` (a newline and the spaces before it): str leaves through
     the json module's C encoder, int leaves through int.__repr__, dict keys
-    (str) sorted, and tuples as arrays."""
+    (str) sorted, and tuples as arrays; listing records print from `_json_template`."""
     if isinstance(value, str):
         return _json_string(value)
     if isinstance(value, (list, tuple, dict)):
@@ -143,17 +144,26 @@ def _json_text(value, indent: str) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+@functools.cache
+def _json_template(**record) -> str:
+    """The %-template of a listing record, slots in sorted-key order: `_json_text` of a
+    placeholder (arrays as tuples) at the records' indent.  A None leaf is one bare slot; a
+    str leaf's "%s" slots take texts as they are, so only texts the library made of digits,
+    "-", "/", "s" and spaces (coordinates and words).  Made once per shape."""
+    return _json_text(record, _RECORD).replace("null", "%s")
+
+
 def _json_chunks(payload: dict) -> Iterator[str]:
     """json.dumps(payload, indent=2, sort_keys=True) + "\\n" in chunks, one per key.
-    A value that is an iterator prints as an array, one chunk per item, so a
-    listing made lazily is never held whole."""
+    A value that is an iterator is a listing of finished record texts (`_json_template`),
+    printed as an array one chunk per record, so a lazy listing is never held whole."""
     sep = "{"
     for key, value in sorted(payload.items()):
         yield f"{sep}\n  {_json_string(key)}: "
         if isinstance(value, Iterator):
             start = "["
-            for item in value:
-                yield f"{start}\n    " + _json_text(item, "\n    ")
+            for record in value:
+                yield start + _RECORD + record
                 start = ","
             yield "[]" if start == "[" else "\n  ]"
         else:
@@ -199,8 +209,11 @@ def _cmd_skeleton_sample(args) -> dict | Iterator[str]:
     if (limit := sys.get_int_max_str_digits()) and den * max(top, 1) >= 10**limit:
         rows = list(rows)
     if args.format == "json":
+        row = _json_template(cells=(None,), point=("%s",) * 3, v1="%s", v2="%s")
+        # A row's 1-3 cell names fill its bare slot, parted as _json_text parts array items.
+        sep = _json_text(["%s"] * 2, _RECORD + "  ").split('"%s"')[1]
         return {"params": str(params),
-                "rows": ({"v1": v1, "v2": v2, "point": x, "cells": cells}
+                "rows": (row % (sep.join(map(_json_string, cells)), *x, v1, v2)
                          for v1, v2, x, cells in rows)}
     return _csv_chunks("v1,v2,x1,x2,x3,cells", (f"{v1},{v2},{','.join(x)},{'|'.join(cells)}\n"
                                                 for v1, v2, x, cells in rows))
@@ -296,11 +309,8 @@ def _cmd_rays(args) -> Iterator[str]:
 
 
 def _cmd_farey(args) -> dict | None:
-    from math import gcd
-
     from .classifier import _punctured_d
-    from .dynamics import _runs_text
-    from .hyperbolic import _farey_line, _farey_runs, _triangles
+    from .hyperbolic import _farey_line, _farey_words, _triangles
     from .scalars import parse_rational
     from .svgout import farey_svg
 
@@ -309,24 +319,18 @@ def _cmd_farey(args) -> dict | None:
         _emit(farey_svg(d, args.depth), args.svg)
         return None
     line = _farey_line(args.depth)
-    num, den = (abs(_punctured_d(d)) / 2).as_integer_ratio()
-    # The vertex coordinate |d|/2 * a prints as num * a / g over den / g, with
-    # g = gcd(a, den), and the pair (1, 1) is in every line.  Print the largest
-    # numerator and den now, so one past the digit limit raises before anything
-    # is written.
-    f"{num * max(a // gcd(a, den) for a, _ in line)}/{den}"
-
-    def coordinate(a: int) -> str:
-        g = gcd(a, den)
-        return str(num * a // g) if g == den else f"{num * a // g}/{den // g}"
-
-    # The triples of farey_enumerate, in its order, made one at a time; words from the colour path.
+    half = abs(_punctured_d(d)) / 2
+    # The text of |d|/2 times each coordinate the line holds (the b are its a reversed),
+    # made once and now, so one past the digit limit raises before anything is written.
+    text = {a: str(half * a) for a in {a for a, _ in line}}
+    record = _json_template(triple=((None,) * 2,) * 3, vertices=(("%s",) * 2,) * 3, word="%s")
     shift = str.maketrans("123", "123"[args.cell - 1:] + "123"[:args.cell - 1])
-    entries = ({"triple": [list(left), list(mid), list(right)],
-                "word": _runs_text(_farey_runs(mid)).translate(shift),
-                "vertices": [[coordinate(a), coordinate(b)] for a, b in (left, mid, right)]}
-               for left, mid, right in _triangles(line, args.depth))
-    return {"d": str(d), "cell": args.cell, "triples": entries}
+    # The triples of farey_enumerate, in its order, one at a time, with refinement words.
+    records = (record % (l0, l1, m0, m1, r0, r1, text[l0], text[l1], text[m0], text[m1],
+                         text[r0], text[r1], word.translate(shift))
+               for ((l0, l1), (m0, m1), (r0, r1)), word in zip(_triangles(line, args.depth),
+                                                               _farey_words(line, args.depth)))
+    return {"d": str(d), "cell": args.cell, "triples": records}
 
 
 def _cmd_tessellation(args) -> None:
@@ -396,16 +400,17 @@ def _cmd_enumerate_zp(args) -> dict:
     from .arithmetic import zp_numerators
     from .scalars import _int_valuation, parse_rational
 
-    d = parse_rational(args.D)
-    triples, pk, K = zp_numerators(args.p, d)
-    powers = [args.p ** v for v in range(K)]  # p^K divides no n, so v_p(n) < K
-    points = []
-    for t in triples:
-        vs = [_int_valuation(n, args.p) for n in t]
-        # The coordinate n / p^K in lowest terms, its exponent v_p(n) - K.
-        points.append({"coords": [f"{n // powers[v]}/{pk // powers[v]}" for n, v in zip(t, vs)],
-                       "exponents": [v - K for v in vs]})
-    return {"p": args.p, "D": str(d), "points": points}
+    p, d = args.p, parse_rational(args.D)
+    triples, pk, K = zp_numerators(p, d)
+    powers = [p ** v for v in range(K)]  # p^K divides no n, so v_p(n) < K
+    point = _json_template(coords=("%s/%s",) * 3, exponents=(None,) * 3)
+
+    def record(n1: int, n2: int, n3: int) -> str:  # each n / p^K in lowest terms, v_p(n) - K
+        v1, v2, v3 = _int_valuation(n1, p), _int_valuation(n2, p), _int_valuation(n3, p)
+        a, b, c = powers[v1], powers[v2], powers[v3]
+        return point % (n1 // a, pk // a, n2 // b, pk // b, n3 // c, pk // c, v1 - K, v2 - K,
+                        v3 - K)
+    return {"p": p, "D": str(d), "points": (record(*t) for t in triples)}
 
 
 # -- parser wiring -----------------------------------------------------------------

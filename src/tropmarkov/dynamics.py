@@ -13,7 +13,7 @@ Euclidean step euc on the first quadrant.
 from __future__ import annotations
 
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 
 from .errors import DomainError, ResourceError, UsageError, bound_error
@@ -45,20 +45,22 @@ Run = tuple[int, int, int]
 STEP_BOUND = 2**20
 
 
-def _extend(runs: list[list[int]], a: int, b: int, t: int) -> None:
+def _extend(runs: list[list[int]], a: int, b: int, t: int, check: bool = True) -> None:
     """Append the t >= 1 letters a, b, a, ... (b read only if t > 1) to ``runs``, a word
     in applied order as maximal alternating runs [a, b, n], each the n letters a, b,
     a, ... in the order they act, cut greedily from the first letter applied.  A letter
     extends the last run when it repeats the letter two back, and a lone letter
     [g, 0, 1] takes any next letter.  If a extends the last run, all t letters do when
-    b is then two back; the rest open one run.  O(1), whatever t."""
-    check_index(a)
-    if t > 1:
-        check_index(b)
+    b is then two back; the rest open one run.  O(1), whatever t.  With ``check`` (off
+    for the library's own letters), a and b must be letters and the word stay reduced."""
     x, y, n = run = runs[-1] if runs else [0, 0, 0]  # no run: no letter to follow
     last, before = (x, y) if n % 2 else (y, x)
-    if a == last or t > 1 and b == a:
-        raise UsageError(f"word is not reduced: s{a} follows s{a}")
+    if check:
+        check_index(a)
+        if t > 1:
+            check_index(b)
+        if a == last or t > 1 and b == a:
+            raise UsageError(f"word is not reduced: s{a} follows s{a}")
     if n == 1 or a == before:
         if n == 1:
             run[1] = a
@@ -73,6 +75,14 @@ def _extend(runs: list[list[int]], a: int, b: int, t: int) -> None:
 def _display(runs: list[list[int]]) -> tuple[Run, ...]:
     """Applied-order runs as display-order runs: the last run first, each reversed."""
     return tuple((a, b, n) if n % 2 else (b, a, n) for a, b, n in reversed(runs))
+
+
+def _cut_runs(runs: Sequence[Run], check: bool = False) -> tuple[Run, ...]:
+    """The maximal runs of display-order runs (i, j, n): one `_extend` each, checked if asked."""
+    applied: list[list[int]] = []
+    for i, j, n in reversed(runs):
+        _extend(applied, i if n % 2 else j, j if n % 2 else i, n, check)
+    return _display(applied)
 
 
 @value_class
@@ -92,10 +102,7 @@ class Word:
     runs: tuple[Run, ...]
 
     def __init__(self, letters: Iterable[int] = ()):
-        runs: list[list[int]] = []
-        for g in reversed(tuple(letters)):
-            _extend(runs, g, 0, 1)
-        object.__setattr__(self, "runs", _display(runs))
+        object.__setattr__(self, "runs", _cut_runs([(g, 0, 1) for g in letters], check=True))
 
     @classmethod
     def _of_runs(cls, runs: tuple[Run, ...]) -> "Word":
@@ -108,13 +115,12 @@ class Word:
     def from_runs(cls, runs: Iterable[Run]) -> "Word":
         """The word of the display-order runs (i, j, n), each the n >= 1
         letters i, j, i, ...; the runs need not be maximal, and j of a lone
-        letter may be 0.  One step per run."""
-        applied: list[list[int]] = []
-        for i, j, n in reversed(tuple(runs)):
+        letter may be 0.  One step per run: each is checked, then `_cut_runs` with its checks."""
+        runs = tuple(runs)
+        for i, j, n in runs:
             if not (type(n) is int and n >= 1 and j != i and j in (0, 1, 2, 3)):
                 raise UsageError(f"run {(i, j, n)} is not n >= 1 alternating letters i, j")
-            _extend(applied, *((i, j) if n % 2 else (j, i)), n)
-        return cls._of_runs(_display(applied))
+        return cls._of_runs(_cut_runs(runs, check=True))
 
     @classmethod
     def reduce(cls, letters: Iterable[int]) -> "Word":
@@ -398,7 +404,7 @@ def greedy_path(params: Params, x: Point3, max_steps: int | None = None) -> Gree
         if step + max(t, 1) > STEP_BOUND:
             raise ResourceError(
                 f"greedy itinerary exceeds the configured bound of {STEP_BOUND} reflections")
-        _extend(runs, i, j, max(t, 1))
+        _extend(runs, i, j, max(t, 1), check=False)  # the greedy's own letters
         if t > 1:
             cur = _run_point(cur, i, j, t)
             values = _monomials(finite, cur)

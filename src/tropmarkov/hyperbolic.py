@@ -9,9 +9,10 @@ p/q in Q union {inf}; the three reflections act by
 The nets 0, inf, 1 (for r1, r2, r3 respectively) generate the full rational
 boundary under the group: the label of p/q is read off its continued fraction
 along the Stern-Brocot path (`_colour_runs`, one run per partial quotient at any
-height, which labels the Farey triangles too).  Each r_i has determinant
--1, so the orbit stays coprime with no gcd (`reflect_boundary`); `bpoint` works
-only at the API edges.  Each orbit level puts the mediant (p + r)/(q + s) in
+height, which labels the Farey triangles too; a whole Farey listing's word texts
+come by refinement instead, `_farey_words`, one letter per triangle).  Each r_i
+has determinant -1, so the orbit stays coprime with no gcd (`reflect_boundary`);
+`bpoint` works only at the API edges.  Each orbit level puts the mediant (p + r)/(q + s) in
 each gap p/q, r/s, so `_orbit_cycle` is mediant refinement of integer columns,
 and its half 0/1 .. 1/0 (`_orbit_half`) is the Farey line (`_farey_line`).  The
 skeleton orbit, of the fully degenerate skeleton's boundary-ray directions, is the
@@ -37,7 +38,7 @@ from itertools import chain, islice, repeat
 from operator import add, neg, sub
 
 from .errors import DomainError, UsageError, bound_error
-from .dynamics import Matrix2, Word, mat_mul, trop_vieta
+from .dynamics import Matrix2, Word, _cut_runs, mat_mul, trop_vieta
 from .scalars import INF, _quotients
 from .surface import Params, check_index, check_size
 
@@ -120,7 +121,7 @@ def reduce_to_nets(x: BPoint) -> tuple[Word, BPoint]:
     if p == 0 or q == 0:
         return Word(), (p, q)
     runs = _colour_runs(abs(p), q)
-    return Word.from_runs([(3, 0, 1), *runs] if p < 0 else runs), (p & 1, q & 1)
+    return Word._of_runs(_cut_runs([(3, 0, 1), *runs] if p < 0 else runs)), (p & 1, q & 1)
 
 
 def _colour_runs(p: int, q: int) -> list[list[int]]:
@@ -143,11 +144,11 @@ def _colour_runs(p: int, q: int) -> list[list[int]]:
     return runs
 
 
-def _farey_runs(mid: BPoint) -> list[list[int]]:
-    """The display-order runs, not maximal, of the cell-1 word of the Farey triangle with
-    this mediant (`classifier.farey_triangle`): s1, then the mediant's colour path with
-    the letters 1 and 3 exchanged; tests check it against the V-monoid factorisation."""
-    return [[1, 0, 1], *([4 - a, 4 - b, n] for a, b, n in _colour_runs(*mid))]
+def _farey_runs(mid: BPoint) -> tuple[tuple[int, int, int], ...]:
+    """The maximal display-order runs of the cell-1 word of the Farey triangle with this
+    mediant (`classifier.farey_triangle`): s1, then the mediant's colour path with the
+    letters 1 and 3 exchanged; tests check it against the V-monoid factorisation."""
+    return _cut_runs([[1, 0, 1], *([4 - a, 4 - b, n] for a, b, n in _colour_runs(*mid))])
 
 
 # -- partial orbits ----------------------------------------------------------------
@@ -224,6 +225,20 @@ def _triangles(line: Sequence, n: int) -> Iterator[tuple]:
     for k in range(n - 1, -1, -1):
         step = 2 << k  # the new points of this level sit halfway between
         yield from zip(line[::step], line[step >> 1::step], line[step::step])
+
+
+def _farey_words(line: Sequence[BPoint], n: int) -> Iterator[str]:
+    """The cell-1 word texts (`_farey_runs`) of the `_triangles` of a depth-n Farey line, by
+    refinement from the root's "s1": triangle j of a level extends triangle j >> 1 of the
+    level before by its new point's parity colour, (1, 1) -> s1, (1, 0) -> s2, (0, 1) -> s3."""
+    words = ["s1"]
+    for k in range(n - 1, -1, -1):
+        yield from words
+        pairs = zip(chain.from_iterable(zip(words, words)), line[1 << k::2 << k])
+        words = (f"{w} s{4 - 2 * (a & 1) - (b & 1)}" for w, (a, b) in pairs)
+        if k:  # a parent level is held; the deepest is made one text at a time
+            words = list(words)
+    yield from words
 
 
 CirclePointS = tuple[Fraction, Fraction, Fraction]

@@ -11,8 +11,7 @@ from itertools import islice
 
 from .surface import CellId, Params, _grid_lifts
 from .classifier import _punctured_d
-from .dynamics import _runs_text
-from .hyperbolic import _boundary_angles, _check_depth, _farey_line, _farey_runs, _triangles
+from .hyperbolic import _boundary_angles, _check_depth, _farey_line, _farey_words, _triangles
 
 _CELL_COLORS = {
     CellId.X1SQ: "#c6dbef",
@@ -69,9 +68,9 @@ def farey_svg(d, depth: int) -> Iterator[str]:
     scale = abs(_punctured_d(d)) / 2
     line = _farey_line(depth - 1) if depth else []
     triples = list(_triangles(line, depth - 1)) if depth else []
-    # One colour path per triple.  The cell-i word shifts each letter by i - 1 mod 3,
-    # so its text is the cell-1 text with the letters 1, 2, 3 shifted.
-    words = [_runs_text(_farey_runs(mid)) for _, mid, _ in triples]
+    # The cell-1 word texts by refinement.  The cell-i word shifts each letter by
+    # i - 1 mod 3, so its text is the cell-1 text with the letters 1, 2, 3 shifted.
+    words = list(_farey_words(line, depth - 1)) if depth else []
     panel = 260.0
     margin = 30.0
     # Vertex |d|/2 (a, b) is drawn at its exact ratio a * (|d|/2) / umax to the largest

@@ -41,7 +41,7 @@ from tropmarkov.classifier import (
     table_orbit_triangles,
 )
 from tropmarkov.dynamics import greedy_path
-from tropmarkov.hyperbolic import _farey_runs, reduce_to_nets
+from tropmarkov.hyperbolic import _colour_runs, _farey_runs, _orbit_cycle, reduce_to_nets
 from tropmarkov.svgout import farey_svg
 
 F = Fraction
@@ -319,6 +319,21 @@ class TestFarey:
             for i, shift in shifts.items():
                 assert _farey_word(runs, i).runs == tuple(
                     (shift[a], shift[b], n) for a, b, n in expected)
+
+    def test_unchecked_cut_matches_from_runs(self):
+        # reduce_to_nets, farey_triangle and table_orbit_triangles cut the runs the
+        # library made with no checks; Word.from_runs checks the same runs, then cuts.
+        for p, q in zip(*_orbit_cycle(12)):
+            runs = _colour_runs(abs(p), q) if p and q else []
+            expected = Word.from_runs([(3, 0, 1), *runs] if p < 0 else runs)
+            assert reduce_to_nets((p, q))[0].runs == expected.runs
+        table = table_orbit_triangles(F(-2), 13)
+        for k, t in enumerate(farey_enumerate(12)):
+            colour_path = [(4 - a, 4 - b, n) for a, b, n in _colour_runs(*t.mid)]
+            runs = Word.from_runs([(1, 0, 1), *colour_path]).runs
+            for i in (1, 2, 3):
+                expected = _farey_word(runs, i).runs
+                assert farey_triangle(t, i, F(-2))[0].runs == table[i][k][0].runs == expected
 
     def test_words_verified_by_dynamics(self):
         d = F(-2)

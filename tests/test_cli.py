@@ -19,8 +19,13 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import tropmarkov
 from tropmarkov import cli, surface
-from tropmarkov.arithmetic import LIFT_WORD_BOUND, ZP_BOX_BOUND
-from tropmarkov.classifier import HEIGHT_BOUND, exception_rays_punctured
+from tropmarkov.arithmetic import LIFT_WORD_BOUND, ZP_BOX_BOUND, enumerate_zp_points
+from tropmarkov.classifier import (
+    HEIGHT_BOUND,
+    exception_rays_punctured,
+    farey_enumerate,
+    farey_triangle,
+)
 from tropmarkov.cli import main
 from tropmarkov.dynamics import Word, apply_word
 from tropmarkov.hyperbolic import (
@@ -578,8 +583,10 @@ class TestJsonWriter:
     @example({})
     @example({"empty": [], "one": [0]})
     def test_chunks_with_lazy_arrays(self, payload):
+        # A lazy array is a listing: an iterator of its items' texts at the records' indent.
         assert "".join(cli._json_chunks(payload)) == oracle_json_text(payload)
-        lazy = {k: iter(v) if isinstance(v, list) else v for k, v in payload.items()}
+        lazy = {k: (cli._json_text(x, "\n    ") for x in v) if isinstance(v, list) else v
+                for k, v in payload.items()}
         assert "".join(cli._json_chunks(lazy)) == oracle_json_text(payload)
 
     @pytest.mark.parametrize("argv", [
@@ -596,14 +603,16 @@ class TestJsonWriter:
         ("enumerate-zp", "--p", "2", "--D", "1/4"),
     ])
     def test_every_json_command(self, capsys, monkeypatch, argv):
-        # The writer's payload, its lazy listings made lists, through json.dumps.
+        # The writer's payload, each record text of its lazy listings read back by
+        # json.loads, through json.dumps.
         payloads = []
         writer = cli._json_chunks
 
         def recorded(payload):
             lazy = {k: list(v) for k, v in payload.items() if isinstance(v, Iterator)}
-            payloads.append({**payload, **lazy})
-            assert list(lazy) == {"farey": ["triples"], "skeleton": ["rows"]}.get(argv[0], [])
+            payloads.append({**payload, **{k: [*map(json.loads, v)] for k, v in lazy.items()}})
+            assert list(lazy) == {"farey": ["triples"], "skeleton": ["rows"],
+                                  "enumerate-zp": ["points"]}.get(argv[0], [])
             return writer({**payload, **{k: iter(v) for k, v in lazy.items()}})
 
         monkeypatch.setattr(cli, "_json_chunks", recorded)
@@ -657,6 +666,60 @@ class TestListingDigests:
         code, out, err = run_cli(capsys, "enumerate-zp", "--p", str(p), "--D", D)
         assert (code, err, len(json.loads(out)["points"])) == (0, "", count)
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestListingPayloads:
+    """Each JSON listing, printed from one record template, against json.dumps of the
+    same payload built as plain dicts and lists from the library's public routes."""
+
+    @pytest.mark.parametrize("d", ["-2", "-3", "-1/2"])
+    @pytest.mark.parametrize("cell", [1, 2, 3])
+    def test_farey(self, capsys, d, cell):
+        # farey_enumerate(k) is the first 2^(k+1) - 1 triples of farey_enumerate(10).
+        records = []
+        for t in farey_enumerate(10):
+            word, vertices = farey_triangle(t, cell, parse_rational(d))
+            records.append({"triple": [list(t.left), list(t.mid), list(t.right)],
+                            "word": str(word), "vertices": [[str(u), str(v)] for u, v in vertices]})
+        for depth in range(11):
+            payload = {"schema_version": 1, "command": "farey", "d": str(parse_rational(d)),
+                       "cell": cell, "triples": records[:(2 << depth) - 1]}
+            assert run_cli(capsys, "farey", "--depth", str(depth), "--d", d,
+                           "--cell", str(cell)) == (0, oracle_json_text(payload), "")
+
+    def test_enumerate_zp(self, capsys):
+        cases = zp_cases(256)
+        sample = [*cases[::20], (2, Fraction(1, 4))]  # 1/4 has no points
+        assert len(cases) == 394 and not enumerate_zp_points(2, Fraction(1, 4))
+        for p, D in sample:
+            payload = {"schema_version": 1, "command": "enumerate-zp", "p": p, "D": str(D),
+                       "points": [{"coords": [*map(str, z.coords)], "exponents": list(z.exponents)}
+                                  for z in enumerate_zp_points(p, D)]}
+            assert run_cli(capsys, "enumerate-zp", "--p", str(p), "--D", str(D)) == (
+                0, oracle_json_text(payload), "")
+
+    @pytest.mark.parametrize("params, grid, span", [("1,-2,inf,3", 9, "4"), ("0,0,0,0", 5, "5/2")])
+    def test_skeleton_sample(self, capsys, params, grid, span):
+        p = Params.parse(params)
+        values = surface.plane_grid(grid, parse_rational(span))
+        rows = []
+        for v2 in values:
+            for v1 in values:
+                x = surface.lift_from_plane(p, 0, surface.plane_point(v1, v2))
+                rows.append({"v1": str(v1), "v2": str(v2), "point": [*map(str, x)],
+                             "cells": sorted(c.value for c in surface.cells_of(p, x))})
+        assert any(len(row["cells"]) > 1 for row in rows)
+        payload = {"schema_version": 1, "command": "skeleton-sample", "params": str(p),
+                   "rows": rows}
+        assert run_cli(capsys, "skeleton", "sample", "--params", params, "--grid", str(grid),
+                       "--range", span, "--format", "json") == (0, oracle_json_text(payload), "")
+
+    @pytest.mark.parametrize("argv", [("farey", "--depth", "17"),
+                                      ("farey", "--depth", "6", "--d", f"-{2 * 10**4299}")])
+    def test_checks_come_before_the_first_record(self, capsys, argv):
+        # |d|/2 = 10^4299 times the line's largest coordinate 13 is past the digit limit.
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "") and err.startswith("error: ")
 
 
 class TestFareyDigitLimit:

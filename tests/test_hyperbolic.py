@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tropmarkov.errors import DomainError, ResourceError, UsageError
-from tropmarkov.dynamics import Word
+from tropmarkov.dynamics import Word, _runs_text
 from tropmarkov.scalars import continued_fraction
 from tropmarkov import hyperbolic
 from tropmarkov.svgout import tessellation_svg
@@ -30,6 +30,9 @@ from tropmarkov.hyperbolic import (
     skeleton_direction_act,
     _boundary_lines,
     _circle_point,
+    _farey_line,
+    _farey_runs,
+    _farey_words,
     _orbit_cycle,
     _phi,
     _skeleton_plane,
@@ -653,6 +656,23 @@ class TestBoundaryKernel:
                 assert det in (1, -1)
                 assert x == bpoint(det * a + c, det * b + d)
                 assert colour(x) == net_index[oracle_reduce_to_nets(x)[1]]
+
+
+class TestFareyWords:
+    def test_refinement_matches_the_colour_path(self):
+        # Every triple through depth 12, the cell-1 text shifted to each cell as the
+        # listings shift it, against the text of the mediant's colour-path runs shifted.
+        for n in range(13):
+            line = _farey_line(n)
+            words = list(_farey_words(line, n))
+            mids = [mid for _, mid, _ in _triangles(line, n)]
+            assert len(words) == len(mids) == (2 << n) - 1
+            for cell in (1, 2, 3):
+                table = str.maketrans("123", "123"[cell - 1:] + "123"[:cell - 1])
+                shift = {0: 0, **{g: (g + cell - 2) % 3 + 1 for g in (1, 2, 3)}}
+                assert [w.translate(table) for w in words] == [
+                    _runs_text([(shift[a], shift[b], k) for a, b, k in _farey_runs(mid)])
+                    for mid in mids]
 
 
 class TestConjugacy:
