@@ -80,14 +80,6 @@ class SurfacePointL:
         if lhs != rhs:
             raise DomainError("coordinates do not satisfy the surface equation")
 
-    @classmethod
-    def _unchecked(cls, *values: LaurentPoly) -> "SurfacePointL":
-        """A point known to be on the surface, built without the identity check."""
-        point = object.__new__(cls)
-        for name, value in zip(cls.__slots__, values, strict=True):
-            object.__setattr__(point, name, value)
-        return point
-
     def coordinates(self) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly]:
         return (self.X1, self.X2, self.X3)
 

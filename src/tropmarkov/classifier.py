@@ -272,7 +272,7 @@ def farey_triangle(triple: FareyTriple, i: int, d) -> tuple[Word, tuple[UVec, UV
 def _farey_word(runs: tuple[Run, ...], i: int) -> Word:
     """The cell-i word of `farey_triangle` from the maximal runs of its cell-1 word:
     every letter shifted by i - 1 mod 3, which keeps the runs maximal."""
-    return Word._of_runs(tuple((_mod3(a + i - 1), b and _mod3(b + i - 1), n) for a, b, n in runs))
+    return Word._unchecked(tuple((_mod3(a + i - 1), b and _mod3(b + i - 1), n) for a, b, n in runs))
 
 
 def table_orbit_triangles(d, depth: int) -> dict[int, list[tuple[Word, tuple[UVec, UVec, UVec]]]]:

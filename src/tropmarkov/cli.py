@@ -310,7 +310,7 @@ def _cmd_rays(args) -> Iterator[str]:
 
 def _cmd_farey(args) -> dict | None:
     from .classifier import _punctured_d
-    from .hyperbolic import _farey_line, _farey_words, _triangles
+    from .hyperbolic import _farey_listing
     from .scalars import parse_rational
     from .svgout import farey_svg
 
@@ -318,18 +318,16 @@ def _cmd_farey(args) -> dict | None:
     if args.svg:
         _emit(farey_svg(d, args.depth), args.svg)
         return None
-    line = _farey_line(args.depth)
+    column, listing = _farey_listing(args.depth, args.cell)
     half = abs(_punctured_d(d)) / 2
-    # The text of |d|/2 times each coordinate the line holds (the b are its a reversed),
-    # made once and now, so one past the digit limit raises before anything is written.
-    text = {a: str(half * a) for a in {a for a, _ in line}}
+    # The text of |d|/2 times each coordinate the line holds (its numerators, reversed the
+    # denominators), made once and now, so one past the digit limit raises before output.
+    text = {a: str(half * a) for a in set(column)}
     record = _json_template(triple=((None,) * 2,) * 3, vertices=(("%s",) * 2,) * 3, word="%s")
-    shift = str.maketrans("123", "123"[args.cell - 1:] + "123"[:args.cell - 1])
-    # The triples of farey_enumerate, in its order, one at a time, with refinement words.
+    # The triples of farey_enumerate, in its order, one at a time, with their words.
     records = (record % (l0, l1, m0, m1, r0, r1, text[l0], text[l1], text[m0], text[m1],
-                         text[r0], text[r1], word.translate(shift))
-               for ((l0, l1), (m0, m1), (r0, r1)), word in zip(_triangles(line, args.depth),
-                                                               _farey_words(line, args.depth)))
+                         text[r0], text[r1], word)
+               for (l0, m0, r0), (l1, m1, r1), word in listing)
     return {"d": str(d), "cell": args.cell, "triples": records}
 
 

@@ -105,13 +105,6 @@ class Word:
         object.__setattr__(self, "runs", _cut_runs([(g, 0, 1) for g in letters], check=True))
 
     @classmethod
-    def _of_runs(cls, runs: tuple[Run, ...]) -> "Word":
-        """A Word on runs already maximal and in display order, unchecked."""
-        word = object.__new__(cls)
-        object.__setattr__(word, "runs", runs)
-        return word
-
-    @classmethod
     def from_runs(cls, runs: Iterable[Run]) -> "Word":
         """The word of the display-order runs (i, j, n), each the n >= 1
         letters i, j, i, ...; the runs need not be maximal, and j of a lone
@@ -120,7 +113,7 @@ class Word:
         for i, j, n in runs:
             if not (type(n) is int and n >= 1 and j != i and j in (0, 1, 2, 3)):
                 raise UsageError(f"run {(i, j, n)} is not n >= 1 alternating letters i, j")
-        return cls._of_runs(_cut_runs(runs, check=True))
+        return cls._unchecked(_cut_runs(runs, check=True))
 
     @classmethod
     def reduce(cls, letters: Iterable[int]) -> "Word":
@@ -392,13 +385,13 @@ def greedy_path(params: Params, x: Point3, max_steps: int | None = None) -> Gree
         # count as ray terminals.  The ray R_i lies on the cells X_{i+1}^2 and X_{i-1}^2.
         if len(slots) > 1 and slots[1] < 3:
             ray = next(i for i in (1, 2, 3) if i % 3 in slots and (i + 1) % 3 in slots)
-            return GreedyTrace(x, Word._of_runs(_display(runs)), cur, "ray", None, ray, step)
+            return GreedyTrace(x, Word._unchecked(_display(runs)), cur, "ray", None, ray, step)
         if slots[-1] >= 3:
-            return GreedyTrace(x, Word._of_runs(_display(runs)), cur, "subquadratic",
+            return GreedyTrace(x, Word._unchecked(_display(runs)), cur, "subquadratic",
                                CELL_ORDER[next(k for k in slots if k >= 3)], None, step)
         i = slots[0] + 1
         if step == max_steps:
-            return GreedyTrace(x, Word._of_runs(_display(runs)), cur, "exhausted",
+            return GreedyTrace(x, Word._unchecked(_display(runs)), cur, "exhausted",
                                None, None, step)
         t = _run_length(coeffs, scale, cur, i, j, room - step) if j else 0
         if step + max(t, 1) > STEP_BOUND:

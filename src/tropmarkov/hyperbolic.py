@@ -9,15 +9,15 @@ p/q in Q union {inf}; the three reflections act by
 The nets 0, inf, 1 (for r1, r2, r3 respectively) generate the full rational
 boundary under the group: the label of p/q is read off its continued fraction
 along the Stern-Brocot path (`_colour_runs`, one run per partial quotient at any
-height, which labels the Farey triangles too; a whole Farey listing's word texts
-come by refinement instead, `_farey_words`, one letter per triangle).  Each r_i
-has determinant -1, so the orbit stays coprime with no gcd (`reflect_boundary`);
-`bpoint` works only at the API edges.  Each orbit level puts the mediant (p + r)/(q + s) in
-each gap p/q, r/s, so `_orbit_cycle` is mediant refinement of integer columns,
-and its half 0/1 .. 1/0 (`_orbit_half`) is the Farey line (`_farey_line`).  The
-skeleton orbit, of the fully degenerate skeleton's boundary-ray directions, is the
-image of the boundary orbit under `_phi`; `partial_orbit_skeleton` and
-`skeleton_direction_act` alone return Fractions.
+height, which labels the Farey triangles too; a whole Farey listing, `_farey_listing`,
+makes its word texts by refinement instead, one letter per triangle, each already in
+the cell asked).  Each r_i has determinant -1, so the orbit stays coprime with no gcd
+(`reflect_boundary`); `bpoint` works only at the API edges.  Each orbit level puts the
+mediant (p + r)/(q + s) in each gap p/q, r/s, so `_orbit_cycle` is mediant refinement
+of integer columns, and its half 0/1 .. 1/0 (`_orbit_half`) is the Farey line
+(`_farey_line`).  The skeleton orbit, of the fully degenerate skeleton's boundary-ray
+directions, is the image of the boundary orbit under `_phi`; `partial_orbit_skeleton`
+and `skeleton_direction_act` alone return Fractions.
 
 Two symmetries of the group fix the depth-n listings.  On the boundary circle,
 r3 carries the even interior points of the half 0/1 .. 1/0 of the cycle (its
@@ -121,7 +121,7 @@ def reduce_to_nets(x: BPoint) -> tuple[Word, BPoint]:
     if p == 0 or q == 0:
         return Word(), (p, q)
     runs = _colour_runs(abs(p), q)
-    return Word._of_runs(_cut_runs([(3, 0, 1), *runs] if p < 0 else runs)), (p & 1, q & 1)
+    return Word._unchecked(_cut_runs([(3, 0, 1), *runs] if p < 0 else runs)), (p & 1, q & 1)
 
 
 def _colour_runs(p: int, q: int) -> list[list[int]]:
@@ -227,18 +227,28 @@ def _triangles(line: Sequence, n: int) -> Iterator[tuple]:
         yield from zip(line[::step], line[step >> 1::step], line[step::step])
 
 
-def _farey_words(line: Sequence[BPoint], n: int) -> Iterator[str]:
-    """The cell-1 word texts (`_farey_runs`) of the `_triangles` of a depth-n Farey line, by
-    refinement from the root's "s1": triangle j of a level extends triangle j >> 1 of the
-    level before by its new point's parity colour, (1, 1) -> s1, (1, 0) -> s2, (0, 1) -> s3."""
-    words = ["s1"]
-    for k in range(n - 1, -1, -1):
+def _farey_listing(n: int, cell: int) -> tuple[list[int], Iterator[tuple[tuple, tuple, str]]]:
+    """The numerator column `_orbit_half(n)` of the depth-n Farey line (the denominators
+    are it reversed), and its `_triangles` one at a time: numerators, denominators and the
+    text of the cell-``cell`` word (`_farey_runs`, each letter g shifted to (g + cell - 2)
+    % 3 + 1).  Triangle j of a level extends the text of triangle j >> 1 of the level
+    before by one letter, from its new point's parity colour c = 2 (p & 1) + (q & 1):
+    s(4 - c) in cell 1.  The depth is checked first."""
+    p = _orbit_half(n)
+    q = p[::-1]
+    letter = [None, *(f" s{(cell - c + 2) % 3 + 1}" for c in (1, 2, 3))]  # by colour c
+
+    def texts() -> Iterator[str]:
+        words = [f"s{cell}"]
+        for k in range(n - 1, -1, -1):
+            yield from words
+            pairs = zip(chain.from_iterable(zip(words, words)), p[1 << k::2 << k],
+                        q[1 << k::2 << k])
+            words = (w + letter[2 * (a & 1) + (b & 1)] for w, a, b in pairs)
+            if k:  # a parent level is held; the deepest is made one text at a time
+                words = list(words)
         yield from words
-        pairs = zip(chain.from_iterable(zip(words, words)), line[1 << k::2 << k])
-        words = (f"{w} s{4 - 2 * (a & 1) - (b & 1)}" for w, (a, b) in pairs)
-        if k:  # a parent level is held; the deepest is made one text at a time
-            words = list(words)
-    yield from words
+    return p, zip(_triangles(p, n), _triangles(q, n), texts())
 
 
 CirclePointS = tuple[Fraction, Fraction, Fraction]

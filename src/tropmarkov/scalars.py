@@ -27,7 +27,9 @@ def value_class(cls):
     """Rebuild ``cls`` as a frozen, slotted value class over its annotated fields,
     as ``@dataclass(frozen=True, slots=True)`` would: defaults, ``__post_init__``
     (a class with its own ``__init__`` keeps it), ``FrozenInstanceError``, copying
-    and pickling included.  Its methods are closures: no source is generated."""
+    and pickling included.  Its methods are closures: no source is generated.
+    ``cls._unchecked(*fields)`` builds a value the library knows is valid from
+    every field in order, as unpickling does: no ``__init__``, no ``__post_init__``."""
     names = tuple(cls.__annotations__)
     body = {k: v for k, v in cls.__dict__.items() if k not in ("__dict__", "__weakref__")}
     defaults = {name: body.pop(name) for name in names if name in body}
@@ -63,13 +65,22 @@ def value_class(cls):
         return f"{self.__class__.__qualname__}({fields})"
 
     def __setstate__(self, state):
-        for set_field, value in zip(setters, state, strict=True):
-            set_field(self, value)
+        if len(state) != count:
+            raise TypeError(f"{cls.__qualname__} has {count} fields, got {len(state)} values")
+        i = 0  # a counter, as in __init__: zip(strict=True) costs twice the loop
+        for value in state:
+            setters[i](self, value)
+            i += 1
+
+    def _unchecked(cls, *fields):
+        self = object.__new__(cls)
+        __setstate__(self, fields)
+        return self
 
     body.setdefault("__init__", __init__)
     body.update(__slots__=names, __match_args__=names, __eq__=__eq__, __repr__=__repr__,
                 __hash__=lambda self: hash(values(self)), __setstate__=__setstate__,
-                __getstate__=lambda self: list(values(self)),
+                __getstate__=lambda self: list(values(self)), _unchecked=classmethod(_unchecked),
                 __setattr__=lambda self, name, value: _frozen("assign to", name),
                 __delattr__=lambda self, name: _frozen("delete", name))
     new = type(cls)(cls.__name__, cls.__bases__, body)
@@ -235,7 +246,7 @@ def parse_rational(text: str) -> Fraction:
     Either message shows a long token cut short.
     """
     token = text.strip()
-    limit = _int_str_limit()  # 0: no limit
+    limit = sys.get_int_max_str_digits()  # 0: no limit
     try:
         # Only a token longer than the limit or one with an exponent can pass it.
         if limit and (len(token) > limit or "e" in token.lower()):
@@ -247,10 +258,6 @@ def parse_rational(text: str) -> Fraction:
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"not a rational number: {_cut(text)}") from exc
 
-
-# The interpreter's limit on digits of an int converted to or from a string;
-# CPython before 3.10.7 has none.
-_int_str_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 # A decimal exponent, whose power of ten Fraction would build in full.
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)$")
@@ -328,7 +335,8 @@ class CF:
 
 
 def continued_fraction(m: RationalLike | ExtRat) -> CF:
-    """Canonical continued fraction of a finite nonnegative rational."""
+    """Canonical continued fraction of a finite nonnegative rational: Euclid's
+    quotients, canonical as they come, so the CF is built unchecked."""
     if isinstance(m, ExtRat):
         if m.is_infinite:
             raise DomainError("continued fraction of infinity is not defined")
@@ -336,7 +344,7 @@ def continued_fraction(m: RationalLike | ExtRat) -> CF:
     m = Fraction(m)
     if m < 0:
         raise DomainError("continued fraction requires a nonnegative input")
-    return CF(tuple(_quotients(m.numerator, m.denominator)))
+    return CF._unchecked(tuple(_quotients(m.numerator, m.denominator)))
 
 
 def _quotients(p: int, q: int) -> list[int]:

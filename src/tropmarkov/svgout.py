@@ -11,7 +11,7 @@ from itertools import islice
 
 from .surface import CellId, Params, _grid_lifts
 from .classifier import _punctured_d
-from .hyperbolic import _boundary_angles, _check_depth, _farey_line, _farey_words, _triangles
+from .hyperbolic import _boundary_angles, _check_depth, _farey_listing, _orbit_half, _triangles
 
 _CELL_COLORS = {
     CellId.X1SQ: "#c6dbef",
@@ -66,16 +66,12 @@ def farey_svg(d, depth: int) -> Iterator[str]:
     the D cell: the triples of `farey_enumerate(depth - 1)` in its order."""
     _check_depth(depth)  # before d, as the farey listing checks them
     scale = abs(_punctured_d(d)) / 2
-    line = _farey_line(depth - 1) if depth else []
-    triples = list(_triangles(line, depth - 1)) if depth else []
-    # The cell-1 word texts by refinement.  The cell-i word shifts each letter by
-    # i - 1 mod 3, so its text is the cell-1 text with the letters 1, 2, 3 shifted.
-    words = list(_farey_words(line, depth - 1)) if depth else []
     panel = 260.0
     margin = 30.0
     # Vertex |d|/2 (a, b) is drawn at its exact ratio a * (|d|/2) / umax to the largest
-    # coordinate umax, one correctly rounded int division, so any d scales.
-    amax = max(map(max, line), default=1)  # every pair of the line is in a triple
+    # coordinate umax, one correctly rounded int division, so any d scales.  Every
+    # numerator of the line is in a triple, and its denominators are them reversed.
+    amax = max(_orbit_half(depth - 1)) if depth else 1
     num, den = (scale / max(scale * amax, Fraction(1, 10**9))).as_integer_ratio()
     inner = panel - 2 * margin
     oy = panel - margin
@@ -89,14 +85,14 @@ def farey_svg(d, depth: int) -> Iterator[str]:
             yield (f'<line x1="{_fmt(ox)}" y1="{_fmt(oy)}" x2="{_fmt(ox)}" '
                    f'y2="{_fmt(margin)}" stroke="#000000" stroke-width="1"/>')
             yield f'<text x="{_fmt(ox)}" y="{_fmt(margin - 8)}" font-size="12">cell {cell}</text>'
-            shift = str.maketrans("123", "123"[cell - 1:] + "123"[:cell - 1])
-            for vertices, word in zip(triples, words):
+            listing = _farey_listing(depth - 1, cell)[1] if depth else ()
+            for numerators, denominators, word in listing:
                 pts = " ".join(
                     f"{_fmt(ox + a * num / den * inner)},{_fmt(oy - b * num / den * inner)}"
-                    for a, b in vertices
+                    for a, b in zip(numerators, denominators)
                 )
                 yield (f'<polygon points="{pts}" fill="none" stroke="#08519c" '
-                       f'stroke-width="1"><title>{word.translate(shift)}</title></polygon>')
+                       f'stroke-width="1"><title>{word}</title></polygon>')
     return _svg_chunks(3 * panel, panel, panels())
 
 

@@ -923,6 +923,20 @@ class TestDigitLimit:
         assert err.startswith("usage error: ") and len(err) < 200
         assert f"exceeds the limit of {sys.get_int_max_str_digits()} digits" in err
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_no_limit(self, capsys, fmt):
+        # A limit of 0 is none: `skeleton sample` skips its digit check and prints
+        # what it prints at the default limit.
+        argv = ("skeleton", "sample", "--params", "1,-2,inf,3", "--grid", "9", "--format", fmt)
+        expected = run_cli(capsys, *argv)
+        assert expected[0] == 0 and expected[1]
+        before = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(0)
+            assert run_cli(capsys, *argv) == expected
+        finally:
+            sys.set_int_max_str_digits(before)
+
 
 class TestDataCommands:
     def test_rays_csv(self, capsys):

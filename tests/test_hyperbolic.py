@@ -9,6 +9,7 @@ from functools import cmp_to_key
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from tropmarkov.classifier import _farey_word
 from tropmarkov.errors import DomainError, ResourceError, UsageError
 from tropmarkov.dynamics import Word, _runs_text
 from tropmarkov.scalars import continued_fraction
@@ -31,8 +32,8 @@ from tropmarkov.hyperbolic import (
     _boundary_lines,
     _circle_point,
     _farey_line,
+    _farey_listing,
     _farey_runs,
-    _farey_words,
     _orbit_cycle,
     _phi,
     _skeleton_plane,
@@ -660,19 +661,21 @@ class TestBoundaryKernel:
 
 class TestFareyWords:
     def test_refinement_matches_the_colour_path(self):
-        # Every triple through depth 12, the cell-1 text shifted to each cell as the
-        # listings shift it, against the text of the mediant's colour-path runs shifted.
+        # Every triangle through depth 12, in each cell: its numerators and denominators
+        # against the `_triangles` of the Farey line, and its refinement text against the
+        # text of the cell's word on the mediant's colour-path runs.
         for n in range(13):
             line = _farey_line(n)
-            words = list(_farey_words(line, n))
-            mids = [mid for _, mid, _ in _triangles(line, n)]
-            assert len(words) == len(mids) == (2 << n) - 1
+            triangles = list(_triangles(line, n))
+            assert len(triangles) == (2 << n) - 1
             for cell in (1, 2, 3):
-                table = str.maketrans("123", "123"[cell - 1:] + "123"[:cell - 1])
-                shift = {0: 0, **{g: (g + cell - 2) % 3 + 1 for g in (1, 2, 3)}}
-                assert [w.translate(table) for w in words] == [
-                    _runs_text([(shift[a], shift[b], k) for a, b, k in _farey_runs(mid)])
-                    for mid in mids]
+                column, listing = _farey_listing(n, cell)
+                assert column == [p for p, _ in line]
+                listing = list(listing)
+                assert [tuple(zip(p, q)) for p, q, _ in listing] == triangles
+                assert [text for _, _, text in listing] == [
+                    _runs_text(_farey_word(_farey_runs(mid), cell).runs)
+                    for _, mid, _ in triangles]
 
 
 class TestConjugacy:

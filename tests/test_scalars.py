@@ -383,15 +383,16 @@ class TestValueClass:
         cls = data.draw(st.sampled_from(list(VALUE_TWINS)))
         twin_cls = VALUE_TWINS[cls]
         pair = [data.draw(field_values(cls)) for _ in range(2)]
-        # Word keeps its own __init__ over letters; its runs go in unchecked.
-        make = Word._of_runs if cls is Word else cls
-        own = [outcome(lambda v=v: make(*v)) for v in pair]
-        if any(isinstance(o, type) for o in own):
+        twin = [outcome(lambda v=v: twin_cls(*v)) for v in pair]
+        if any(isinstance(t, type) for t in twin):
             return  # invalid values; test_construction_matches_dataclass covers them
-        twin = [twin_cls(*v) for v in pair]
-        for o, t in zip(own, twin):
+        # The unchecked constructor takes every field in order, skipping __init__
+        # (Word keeps its own, over letters) and __post_init__.
+        own = [cls._unchecked(*v) for v in pair]
+        for o, t, v in zip(own, twin, pair):
             same_value(o, t)
             assert (o == t) is False and (o != t) is True
+            assert cls is Word or o == cls(*v)
         assert (own[0] == own[1]) == (twin[0] == twin[1])
         assert (own[0] != own[1]) == (twin[0] != twin[1])
         assert cls.__match_args__ == twin_cls.__match_args__ == cls.__slots__
@@ -422,8 +423,12 @@ class TestValueClass:
     def test_post_init_validates_and_unchecked_paths_skip_it(self):
         with pytest.raises(UsageError):
             CF((1, 1))
+        assert CF._unchecked((1, 1)).terms == (1, 1)
         with pytest.raises(DomainError):
             FareyTriple((0, 1), (1, 2), (1, 0))
+        assert FareyTriple._unchecked((0, 1), (1, 2), (1, 0)).mid == (1, 2)
+        with pytest.raises(TypeError):
+            FareyTriple._unchecked((0, 1), (1, 1))  # every field, in order
         one = LaurentPoly.constant(1)
         with pytest.raises(DomainError):
             SurfacePointL(one, one, one, one, one, one, one + one)
@@ -431,7 +436,7 @@ class TestValueClass:
         assert point.coordinates() == (one, one, one) and point.D == one
         with pytest.raises(UsageError):
             Word((1, 1))
-        assert Word._of_runs(((1, 1, 2),)).runs == ((1, 1, 2),)
+        assert Word._unchecked(((1, 1, 2),)).runs == ((1, 1, 2),)
 
     def test_class_keeps_its_own_init_and_methods(self):
         assert Word([1, 2]).runs == ((1, 2, 2),)
