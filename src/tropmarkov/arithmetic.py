@@ -16,8 +16,8 @@ from fractions import Fraction
 
 from .errors import DomainError, ResourceError, UsageError, bound_error
 from .scalars import ExtRat, _int_valuation, is_prime, value_class
-from .surface import (CellId, Params, Point3, _finite_values, cell_has_interior, cells_of,
-                      check_index, on_skeleton)
+from .surface import (CellId, Params, Point3, _finite_values, as_point, cell_has_interior,
+                      cells_of, check_index, on_skeleton)
 from .dynamics import Matrix2, Word, mat_mul, trop_vieta
 
 TYPE_CHECKING = False
@@ -61,6 +61,47 @@ def fatou_witness(params: Params) -> Point3:
 # -- exact Vieta dynamics over Laurent polynomials ---------------------------------
 
 
+# Largest cost of one Laurent product of a surface identity or an exact Vieta step,
+# checked before the product: the product of the sizes of its two factors, a size
+# being the sum over the terms of 1024 plus the bits of the exponent and the
+# coefficient.  The step cost grows 2.5 to 3 times per letter; from t^-1, t^-1,
+# t^-1 the 12th letter costs about 2^35.  A product at the bound takes about a
+# second on a 2-core Xeon, whether its terms are many or its coefficients or
+# exponents long.
+LIFT_STEP_BOUND = 2**38
+
+
+def _lift_size(poly: LaurentPoly) -> int:
+    return sum(1024 + e.bit_length() + c.numerator.bit_length() + c.denominator.bit_length()
+               for e, c in poly.items())
+
+
+def _check_cost(P: LaurentPoly, Q: LaurentPoly, what: str) -> None:
+    if _lift_size(P) * _lift_size(Q) > LIFT_STEP_BOUND:
+        raise ResourceError(f"{what} exceeds the configured bound of {LIFT_STEP_BOUND} cost units")
+
+
+def _vieta(i: int, X: Sequence, linear: Sequence) -> list:
+    """The coordinates after s_i, in any ring with - and *: X_i becomes
+    linear_i - X_i - X_j X_k, the other root of the surface equation as a
+    quadratic in X_i, and the other two are unchanged."""
+    X = list(X)
+    X[i - 1] = linear[i - 1] - X[i - 1] - X[i % 3] * X[(i + 1) % 3]
+    return X
+
+
+def _surface_d(X: Sequence[LaurentPoly], linear: Sequence[LaurentPoly]) -> LaurentPoly:
+    """X1^2 + X2^2 + X3^2 + X1 X2 X3 - (A X1 + B X2 + C X3): the D of the surface
+    through X.  A product past LIFT_STEP_BOUND raises ResourceError before it is made."""
+    X1, X2, X3 = X
+    for P, Q in ((X1, X1), (X2, X2), (X3, X3), (X1, X2), *zip(linear, X)):
+        _check_cost(P, Q, "a product of the surface identity")
+    X12 = X1 * X2
+    _check_cost(X12, X3, "a product of the surface identity")
+    A, B, C = linear
+    return X1.square() + X2.square() + X3.square() + X12 * X3 - (A * X1 + B * X2 + C * X3)
+
+
 @value_class
 class SurfacePointL:
     """A Laurent-polynomial point (X1, X2, X3) on the surface with coefficients
@@ -75,9 +116,7 @@ class SurfacePointL:
     D: LaurentPoly
 
     def __post_init__(self):
-        lhs = self.X1.square() + self.X2.square() + self.X3.square() + self.X1 * self.X2 * self.X3
-        rhs = self.A * self.X1 + self.B * self.X2 + self.C * self.X3 + self.D
-        if lhs != rhs:
+        if _surface_d((self.X1, self.X2, self.X3), (self.A, self.B, self.C)) != self.D:
             raise DomainError("coordinates do not satisfy the surface equation")
 
     def coordinates(self) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly]:
@@ -95,27 +134,18 @@ class SurfacePointL:
 
 def surface_from_seed(X1: LaurentPoly, X2: LaurentPoly, X3: LaurentPoly,
                       A: LaurentPoly, B: LaurentPoly, C: LaurentPoly) -> SurfacePointL:
-    """Derive D so that the seed lies on the surface."""
-    D = (X1.square() + X2.square() + X3.square() + X1 * X2 * X3
-         - A * X1 - B * X2 - C * X3)
-    return SurfacePointL(X1, X2, X3, A, B, C, D)
+    """Derive D so that the seed lies on the surface, bounded as `_surface_d` is."""
+    return SurfacePointL._unchecked(X1, X2, X3, A, B, C, _surface_d((X1, X2, X3), (A, B, C)))
 
 
 def vieta_exact(i: int, point: SurfacePointL) -> SurfacePointL:
     """Exact Vieta involution: s1 replaces X1 by A - X1 - X2*X3, and cyclically.
 
-    The new X1 is the other root of the surface equation as a quadratic in
-    X1, so the image is on the surface by construction and is not rechecked.
+    The image is on the surface by construction and is not rechecked.
     """
     check_index(i)
-    X1, X2, X3 = point.X1, point.X2, point.X3
-    if i == 1:
-        X1 = point.A - X1 - X2 * X3
-    elif i == 2:
-        X2 = point.B - X2 - X1 * X3
-    else:
-        X3 = point.C - X3 - X1 * X2
-    return SurfacePointL._unchecked(X1, X2, X3, point.A, point.B, point.C, point.D)
+    linear = (point.A, point.B, point.C)
+    return SurfacePointL._unchecked(*_vieta(i, point.coordinates(), linear), *linear, point.D)
 
 
 @value_class
@@ -137,19 +167,6 @@ class LiftReport:
 # polynomials whose degree grows with the word, so the cost grows exponentially
 # with its length: from t^-1, t^-1, t^-1 about 2.4x per letter past 8 letters.
 LIFT_WORD_BOUND = 12
-
-# Largest cost of one exact Vieta step lift_consistency takes: the product of
-# the sizes of the two polynomials it multiplies, a size being the sum over
-# the terms of 1024 plus the bits of the exponent and the coefficient.  The
-# cost grows 2.5 to 3 times per letter.  From t^-1, t^-1, t^-1 the 12th letter
-# costs about 2^35; a step at the bound takes about a second on a 2-core Xeon,
-# whether its terms are many or its coefficients or exponents long.
-LIFT_STEP_BOUND = 2**38
-
-
-def _lift_size(poly: LaurentPoly) -> int:
-    return sum(1024 + e.bit_length() + c.numerator.bit_length() + c.denominator.bit_length()
-               for e, c in poly.items())
 
 
 def lift_consistency(point: SurfacePointL, word: Word) -> LiftReport:
@@ -175,11 +192,8 @@ def lift_consistency(point: SurfacePointL, word: Word) -> LiftReport:
     cur_trop: Point3 = x0
     ok = True
     for k, g in enumerate(reversed(letters), 1):
-        Xj, Xk = (X for i, X in enumerate((cur_exact.X1, cur_exact.X2, cur_exact.X3), 1)
-                  if i != g)
-        if _lift_size(Xj) * _lift_size(Xk) > LIFT_STEP_BOUND:
-            raise ResourceError(f"exact step {k} of {word.length} exceeds the configured "
-                                f"bound of {LIFT_STEP_BOUND} cost units")
+        X = cur_exact.coordinates()  # the factors of step g, as _vieta picks them
+        _check_cost(X[g % 3], X[(g + 1) % 3], f"exact step {k} of {word.length}")
         cur_exact = vieta_exact(g, cur_exact)
         cur_trop = trop_vieta(params, g, cur_trop)
         exact_vals = cur_exact.valuation_vector()
@@ -333,9 +347,4 @@ def _column_bound(pk: int, m: int, s1: int) -> int:
 def rational_vieta(i: int, x: tuple[Fraction, Fraction, Fraction], D) -> tuple:
     """Vieta involution on rational points of the surface with A = B = C = 0."""
     check_index(i)
-    x1, x2, x3 = (Fraction(c) for c in x)
-    if i == 1:
-        return (-x1 - x2 * x3, x2, x3)
-    if i == 2:
-        return (x1, -x2 - x1 * x3, x3)
-    return (x1, x2, -x3 - x1 * x2)
+    return tuple(_vieta(i, as_point(x), (0, 0, 0)))

@@ -169,19 +169,18 @@ def classify(params: Params, x: Point3) -> ClassifyReport:
 # -- punctured-torus specialisations ---------------------------------------------
 
 
-def _punctured_d(d) -> Fraction:
-    """The parameter d of (inf, inf, inf, d), which must be negative."""
+def _punctured_half(d) -> Fraction:
+    """|d|/2 for the parameter d of (inf, inf, inf, d), which must be negative."""
     d = Fraction(d)
     if d >= 0:
         raise DomainError("punctured-torus parameters require d < 0")
-    return d
+    return -d / 2
 
 
 def punctured_torus_in_U(d, x: Point3) -> bool:
     """For parameters (inf, inf, inf, d) with d < 0: x is in U iff the gcd of
     its difference coordinates is below |d|/2."""
-    d = _punctured_d(d)
-    return gamma_of(x) < abs(d) / 2
+    return gamma_of(x) < _punctured_half(d)
 
 
 # Largest height exception_rays_punctured accepts; it lists about 1.8 h^2
@@ -202,7 +201,7 @@ def exception_rays_punctured(d, height: int) -> list[Point3]:
 def _ray_patterns(d, height: int) -> tuple[Fraction, list[tuple[int, int, int]]]:
     """d/2 and the integer patterns of `exception_rays_punctured`, checked as it
     checks them, sorted so that their images ascend."""
-    d = _punctured_d(d)
+    half = _punctured_half(d)
     check_size(height, "height")
     if height < 0:
         raise UsageError(f"height must be nonnegative, got {height}")
@@ -211,7 +210,7 @@ def _ray_patterns(d, height: int) -> tuple[Fraction, list[tuple[int, int, int]]]
     # Sorting the integer patterns in reverse sorts their images, as d/2 < 0.
     seen = {pattern for p in range(height + 1) for q in range(height + 1) if gcd(p, q) == 1
             for pattern in ((q, p, p + q), (p + q, q, p), (p, p + q, q))}
-    return d / 2, sorted(seen, reverse=True)
+    return -half, sorted(seen, reverse=True)
 
 
 # -- Farey triples and orbit triangles --------------------------------------------
@@ -262,9 +261,8 @@ def farey_triangle(triple: FareyTriple, i: int, d) -> tuple[Word, tuple[UVec, UV
     partial quotient of the mediant, whatever its height (by a cusp too)."""
     from .hyperbolic import _farey_runs
 
-    d = _punctured_d(d)
+    scale = _punctured_half(d)
     check_index(i, "cell")
-    scale = abs(d) / 2
     return (_farey_word(_farey_runs(triple.mid), i),
             tuple((scale * a, scale * b) for a, b in (triple.left, triple.mid, triple.right)))
 
@@ -282,7 +280,7 @@ def table_orbit_triangles(d, depth: int) -> dict[int, list[tuple[Word, tuple[UVe
     the depth-(D - 1) triples.  A depth beyond DEPTH_BOUND raises ResourceError."""
     from .hyperbolic import _check_depth, _farey_runs
 
-    scale = abs(_punctured_d(d)) / 2
+    scale = _punctured_half(d)
     _check_depth(depth)
     table = {1: [], 2: [], 3: []}
     for t in farey_enumerate(depth - 1) if depth else []:

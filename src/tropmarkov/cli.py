@@ -309,7 +309,7 @@ def _cmd_rays(args) -> Iterator[str]:
 
 
 def _cmd_farey(args) -> dict | None:
-    from .classifier import _punctured_d
+    from .classifier import _punctured_half
     from .hyperbolic import _farey_listing
     from .scalars import parse_rational
     from .svgout import farey_svg
@@ -319,7 +319,7 @@ def _cmd_farey(args) -> dict | None:
         _emit(farey_svg(d, args.depth), args.svg)
         return None
     column, listing = _farey_listing(args.depth, args.cell)
-    half = abs(_punctured_d(d)) / 2
+    half = _punctured_half(d)
     # The text of |d|/2 times each coordinate the line holds (its numerators, reversed the
     # denominators), made once and now, so one past the digit limit raises before output.
     text = {a: str(half * a) for a in set(column)}
@@ -374,8 +374,8 @@ def _cmd_lift_check(args) -> dict:
     abc = [LaurentPoly.parse(part) for part in args.abc.split(",")]
     if len(abc) != 3:
         raise UsageError("--abc needs exactly 3 comma-separated Laurent polynomials")
+    word = Word.parse(args.word)  # a malformed word exits before the seed is built
     point = surface_from_seed(*seeds, *abc)
-    word = Word.parse(args.word)
     report = lift_consistency(point, word)
     return {
         "word": str(word),

@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import islice
 
 from .surface import CellId, Params, _grid_lifts
-from .classifier import _punctured_d
+from .classifier import _punctured_half
 from .hyperbolic import _boundary_angles, _check_depth, _farey_listing, _orbit_half, _triangles
 
 _CELL_COLORS = {
@@ -65,7 +65,7 @@ def farey_svg(d, depth: int) -> Iterator[str]:
     """Three u-coordinate panels, one after another, with the orbit triangles of
     the D cell: the triples of `farey_enumerate(depth - 1)` in its order."""
     _check_depth(depth)  # before d, as the farey listing checks them
-    scale = abs(_punctured_d(d)) / 2
+    scale = _punctured_half(d)
     panel = 260.0
     margin = 30.0
     # Vertex |d|/2 (a, b) is drawn at its exact ratio a * (|d|/2) / umax to the largest

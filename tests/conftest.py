@@ -439,7 +439,7 @@ def oracle_greedy_path(params, x, max_steps=None) -> GreedyTrace:
         step += 1
 
 
-# -- the Laurent surface identity, rechecked where the library trusts it ---------
+# -- the surface identity and the rational involution, written out by hand -------
 
 
 def oracle_on_surface(point) -> bool:
@@ -447,6 +447,22 @@ def oracle_on_surface(point) -> bool:
     X1, X2, X3 = point.X1, point.X2, point.X3
     lhs = X1 * X1 + X2 * X2 + X3 * X3 + X1 * X2 * X3
     return lhs == point.A * X1 + point.B * X2 + point.C * X3 + point.D
+
+
+def oracle_rational_vieta(i: int, x) -> tuple:
+    """s_i on a rational point of S(0, 0, 0, D), one branch per index."""
+    x1, x2, x3 = (Fraction(c) for c in x)
+    if i == 1:
+        return (-x1 - x2 * x3, x2, x3)
+    if i == 2:
+        return (x1, -x2 - x1 * x3, x3)
+    return (x1, x2, -x3 - x1 * x2)
+
+
+def sparse_seed(n: int) -> list:
+    """X1 = t + t^2 + ... + t^n, and X2, X3 the same with every exponent times
+    (n + 1) and (n + 1)^2: the product X1 X2 X3 has n^3 distinct terms."""
+    return [" + ".join(f"t^{k * (n + 1) ** j}" for k in range(1, n + 1)) for j in range(3)]
 
 
 # -- orbit labels and circle order, as the seed built them ------------------------

@@ -1,12 +1,13 @@
 import math
 import random
+import time
 from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tropmarkov.errors import DomainError, ResourceError
+from tropmarkov.errors import DomainError, ResourceError, UsageError
 from tropmarkov.laurent import LaurentPoly
 from tropmarkov.sampling import random_params, random_word
 from tropmarkov.surface import CellId, Params, cell_has_interior, cells_of, on_skeleton
@@ -30,7 +31,7 @@ from tropmarkov.arithmetic import (
 )
 
 from conftest import (assert_same_outcome, oracle_fatou_witness, oracle_on_surface,
-                      params_on_walls, zp_cases)
+                      oracle_rational_vieta, params_on_walls, sparse_seed, zp_cases)
 
 F = Fraction
 ZERO = LaurentPoly.zero()
@@ -122,6 +123,22 @@ class TestExactVieta:
             point = vieta_exact(g, point)
             assert oracle_on_surface(point)
 
+    @given(st.tuples(*[st.fractions(min_value=-4, max_value=4, max_denominator=6)] * 3),
+           st.sampled_from((1, 2, 3)))
+    def test_one_formula_for_rational_and_laurent_points(self, x, i):
+        D = x[0] ** 2 + x[1] ** 2 + x[2] ** 2 + x[0] * x[1] * x[2]
+        y = rational_vieta(i, x, D)
+        assert y == oracle_rational_vieta(i, x)
+        assert rational_vieta(i, y, D) == x
+        constants = [LaurentPoly.constant(c) for c in x]
+        point = surface_from_seed(*constants, ZERO, ZERO, ZERO)
+        assert point.D == LaurentPoly.constant(D)
+        assert vieta_exact(i, point).coordinates() == tuple(map(LaurentPoly.constant, y))
+
+    def test_rational_vieta_needs_three_coordinates(self):
+        with pytest.raises(UsageError):
+            rational_vieta(1, (1, 2), F(1, 4))
+
     def test_surface_invariant_enforced(self):
         with pytest.raises(DomainError):
             SurfacePointL(
@@ -179,6 +196,16 @@ class TestLiftConsistency:
             lift_consistency(seed_point(seed, "t^-1", "t^-1"), word)
         shorter = Word(word.letters[LIFT_WORD_BOUND - last:])
         assert len(lift_consistency(seed_point(seed, "t^-1", "t^-1"), shorter).steps) == last
+
+    def test_seed_cost_bound(self):
+        # X1X2 * X3 of the 80-term sparse seed costs about 5.6e11 units, past
+        # LIFT_STEP_BOUND = 2^38; it is refused before it is made.  Made, it takes
+        # about 20 s.
+        seed = [LaurentPoly.parse(text) for text in sparse_seed(80)]
+        start = time.perf_counter()
+        with pytest.raises(ResourceError, match="surface identity exceeds the configured bound"):
+            surface_from_seed(*seed, ZERO, ZERO, ZERO)
+        assert time.perf_counter() - start < 5
 
     def test_step_cost_bound_admits_the_bound_word(self):
         word = Word.parse(" ".join(f"s{1 + k % 3}" for k in range(LIFT_WORD_BOUND)))

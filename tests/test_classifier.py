@@ -396,8 +396,9 @@ class TestTableOrbit:
         triples = farey_enumerate(5)
         expected = {i: [farey_triangle(t, i, d) for t in triples] for i in (1, 2, 3)}
         checked = []
-        check = classifier_module._punctured_d
-        monkeypatch.setattr(classifier_module, "_punctured_d", lambda d: checked.append(d) or check(d))
+        check = classifier_module._punctured_half
+        monkeypatch.setattr(classifier_module, "_punctured_half",
+                            lambda d: checked.append(d) or check(d))
         assert table_orbit_triangles(d, 6) == expected
         assert checked == [d]
 

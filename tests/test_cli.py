@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import time
 from collections.abc import Iterator
 from fractions import Fraction
 from pathlib import Path
@@ -51,6 +52,7 @@ from conftest import (
     oracle_tessellation_svg,
     oracle_trop_vieta,
     params_on_walls,
+    sparse_seed,
     zp_cases,
 )
 
@@ -567,6 +569,35 @@ _JSON_VALUES = st.recursive(
     lambda inner: st.one_of(st.lists(inner, max_size=4), st.tuples(inner, inner),
                             st.dictionaries(_JSON_STRINGS, inner, max_size=4)),
     max_leaves=12)
+
+
+class TestLiftCheckSeedBound:
+    """Each product of the seed's surface identity is checked against
+    LIFT_STEP_BOUND before it is made, and --word is parsed before the seed is
+    built: at the 80-term sparse seed the product X1X2 * X3 costs about 5.6e11
+    units, past 2^38, and building it took about 20 s."""
+
+    def test_past_the_bound(self, capsys):
+        seed = ",".join(sparse_seed(80))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "lift-check", "--seed", seed, "--word", "s1")
+        assert code == 2 and out == "" and "exceeds the configured bound" in err
+        code, out, err = run_cli(capsys, "lift-check", "--seed", seed, "--word", "ss1")
+        assert code == 3 and out == "" and "cannot parse generator" in err
+        assert time.perf_counter() - start < 5
+
+    def test_within_the_bound(self, capsys):
+        # The 60-term sparse seed (about 2.3e11 units) and the 100-term dense
+        # seed print the bytes they printed before the seed was bounded.
+        dense = ",".join([" + ".join(f"t^{k}" for k in range(1, 101))] * 3)
+        for seed, expected in (
+            (",".join(sparse_seed(60)),
+             "ce35663771ca545188bd1104a7a32d52eba8bb00b3fafc9efc2116d530fba5f1"),
+            (dense, "ff60708aac8ea863b9204205beb2e9b2de25299c9f934fba16fb5eaf135b38b3"),
+        ):
+            code, out, err = run_cli(capsys, "lift-check", "--seed", seed, "--word", "s1")
+            assert (code, err) == (0, "")
+            assert hashlib.sha256(out.encode()).hexdigest() == expected
 
 
 class TestJsonWriter:
