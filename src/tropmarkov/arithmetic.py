@@ -169,6 +169,11 @@ class LiftReport:
 LIFT_WORD_BOUND = 12
 
 
+def _check_lift_word(word: Word) -> None:
+    if word.length > LIFT_WORD_BOUND:
+        raise bound_error("word length", word.length, LIFT_WORD_BOUND)
+
+
 def lift_consistency(point: SurfacePointL, word: Word) -> LiftReport:
     """Compare t-adic valuations of the exact Vieta orbit against the
     tropicalized orbit, prefix by prefix.
@@ -178,8 +183,7 @@ def lift_consistency(point: SurfacePointL, word: Word) -> LiftReport:
     longer than LIFT_WORD_BOUND raises ResourceError before any step, and an
     exact step past LIFT_STEP_BOUND before that step.
     """
-    if word.length > LIFT_WORD_BOUND:
-        raise bound_error("word length", word.length, LIFT_WORD_BOUND)
+    _check_lift_word(word)
     params = point.params()
     vals = point.valuation_vector()
     if any(v.is_infinite for v in vals):
@@ -234,10 +238,10 @@ def matrix_divergence(signs: Sequence[int]) -> list[int]:
 # -- Z[1/p]-points on the compact component ------------------------------------------
 
 # Largest half-width of the integer box |n_i| <= nmax, nmax^2 < 3 m p^K, around
-# the ball that holds the points of enumerate_zp_points; its loop is quadratic in
-# nmax, over the pairs (n1, n2) with 0 < n1 < sqrt(m p^K) and a real n3.  256 admits
-# K = 14 at p = 2 (nmax 221, rows 0 < n1 <= 127).  Every p above ZP_BOX_BOUND^2 exceeds it:
-# D = m/p^K, K >= 1, makes the ball 3 m p^K at least 3p, so nmax >= sqrt(3p) - 1 > 256.
+# the ball that holds the points of enumerate_zp_points; its loop takes one integer
+# square root per pair (n1, n2) with 0 < n1 < sqrt(m p^K) and a real n3, O(nmax^2).
+# 256 admits K = 14 at p = 2 (nmax 221, rows 0 < n1 <= 127).  Every p above ZP_BOX_BOUND^2
+# exceeds it: D = m/p^K, K >= 1, makes the ball 3 m p^K >= 3p, so nmax >= sqrt(3p) - 1 > 256.
 ZP_BOX_BOUND = 256
 
 
@@ -283,10 +287,11 @@ def zp_numerators(p: int, D) -> tuple[list[tuple[int, int, int]], int, int]:
     the numerator of D: about 1/sqrt(3) of the box half-width nmax, and half
     the pairs (n1, n2), as (n1, n2, n3) -> (-n1, -n2, n3) keeps the identity,
     the ball and the rows: each point is found with its mirror.  For each pair
-    the identity is a quadratic in n3, solved exactly with an integer square
-    root; each row stops at `_column_bound`, the last n2 with real roots,
-    inside the ball.  So the cost is O(nmax^2).  A half-width beyond
-    ZP_BOX_BOUND, or any p above ZP_BOX_BOUND^2, raises ResourceError.
+    the identity is a quadratic in n3 whose discriminant, a2 n2^2 + c0, has its
+    coefficients fixed in the row (`_row_quadratic`); each row stops at its last
+    n2 with real roots, inside the ball, and solves for n3 only where that is a
+    square.  So the cost is O(nmax^2), one integer square root per pair.  A
+    half-width beyond ZP_BOX_BOUND, or any p above ZP_BOX_BOUND^2, raises ResourceError.
     """
     if p > ZP_BOX_BOUND ** 2:
         # Checked before is_prime, whose trial division is slow for huge p.
@@ -302,7 +307,6 @@ def zp_numerators(p: int, D) -> tuple[list[tuple[int, int, int]], int, int]:
         raise DomainError(f"{D} is not in Z[1/{p}]")
     if not 0 < D < Fraction(1, 3):
         raise DomainError(f"enumeration requires 0 < D < 1/3, got {D}")
-    rhs = D.numerator * pk * pk  # D p^(3K)
     ball = 3 * D.numerator * pk  # n1^2+n2^2+n3^2 < 3 D p^(2K)
     nmax = math.isqrt(ball)
     if nmax * nmax >= ball:
@@ -317,15 +321,14 @@ def zp_numerators(p: int, D) -> tuple[list[tuple[int, int, int]], int, int]:
     out = []
     for n1 in allowed[bisect_left(allowed, 1):bisect_right(allowed, r1)]:
         s1 = n1 * n1
-        r2 = _column_bound(pk, D.numerator, s1)
-        for n2 in allowed[bisect_left(allowed, -r2):bisect_right(allowed, r2)]:
-            s2 = s1 + n2 * n2
-            # pk n3^2 + b n3 + c = 0 with b = n1 n2 and c = pk s2 - rhs.
-            b = n1 * n2
-            disc = b * b - 4 * pk * (pk * s2 - rhs)
-            r = math.isqrt(disc)
+        a2, c0, r2 = _row_quadratic(pk, D.numerator, s1)
+        cols = allowed[bisect_left(allowed, -r2):bisect_right(allowed, r2)]
+        discs = [a2 * n2 * n2 + c0 for n2 in cols]
+        for n2, disc, r in zip(cols, discs, map(math.isqrt, discs)):
             if r * r != disc:
                 continue
+            # pk n3^2 + b n3 + pk s2 - D p^(3K) = 0 with b = n1 n2, s2 = s1 + n2^2.
+            b, s2 = n1 * n2, s1 + n2 * n2
             for num in {-b + r, -b - r}:
                 n3, rem = divmod(num, 2 * pk)
                 # pk | n3 covers n3 = 0.
@@ -336,12 +339,14 @@ def zp_numerators(p: int, D) -> tuple[list[tuple[int, int, int]], int, int]:
     return out, pk, K
 
 
-def _column_bound(pk: int, m: int, s1: int) -> int:
-    """The largest n2 >= 0 giving the quadratic in n3 of `zp_numerators` real
-    roots in the row s1 = n1^2 < m pk: its discriminant n2^2 (s1 - 4 pk^2) +
-    4 pk^2 (m pk - s1) falls as n2^2 grows, since s1 < m pk < pk^2 / 3."""
+def _row_quadratic(pk: int, m: int, s1: int) -> tuple[int, int, int]:
+    """The row s1 = n1^2 < m pk of `zp_numerators`: the discriminant of its
+    quadratic in n3, b^2 - 4 pk (pk (s1 + n2^2) - m pk^2) with b = n1 n2, is
+    a2 n2^2 + c0, a2 = s1 - 4 pk^2 < 0 < c0 = 4 pk^2 (m pk - s1) since s1 < m pk
+    < pk^2 / 3.  Returns a2, c0 and the last n2 >= 0 with real roots."""
     q = 4 * pk * pk
-    return math.isqrt(q * (m * pk - s1) // (q - s1))
+    a2, c0 = s1 - q, q * (m * pk - s1)
+    return a2, c0, math.isqrt(c0 // -a2)
 
 
 def rational_vieta(i: int, x: tuple[Fraction, Fraction, Fraction], D) -> tuple:

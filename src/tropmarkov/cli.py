@@ -364,7 +364,7 @@ def _cmd_fatou(args) -> dict:
 
 
 def _cmd_lift_check(args) -> dict:
-    from .arithmetic import lift_consistency, surface_from_seed
+    from .arithmetic import _check_lift_word, lift_consistency, surface_from_seed
     from .dynamics import Word
     from .laurent import LaurentPoly
 
@@ -374,7 +374,8 @@ def _cmd_lift_check(args) -> dict:
     abc = [LaurentPoly.parse(part) for part in args.abc.split(",")]
     if len(abc) != 3:
         raise UsageError("--abc needs exactly 3 comma-separated Laurent polynomials")
-    word = Word.parse(args.word)  # a malformed word exits before the seed is built
+    word = Word.parse(args.word)  # a malformed or long word exits before the seed is built
+    _check_lift_word(word)
     point = surface_from_seed(*seeds, *abc)
     report = lift_consistency(point, word)
     return {

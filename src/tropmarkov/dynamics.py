@@ -414,7 +414,7 @@ def u_slope(i: int, x: Point3) -> ExtRat:
     u1, u2 = u_coords(i, x)
     if u1 == 0:
         return ExtRat.infinity()
-    return ExtRat(u2 / u1)
+    return ExtRat(Fraction(u2, u1))  # exact for int coordinates too
 
 
 def gamma_of(x: Point3) -> Fraction:

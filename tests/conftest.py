@@ -5,6 +5,7 @@ functions they are used to check.
 """
 
 import csv
+import functools
 import io
 import json
 import math
@@ -529,13 +530,17 @@ def height(x) -> int:
 
 # The reflections that fix each net: all but r_i fix the net of r_i.
 _NET_STABILISERS = {(0, 1): (2, 3), (1, 0): (1, 3), (1, 1): (1, 2)}
+_INTERNED: dict = {}  # each distinct run and net once, shared by the memoised descents
 
 
+@functools.cache
 def oracle_descent(p: int, q: int):
-    """The display-order runs [a, b, n] of the label of the normalised pair (p, q), cut
+    """The display-order runs (a, b, n) of the label of the normalised pair (p, q), cut
     where moves meet (not maximal), and its net, by strict height descent with each run
     of one move jumped, as the library took it before the colour path.  Near z = +-1 the
-    moves switch chart at every step, so it is linear in the height there."""
+    moves switch chart at every step, so it is linear in the height there.  Memoised for
+    the session, so the depth-16 Farey and cycle tests descend each pair once; the runs
+    and the net are tuples, since every caller shares them."""
     runs: list[list[int]] = []
     while q != 0 and (p, q) not in ((0, 1), (1, 1)):
         if (p, q) == (-1, 1):
@@ -558,7 +563,8 @@ def oracle_descent(p: int, q: int):
     stab = _NET_STABILISERS[p, q]
     while runs and _last_letter(runs) in stab:
         _drop_last(runs)  # the first letter applied to the net acts trivially
-    return runs, (p, q)
+    runs, net = list(map(tuple, runs)), (p, q)
+    return tuple(map(_INTERNED.setdefault, runs, runs)), _INTERNED.setdefault(net, net)
 
 
 def _last_letter(runs: list) -> int:

@@ -26,7 +26,7 @@ from tropmarkov.arithmetic import (
     surface_from_seed,
     v_partial_products,
     vieta_exact,
-    _column_bound,
+    _row_quadratic,
     zp_numerators,
 )
 
@@ -403,19 +403,25 @@ class TestZpEnumeration:
 
     def test_column_bound_is_exact(self):
         # In every row the discriminant in n3 is nonnegative at the bound and
-        # negative one past it, so no point on the edge of a row is dropped.
+        # negative one past it, so no point on the edge of a row is dropped.  At
+        # both it is the row's a2 n2^2 + c0, and the bound from a2 and c0 is the
+        # one each row was cut at before: isqrt(q (m pk - s1) // (q - s1)).
         seen = set()
         for p, D in zp_cases(128):
             m, pk = D.numerator, D.denominator
+            q = 4 * pk * pk
             r1 = math.isqrt(m * pk - 1)
             for n1 in range(-r1, r1 + 1):
                 s1 = n1 * n1
-                b = _column_bound(pk, m, s1)
+                a2, c0, b = _row_quadratic(pk, m, s1)
 
                 def disc(n2):
                     return (n1 * n2) ** 2 - 4 * pk * (pk * (s1 + n2 * n2) - m * pk * pk)
 
                 assert disc(b) >= 0 > disc(b + 1), (p, D, n1)
+                for n2 in (b, b + 1):
+                    assert a2 * n2 * n2 + c0 == disc(n2), (p, D, n1, n2)
+                assert b == math.isqrt(c0 // -a2) == math.isqrt(q * (m * pk - s1) // (q - s1))
             seen.add(p)
         assert seen == {2, 3, 5, 7}
 

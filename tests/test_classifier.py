@@ -145,6 +145,13 @@ class TestClassify:
         with pytest.raises(DomainError):
             classify(Params.parse("0,0,0,0"), pt(0, 0, 0))
 
+    def test_int_points_report_as_fraction_points(self):
+        # u_slope divides exactly, so int coordinates give the Fraction report:
+        # a quadratic point (slope 2/3), a ray point and a subquadratic point.
+        for params, x in ((PT, (-2, -3, -5)), (PT, (0, -1, -1)),
+                          (Params.parse("inf,inf,inf,-3"), (-1, -1, -1))):
+            assert classify(params, x) == classify(params, pt(*x))
+
     def test_relevant_ray_matches_greedy_terminal(self):
         from conftest import orbit_reaches_ray
 

@@ -586,6 +586,17 @@ class TestLiftCheckSeedBound:
         assert code == 3 and out == "" and "cannot parse generator" in err
         assert time.perf_counter() - start < 5
 
+    def test_long_word_exits_before_the_seed(self, capsys):
+        # The word length is checked once the word is parsed, so a 13-letter word
+        # exits with its own message even with a seed past LIFT_STEP_BOUND.
+        seed = ",".join(sparse_seed(80))
+        word = " ".join(f"s{k % 3 + 1}" for k in range(13))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "lift-check", "--seed", seed, "--word", word)
+        assert code == 2 and out == ""
+        assert "word length 13 exceeds the configured bound 12" in err
+        assert time.perf_counter() - start < 5
+
     def test_within_the_bound(self, capsys):
         # The 60-term sparse seed (about 2.3e11 units) and the 100-term dense
         # seed print the bytes they printed before the seed was bounded.
