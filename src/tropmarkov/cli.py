@@ -20,7 +20,7 @@ from collections.abc import Iterable, Iterator
 from itertools import islice
 from json.encoder import encode_basestring_ascii as _json_string  # the C encoder
 
-from .errors import DomainError, ResourceError, UsageError
+from .errors import DomainError, ResourceError, UsageError, bound_error
 
 SCHEMA_VERSION = 1
 _RECORD = "\n    "  # the indent of a JSON listing's records: the payload's arrays, two deep
@@ -29,6 +29,12 @@ _RECORD = "\n    "  # the indent of a JSON listing's records: the payload's arra
 # Along a hyperbolic word the digits grow about linearly with its length, and
 # every point is printed, so the output would grow quadratically.
 ORBIT_DIGIT_BOUND = 1000
+
+# Most bytes of value text one `rays`, `farey` (JSON) or `skeleton sample` listing may
+# print: its record count times the values per record that scale with the user's
+# rationals times the longest such value's text, checked before the first write.  The
+# counts and each value's digits have bounds, their product had none.
+LISTING_BYTE_BOUND = 1 << 27
 
 
 class _Formatter(argparse.HelpFormatter):
@@ -109,6 +115,14 @@ def _emit(chunks: Iterable[str], out_path: str | None):
         raise ResourceError(f"cannot write {out_path or 'stdout'}: {exc.strerror or exc}") from exc
 
 
+def _check_listing(records: int, values: int, width: int) -> None:
+    """Refuse a listing of ``records`` records, each with ``values`` value texts of at
+    most ``width`` characters, whose value text would pass LISTING_BYTE_BOUND bytes."""
+    size = records * values * width
+    if size > LISTING_BYTE_BOUND:
+        raise bound_error("listing value bytes", size, LISTING_BYTE_BOUND)
+
+
 def _to_devnull(stream) -> None:
     """Point a standard stream whose write failed at os.devnull, for the exit flush."""
     devnull = os.open(os.devnull, os.O_WRONLY)
@@ -187,7 +201,7 @@ def _csv_chunks(header: str, lines: Iterable[str]) -> Iterator[str]:
 
 
 def _cmd_skeleton_sample(args) -> dict | Iterator[str]:
-    from math import gcd
+    from math import ceil, gcd
 
     from .scalars import parse_rational
     from .surface import Params, _finite_values, _grid_lifts
@@ -203,10 +217,16 @@ def _cmd_skeleton_sample(args) -> dict | Iterator[str]:
 
     rows = ((texts[k % args.grid], texts[k // args.grid], [*map(coordinate, y)],
              sorted(c.value for c in cells)) for k, (y, cells) in enumerate(lifts))
-    # |coordinate| < 6|span| + the largest finite |parameter|: where that times den may
-    # pass the digit limit, make every row now, so an error comes before any output.
+    # |coordinate| < 6|span| + the largest finite |parameter|, so a coordinate prints at
+    # most a "-", the digits of den times that (`big`), a "/" and the digits of den,
+    # each at most 0.30103 times its bits, plus one.
     top = 6 * abs(span) + max([abs(e) for e in _finite_values(params) if e is not None] or [0])
-    if (limit := sys.get_int_max_str_digits()) and den * max(top, 1) >= 10**limit:
+    big = den * max(top, 1)
+    width = 4 + (ceil(big).bit_length() + den.bit_length()) * 30103 // 100000
+    _check_listing(args.grid ** 2, 5, max(width, *map(len, texts)))
+    # Where a coordinate may pass the digit limit, make every row now, so an error
+    # comes before any output.
+    if (limit := sys.get_int_max_str_digits()) and big >= 10**limit:
         rows = list(rows)
     if args.format == "json":
         row = _json_template(cells=(None,), point=("%s",) * 3, v1="%s", v2="%s")
@@ -305,6 +325,7 @@ def _cmd_rays(args) -> Iterator[str]:
     # Every coordinate from 0 to the largest (the first pattern's first) is printed:
     # each is formatted now, so one past the digit limit raises before any output.
     texts = [str(half * c) for c in range(patterns[0][0] + 1 if patterns else 0)]
+    _check_listing(len(patterns), 3, max(map(len, texts), default=0))
     return _csv_chunks("g1,g2,g3", (f"{texts[a]},{texts[b]},{texts[c]}\n" for a, b, c in patterns))
 
 
@@ -323,6 +344,7 @@ def _cmd_farey(args) -> dict | None:
     # The text of |d|/2 times each coordinate the line holds (its numerators, reversed the
     # denominators), made once and now, so one past the digit limit raises before output.
     text = {a: str(half * a) for a in set(column)}
+    _check_listing(len(column) - 2, 6, max(map(len, text.values())))  # 2^(depth+1) - 1 triples
     record = _json_template(triple=((None,) * 2,) * 3, vertices=(("%s",) * 2,) * 3, word="%s")
     # The triples of farey_enumerate, in its order, one at a time, with their words.
     records = (record % (l0, l1, m0, m1, r0, r1, text[l0], text[l1], text[m0], text[m1],

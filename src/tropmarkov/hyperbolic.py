@@ -24,9 +24,11 @@ r3 carries the even interior points of the half 0/1 .. 1/0 of the cycle (its
 depth n-1 points) onto the rest of it.  On the skeleton circle, the cyclic
 shift of coordinates (x1, x2, x3) -> (x3, x1, x2), which permutes the
 generators, carries each third of the orbit onto the next.  So the listings
-format one half, or one third, and print the rest from that text.  The arc
-tables read each level in cycle order: _phi reverses the orientation, so the
-skeleton angles negated ascend round the cycle, as the boundary angles do.
+format one half, or one third, and print the rest from that text, and the
+boundary arc table and angles take atan2 on the half alone (`_half_angles`):
+the r3 images' angles are their negations, and their arcs the half's, mirrored.
+The arc tables read each level in cycle order: _phi reverses the orientation,
+so the skeleton angles negated ascend round the cycle, as the boundary angles do.
 """
 
 from __future__ import annotations
@@ -211,10 +213,19 @@ def _boundary_lines(n: int) -> Iterator[str]:
     return chain(map("-".__add__, half[-3:1:-2]), half)
 
 
+def _half_angles(n: int) -> list[float]:
+    """atan2(p, q) of each point p/q of the half 0/1 .. 1/0 of the depth-n cycle, from
+    0 up to pi/2.  The depth is checked first."""
+    p = _orbit_half(n)
+    return [*map(math.atan2, p, reversed(p))]
+
+
 def _boundary_angles(n: int) -> list[float]:
     """The angle 2 atan2(p, q) of each point p/q of the depth-n cycle (`_orbit_cycle`),
-    that of its inverse stereographic image on the unit circle."""
-    return [2.0 * a for a in map(math.atan2, *_orbit_cycle(n))]
+    that of its inverse stereographic image on the unit circle: the half's, then for
+    the r3 images -p/q their negations, as atan2 is odd in its first argument."""
+    half = _half_angles(n)
+    return [2.0 * a for a in chain(half, map(neg, half[-3:1:-2]))]
 
 
 def _triangles(line: Sequence, n: int) -> Iterator[tuple]:
@@ -343,23 +354,39 @@ def _skeleton_plane(p: int, q: int) -> tuple[int, int, int]:
 
 def partition_table(n: int, side: str) -> list[tuple[int, float, float]]:
     """Rows (count, min, max) of the arc lengths between adjacent orbit points at
-    depths k = 0..n, from one depth-n cycle, each level read in cycle order: the
+    depths k = 0..n, from one depth-n build, each level read in cycle order: the
     boundary angles, and the skeleton ones negated, ascend round it save one step
-    down, the seam, whose arc is that step plus 2 pi.  On the boundary the seam is
-    the step on from 1/0, at angle pi; on the skeleton it is the least step."""
+    down, the seam, whose arc is that step plus 2 pi; on the skeleton it is the
+    least step.  On the boundary it is the step on from 1/0, and r3 gives the other
+    arcs from the half 0/1 .. 1/0 (`_half_angles`, atan2, so each row is doubled at
+    the end): the level-k half's, and the level-(k - 1) half's but its last,
+    mirrored, carried from the level before.  They are the whole cycle's, bit for
+    bit: atan2 is odd in its first argument, negation and doubling are exact."""
     if side == "boundary":
-        angles = _boundary_angles(n)
-    elif side == "skeleton":
-        angles = [-math.atan2(y / s, x / s) for x, y, s in map(_skeleton_plane, *_orbit_cycle(n))]
-    else:
+        half = _half_angles(n)
+        rows = []
+        before = (math.inf, -math.inf)  # least and largest arc but the last, of the half before
+        for k in range(n + 1):
+            level = half[::1 << (n - k)] if k < n else half  # the level-k half
+            arcs = list(map(sub, islice(level, 1, None), level))
+            last = arcs.pop()
+            least, most = min(arcs), max(arcs)
+            # The seam: 1/0 on to the r3 image of the point before it in the level
+            # before's half (0/1 at k = 0), plus 2 pi.
+            seam = 2.0 * (-half[-1 - (2 << (n - k))] - half[-1]) + 2.0 * math.pi
+            rows.append((3 << k, min(2.0 * min(least, last, before[0]), seam),
+                         max(2.0 * max(most, last, before[1]), seam)))
+            before = least, most
+        return rows
+    if side != "skeleton":
         raise UsageError(f"side must be 'boundary' or 'skeleton', got {side!r}")
+    angles = [-math.atan2(y / s, x / s) for x, y, s in map(_skeleton_plane, *_orbit_cycle(n))]
     rows = []
     for k in range(n + 1):
         level = angles[::1 << (n - k)] if k < n else angles  # the depth-k cycle
         gaps = list(map(sub, islice(level, 1, None), level))
         gaps.append(level[0] - level[-1])
-        seam = 2 << k if side == "boundary" else gaps.index(min(gaps))
-        gaps[seam] += 2.0 * math.pi
+        gaps[gaps.index(min(gaps))] += 2.0 * math.pi
         rows.append((3 << k, min(gaps), max(gaps)))
     return rows
 

@@ -38,6 +38,7 @@ from tropmarkov.hyperbolic import (
     SKELETON_NETS,
     _orbit_cycle,
     _skeleton_columns,
+    _skeleton_plane,
     bpoint,
     partial_orbit_boundary,
     partition_table,
@@ -764,6 +765,25 @@ def oracle_skeleton_cycle(n: int) -> list:
     upper = [q > 0 or (q == 0 and p > 0) for p, q in p_q]
     cut = bisect_left(upper, True, (2 << n) + 1)
     return cycle[cut:] + cycle[:cut]
+
+
+def oracle_partition_table(n: int, side: str) -> list:
+    """`partition_table` by the whole depth-n cycle: an angle for every cycle point
+    (2 atan2(p, q) on the boundary, the plane angle negated on the skeleton) and
+    every arc of every level, the one step down (on from 1/0 on the boundary, the
+    least on the skeleton) plus 2 pi."""
+    p, q = _orbit_cycle(n)
+    if side == "boundary":
+        angles = [2.0 * math.atan2(a, b) for a, b in zip(p, q)]
+    else:
+        angles = [-math.atan2(y / s, x / s) for x, y, s in map(_skeleton_plane, p, q)]
+    rows = []
+    for k in range(n + 1):
+        level = angles[::2**(n - k)]  # the depth-k cycle
+        gaps = [b - a for a, b in zip(level, level[1:])] + [level[0] - level[-1]]
+        gaps[2 * 2**k if side == "boundary" else gaps.index(min(gaps))] += 2.0 * math.pi
+        rows.append((3 * 2**k, min(gaps), max(gaps)))
+    return rows
 
 
 # -- the Farey tessellation by breadth-first search, as the library built it ------

@@ -10,7 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 from tropmarkov.errors import DomainError, ResourceError, UsageError
 from tropmarkov.laurent import LaurentPoly
 from tropmarkov.sampling import random_params, random_word
-from tropmarkov.surface import CellId, Params, cell_has_interior, cells_of, on_skeleton
+from tropmarkov.surface import (CellId, Params, cell_has_interior, cells_of,
+                                in_tropicalization, on_skeleton)
 from tropmarkov.dynamics import Word
 from tropmarkov.arithmetic import (
     LIFT_WORD_BOUND,
@@ -424,6 +425,23 @@ class TestZpEnumeration:
                 assert b == math.isqrt(c0 // -a2) == math.isqrt(q * (m * pk - s1) // (q - s1))
             seen.add(p)
         assert seen == {2, 3, 5, 7}
+
+    def test_valuations_on_the_tropical_surface(self):
+        # The paper's tropical picture of the Z[1/p]-points: each point's valuation
+        # vector lies on the tropicalization of the surface with parameters
+        # (inf, inf, inf, v_p(D)), v_p(D) = -K, and at most one coordinate is prime
+        # to p (over p^K, its numerator is not divisible by p: valuation -K).
+        found = 0
+        for p, D in zp_cases(128):
+            K = 0
+            while p**K < D.denominator:
+                K += 1
+            params = Params.make("inf", "inf", "inf", -K)
+            for z in enumerate_zp_points(p, D):
+                assert in_tropicalization(params, z.exponents), (p, D, z)
+                assert sum(e == -K for e in z.exponents) <= 1, (p, D, z)
+                found += 1
+        assert found > 0
 
     def test_benchmark_anchors(self):
         from conftest import oracle_zp_points_cubic

@@ -23,6 +23,7 @@ from tropmarkov import cli, surface
 from tropmarkov.arithmetic import LIFT_WORD_BOUND, ZP_BOX_BOUND, enumerate_zp_points
 from tropmarkov.classifier import (
     HEIGHT_BOUND,
+    _ray_patterns,
     exception_rays_punctured,
     farey_enumerate,
     farey_triangle,
@@ -31,6 +32,7 @@ from tropmarkov.cli import main
 from tropmarkov.dynamics import Word, apply_word
 from tropmarkov.hyperbolic import (
     DEPTH_BOUND,
+    _orbit_half,
     partial_orbit_boundary,
     partial_orbit_skeleton,
     partition_table,
@@ -799,6 +801,84 @@ class TestFareyDigitLimit:
         else:
             assert (code, err, path.read_text()) == (0, "", out)
             assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class _Started(Exception):
+    """Raised by `_FirstWrite` once a command writes its first chunk."""
+
+
+class _FirstWrite:
+    """A stdout that keeps a command's first chunk and stops the command there."""
+
+    def writelines(self, chunks):
+        self.first = next(iter(chunks))
+        raise _Started
+
+
+class TestListingByteBound:
+    """`rays`, `farey` (JSON) and `skeleton sample` refuse a listing whose value texts
+    (records times values per record times the longest) pass cli.LISTING_BYTE_BOUND
+    bytes, before the first write: exit 2, empty stdout.  At each edge one input is
+    just within the bound and the next, one more digit in --d or --range, is past it."""
+
+    @staticmethod
+    def starts(*argv) -> bool:
+        """Whether main(argv) gets to its first write; if not, it exits 2 on the bound."""
+        sink, err = _FirstWrite(), io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(err):
+            try:
+                code = main(list(argv))
+            except _Started:
+                return True
+        assert (code, hasattr(sink, "first")) == (2, False)
+        assert err.getvalue().startswith("error: listing value bytes ")
+        assert err.getvalue().endswith(f" exceeds the configured bound {cli.LISTING_BYTE_BOUND}\n")
+        return False
+
+    def test_rays_edge(self):
+        # d = -2 * 10^k: the values are -c * 10^k, the longest from the largest c.
+        _, patterns = _ray_patterns(-2, HEIGHT_BOUND)
+        k = cli.LISTING_BYTE_BOUND // (3 * len(patterns)) - len(str(-patterns[0][0]))
+        for digits, within in ((k, True), (k + 1, False)):
+            assert self.starts("rays", "--d", "-2" + "0" * digits,
+                               "--height", str(HEIGHT_BOUND)) is within
+
+    def test_farey_edge(self):
+        # d = -2 * 10^k: the vertex values are a * 10^k for each entry a of the line.
+        column = _orbit_half(DEPTH_BOUND)
+        k = cli.LISTING_BYTE_BOUND // (6 * (len(column) - 2)) - len(str(max(column)))
+        for digits, within in ((k, True), (k + 1, False)):
+            assert self.starts("farey", "--depth", str(DEPTH_BOUND),
+                               "--d", "-2" + "0" * digits) is within
+        # The SVG does not grow with the digits of d and has no such bound.
+        with tempfile.TemporaryDirectory() as tmp:
+            assert main(["farey", "--depth", "4", "--d", "-2" + "0" * (k + 1),
+                         "--svg", os.path.join(tmp, "f.svg")]) == 0
+
+    def test_skeleton_sample_edge(self):
+        # range 10^k at the grid bound: the coordinates' text is bounded from the
+        # digits of 10^k and the lattice, so the edge is found by bisection, and it
+        # must lie where each value takes k + 1 to about k + 12 characters.
+        def starts(digits, fmt="csv"):
+            return self.starts("skeleton", "sample", "--params", "inf,inf,inf,-2", "--grid",
+                               str(GRID_BOUND), "--range", "1" + "0" * digits, "--format", fmt)
+        low, high = 0, LIMIT - 1
+        while low < high:
+            mid = (low + high + 1) // 2
+            low, high = (mid, high) if starts(mid) else (low, mid - 1)
+        per_value = cli.LISTING_BYTE_BOUND // (5 * GRID_BOUND**2)
+        assert per_value - 12 <= low < per_value
+        assert starts(low, "json") and not starts(low + 1, "json") and not starts(low + 1)
+
+    def test_probes_exit_at_once(self, capsys):
+        # A 4,299-digit --d at the height bound printed 1.5 GB, a 900-digit one at
+        # the depth bound 766 MB.
+        start = time.perf_counter()
+        for argv in (("rays", "--d", f"-1/{'9' * 4299}", "--height", str(HEIGHT_BOUND)),
+                     ("farey", "--depth", str(DEPTH_BOUND), "--d", f"-1/{'9' * 900}")):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, "") and "exceeds the configured bound" in err
+        assert time.perf_counter() - start < 5
 
 
 class TestOrbitAndReduce:

@@ -35,6 +35,7 @@ from tropmarkov.hyperbolic import (
     _farey_listing,
     _farey_runs,
     _orbit_cycle,
+    _orbit_half,
     _phi,
     _skeleton_plane,
     _skeleton_columns,
@@ -61,6 +62,7 @@ from conftest import (
     oracle_labels,
     oracle_order_isomorphism_check,
     oracle_orbit_cycle,
+    oracle_partition_table,
     oracle_plane_vector,
     oracle_plane_xy,
     oracle_realise,
@@ -359,6 +361,20 @@ class TestPartitions:
     def test_depth_ten_decay_beats_one_eighth(self):
         for side in ("boundary", "skeleton"):
             assert partition_stats(10, side)[1] < partition_stats(0, side)[1] / 8
+
+    def test_table_matches_whole_cycle_oracle(self):
+        # The boundary table reads one half of the cycle and mirrors the rest by r3;
+        # the oracle takes an angle and an arc for every point of every level.
+        for side in ("boundary", "skeleton"):
+            for n in range(DEPTH_BOUND + 1):
+                assert partition_table(n, side) == oracle_partition_table(n, side), (side, n)
+
+    def test_atan2_is_odd_on_the_half(self):
+        # The boundary table and angles take the r3 image -p/q at -atan2(p, q): a libm
+        # whose atan2 is not odd in its first argument at some orbit point fails here.
+        p = _orbit_half(DEPTH_BOUND)
+        broken = [(a, b) for a, b in zip(p, reversed(p)) if math.atan2(-a, b) != -math.atan2(a, b)]
+        assert broken == []
 
     def test_levels_ascend_round_the_cycle(self):
         # partition_table reads every level in cycle order and adds 2 pi at its one
