@@ -14,7 +14,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .errors import DomainError, ResourceError, UsageError, bound_error
+from .errors import DomainError, ResourceError, UsageError, bound_error, check_size
 from .scalars import ExtRat, _int_valuation, is_prime, value_class
 from .surface import (CellId, Params, Point3, _finite_values, as_point, cell_has_interior,
                       cells_of, check_index, on_skeleton)
@@ -169,11 +169,6 @@ class LiftReport:
 LIFT_WORD_BOUND = 12
 
 
-def _check_lift_word(word: Word) -> None:
-    if word.length > LIFT_WORD_BOUND:
-        raise bound_error("word length", word.length, LIFT_WORD_BOUND)
-
-
 def lift_consistency(point: SurfacePointL, word: Word) -> LiftReport:
     """Compare t-adic valuations of the exact Vieta orbit against the
     tropicalized orbit, prefix by prefix.
@@ -183,7 +178,7 @@ def lift_consistency(point: SurfacePointL, word: Word) -> LiftReport:
     longer than LIFT_WORD_BOUND raises ResourceError before any step, and an
     exact step past LIFT_STEP_BOUND before that step.
     """
-    _check_lift_word(word)
+    check_size(word.length, "word length", 0, LIFT_WORD_BOUND)
     params = point.params()
     vals = point.valuation_vector()
     if any(v.is_infinite for v in vals):
@@ -311,8 +306,7 @@ def zp_numerators(p: int, D) -> tuple[list[tuple[int, int, int]], int, int]:
     nmax = math.isqrt(ball)
     if nmax * nmax >= ball:
         nmax -= 1
-    if nmax > ZP_BOX_BOUND:
-        raise bound_error("enumeration box half-width", nmax, ZP_BOX_BOUND)
+    check_size(nmax, "enumeration box half-width", 0, ZP_BOX_BOUND)
     allowed = [n for n in range(-nmax, nmax + 1) if n != 0 and n % pk != 0]
     # n2 and n3 are nonzero, so x1^2 = D - (x2^2 + x1 x2 x3 + x3^2) < D, the form
     # being positive definite for |x1| < 2: only the rows n1^2 < m p^K hold a point.

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import dynamics
-from .errors import DomainError, UsageError, bound_error
+from .errors import DomainError, check_size
 from .scalars import ExtRat, continued_fraction, value_class
 from .surface import (
     CellId,
@@ -25,7 +25,6 @@ from .surface import (
     Point3,
     _threshold,
     check_index,
-    check_size,
     is_meromorphic,
     nxt,
     quadratic_cell,
@@ -98,9 +97,7 @@ def index_shift_bruteforce(m) -> int:
     One T step per unit of stopping time: past dynamics.STEP_BOUND steps, read from
     the continued-fraction term sum, ResourceError before the first step."""
     v = _finite_positive_slope(m, "index shift")
-    steps = stopping_time(v)
-    if steps > dynamics.STEP_BOUND:
-        raise bound_error("stopping time", steps, dynamics.STEP_BOUND)
+    check_size(stopping_time(v), "stopping time", 0, dynamics.STEP_BOUND)
     return sum(1 if t >= 1 else -1 for t in _t_orbit(v))
 
 
@@ -202,11 +199,7 @@ def _ray_patterns(d, height: int) -> tuple[Fraction, list[tuple[int, int, int]]]
     """d/2 and the integer patterns of `exception_rays_punctured`, checked as it
     checks them, sorted so that their images ascend."""
     half = _punctured_half(d)
-    check_size(height, "height")
-    if height < 0:
-        raise UsageError(f"height must be nonnegative, got {height}")
-    if height > HEIGHT_BOUND:
-        raise bound_error("height", height, HEIGHT_BOUND)
+    check_size(height, "height", 0, HEIGHT_BOUND)
     # Sorting the integer patterns in reverse sorts their images, as d/2 < 0.
     seen = {pattern for p in range(height + 1) for q in range(height + 1) if gcd(p, q) == 1
             for pattern in ((q, p, p + q), (p + q, q, p), (p, p + q, q))}
@@ -278,10 +271,10 @@ def table_orbit_triangles(d, depth: int) -> dict[int, list[tuple[Word, tuple[UVe
     per quadratic cell in the u-coordinates of the cell containing each image:
     the words of length <= D ending in cell i are the `farey_triangle` words of
     the depth-(D - 1) triples.  A depth beyond DEPTH_BOUND raises ResourceError."""
-    from .hyperbolic import _check_depth, _farey_runs
+    from .hyperbolic import DEPTH_BOUND, _farey_runs
 
     scale = _punctured_half(d)
-    _check_depth(depth)
+    check_size(depth, "orbit depth", 0, DEPTH_BOUND)
     table = {1: [], 2: [], 3: []}
     for t in farey_enumerate(depth - 1) if depth else []:
         runs = _farey_runs(t.mid)  # cut once per triple, shifted to each cell

@@ -20,7 +20,7 @@ from collections.abc import Iterable, Iterator
 from itertools import islice
 from json.encoder import encode_basestring_ascii as _json_string  # the C encoder
 
-from .errors import DomainError, ResourceError, UsageError, bound_error
+from .errors import DomainError, ResourceError, UsageError, check_size
 
 SCHEMA_VERSION = 1
 _RECORD = "\n    "  # the indent of a JSON listing's records: the payload's arrays, two deep
@@ -30,10 +30,10 @@ _RECORD = "\n    "  # the indent of a JSON listing's records: the payload's arra
 # every point is printed, so the output would grow quadratically.
 ORBIT_DIGIT_BOUND = 1000
 
-# Most bytes of value text one `rays`, `farey` (JSON) or `skeleton sample` listing may
-# print: its record count times the values per record that scale with the user's
-# rationals times the longest such value's text, checked before the first write.  The
-# counts and each value's digits have bounds, their product had none.
+# Most bytes of value text one `rays`, `farey` (JSON), `skeleton sample` or `orbit`
+# listing may print: its record count times the values per record that scale with the
+# user's rationals times the longest such value's text, checked before the first write.
+# The counts and each value's digits have bounds, their product had none.
 LISTING_BYTE_BOUND = 1 << 27
 
 
@@ -118,9 +118,13 @@ def _emit(chunks: Iterable[str], out_path: str | None):
 def _check_listing(records: int, values: int, width: int) -> None:
     """Refuse a listing of ``records`` records, each with ``values`` value texts of at
     most ``width`` characters, whose value text would pass LISTING_BYTE_BOUND bytes."""
-    size = records * values * width
-    if size > LISTING_BYTE_BOUND:
-        raise bound_error("listing value bytes", size, LISTING_BYTE_BOUND)
+    check_size(records * values * width, "listing value bytes", 0, LISTING_BYTE_BOUND)
+
+
+def _text_bound(num: int, den: int) -> int:
+    """At least len(str(Fraction(num, den))), read from the bits: a "-", a "/" and each
+    int's digits, at most 0.30103 times its bits plus one."""
+    return 4 + (abs(num).bit_length() + den.bit_length()) * 30103 // 100000
 
 
 def _to_devnull(stream) -> None:
@@ -217,13 +221,11 @@ def _cmd_skeleton_sample(args) -> dict | Iterator[str]:
 
     rows = ((texts[k % args.grid], texts[k // args.grid], [*map(coordinate, y)],
              sorted(c.value for c in cells)) for k, (y, cells) in enumerate(lifts))
-    # |coordinate| < 6|span| + the largest finite |parameter|, so a coordinate prints at
-    # most a "-", the digits of den times that (`big`), a "/" and the digits of den,
-    # each at most 0.30103 times its bits, plus one.
+    # |coordinate| < 6|span| + the largest finite |parameter|, so a coordinate's
+    # numerator is below den times that (`big`).
     top = 6 * abs(span) + max([abs(e) for e in _finite_values(params) if e is not None] or [0])
     big = den * max(top, 1)
-    width = 4 + (ceil(big).bit_length() + den.bit_length()) * 30103 // 100000
-    _check_listing(args.grid ** 2, 5, max(width, *map(len, texts)))
+    _check_listing(args.grid ** 2, 5, max(_text_bound(ceil(big), den), *map(len, texts)))
     # Where a coordinate may pass the digit limit, make every row now, so an error
     # comes before any output.
     if (limit := sys.get_int_max_str_digits()) and big >= 10**limit:
@@ -260,19 +262,22 @@ def _cmd_orbit(args) -> dict:
     limit = 10**ORBIT_DIGIT_BOUND
     points = [x]
     values = _monomials(finite, x)  # carried from point to point by each reflection
+    width = 0  # the longest coordinate text so far, bounded from its bits
     for k in range(len(letters) + 1):
         if any(abs(c.numerator) >= limit or c.denominator >= limit for c in points[k]):
             raise ResourceError(f"a coordinate after {k} of {len(letters)} letters exceeds the "
                                 f"configured bound of {ORBIT_DIGIT_BOUND} digits")
+        width = max(width, *(_text_bound(c.numerator, c.denominator) for c in points[k]))
+        _check_listing(len(letters) + 2, 3, width)  # start, steps and final
         if k < len(letters):
             y, values = _reflect(values, finite, letters[k], points[k])
             points.append(y)
+    step = _json_template(generator="s%s", point=("%s",) * 3)
     return {
         "params": str(params),
         "start": _point_json(x),
         "word": str(word),
-        "steps": [{"generator": f"s{g}", "point": _point_json(p)}
-                  for g, p in zip(letters, points[1:])],
+        "steps": (step % (g, *p) for g, p in zip(letters, points[1:])),
         "final": _point_json(points[-1]),
     }
 
@@ -386,7 +391,7 @@ def _cmd_fatou(args) -> dict:
 
 
 def _cmd_lift_check(args) -> dict:
-    from .arithmetic import _check_lift_word, lift_consistency, surface_from_seed
+    from .arithmetic import LIFT_WORD_BOUND, lift_consistency, surface_from_seed
     from .dynamics import Word
     from .laurent import LaurentPoly
 
@@ -397,7 +402,7 @@ def _cmd_lift_check(args) -> dict:
     if len(abc) != 3:
         raise UsageError("--abc needs exactly 3 comma-separated Laurent polynomials")
     word = Word.parse(args.word)  # a malformed or long word exits before the seed is built
-    _check_lift_word(word)
+    check_size(word.length, "word length", 0, LIFT_WORD_BOUND)
     point = surface_from_seed(*seeds, *abc)
     report = lift_consistency(point, word)
     return {

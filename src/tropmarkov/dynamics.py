@@ -16,7 +16,7 @@ import sys
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 
-from .errors import DomainError, ResourceError, UsageError, bound_error
+from .errors import DomainError, ResourceError, UsageError, check_size
 from .scalars import ExtRat, thomae_gcd, value_class
 from .surface import (
     CELL_ORDER,
@@ -28,7 +28,6 @@ from .surface import (
     _monomials,
     _on_lattice,
     check_index,
-    check_size,
     nxt,
     point_text,
     prv,
@@ -172,16 +171,12 @@ class Word:
 
     def _expandable(self) -> tuple[Run, ...]:
         """The runs; past STEP_BOUND letters, the longest greedy word, ResourceError."""
-        if self.length > STEP_BOUND:
-            raise bound_error("word length", self.length, STEP_BOUND)
+        check_size(self.length, "word length", 0, STEP_BOUND)
         return self.runs
 
     def __len__(self):
         """The number of letters; ResourceError past sys.maxsize, which len() cannot return."""
-        n = self.length
-        if n > sys.maxsize:
-            raise bound_error("word length", n, sys.maxsize)
-        return n
+        return check_size(self.length, "word length", 0, sys.maxsize)
 
     def __str__(self):
         return _runs_text(self._expandable())
@@ -367,10 +362,7 @@ def greedy_path(params: Params, x: Point3, max_steps: int | None = None) -> Gree
     ResourceError is raised.
     """
     if max_steps is not None:
-        check_size(max_steps, "max_steps")
-        if max_steps < 0:
-            # The first cell test below is the skeleton check; it must run.
-            raise UsageError(f"max_steps must be nonnegative, got {max_steps}")
+        check_size(max_steps, "max_steps")  # 0 still runs the first cell test, the skeleton check
     room = STEP_BOUND + 1 if max_steps is None else min(max_steps, STEP_BOUND + 1)
     finite = _finite_values(params)
     scale, coeffs = _on_lattice(params, *(v.denominator for v in x))

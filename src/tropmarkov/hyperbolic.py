@@ -39,10 +39,10 @@ from fractions import Fraction
 from itertools import chain, islice, repeat
 from operator import add, neg, sub
 
-from .errors import DomainError, UsageError, bound_error
+from .errors import DomainError, UsageError, check_size
 from .dynamics import Matrix2, Word, _cut_runs, mat_mul, trop_vieta
 from .scalars import INF, _quotients
-from .surface import Params, check_index, check_size
+from .surface import Params, check_index
 
 BPoint = tuple[int, int]
 
@@ -160,7 +160,7 @@ def _orbit_half(n: int) -> list[int]:
     """The numerators of the depth-n cycle's line 0/1 .. 1/0: n rounds of mediant
     refinement of the column 0, 1, 1, each putting neighbour sums between.  Its
     denominators are the same column reversed.  The depth is checked first."""
-    _check_depth(n)
+    check_size(n, "orbit depth", 0, DEPTH_BOUND)
     column = [0, 1, 1]
     for _ in range(n):
         refined = column + column[1:]
@@ -178,14 +178,6 @@ def _orbit_cycle(n: int) -> tuple[list[int], list[int]]:
     p = _orbit_half(n)
     q = p[::-1]
     return p + list(map(neg, p[-3:1:-2])), q + q[-3:1:-2]  # inf back to 0, ends left out
-
-
-def _check_depth(n: int):
-    check_size(n, "orbit depth")
-    if n < 0:
-        raise UsageError("orbit depth must be nonnegative")
-    if n > DEPTH_BOUND:
-        raise bound_error("orbit depth", n, DEPTH_BOUND)
 
 
 def partial_orbit_boundary(n: int) -> list[BPoint]:

@@ -25,7 +25,7 @@ from enum import Enum
 from fractions import Fraction
 from math import lcm
 
-from .errors import DomainError, UsageError, bound_error
+from .errors import DomainError, UsageError, check_size
 from .scalars import ExtRat, parse_rational, value_class
 
 Point3 = tuple[Fraction, Fraction, Fraction]
@@ -70,12 +70,6 @@ def check_index(i, what: str = "generator") -> None:
     string that equals or names one."""
     if type(i) is not int or i not in (1, 2, 3):
         raise UsageError(f"{what} index must be 1, 2 or 3, got {i}")
-
-
-def check_size(n, what: str) -> None:
-    """A size (orbit depth, height, grid or step cap) is an int, not a bool, float or str."""
-    if type(n) is not int:
-        raise UsageError(f"{what} must be an int, got {type(n).__name__}")
 
 
 def quadratic_cell(i: int) -> CellId:
@@ -264,11 +258,7 @@ def plane_grid(grid: int, span) -> list[Fraction]:
 
     Fewer than 2 nodes is a UsageError, more than GRID_BOUND a ResourceError.
     """
-    check_size(grid, "grid")
-    if grid < 2:
-        raise UsageError("grid needs at least 2 nodes per axis")
-    if grid > GRID_BOUND:
-        raise bound_error("grid", grid, GRID_BOUND)
+    check_size(grid, "grid", 2, GRID_BOUND)
     span = Fraction(span)
     return [-span + 2 * span * Fraction(k, grid - 1) for k in range(grid)]
 

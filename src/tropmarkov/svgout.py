@@ -11,7 +11,9 @@ from itertools import islice
 
 from .surface import CellId, Params, _grid_lifts
 from .classifier import _punctured_half
-from .hyperbolic import _boundary_angles, _check_depth, _farey_listing, _orbit_half, _triangles
+from .errors import check_size
+from .hyperbolic import (DEPTH_BOUND, _boundary_angles, _farey_listing, _orbit_half,
+                         _triangles)
 
 _CELL_COLORS = {
     CellId.X1SQ: "#c6dbef",
@@ -64,7 +66,7 @@ def skeleton_svg(params: Params, grid: int, span) -> Iterator[str]:
 def farey_svg(d, depth: int) -> Iterator[str]:
     """Three u-coordinate panels, one after another, with the orbit triangles of
     the D cell: the triples of `farey_enumerate(depth - 1)` in its order."""
-    _check_depth(depth)  # before d, as the farey listing checks them
+    check_size(depth, "orbit depth", 0, DEPTH_BOUND)  # before d, as the farey listing checks them
     scale = _punctured_half(d)
     panel = 260.0
     margin = 30.0

@@ -655,7 +655,7 @@ class TestJsonWriter:
         def recorded(payload):
             lazy = {k: list(v) for k, v in payload.items() if isinstance(v, Iterator)}
             payloads.append({**payload, **{k: [*map(json.loads, v)] for k, v in lazy.items()}})
-            assert list(lazy) == {"farey": ["triples"], "skeleton": ["rows"],
+            assert list(lazy) == {"farey": ["triples"], "skeleton": ["rows"], "orbit": ["steps"],
                                   "enumerate-zp": ["points"]}.get(argv[0], [])
             return writer({**payload, **{k: iter(v) for k, v in lazy.items()}})
 
@@ -816,10 +816,11 @@ class _FirstWrite:
 
 
 class TestListingByteBound:
-    """`rays`, `farey` (JSON) and `skeleton sample` refuse a listing whose value texts
-    (records times values per record times the longest) pass cli.LISTING_BYTE_BOUND
+    """`rays`, `farey` (JSON), `skeleton sample` and `orbit` refuse a listing whose value
+    texts (records times values per record times the longest) pass cli.LISTING_BYTE_BOUND
     bytes, before the first write: exit 2, empty stdout.  At each edge one input is
-    just within the bound and the next, one more digit in --d or --range, is past it."""
+    just within the bound and the next, one more digit in --d or --range (or, for
+    `orbit`, one byte less of bound), is past it."""
 
     @staticmethod
     def starts(*argv) -> bool:
@@ -870,12 +871,36 @@ class TestListingByteBound:
         assert per_value - 12 <= low < per_value
         assert starts(low, "json") and not starts(low + 1, "json") and not starts(low + 1)
 
+    def test_orbit_edge(self, capsys, monkeypatch):
+        # The orbit's value text is bounded by its 5 points (the start, 3 steps and
+        # the final) times 3 coordinates times the longest text, read from its bits:
+        # the edge, found by bisection, is at most 3 characters a value above the
+        # printed longest, and the bound one below the edge refuses.
+        argv = ("orbit", "--params", "inf,inf,inf,-2", "--point", f"-1/{'9' * 40},-2,-3",
+                "--word", "s1 s2 s3")
+        payload = json.loads(run_cli(capsys, *argv)[1])
+        longest = max(len(c) for p in (payload["start"], *(s["point"] for s in payload["steps"]))
+                      for c in p)
+
+        def starts(bound):
+            monkeypatch.setattr(cli, "LISTING_BYTE_BOUND", bound)
+            return self.starts(*argv)
+        low, high = 0, 10**4
+        while low < high:
+            mid = (low + high) // 2
+            low, high = (low, mid) if starts(mid) else (mid + 1, high)
+        assert 5 * 3 * longest <= low <= 5 * 3 * (longest + 3)
+        assert starts(low) and not starts(low - 1)
+
     def test_probes_exit_at_once(self, capsys):
         # A 4,299-digit --d at the height bound printed 1.5 GB, a 900-digit one at
-        # the depth bound 766 MB.
+        # the depth bound 766 MB, and a 65,534-letter orbit of 990-digit points 332 MB.
         start = time.perf_counter()
+        nines = "9" * 990
         for argv in (("rays", "--d", f"-1/{'9' * 4299}", "--height", str(HEIGHT_BOUND)),
-                     ("farey", "--depth", str(DEPTH_BOUND), "--d", f"-1/{'9' * 900}")):
+                     ("farey", "--depth", str(DEPTH_BOUND), "--d", f"-1/{'9' * 900}"),
+                     ("orbit", "--params", "inf,inf,inf,-2", "--point",
+                      f"-1/{nines},-2/{nines},-3/{nines}", "--word", " ".join(["1 2"] * 32767))):
             code, out, err = run_cli(capsys, *argv)
             assert (code, out) == (2, "") and "exceeds the configured bound" in err
         assert time.perf_counter() - start < 5

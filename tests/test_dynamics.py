@@ -388,6 +388,21 @@ class TestSizeChecks:
         assert str(info.value) == f"{what} must be an int, got {type(bad).__name__}"
         call(3)
 
+    @pytest.mark.parametrize("name", sorted(_SIZED))
+    def test_least_value(self, name):
+        # One below the least size (2 for a grid, 0 for the rest) is refused with
+        # errors.check_size's text, and so is a size below it by more digits than
+        # str() prints, named by its digit count; the least is taken.
+        what, call = _SIZED[name]
+        least = 2 if name == "plane_grid" else 0
+        rule = f"{what} must be {f'at least {least}' if least else 'nonnegative'}, got "
+        huge = "<an integer of about 5000 digits>"
+        for n, text in ((least - 1, str(least - 1)), (-_HUGE, huge)):
+            with pytest.raises(UsageError) as info:
+                call(n)
+            assert str(info.value) == rule + text
+        call(least)
+
 
 class TestInvolutions:
     def test_examples(self):
